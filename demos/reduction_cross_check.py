@@ -39,7 +39,7 @@ print("\nscalar curvature  direct:", direct.scalar)
 print("scalar curvature  closed:", closed.scalar)
 
 print("\nper-block agreement (max abs difference):")
-for name, value in cross_check(geom, spec).items():
+for name, value in cross_check(direct, closed).items():
     print(f"  {name:24s} {value:.2e}")
 
 # Flat base, zero gauge field: only the fiber bracket curves the space, and
@@ -47,7 +47,7 @@ for name, value in cross_check(geom, spec).items():
 flat = CoframeField(chart, [["1", "0"], ["0", "1"]], spec.b)
 geom0 = geometry_at_point(flat, GaugeField.zero(spec, chart), spec,
                           np.zeros(2))
-res = eym_residuals(geom0, spec)
+res = eym_residuals(ricci_closed_form(geom0, spec))
 print("\nflat base, A = 0:")
 print("  einstein block:")
 print(" ", str(res.einstein_block).replace("\n", "\n  "))
@@ -56,6 +56,6 @@ print("  yang-mills residual norm:", res.ym_norm)
 
 # The same residuals at the generic point measure how far this configuration
 # is from solving the coupled field equations.
-res = eym_residuals(geom, spec)
+res = eym_residuals(closed)
 print("\ngeneric configuration residual norms:")
 print("  einstein:", res.einstein_norm, "  yang-mills:", res.ym_norm)

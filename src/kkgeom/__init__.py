@@ -19,8 +19,8 @@ Subpackages by topic:
 
 from .basegeo import (BaseCurvature, ChartSpec, CoframeField, GaugeField,
                       GeometryAtPoint, anholonomy, base_curvature,
-                      field_strength, frame_matrix, geometry_at_point,
-                      levi_civita, load_fields)
+                      frame_matrix, geometry_at_point, levi_civita,
+                      load_fields)
 from .bundle import (GroupElement, MatrixRep, PathSpec, adjoint_of,
                      builtin_rep, lift_path, verify_deextra,
                      verify_gauge_covariance)

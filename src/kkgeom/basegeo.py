@@ -28,7 +28,6 @@ __all__ = [
     "anholonomy",
     "levi_civita",
     "base_curvature",
-    "field_strength",
     "geometry_at_point",
     "BaseCurvature",
     "load_fields",
@@ -189,6 +188,7 @@ class GeometryAtPoint:
 
     point: np.ndarray
     spec: LieAlgebraSpec
+    b_inv: np.ndarray  # (n, n) inverse of spec.b
     E: np.ndarray  # (n, n)  e^a_mu
     E_inv: np.ndarray  # (n, n)  indexed [mu, a]
     C: np.ndarray  # (n, n, n) anholonomy
@@ -209,16 +209,8 @@ class GeometryAtPoint:
         return np.asarray(self.spec.b)
 
     @property
-    def b_inv(self):
-        return np.linalg.inv(self.spec.b)
-
-    @property
     def k(self):
         return np.asarray(self.spec.k)
-
-    @property
-    def k_inv(self):
-        return self.spec.k_inv()
 
     # raised / lowered field-strength variants used by the block connection
     def F_mixed(self) -> np.ndarray:
@@ -321,6 +313,7 @@ def _geometry_analytic(coframe, gauge, spec, point):
     return GeometryAtPoint(
         point=np.array(point, dtype=float),
         spec=spec,
+        b_inv=np.linalg.inv(spec.b),
         E=E,
         E_inv=Einv,
         C=C,
@@ -461,20 +454,6 @@ def base_curvature(coframe: CoframeField, point, spec=None, deriv_mode="analytic
         spec = abelian_algebra(coframe.n, 0, b=coframe.b)
     geom = geometry_at_point(coframe, None, spec, point, deriv_mode, fd_step)
     return base_curvature_from_geometry(geom)
-
-
-def field_strength(
-    spec: LieAlgebraSpec,
-    gauge: GaugeField,
-    coframe: CoframeField,
-    point,
-    deriv_mode="analytic",
-    fd_step=1e-3,
-):
-    """Frame components F^alpha_bc and the frame derivatives of the raised
-    components (both base indices up, fiber index down)."""
-    geom = geometry_at_point(coframe, gauge, spec, point, deriv_mode, fd_step)
-    return geom.F, geom.dF_up2()
 
 
 # ---------------------------------------------------------------------------

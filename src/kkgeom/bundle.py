@@ -1,4 +1,4 @@
-"""Matrix realization of the fiber group: adjoint gauge maps and path lifting.
+r"""Matrix realization of the fiber group: adjoint gauge maps and path lifting.
 
 The fiber Lie algebra acts through a faithful matrix representation.  This
 module builds the built-in compact representations, computes the adjoint
@@ -332,7 +332,8 @@ def verify_gauge_covariance(geom, g: GroupElement, spec: LieAlgebraSpec,
     Omega = curvature_direct(conn).Omega
     E = geom.E
     Ac, Fc, dAc = _coordinate_gauge_data(geom)
-    adj0 = adjoint_of(g)[n:, n:]
+    # the rep's own spec fixes the size of the central block adjoint_of pads with
+    adj0 = adjoint_of(g)[g.rep.spec.n:, g.rep.spec.n:]
 
     def vmat(s):
         return _dexp_right(_fiber_ad(spec, s))

@@ -39,6 +39,11 @@ EXIT_VIOLATION = 2
 EXIT_USAGE = 64
 EXIT_NUMERIC = 70
 
+# README tolerance ladder: exact identities, analytic and fd cross-checks
+_TOL_EXACT = 1e-12
+_TOL_ANALYTIC = 1e-6
+_TOL_FD = 1e-3
+
 
 class _UsageError(Exception):
     pass
@@ -220,8 +225,9 @@ def _curvature_point(point_list):
     spec = st["spec"]
     conn = kkcurv.assemble_omega(geom, spec)
     direct = kkcurv.curvature_direct(conn)
-    res = kkcurv.eym_residuals(geom, spec)
-    cross = kkcurv.cross_check(geom, spec)
+    closed = kkcurv.ricci_closed_form(geom, spec)
+    res = kkcurv.eym_residuals(closed)
+    cross = kkcurv.cross_check(direct, closed)
     return {
         "point": [float(x) for x in point],
         "scalar_curvature": direct.scalar,
@@ -234,8 +240,14 @@ def _curvature_point(point_list):
     }
 
 
-def _init_worker(problem_json, fd_step):
-    _curvature_setup(problem_json, fd_step)
+def _worst_violation(rows, cross_tol):
+    """(excess, name, limit, row) of the row invariant furthest past its
+    tolerance, or None when every row holds; NaN counts as infinitely far."""
+    limits = (("cross_check_max", cross_tol), ("connection_torsion", _TOL_EXACT),
+              ("connection_antisymmetry", _TOL_EXACT))
+    bad = [(np.inf if np.isnan(row[name]) else row[name] / limit, name, limit, row)
+           for row in rows for name, limit in limits if not row[name] <= limit]
+    return max(bad, key=lambda v: v[0], default=None)
 
 
 def cmd_curvature(args):
@@ -250,7 +262,7 @@ def cmd_curvature(args):
         rows = [_curvature_point(t) for t in tasks]
     else:
         with concurrent.futures.ProcessPoolExecutor(
-                max_workers=jobs, initializer=_init_worker,
+                max_workers=jobs, initializer=_curvature_setup,
                 initargs=(problem_json, opts["fd_step"])) as pool:
             rows = list(pool.map(_curvature_point, tasks))
 
@@ -263,7 +275,14 @@ def cmd_curvature(args):
     config = {"algebra": problem.get("algebra"), "fields": problem.get("fields"),
               "options": _config_options(opts)}
     _emit(_report("curvature", config, {"per_point": rows, "summary": summary}), args)
-    return EXIT_OK
+    fd = _WORKER_STATE["deriv_mode"] == "fd"
+    worst = _worst_violation(rows, _TOL_FD if fd else _TOL_ANALYTIC)
+    if worst is None:
+        return EXIT_OK
+    _, name, limit, row = worst
+    print(f"invariant violation: {name} = {row[name]:.3e} exceeds {limit:.0e} "
+          f"at point {row['point']}", file=sys.stderr)
+    return EXIT_VIOLATION
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +439,9 @@ def main(argv=None):
     except KKGeomError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_USAGE

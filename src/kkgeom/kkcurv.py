@@ -216,25 +216,21 @@ def ricci_closed_form(geom: GeometryAtPoint, spec: LieAlgebraSpec) -> ClosedForm
     )
 
 
-def eym_residuals(geom: GeometryAtPoint, spec: LieAlgebraSpec) -> EYMResidual:
+def eym_residuals(closed: ClosedFormCurvature) -> EYMResidual:
     """Residual tensors of the Einstein-Yang-Mills system at one point.
 
     For exact solutions both blocks vanish; otherwise they quantify how far
     the configuration is from solving the system (they are data, not errors).
     """
-    closed = ricci_closed_form(geom, spec)
     return EYMResidual(
         einstein_block=closed.ein_base,
         ym_block=2.0 * closed.ric_mixed.T,
     )
 
 
-def cross_check(geom: GeometryAtPoint, spec: LieAlgebraSpec) -> dict:
+def cross_check(direct: KKCurvature, closed: ClosedFormCurvature) -> dict:
     """Componentwise discrepancy between the direct and closed-form routes."""
-    n = spec.n
-    conn = assemble_omega(geom, spec)
-    direct = curvature_direct(conn)
-    closed = ricci_closed_form(geom, spec)
+    n = closed.ric_base.shape[0]
     return {
         "ric_base": float(np.abs(direct.ricci[:n, :n] - closed.ric_base).max()),
         "ric_mixed": float(np.abs(direct.ricci[:n, n:] - closed.ric_mixed).max()),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kkgeom.basegeo import (ChartSpec, CoframeField, GaugeField, anholonomy,
-                            base_curvature, field_strength, frame_matrix,
+                            base_curvature, frame_matrix,
                             geometry_at_point, levi_civita, load_fields)
 from kkgeom.errors import DegenerateCoframeError, StructuralError
 from kkgeom.liealg import abelian_algebra, su2_algebra, u1_su2_algebra
@@ -193,9 +193,9 @@ def test_abelian_field_strength_example():
     chart = ChartSpec(2)
     cof = CoframeField(chart, [["1", "0"], ["0", "1"]], np.eye(2))
     gauge = GaugeField(spec, chart, [["0", "x1"]])
-    F, dFup = field_strength(spec, gauge, cof, np.array([0.7, 0.1]))
-    assert abs(F[0, 0, 1] - 1.0) < 1e-14
-    assert np.abs(dFup).max() < 1e-12  # constant F has vanishing derivatives
+    geom = geometry_at_point(cof, gauge, spec, np.array([0.7, 0.1]))
+    assert abs(geom.F[0, 0, 1] - 1.0) < 1e-14
+    assert np.abs(geom.dF_up2()).max() < 1e-12  # constant F has vanishing derivatives
 
 
 def test_bianchi_identity_fd():

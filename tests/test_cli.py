@@ -1,11 +1,13 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from kkgeom import kkcurv
 from kkgeom.bundle import builtin_rep
-from kkgeom.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
+from kkgeom.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 
 
 SU2_PROBLEM = {
@@ -33,6 +35,24 @@ BROKEN_ALGEBRA = {
           [2, 3, 1, 1.0], [2, 1, 3, -1.0],
           [3, 1, 2, 0.5], [3, 2, 1, -0.5]],
 }
+
+
+def su2_problem(n):
+    """su(2) over an n-dimensional chart, two generic points."""
+    coframe = [["0"] * n for _ in range(n)]
+    for a in range(n):
+        coframe[a][a] = f"1 + 0.1*sin(x{(a + 1) % n + 1})"
+        coframe[a][(a + 1) % n] = f"0.05*x{a + 1}"
+    gauge = [[f"0.{al + mu + 1}*x{(al + mu) % n + 1}" if (al + mu) % 2 else "0"
+              for mu in range(n)] for al in range(3)]
+    points = [[0.1 * (i + 1) * (-1) ** a for a in range(n)] for i in range(2)]
+    return {
+        "algebra": {"builtin": "su2", "n": n},
+        "fields": {"chart": {"n": n}, "coframe": coframe, "gauge": gauge,
+                   "points": points},
+        "rep": "su2_as_so3",
+        "options": {"seed": 3},
+    }
 
 
 def write_problem(tmp_path, problem, name="problem.json"):
@@ -149,6 +169,88 @@ def test_curvature_jobs_do_not_change_report(tmp_path, capsys):
     assert normalized(out1.out) == normalized(out2.out)
 
 
+def test_curvature_computes_each_tensor_once_per_point(tmp_path, capsys, monkeypatch):
+    calls = {}
+
+    def counted(name):
+        fn = getattr(kkcurv, name)
+
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("assemble_omega", "curvature_direct", "ricci_closed_form"):
+        monkeypatch.setattr(kkcurv, name, counted(name))
+    path = write_problem(tmp_path, SU2_PROBLEM)
+    code, _ = run(capsys, ["curvature", "--input", path, "--jobs", "1"])
+    assert code == EXIT_OK
+    assert calls == {"assemble_omega": 4, "curvature_direct": 4, "ricci_closed_form": 4}
+
+
+@pytest.mark.parametrize("deriv_mode,error,expected", [
+    ("analytic", 1e-5, EXIT_VIOLATION),
+    ("analytic", 1e-8, EXIT_OK),
+    ("fd", 1e-2, EXIT_VIOLATION),
+    ("fd", 1e-5, EXIT_OK),
+])
+def test_curvature_exits_2_on_cross_check_violation(tmp_path, capsys, monkeypatch,
+                                                    deriv_mode, error, expected):
+    exact = kkcurv.ricci_closed_form
+
+    def off_by_error(geom, spec):
+        closed = exact(geom, spec)
+        return dataclasses.replace(closed, ric_base=closed.ric_base + error)
+
+    monkeypatch.setattr(kkcurv, "ricci_closed_form", off_by_error)
+    problem = json.loads(json.dumps(SU2_PROBLEM))
+    problem["fields"]["deriv_mode"] = deriv_mode
+    path = write_problem(tmp_path, problem)
+    code, out = run(capsys, ["curvature", "--input", path, "--jobs", "1"])
+    assert code == expected
+    report = json.loads(out.out)  # the full report is written either way
+    assert report["summary"]["points"] == 4
+    assert report["summary"]["max_cross_check"] >= error
+    if expected == EXIT_VIOLATION:
+        (line,) = out.err.strip().splitlines()
+        assert "cross_check_max" in line
+        worst = max(report["per_point"], key=lambda r: r["cross_check_max"])
+        assert str(worst["point"]) in line
+    else:
+        assert out.err == ""
+
+
+def test_curvature_exits_2_on_torsion_violation(tmp_path, capsys, monkeypatch):
+    exact = kkcurv.assemble_omega
+
+    def skewed(geom, spec):
+        conn = exact(geom, spec)
+        K = conn.K.copy()
+        K[0, 0, 1] += 1e-9
+        return dataclasses.replace(conn, K=K)
+
+    monkeypatch.setattr(kkcurv, "assemble_omega", skewed)
+    path = write_problem(tmp_path, SU2_PROBLEM)
+    code, out = run(capsys, ["curvature", "--input", path, "--jobs", "1"])
+    assert code == EXIT_VIOLATION
+    assert "connection_torsion" in out.err
+
+
+@pytest.mark.parametrize("exc", [ValueError("shapes do not align"),
+                                 np.linalg.LinAlgError("Singular matrix")])
+def test_stray_numeric_error_exits_70(tmp_path, capsys, monkeypatch, exc):
+    def fail(conn):
+        raise exc
+
+    monkeypatch.setattr(kkcurv, "curvature_direct", fail)
+    path = write_problem(tmp_path, SU2_PROBLEM)
+    code, out = run(capsys, ["curvature", "--input", path, "--jobs", "1"])
+    assert code == EXIT_NUMERIC
+    (line,) = out.err.strip().splitlines()
+    assert line.startswith("numeric failure:")
+    assert str(exc) in line
+
+
 def test_curvature_out_file(tmp_path, capsys):
     path = write_problem(tmp_path, SU2_PROBLEM)
     dest = tmp_path / "report.json"
@@ -228,6 +330,17 @@ def test_gauge_check_passes(tmp_path, capsys):
     assert code == EXIT_OK
     report = json.loads(out.out)
     assert report["passed"] is True
+    assert report["max_residual"] <= report["tolerance"]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_gauge_check_beyond_two_base_dimensions(tmp_path, capsys, n):
+    path = write_problem(tmp_path, su2_problem(n))
+    code, out = run(capsys, ["gauge-check", "--input", path])
+    assert code == EXIT_OK
+    report = json.loads(out.out)
+    assert report["passed"] is True
+    assert len(report["per_point"]) == 2
     assert report["max_residual"] <= report["tolerance"]
 
 
