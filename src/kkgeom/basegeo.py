@@ -1,9 +1,11 @@
 """Chart geometry: coframe, Levi-Civita connection, gauge field strength.
 
-Everything is evaluated pointwise on a single chart.  Coframe and gauge
-entries are :class:`~kkgeom.fieldexpr.FieldProvider` objects, so first and
-second coordinate derivatives are exact; derived frame quantities (the
-connection coefficients and the field-strength components) get their frame
+Everything is evaluated on a single chart, at one point or at a batch of
+points: a point array has the chart coordinates on its last axis, and every
+result carries the point array's leading axes in front of its own.  Coframe
+and gauge entries are :class:`~kkgeom.fieldexpr.FieldProvider` objects, so
+first and second coordinate derivatives are exact; derived frame quantities
+(the connection coefficients and the field-strength components) get their frame
 derivatives either through the chain rule on those exact partials
 (``deriv_mode="analytic"``) or through fourth-order central differences
 (``deriv_mode="fd"``).
@@ -11,7 +13,8 @@ derivatives either through the chain rule on those exact partials
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +55,41 @@ class ChartSpec:
         object.__setattr__(self, "names", names)
 
 
-class CoframeField:
+class _ProviderMatrix:
+    """Values and exact partials of a matrix of providers at a batch of points.
+
+    ``matrix`` is indexed ``[..., row, mu]``; ``d_matrix`` appends the
+    derivative direction nu and ``d2_matrix`` the directions nu, rho.
+    """
+
+    def matrix(self, point) -> np.ndarray:
+        return self._fill(point, 0)
+
+    def d_matrix(self, point) -> np.ndarray:
+        return self._fill(point, 1)
+
+    def d2_matrix(self, point) -> np.ndarray:
+        return self._fill(point, 2)
+
+    def _fill(self, point, order):
+        """out[..., row, mu, *nus] = d_{nus} entries[row][mu], ``order`` derivatives."""
+        point = np.asarray(point, dtype=float)
+        n = self.chart.n
+        out = np.empty(point.shape[:-1] + (len(self.entries), n) + (n,) * order)
+        # each distinct partial once, written to every ordering of its indices
+        partials = [(nus, set(itertools.permutations(nus)))
+                    for nus in itertools.combinations_with_replacement(range(n), order)]
+        for a, row in enumerate(self.entries):
+            for mu, p in enumerate(row):
+                method = (p.evaluate, p.partial, p.partial2)[order]
+                for nus, perms in partials:
+                    value = method(*nus, point)
+                    for perm in perms:
+                        out[(..., a, mu) + perm] = value
+        return out
+
+
+class CoframeField(_ProviderMatrix):
     """An n x n matrix of providers: entry (a, mu) is the dx^mu component of e^a."""
 
     def __init__(self, chart: ChartSpec, entries, b):
@@ -69,35 +106,8 @@ class CoframeField:
     def n(self):
         return self.chart.n
 
-    def matrix(self, point) -> np.ndarray:
-        n = self.n
-        return np.array([[self.entries[a][mu].evaluate(point) for mu in range(n)] for a in range(n)])
 
-    def d_matrix(self, point) -> np.ndarray:
-        """First partials: out[a, mu, nu] = d_nu e^a_mu."""
-        n = self.n
-        out = np.empty((n, n, n))
-        for a in range(n):
-            for mu in range(n):
-                for nu in range(n):
-                    out[a, mu, nu] = self.entries[a][mu].partial(nu, point)
-        return out
-
-    def d2_matrix(self, point) -> np.ndarray:
-        """Second partials: out[a, mu, nu, rho] = d_rho d_nu e^a_mu."""
-        n = self.n
-        out = np.empty((n, n, n, n))
-        for a in range(n):
-            for mu in range(n):
-                for nu in range(n):
-                    for rho in range(nu, n):
-                        v = self.entries[a][mu].partial2(nu, rho, point)
-                        out[a, mu, nu, rho] = v
-                        out[a, mu, rho, nu] = v
-        return out
-
-
-class GaugeField:
+class GaugeField(_ProviderMatrix):
     """An r x n matrix of providers: entry (alpha, mu) is A^alpha_mu."""
 
     def __init__(self, spec: LieAlgebraSpec, chart: ChartSpec, entries):
@@ -112,33 +122,6 @@ class GaugeField:
     def zero(cls, spec, chart):
         return cls(spec, chart, [[0.0] * chart.n for _ in range(spec.r)])
 
-    def matrix(self, point) -> np.ndarray:
-        r, n = self.spec.r, self.chart.n
-        return np.array(
-            [[self.entries[al][mu].evaluate(point) for mu in range(n)] for al in range(r)]
-        )
-
-    def d_matrix(self, point) -> np.ndarray:
-        r, n = self.spec.r, self.chart.n
-        out = np.empty((r, n, n))
-        for al in range(r):
-            for mu in range(n):
-                for nu in range(n):
-                    out[al, mu, nu] = self.entries[al][mu].partial(nu, point)
-        return out
-
-    def d2_matrix(self, point) -> np.ndarray:
-        r, n = self.spec.r, self.chart.n
-        out = np.empty((r, n, n, n))
-        for al in range(r):
-            for mu in range(n):
-                for nu in range(n):
-                    for rho in range(nu, n):
-                        v = self.entries[al][mu].partial2(nu, rho, point)
-                        out[al, mu, nu, rho] = v
-                        out[al, mu, rho, nu] = v
-        return out
-
 
 def _as_provider(p, n):
     if isinstance(p, FieldProvider):
@@ -151,30 +134,26 @@ def _as_provider(p, n):
 
 
 # ---------------------------------------------------------------------------
-# Pointwise kernels
+# Batched kernels: leading axes index points, trailing axes are tensor indices
 
 
 def _frame_matrix(E, point):
-    n = E.shape[0]
+    n = E.shape[-1]
     det = np.linalg.det(E)
-    scale = max(np.abs(E).max(), 1e-300)
-    if abs(det) < _DEGENERACY_FACTOR * scale**n:
-        raise DegenerateCoframeError(point, det)
+    scale = np.maximum(np.abs(E).max(axis=(-2, -1)), 1e-300)
+    bad = np.abs(det) < _DEGENERACY_FACTOR * scale**n
+    if bad.any():
+        first = tuple(np.argwhere(bad)[0])
+        raise DegenerateCoframeError(np.asarray(point)[first], det[first])
     return np.linalg.inv(E)
-
-
-def _anholonomy(E, Einv, dE):
-    # de^a = (1/2) C^a_bc e^b /\ e^c with T the coordinate components of de^a
-    T = np.swapaxes(dE, 1, 2) - dE  # T[a, mu, nu] = d_mu e^a_nu - d_nu e^a_mu
-    return np.einsum("amn,mb,nc->abc", T, Einv, Einv)
 
 
 def _gamma_from_C(C, b, binv):
     # unique coefficients with gamma antisymmetric after lowering and zero torsion
-    Cl = np.einsum("ad,dbc->abc", b, C)
+    Cl = np.einsum("ad,...dbc->...abc", b, C)
     # gl[a,b,c] = (Cl[a,b,c] + Cl[b,c,a] - Cl[c,a,b]) / 2
-    gl = 0.5 * (Cl + np.transpose(Cl, (2, 0, 1)) - np.transpose(Cl, (1, 2, 0)))
-    return np.einsum("ad,dbc->abc", binv, gl)
+    gl = 0.5 * (Cl + np.moveaxis(Cl, -1, -3) - np.moveaxis(Cl, -3, -1))
+    return np.einsum("ad,...dbc->...abc", binv, gl)
 
 
 @dataclass
@@ -183,10 +162,12 @@ class GeometryAtPoint:
 
     Index conventions: ``gamma[a, b, c]`` is the ``e^c`` coefficient of the
     connection 1-form entry (a, b); trailing index of each ``d*`` array is
-    the frame direction of the derivative.
+    the frame direction of the derivative.  Every field except ``b_inv``
+    carries the batch axes of ``point`` (none for a single point) in front
+    of the shapes listed.
     """
 
-    point: np.ndarray
+    point: np.ndarray  # (n,)
     spec: LieAlgebraSpec
     b_inv: np.ndarray  # (n, n) inverse of spec.b
     E: np.ndarray  # (n, n)  e^a_mu
@@ -202,7 +183,7 @@ class GeometryAtPoint:
 
     @property
     def n(self):
-        return self.E.shape[0]
+        return self.E.shape[-1]
 
     @property
     def b(self):
@@ -215,38 +196,41 @@ class GeometryAtPoint:
     # raised / lowered field-strength variants used by the block connection
     def F_mixed(self) -> np.ndarray:
         """out[g, a, c] = k_{gg'} F^{g'}_{a'c} b^{a'a}."""
-        return np.einsum("gd,dxc,xa->gac", self.k, self.F, self.b_inv)
+        return np.einsum("gd,...dxc,xa->...gac", self.k, self.F, self.b_inv)
 
     def F_low_up(self) -> np.ndarray:
         """out[g, b, c] = k_{gg'} F^{g'}_{bc'} b^{c'c}."""
-        return np.einsum("gd,dbx,xc->gbc", self.k, self.F, self.b_inv)
+        return np.einsum("gd,...dbx,xc->...gbc", self.k, self.F, self.b_inv)
 
+    # optimize=True (pairwise contraction) pays off on the sweep blocks these serve
     def F_up2(self) -> np.ndarray:
         """out[g, a, c] = k_{gg'} F^{g'}_{a'c'} b^{a'a} b^{c'c} (both base indices up)."""
-        return np.einsum("gd,dxy,xa,yc->gac", self.k, self.F, self.b_inv, self.b_inv)
+        return np.einsum("gd,...dxy,xa,yc->...gac", self.k, self.F, self.b_inv, self.b_inv,
+                         optimize=True)
 
     def dF_up2(self) -> np.ndarray:
         """Frame derivative of :meth:`F_up2` (metric blocks are constant)."""
-        return np.einsum("gd,dxye,xa,yc->gace", self.k, self.dF, self.b_inv, self.b_inv)
+        return np.einsum("gd,...dxye,xa,yc->...gace", self.k, self.dF, self.b_inv, self.b_inv,
+                         optimize=True)
 
     def dF_mixed(self) -> np.ndarray:
-        return np.einsum("gd,dxce,xa->gace", self.k, self.dF, self.b_inv)
+        return np.einsum("gd,...dxce,xa->...gace", self.k, self.dF, self.b_inv)
 
     def dF_low_up(self) -> np.ndarray:
-        return np.einsum("gd,dbxe,xc->gbce", self.k, self.dF, self.b_inv)
+        return np.einsum("gd,...dbxe,xc->...gbce", self.k, self.dF, self.b_inv)
 
-    def torsion_residual(self) -> float:
+    def torsion_residual(self):
         """Max violation of the first structure equation, as a C-coefficient identity."""
         g = self.gamma
-        return float(np.abs(self.C - (g - np.swapaxes(g, 1, 2))).max())
+        return np.abs(self.C - (g - np.swapaxes(g, -2, -1))).max(axis=(-3, -2, -1))
 
-    def metricity_residual(self) -> float:
-        low = np.einsum("ad,dbc->abc", self.b, self.gamma)
-        return float(np.abs(low + np.swapaxes(low, 0, 1)).max())
+    def metricity_residual(self):
+        low = np.einsum("ad,...dbc->...abc", self.b, self.gamma)
+        return np.abs(low + np.swapaxes(low, -3, -2)).max(axis=(-3, -2, -1))
 
 
 def _geometry_analytic(coframe, gauge, spec, point):
-    n = coframe.n
+    point = np.asarray(point, dtype=float)
     E = coframe.matrix(point)
     Einv = _frame_matrix(E, point)
     dE = coframe.d_matrix(point)
@@ -254,64 +238,51 @@ def _geometry_analytic(coframe, gauge, spec, point):
 
     # dE[a, mu, nu] = d_nu e^a_mu, so dE itself is d_rho E with rho last.
     # dEinv[mu, a, rho] = d_rho (E^-1)[mu, a] = -(E^-1 (d_rho E) E^-1)[mu, a]
-    dEinv = -np.einsum("mx,xyr,ya->mar", Einv, dE, Einv)
+    dEinv = -np.einsum("...mx,...xyr,...ya->...mar", Einv, dE, Einv)
 
     # T[a, mu, nu] = d_mu e^a_nu - d_nu e^a_mu (coordinate components of de^a)
-    T = np.swapaxes(dE, 1, 2) - dE
+    T = np.swapaxes(dE, -2, -1) - dE
     # dT[a, mu, nu, rho] = d_rho T[a, mu, nu]
-    dT = np.swapaxes(d2E, 1, 2) - d2E
+    dT = np.swapaxes(d2E, -3, -2) - d2E
 
-    C = np.einsum("amn,mb,nc->abc", T, Einv, Einv)
-    dC_coord = (
-        np.einsum("amnr,mb,nc->abcr", dT, Einv, Einv)
-        + np.einsum("amn,mbr,nc->abcr", T, dEinv, Einv)
-        + np.einsum("amn,mb,ncr->abcr", T, Einv, dEinv)
-    )
-    dC = np.einsum("abcr,rd->abcd", dC_coord, Einv)
+    C, dC_coord = _frame_2form(T, dT, Einv, dEinv)
+    dC = _to_frame(dC_coord, Einv)
 
     b = coframe.b
     binv = np.linalg.inv(b)
     gamma = _gamma_from_C(C, b, binv)
-    dgamma_coord = _dgamma_from_dC(dC_coord, b, binv)
-    dgamma = np.einsum("abcr,rd->abcd", dgamma_coord, Einv)
+    # gamma is linear in C: the derivative direction rides along as a batch axis
+    dgamma_coord = np.moveaxis(_gamma_from_C(np.moveaxis(dC_coord, -1, 0), b, binv), 0, -1)
+    dgamma = _to_frame(dgamma_coord, Einv)
 
-    r = spec.r
-    if r and gauge is not None:
-        Am = gauge.matrix(point)  # A^al_mu
-        dAm = gauge.d_matrix(point)  # d_nu A^al_mu
-        d2Am = gauge.d2_matrix(point)
-        cf = spec.fiber_c()
+    if gauge is None:
+        gauge = GaugeField.zero(spec, coframe.chart)
+    Am = gauge.matrix(point)  # A^al_mu
+    dAm = gauge.d_matrix(point)  # d_nu A^al_mu
+    d2Am = gauge.d2_matrix(point)
+    cf = spec.fiber_c()
 
-        A_frame = np.einsum("am,mb->ab", Am, Einv)
-        dA_coord = np.einsum("amr,mb->abr", dAm, Einv) + np.einsum("am,mbr->abr", Am, dEinv)
-        dA_frame = np.einsum("abr,rd->abd", dA_coord, Einv)
+    A_frame = np.einsum("...am,...mb->...ab", Am, Einv)
+    dA_coord = (np.einsum("...amr,...mb->...abr", dAm, Einv)
+                + np.einsum("...am,...mbr->...abr", Am, dEinv))
+    dA_frame = _to_frame(dA_coord, Einv)
 
-        # F^al_{mu nu} = d_mu A^al_nu - d_nu A^al_mu + c^al_bg A^b_mu A^g_nu
-        # (the quadratic term is already antisymmetric in mu, nu)
-        Fc = np.swapaxes(dAm, 1, 2) - dAm + np.einsum("abg,bm,gn->amn", cf, Am, Am)
-        # d_rho F^al_{mu nu}; dAm[al, mu, nu] = d_nu A^al_mu
-        dFc = (
-            np.transpose(d2Am, (0, 2, 1, 3))
-            - d2Am
-            + np.einsum("abg,bmr,gn->amnr", cf, dAm, Am)
-            + np.einsum("abg,bm,gnr->amnr", cf, Am, dAm)
-        )
+    # F^al_{mu nu} = d_mu A^al_nu - d_nu A^al_mu + c^al_bg A^b_mu A^g_nu
+    # (the quadratic term is already antisymmetric in mu, nu)
+    Fc = np.swapaxes(dAm, -2, -1) - dAm + np.einsum("abg,...bm,...gn->...amn", cf, Am, Am)
+    # d_rho F^al_{mu nu}; dAm[al, mu, nu] = d_nu A^al_mu
+    dFc = (
+        np.swapaxes(d2Am, -3, -2)
+        - d2Am
+        + np.einsum("abg,...bmr,...gn->...amnr", cf, dAm, Am)
+        + np.einsum("abg,...bm,...gnr->...amnr", cf, Am, dAm)
+    )
 
-        F = np.einsum("amn,mb,nc->abc", Fc, Einv, Einv)
-        dF_coord = (
-            np.einsum("amnr,mb,nc->abcr", dFc, Einv, Einv)
-            + np.einsum("amn,mbr,nc->abcr", Fc, dEinv, Einv)
-            + np.einsum("amn,mb,ncr->abcr", Fc, Einv, dEinv)
-        )
-        dF = np.einsum("abcr,rd->abcd", dF_coord, Einv)
-    else:
-        A_frame = np.zeros((r, n))
-        dA_frame = np.zeros((r, n, n))
-        F = np.zeros((r, n, n))
-        dF = np.zeros((r, n, n, n))
+    F, dF_coord = _frame_2form(Fc, dFc, Einv, dEinv)
+    dF = _to_frame(dF_coord, Einv)
 
     return GeometryAtPoint(
-        point=np.array(point, dtype=float),
+        point=point,
         spec=spec,
         b_inv=np.linalg.inv(spec.b),
         E=E,
@@ -327,10 +298,23 @@ def _geometry_analytic(coframe, gauge, spec, point):
     )
 
 
-def _dgamma_from_dC(dC_coord, b, binv):
-    dCl = np.einsum("ax,xbcr->abcr", b, dC_coord)
-    dgl = 0.5 * (dCl + np.transpose(dCl, (2, 0, 1, 3)) - np.transpose(dCl, (1, 2, 0, 3)))
-    return np.einsum("ax,xbcr->abcr", binv, dgl)
+def _frame_2form(X, dX, Einv, dEinv):
+    """Frame components X[a, b, c] of coordinate 2-forms X[a, mu, nu], and
+    their coordinate derivatives [a, b, c, rho] from dX = d_rho X[a, mu, nu]."""
+    frame = np.einsum("...amn,...mb,...nc->...abc", X, Einv, Einv)
+    d_frame = (
+        np.einsum("...amnr,...mb,...nc->...abcr", dX, Einv, Einv)
+        + np.einsum("...amn,...mbr,...nc->...abcr", X, dEinv, Einv)
+        + np.einsum("...amn,...mb,...ncr->...abcr", X, Einv, dEinv)
+    )
+    return frame, d_frame
+
+
+def _to_frame(coord, Einv):
+    """Turn the trailing coordinate-derivative axis rho of ``coord`` into a
+    frame direction: out[..., d] = coord[..., rho] (E^-1)[rho, d]."""
+    flat = coord.reshape(Einv.shape[:-2] + (-1, coord.shape[-1]))
+    return (flat @ Einv).reshape(coord.shape)
 
 
 _FD4_OFFSETS = (-2, -1, 1, 2)
@@ -342,39 +326,17 @@ def _geometry_fd(coframe, gauge, spec, point, h):
     quantities come from fourth-order central differences in the chart."""
     base = _geometry_analytic(coframe, gauge, spec, point)
     n = base.n
-    point = np.asarray(point, dtype=float)
+    point = base.point
+    # stencil[k, rho, ..., :] is the point moved by _FD4_OFFSETS[k] * h along x^rho
+    shift = np.multiply.outer(np.array(_FD4_OFFSETS) * h, np.eye(n))  # (4, n, n)
+    shift = shift.reshape(shift.shape[:2] + (1,) * (point.ndim - 1) + (n,))
+    rows = _geometry_analytic(coframe, gauge, spec, point + shift)
 
-    def derived(p):
-        g = _geometry_analytic(coframe, gauge, spec, p)
-        return g.C, g.gamma, g.A, g.F
+    def derivative(values):  # sum_k w_k values[k, rho] / h, rho moved last
+        coord = np.moveaxis(np.tensordot(_FD4_WEIGHTS, values, axes=1), 0, -1) / h
+        return _to_frame(coord, base.E_inv)
 
-    dC = np.zeros(base.C.shape + (n,))
-    dgamma = np.zeros(base.gamma.shape + (n,))
-    dA = np.zeros(base.A.shape + (n,))
-    dF = np.zeros(base.F.shape + (n,))
-    for rho in range(n):
-        accC = np.zeros_like(base.C)
-        accG = np.zeros_like(base.gamma)
-        accA = np.zeros_like(base.A)
-        accF = np.zeros_like(base.F)
-        for offset, weight in zip(_FD4_OFFSETS, _FD4_WEIGHTS):
-            p = point.copy()
-            p[rho] += offset * h
-            Cv, Gv, Av, Fv = derived(p)
-            accC += weight * Cv
-            accG += weight * Gv
-            accA += weight * Av
-            accF += weight * Fv
-        dC[..., rho] = accC / h
-        dgamma[..., rho] = accG / h
-        dA[..., rho] = accA / h
-        dF[..., rho] = accF / h
-
-    # convert coordinate derivatives to frame derivatives
-    base.dC = np.einsum("abcr,rd->abcd", dC, base.E_inv)
-    base.dgamma = np.einsum("abcr,rd->abcd", dgamma, base.E_inv)
-    base.dA = np.einsum("abr,rd->abd", dA, base.E_inv)
-    base.dF = np.einsum("abcr,rd->abcd", dF, base.E_inv)
+    base.dC, base.dgamma, base.dA, base.dF = map(derivative, (rows.C, rows.gamma, rows.A, rows.F))
     return base
 
 
@@ -386,7 +348,7 @@ def geometry_at_point(
     deriv_mode: str = "analytic",
     fd_step: float = 1e-3,
 ) -> GeometryAtPoint:
-    """Evaluate the full frame geometry at one chart point."""
+    """Evaluate the full frame geometry at a chart point or a batch of points."""
     if deriv_mode == "analytic":
         return _geometry_analytic(coframe, gauge, spec, point)
     if deriv_mode == "fd":
@@ -399,16 +361,17 @@ def geometry_at_point(
 
 
 def frame_matrix(coframe: CoframeField, point):
-    """Coframe matrix and its inverse at one point."""
+    """Coframe matrix and its inverse at a point or a batch of points."""
     E = coframe.matrix(point)
     return E, _frame_matrix(E, point)
 
 
 def anholonomy(coframe: CoframeField, point) -> np.ndarray:
     """Coefficients C^a_bc of de^a = (1/2) C^a_bc e^b /\\ e^c."""
-    E = coframe.matrix(point)
-    Einv = _frame_matrix(E, point)
-    return _anholonomy(E, Einv, coframe.d_matrix(point))
+    _, Einv = frame_matrix(coframe, point)
+    dE = coframe.d_matrix(point)
+    T = np.swapaxes(dE, -2, -1) - dE  # T[a, mu, nu] = d_mu e^a_nu - d_nu e^a_mu
+    return np.einsum("...amn,...mb,...nc->...abc", T, Einv, Einv)
 
 
 def levi_civita(coframe: CoframeField, point) -> np.ndarray:
@@ -420,28 +383,28 @@ def levi_civita(coframe: CoframeField, point) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BaseCurvature:
-    ricci: np.ndarray  # (n, n) mixed components Ric^a_d
-    scalar: float
-    einstein: np.ndarray  # (n, n)
+    ricci: np.ndarray  # (..., n, n) mixed components Ric^a_d
+    scalar: np.ndarray  # (...)
+    einstein: np.ndarray  # (..., n, n)
 
 
 def riemann_from_geometry(geom: GeometryAtPoint) -> np.ndarray:
     """Curvature components R[a, c, d, e] of the 2-form d gamma + gamma /\\ gamma."""
     g, dg, C = geom.gamma, geom.dgamma, geom.C
     return (
-        np.transpose(dg, (0, 1, 3, 2))
+        np.swapaxes(dg, -2, -1)
         - dg
-        + np.einsum("acf,fde->acde", g, C)
-        + np.einsum("afd,fce->acde", g, g)
-        - np.einsum("afe,fcd->acde", g, g)
+        + np.einsum("...acf,...fde->...acde", g, C)
+        + np.einsum("...afd,...fce->...acde", g, g)
+        - np.einsum("...afe,...fcd->...acde", g, g)
     )
 
 
 def base_curvature_from_geometry(geom: GeometryAtPoint) -> BaseCurvature:
     R = riemann_from_geometry(geom)
-    ric = np.einsum("acde,ce->ad", R, geom.b_inv)
-    scalar = float(np.trace(ric))
-    ein = ric - 0.5 * scalar * np.eye(geom.n)
+    ric = np.einsum("...acde,ce->...ad", R, geom.b_inv)
+    scalar = np.trace(ric, axis1=-2, axis2=-1)
+    ein = ric - 0.5 * scalar[..., None, None] * np.eye(geom.n)
     return BaseCurvature(ricci=ric, scalar=scalar, einstein=ein)
 
 
@@ -466,6 +429,8 @@ def load_fields(data: dict, spec: LieAlgebraSpec):
     ``{"chart":{"n":…,"names":[…]}, "coframe":[["expr",…],…],
     "gauge":[["expr",…],…], "params":{…}, "points":[[…]] or
     "lattice":{"min":[…],"max":[…],"steps":[…]}}``
+
+    The points come back as one ``(count, n)`` array in lexicographic order.
     """
     chart_data = data.get("chart", {})
     n = int(chart_data.get("n", spec.n))
@@ -490,15 +455,19 @@ def load_fields(data: dict, spec: LieAlgebraSpec):
 
     if "points" in data:
         points = [np.array(p, dtype=float) for p in data["points"]]
+        for i, p in enumerate(points):
+            if p.shape != (n,):
+                raise StructuralError(f"points[{i}] has shape {p.shape}, the chart needs ({n},)")
+        points = np.array(points).reshape(-1, n)
     elif "lattice" in data:
         lat = data["lattice"]
-        lo = np.array(lat["min"], dtype=float)
-        hi = np.array(lat["max"], dtype=float)
-        steps = [int(s) for s in lat["steps"]]
-        axes = [np.linspace(lo[i], hi[i], steps[i]) for i in range(n)]
+        for key in ("min", "max", "steps"):
+            if len(lat.get(key, ())) != n:
+                raise StructuralError(f"lattice '{key}' needs {n} entries")
+        axes = [np.linspace(lo, hi, int(steps))
+                for lo, hi, steps in zip(lat["min"], lat["max"], lat["steps"])]
         mesh = np.meshgrid(*axes, indexing="ij")
-        points = [np.array(p) for p in zip(*(m.ravel() for m in mesh))]
+        points = np.stack([m.ravel() for m in mesh], axis=-1)
     else:
         raise StructuralError("field file needs either 'points' or 'lattice'")
-    points.sort(key=tuple)
-    return chart, coframe, gauge, points
+    return chart, coframe, gauge, points[np.lexsort(points.T[::-1])]

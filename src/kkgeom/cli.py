@@ -11,18 +11,18 @@ Subcommands::
 All commands read a problem JSON (``{"algebra": …, "fields": …, "rep": …,
 "paths": …, "options": …}``), write a JSON or CSV report to --out (default
 stdout), and exit with 0 on success, 2 on an invariant violation, 64 on a
-usage or input error, and 70 on an internal numeric failure.  Point sweeps
-always reduce in sorted point order so results are independent of --jobs
-(env var KK_JOBS supplies the default width).
+usage or input error (including malformed algebras, fields and points, and
+field expressions that leave their real domain), and 70 on an internal
+numeric failure.  A curvature sweep runs in one process: its points are
+sorted and evaluated in fixed-size blocks, each block one vectorised pass
+through the pipeline, so a report depends only on the problem file.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
-import os
 import sys
 import time
 
@@ -30,7 +30,9 @@ import numpy as np
 
 from . import basegeo, bundle, exterior, kkcurv, liealg
 from .errors import (DegenerateCoframeError, DegenerateMetricError,
-                     DegreeError, IntegratorError, KKGeomError)
+                     DegreeError, EvalDomainError, ExprSyntaxError,
+                     IntegratorError, KKGeomError, StructuralError,
+                     UnknownIdentifierError)
 
 __all__ = ["main"]
 
@@ -125,22 +127,14 @@ def _to_csv(report):
 def _options(problem, args):
     """Merge problem-file options with command-line overrides."""
     opts = dict(problem.get("options", {}))
-    for name in ("tol", "fd_step", "trials", "seed", "jobs"):
+    for name in ("tol", "fd_step", "trials", "seed"):
         val = getattr(args, name, None)
         if val is not None:
             opts[name] = val
-    if "jobs" not in opts:
-        opts["jobs"] = int(os.environ.get("KK_JOBS", "1"))
     opts.setdefault("tol", 1e-10)
     opts.setdefault("fd_step", 1e-3)
     opts.setdefault("seed", 0)
     return opts
-
-
-def _config_options(opts):
-    """Options as embedded in reports: execution width is not a problem
-    parameter, so reports stay identical across --jobs settings."""
-    return {k: v for k, v in opts.items() if k != "jobs"}
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +165,7 @@ def cmd_validate(args):
         "det_h": report_obj.det_h,
         "cosmological_constant": liealg.cosmological_constant(spec),
     }
-    config = {"algebra": problem.get("algebra"), "options": _config_options(opts)}
+    config = {"algebra": problem.get("algebra"), "options": opts}
     _emit(_report("validate", config, body), args)
     return EXIT_OK if report_obj.passed else EXIT_VIOLATION
 
@@ -205,39 +199,33 @@ def cmd_identities(args):
 # ---------------------------------------------------------------------------
 # curvature
 
-_WORKER_STATE = {}
+# Points per vectorised block: enough to amortise each stage's numpy call
+# overhead, few enough that the block's arrays (N^4 curvature numbers and 4n
+# fd stencil rows per point) stay a few MB and peak memory stays flat.
+_BLOCK = 32
 
 
-def _curvature_setup(problem_json, fd_step):
-    problem = json.loads(problem_json)
-    spec = liealg.load_spec(problem["algebra"])
-    chart, coframe, gauge, points = basegeo.load_fields(problem.get("fields", {}), spec)
-    _WORKER_STATE.update(spec=spec, coframe=coframe, gauge=gauge, fd_step=fd_step,
-                         deriv_mode=problem.get("fields", {}).get("deriv_mode", "analytic"))
-    return points
-
-
-def _curvature_point(point_list):
-    st = _WORKER_STATE
-    point = np.array(point_list, dtype=float)
-    geom = basegeo.geometry_at_point(st["coframe"], st["gauge"], st["spec"], point,
-                                     deriv_mode=st["deriv_mode"], fd_step=st["fd_step"])
-    spec = st["spec"]
+def _curvature_rows(coframe, gauge, spec, points, deriv_mode, fd_step):
+    """Report rows for a (count, n) block of points, one pipeline pass."""
+    geom = basegeo.geometry_at_point(coframe, gauge, spec, points,
+                                     deriv_mode=deriv_mode, fd_step=fd_step)
     conn = kkcurv.assemble_omega(geom, spec)
     direct = kkcurv.curvature_direct(conn)
     closed = kkcurv.ricci_closed_form(geom, spec)
     res = kkcurv.eym_residuals(closed)
     cross = kkcurv.cross_check(direct, closed)
-    return {
-        "point": [float(x) for x in point],
+    columns = {
+        "point": points,
         "scalar_curvature": direct.scalar,
-        "ricci": direct.ricci.tolist(),
+        "ricci": direct.ricci,
         "einstein_residual_norm": res.einstein_norm,
         "yang_mills_residual_norm": res.ym_norm,
-        "cross_check_max": max(cross.values()),
+        "cross_check_max": np.max(list(cross.values()), axis=0),
         "connection_antisymmetry": conn.antisymmetry_residual(),
         "connection_torsion": conn.torsion_residual(),
     }
+    values = [np.asarray(v).tolist() for v in columns.values()]
+    return [dict(zip(columns, row)) for row in zip(*values)]
 
 
 def _worst_violation(rows, cross_tol):
@@ -253,18 +241,14 @@ def _worst_violation(rows, cross_tol):
 def cmd_curvature(args):
     problem = _load_problem(args.input)
     opts = _options(problem, args)
-    problem_json = json.dumps(problem, sort_keys=True)
-    points = _curvature_setup(problem_json, opts["fd_step"])
-    tasks = [[float(x) for x in p] for p in points]  # already sorted by loader
-
-    jobs = max(1, int(opts["jobs"]))
-    if jobs == 1 or len(tasks) < 2:
-        rows = [_curvature_point(t) for t in tasks]
-    else:
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=jobs, initializer=_curvature_setup,
-                initargs=(problem_json, opts["fd_step"])) as pool:
-            rows = list(pool.map(_curvature_point, tasks))
+    spec = _algebra_from(problem)
+    fields = problem.get("fields", {})
+    deriv_mode = fields.get("deriv_mode", "analytic")
+    _, coframe, gauge, points = basegeo.load_fields(fields, spec)
+    rows = []
+    for start in range(0, len(points), _BLOCK):
+        rows += _curvature_rows(coframe, gauge, spec, points[start:start + _BLOCK],
+                                deriv_mode, opts["fd_step"])
 
     summary = {
         "points": len(rows),
@@ -273,10 +257,9 @@ def cmd_curvature(args):
         "max_cross_check": max((r["cross_check_max"] for r in rows), default=0.0),
     }
     config = {"algebra": problem.get("algebra"), "fields": problem.get("fields"),
-              "options": _config_options(opts)}
+              "options": opts}
     _emit(_report("curvature", config, {"per_point": rows, "summary": summary}), args)
-    fd = _WORKER_STATE["deriv_mode"] == "fd"
-    worst = _worst_violation(rows, _TOL_FD if fd else _TOL_ANALYTIC)
+    worst = _worst_violation(rows, _TOL_FD if deriv_mode == "fd" else _TOL_ANALYTIC)
     if worst is None:
         return EXIT_OK
     _, name, limit, row = worst
@@ -335,7 +318,7 @@ def cmd_lift(args):
             "drift": coarse[-1].manifold_residual(),
             "step_halving_error": err,
         })
-    config = {"rep": rep_name, "paths": problem.get("paths"), "options": _config_options(opts)}
+    config = {"rep": rep_name, "paths": problem.get("paths"), "options": opts}
     _emit(_report("lift", config, {"paths": results}), args)
     return EXIT_OK
 
@@ -373,7 +356,7 @@ def cmd_gauge_check(args):
                 for r in rows)
     passed = worst <= tol
     config = {"algebra": problem.get("algebra"), "fields": problem.get("fields"),
-              "rep": rep_name, "options": _config_options(opts)}
+              "rep": rep_name, "options": opts}
     body = {"passed": bool(passed), "tolerance": tol,
             "max_residual": worst, "per_point": rows}
     _emit(_report("gauge-check", config, body), args)
@@ -399,7 +382,6 @@ def _build_parser():
         p.add_argument("--fd-step", dest="fd_step", type=float, default=None)
         p.add_argument("--trials", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=None)
 
     common(sub.add_parser("validate", help="algebra hypothesis checks"))
     p_id = sub.add_parser("identities", help="coframe identity suite")
@@ -430,7 +412,8 @@ def main(argv=None):
     _START = time.monotonic()
     try:
         code = _COMMANDS[args.command](args)
-    except _UsageError as exc:
+    except (_UsageError, StructuralError, ExprSyntaxError, UnknownIdentifierError,
+            EvalDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DegenerateCoframeError, DegenerateMetricError, IntegratorError) as exc:

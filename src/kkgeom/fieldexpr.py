@@ -1,5 +1,9 @@
 """Analytic scalar fields on a chart: parsing, evaluation, symbolic derivatives.
 
+Evaluation is vectorised: a point is an array whose last axis holds the
+chart coordinates, and any leading axes form a batch of points evaluated
+together.
+
 Grammar (whitespace insensitive)::
 
     expr   := term (('+'|'-') term)*
@@ -14,9 +18,11 @@ resolved when a :class:`FieldProvider` is built.
 
 from __future__ import annotations
 
-import math
+import operator
 import re
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import EvalDomainError, ExprSyntaxError, UnknownIdentifierError
 
@@ -77,15 +83,20 @@ class Call(Expr):
 
 
 FUNCTIONS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "exp": math.exp,
-    "log": math.log,
-    "sqrt": math.sqrt,
-    "sinh": math.sinh,
-    "cosh": math.cosh,
+    "sin": np.sin,
+    "cos": np.cos,
+    "tan": np.tan,
+    "exp": np.exp,
+    "log": np.log,
+    "sqrt": np.sqrt,
+    "sinh": np.sinh,
+    "cosh": np.cosh,
 }
+
+# Leaves evaluate to numpy floats or arrays, so these follow numpy's error state
+# and a fractional power of a negative base is NaN ("invalid"), not complex.
+_BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+           "^": operator.pow}
 
 _VAR_RE = re.compile(r"x([0-9]+)$")
 
@@ -208,51 +219,54 @@ def parse(text: str) -> Expr:
 # Evaluation
 
 
-def evaluate(node: Expr, point, params=None) -> float:
-    """Evaluate the tree at a chart point (sequence of floats)."""
-    params = params or {}
-    return _eval(node, point, params)
+def evaluate(node: Expr, point, params=None):
+    """Evaluate the tree at chart points: ``point[..., i]`` is coordinate i.
+
+    A single point of shape ``(n,)`` gives a scalar; a batch of shape
+    ``(..., n)`` gives an array of the batch shape.  Division by zero,
+    overflow and arguments outside a function's real domain raise
+    :class:`EvalDomainError`; underflow rounds to zero.
+    """
+    return _run(node, _compile(node, params or {}), point)
 
 
-def _eval(node, point, params):
+# errstate as a decorator costs far less than as a with-statement per call
+@np.errstate(divide="raise", invalid="raise", over="raise", under="ignore")
+def _run(node, fn, point):
+    """Apply the compiled form ``fn`` of ``node`` under one numpy error state."""
+    point = np.asarray(point, dtype=float)
+    try:
+        value = fn(point)
+    except (FloatingPointError, ZeroDivisionError) as exc:
+        raise EvalDomainError(f"{pretty(node)}: {exc}") from None
+    return np.broadcast_to(value, point.shape[:-1]) if point.ndim > 1 else value
+
+
+def _compile(node, params):
+    """The tree as nested closures ``fn(point)``, walked once; parameters and
+    constants become numpy floats here, so evaluation does no dispatch."""
     if isinstance(node, Num):
-        return node.value
+        value = np.float64(node.value)
+        return lambda point: value
     if isinstance(node, Var):
-        return float(point[node.index])
+        index = node.index
+        return lambda point: point[..., index]
     if isinstance(node, Param):
         try:
-            return float(params[node.name])
+            value = np.float64(params[node.name])
         except KeyError:
             raise UnknownIdentifierError(node.name) from None
+        return lambda point: value
     if isinstance(node, Neg):
-        return -_eval(node.arg, point, params)
+        arg = _compile(node.arg, params)
+        return lambda point: -arg(point)
     if isinstance(node, Call):
-        x = _eval(node.arg, point, params)
-        try:
-            return FUNCTIONS[node.func](x)
-        except ValueError:
-            raise EvalDomainError(f"{node.func}({x}) is outside the real domain") from None
+        func, arg = FUNCTIONS[node.func], _compile(node.arg, params)
+        return lambda point: func(arg(point))
     if isinstance(node, BinOp):
-        a = _eval(node.left, point, params)
-        b = _eval(node.right, point, params)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            if b == 0.0:
-                raise EvalDomainError("division by zero")
-            return a / b
-        # power: integer exponents work for any base, fractional ones only
-        # for nonnegative bases (no complex branch choices)
-        if a < 0.0 and b != round(b):
-            raise EvalDomainError(f"({a}) ^ {b} is outside the real domain")
-        try:
-            return float(a**b)
-        except (OverflowError, ZeroDivisionError) as exc:
-            raise EvalDomainError(str(exc)) from None
+        op = _BINOPS[node.op]
+        left, right = _compile(node.left, params), _compile(node.right, params)
+        return lambda point: op(left(point), right(point))
     raise TypeError(f"not an Expr node: {node!r}")
 
 
@@ -435,7 +449,8 @@ class FieldProvider:
 
     Parameters are bound at construction; an unresolved parameter raises
     :class:`UnknownIdentifierError` immediately rather than at evaluation.
-    Instances are immutable and safe to share between workers.
+    Instances are immutable apart from their caches of derivative trees and
+    their compiled forms.
     """
 
     def __init__(self, expr, n=None, params=None):
@@ -452,6 +467,7 @@ class FieldProvider:
         if _max_var(expr) + 1 > self.n:
             raise UnknownIdentifierError(f"x{_max_var(expr) + 1}")
         self._deriv_cache = {}
+        self._compiled = {}
 
     @classmethod
     def constant(cls, value, n=0):
@@ -467,16 +483,24 @@ class FieldProvider:
         self._deriv_cache[multi] = node
         return node
 
+    def _at(self, multi, point):
+        """The mixed partial ``multi`` evaluated at ``point``, compiled on first use."""
+        entry = self._compiled.get(multi)
+        if entry is None:
+            node = self._derivative(multi)
+            entry = self._compiled[multi] = (node, _compile(node, self.params))
+        return _run(*entry, point)
+
     def evaluate(self, point):
-        return _eval(self.expr, point, self.params)
+        return self._at((), point)
 
     __call__ = evaluate
 
     def partial(self, i, point):
-        return _eval(self._derivative((i,)), point, self.params)
+        return self._at((i,), point)
 
     def partial2(self, i, j, point):
-        return _eval(self._derivative(tuple(sorted((i, j)))), point, self.params)
+        return self._at(tuple(sorted((i, j))), point)
 
     def __repr__(self):
         return f"FieldProvider({pretty(self.expr)!r})"

@@ -12,6 +12,10 @@ field strength.
 Total-space index convention: ``A < n`` is a base index, ``A >= n`` a fiber
 index; all coefficients are functions of the chart point only (they are
 constant along the fibers), so frame derivatives in fiber directions vanish.
+
+Every function takes one point or a batch alike: arrays carry the batch
+axes of the geometry in front of the shapes listed here, and scalars and
+residual norms hold one value per point.
 """
 
 from __future__ import annotations
@@ -56,27 +60,26 @@ class KKConnection:
     def N(self):
         return self.spec.N
 
-    def antisymmetry_residual(self) -> float:
+    def antisymmetry_residual(self):
         """Max violation of omega^{AB} + omega^{BA} = 0 after raising with h."""
-        up = np.einsum("axc,xb->abc", self.W, self.spec.h_inv())
-        return float(np.abs(up + np.swapaxes(up, 0, 1)).max())
+        up = np.einsum("...axc,xb->...abc", self.W, self.spec.h_inv())
+        return _max_abs(up + np.swapaxes(up, -3, -2), 3)
 
-    def torsion_residual(self) -> float:
+    def torsion_residual(self):
         """Max violation of de^A + omega^A_C /\\ e^C = 0 against K."""
-        tor = self.K - (self.W - self.W.transpose(0, 2, 1))
-        return float(np.abs(tor).max())
+        return _max_abs(self.K - (self.W - np.swapaxes(self.W, -2, -1)), 3)
 
 
 @dataclass(frozen=True)
 class KKCurvature:
     Omega: np.ndarray  # (N, N, N, N): Omega^A_{B; C D}
     ricci: np.ndarray  # (N, N)
-    scalar: float
+    scalar: np.ndarray  # ()
     einstein: np.ndarray  # (N, N)
 
-    def antisymmetry_residual(self, spec) -> float:
-        up = np.einsum("axcd,xb->abcd", self.Omega, spec.h_inv())
-        return float(np.abs(up + np.swapaxes(up, 0, 1)).max())
+    def antisymmetry_residual(self, spec):
+        up = np.einsum("...axcd,xb->...abcd", self.Omega, spec.h_inv())
+        return _max_abs(up + np.swapaxes(up, -4, -3), 4)
 
 
 @dataclass(frozen=True)
@@ -86,7 +89,7 @@ class ClosedFormCurvature:
     ric_base: np.ndarray  # (n, n)   Ric^a_d
     ric_mixed: np.ndarray  # (n, r)  Ric^a_delta
     ric_fiber: np.ndarray  # (r, r)  Ric^alpha_delta
-    scalar: float
+    scalar: np.ndarray  # ()
     ein_base: np.ndarray  # (n, n)
     ein_mixed: np.ndarray  # (n, r)  equal to ric_mixed
 
@@ -97,16 +100,21 @@ class EYMResidual:
     ym_block: np.ndarray  # (r, n)
 
     @property
-    def einstein_norm(self) -> float:
-        return float(np.abs(self.einstein_block).max())
+    def einstein_norm(self):
+        return _max_abs(self.einstein_block)
 
     @property
-    def ym_norm(self) -> float:
-        return float(np.abs(self.ym_block).max())
+    def ym_norm(self):
+        return _max_abs(self.ym_block)
+
+
+def _max_abs(block, rank=2):
+    """Per-point max |component| over the trailing ``rank`` axes (0 if r = 0)."""
+    return np.abs(block).max(axis=tuple(range(-rank, 0)), initial=0.0)
 
 
 def assemble_omega(geom: GeometryAtPoint, spec: LieAlgebraSpec) -> KKConnection:
-    """Build the block connection 1-form at one point.
+    """Build the block connection 1-form at the geometry's points.
 
     Blocks: base-base is the base connection corrected by the mixed field
     strength along fiber directions; base-fiber and fiber-base carry the
@@ -114,34 +122,36 @@ def assemble_omega(geom: GeometryAtPoint, spec: LieAlgebraSpec) -> KKConnection:
     gauge potential.
     """
     n, r, N = spec.n, spec.r, spec.N
+    batch = geom.point.shape[:-1]
     cf = spec.fiber_c()
-    W = np.zeros((N, N, N))
-    dW = np.zeros((N, N, N, n))
+    W = np.zeros(batch + (N, N, N))
+    dW = np.zeros(batch + (N, N, N, n))
 
     Fm = geom.F_mixed()  # F_gamma^a_c
     Fl = geom.F_low_up()  # F_gamma b^c
-    W[:n, :n, :n] = geom.gamma
-    W[:n, :n, n:] = -0.5 * np.transpose(Fm, (1, 2, 0))  # e^gamma coefficient
-    W[:n, n:, :n] = 0.5 * np.transpose(Fl, (2, 0, 1))  # omega^a_gamma = (1/2) F_{gamma b}^a e^b
-    W[n:, :n, :n] = -0.5 * np.transpose(geom.F, (0, 2, 1))  # omega^al_c = -(1/2) F^al_{bc} e^b
-    W[n:, n:, n:] = -0.5 * np.transpose(cf, (0, 2, 1))  # -(1/2) c^al_{beta gamma} e^beta
-    W[n:, n:, :n] = np.einsum("abg,bc->agc", cf, geom.A)  # + c^al_{beta gamma} A^beta_c e^c
+    W[..., :n, :n, :n] = geom.gamma
+    W[..., :n, :n, n:] = -0.5 * np.moveaxis(Fm, -3, -1)  # e^gamma coefficient
+    W[..., :n, n:, :n] = 0.5 * np.moveaxis(Fl, -1, -3)  # omega^a_gamma = (1/2) F_{gamma b}^a e^b
+    W[..., n:, :n, :n] = -0.5 * np.swapaxes(geom.F, -2, -1)  # omega^al_c = -(1/2) F^al_{bc} e^b
+    W[..., n:, n:, n:] = -0.5 * np.swapaxes(cf, -2, -1)  # -(1/2) c^al_{beta gamma} e^beta
+    # + c^al_{beta gamma} A^beta_c e^c
+    W[..., n:, n:, :n] = np.einsum("abg,...bc->...agc", cf, geom.A)
 
     dFm = geom.dF_mixed()
     dFl = geom.dF_low_up()
-    dW[:n, :n, :n, :] = geom.dgamma
-    dW[:n, :n, n:, :] = -0.5 * np.transpose(dFm, (1, 2, 0, 3))
-    dW[:n, n:, :n, :] = 0.5 * np.transpose(dFl, (2, 0, 1, 3))
-    dW[n:, :n, :n, :] = -0.5 * np.transpose(geom.dF, (0, 2, 1, 3))
-    dW[n:, n:, :n, :] = np.einsum("abg,bcd->agcd", cf, geom.dA)
+    dW[..., :n, :n, :n, :] = geom.dgamma
+    dW[..., :n, :n, n:, :] = -0.5 * np.moveaxis(dFm, -4, -2)
+    dW[..., :n, n:, :n, :] = 0.5 * np.moveaxis(dFl, -2, -4)
+    dW[..., n:, :n, :n, :] = -0.5 * np.swapaxes(geom.dF, -3, -2)
+    dW[..., n:, n:, :n, :] = np.einsum("abg,...bcd->...agcd", cf, geom.dA)
 
-    K = np.zeros((N, N, N))
-    K[:n, :n, :n] = geom.C
-    K[n:, :n, :n] = geom.F
-    K[n:, n:, n:] = cf
-    mixed = -np.einsum("abg,bc->acg", cf, geom.A)  # coefficient of e^c /\ e^gamma
-    K[n:, :n, n:] = mixed
-    K[n:, n:, :n] = -np.swapaxes(mixed, 1, 2)
+    K = np.zeros(batch + (N, N, N))
+    K[..., :n, :n, :n] = geom.C
+    K[..., n:, :n, :n] = geom.F
+    K[..., n:, n:, n:] = cf
+    mixed = -np.einsum("abg,...bc->...acg", cf, geom.A)  # coefficient of e^c /\ e^gamma
+    K[..., n:, :n, n:] = mixed
+    K[..., n:, n:, :n] = -np.swapaxes(mixed, -2, -1)
 
     return KKConnection(geom=geom, spec=spec, W=W, K=K, dW=dW)
 
@@ -156,21 +166,26 @@ def curvature_direct(conn: KKConnection) -> KKCurvature:
     n, N = conn.n, conn.N
     spec = conn.spec
 
-    dterm = np.zeros((N, N, N, N))
-    dterm[:, :, :n, :] += np.transpose(dW, (0, 1, 3, 2))  # d_D W[A,C,E]
-    dterm[:, :, :, :n] -= dW  # - d_E W[A,C,D]
-    Omega = (
-        dterm
-        + np.einsum("acb,bde->acde", W, K)
-        + np.einsum("abd,bce->acde", W, W)
-        - np.einsum("abe,bcd->acde", W, W)
-    )
+    dterm = np.zeros(W.shape[:-3] + (N, N, N, N))
+    dterm[..., :n, :] += np.swapaxes(dW, -2, -1)  # d_D W[A,C,E]
+    dterm[..., :n] -= dW  # - d_E W[A,C,D]
+    # W K[A,C,D,E] = W[A,C,B] K[B,D,E]; omega /\ omega = WW[A,C,D,E] - WW[A,C,E,D]
+    # with WW[A,C,D,E] = W[A,B,D] W[B,C,E]
+    WW = np.swapaxes(_contract(np.swapaxes(W, -2, -1), W), -3, -2)
+    Omega = dterm + _contract(W, K) + WW - np.swapaxes(WW, -2, -1)
 
     hinv = spec.h_inv()
-    ricci = np.einsum("axcb,xb->ac", Omega, hinv)
-    scalar = float(np.trace(ricci))
-    einstein = ricci - 0.5 * scalar * np.eye(N)
+    ricci = np.einsum("...axcb,xb->...ac", Omega, hinv)
+    scalar = np.trace(ricci, axis1=-2, axis2=-1)
+    einstein = ricci - 0.5 * scalar[..., None, None] * np.eye(N)
     return KKCurvature(Omega=Omega, ricci=ricci, scalar=scalar, einstein=einstein)
+
+
+def _contract(X, Y):
+    """out[..., i, j, k, l] = X[..., i, j, b] Y[..., b, k, l], as one batched matmul."""
+    N = X.shape[-1]
+    flat = X.reshape(X.shape[:-3] + (-1, N)) @ Y.reshape(Y.shape[:-3] + (N, -1))
+    return flat.reshape(X.shape[:-1] + Y.shape[-2:])
 
 
 def ricci_closed_form(geom: GeometryAtPoint, spec: LieAlgebraSpec) -> ClosedFormCurvature:
@@ -185,25 +200,26 @@ def ricci_closed_form(geom: GeometryAtPoint, spec: LieAlgebraSpec) -> ClosedForm
     dFup = geom.dF_up2()
     g = geom.gamma
 
-    ric_base = base.ricci - 0.5 * np.einsum("bac,bdc->ad", Fup, F)
+    FF = np.einsum("...bac,...bdc->...ad", Fup, F)
+    ric_base = base.ricci - 0.5 * FF
 
-    div = np.einsum("dacc->da", dFup)
-    t2 = np.einsum("abc,dbc->da", g, Fup)
-    t3 = np.einsum("cbc,dab->da", g, Fup)
+    div = np.einsum("...dacc->...da", dFup)
+    t2 = np.einsum("...abc,...dbc->...da", g, Fup)
+    t3 = np.einsum("...cbc,...dab->...da", g, Fup)
     # t4[delta, a] = c^g_{al delta} A^al_c F_g^{ac}
-    t4 = np.einsum("gxd,xc,gac->da", cf, geom.A, Fup)
-    ric_mixed = 0.5 * (div + t2 + t3 - t4).T  # (n, r): rows a, columns delta
+    t4 = np.einsum("gxd,...xc,...gac->...da", cf, geom.A, Fup)
+    ric_mixed = 0.5 * np.swapaxes(div + t2 + t3 - t4, -2, -1)  # (n, r): rows a, columns delta
 
     cc = np.einsum("abg,bde,ge->ad", cf, cf, kinv)  # c^al_{beta gamma} c^beta_{delta eps} k^{gamma eps}
-    ric_fiber = 0.25 * np.einsum("dbc,abc->ad", Fup, F) - 0.25 * cc
+    ric_fiber = 0.25 * np.einsum("...dbc,...abc->...ad", Fup, F) - 0.25 * cc
 
-    ff = float(np.einsum("abc,abc->", Fup, F))
+    ff = np.einsum("...abc,...abc->...", Fup, F)
     cck = float(np.trace(cc))
     scalar = base.scalar - 0.25 * ff - 0.25 * cck
 
     ein_base = (
         base.einstein
-        - 0.5 * (np.einsum("bac,bdc->ad", Fup, F) - 0.25 * ff * np.eye(n))
+        - 0.5 * (FF - 0.25 * ff[..., None, None] * np.eye(n))
         + 0.125 * cck * np.eye(n)
     )
     return ClosedFormCurvature(
@@ -217,25 +233,25 @@ def ricci_closed_form(geom: GeometryAtPoint, spec: LieAlgebraSpec) -> ClosedForm
 
 
 def eym_residuals(closed: ClosedFormCurvature) -> EYMResidual:
-    """Residual tensors of the Einstein-Yang-Mills system at one point.
+    """Residual tensors of the Einstein-Yang-Mills system at the geometry's points.
 
     For exact solutions both blocks vanish; otherwise they quantify how far
     the configuration is from solving the system (they are data, not errors).
     """
     return EYMResidual(
         einstein_block=closed.ein_base,
-        ym_block=2.0 * closed.ric_mixed.T,
+        ym_block=2.0 * np.swapaxes(closed.ric_mixed, -2, -1),
     )
 
 
 def cross_check(direct: KKCurvature, closed: ClosedFormCurvature) -> dict:
-    """Componentwise discrepancy between the direct and closed-form routes."""
-    n = closed.ric_base.shape[0]
+    """Per-point max discrepancy between the direct and closed-form routes, by block."""
+    n = closed.ric_base.shape[-1]
     return {
-        "ric_base": float(np.abs(direct.ricci[:n, :n] - closed.ric_base).max()),
-        "ric_mixed": float(np.abs(direct.ricci[:n, n:] - closed.ric_mixed).max()),
-        "ric_fiber": float(np.abs(direct.ricci[n:, n:] - closed.ric_fiber).max()),
-        "scalar": abs(direct.scalar - closed.scalar),
-        "ein_base": float(np.abs(direct.einstein[:n, :n] - closed.ein_base).max()),
-        "ein_mixed": float(np.abs(direct.einstein[:n, n:] - closed.ein_mixed).max()),
+        "ric_base": _max_abs(direct.ricci[..., :n, :n] - closed.ric_base),
+        "ric_mixed": _max_abs(direct.ricci[..., :n, n:] - closed.ric_mixed),
+        "ric_fiber": _max_abs(direct.ricci[..., n:, n:] - closed.ric_fiber),
+        "scalar": np.abs(direct.scalar - closed.scalar),
+        "ein_base": _max_abs(direct.einstein[..., :n, :n] - closed.ein_base),
+        "ein_mixed": _max_abs(direct.einstein[..., :n, n:] - closed.ein_mixed),
     }

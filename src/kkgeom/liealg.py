@@ -331,6 +331,8 @@ def load_spec(data: dict) -> LieAlgebraSpec:
     N = n + r
     c = np.zeros((N, N, N))
     for entry in data.get("c", []):
+        if not isinstance(entry, (list, tuple)) or len(entry) != 4:
+            raise StructuralError(f"structure-constant entry {entry} is not [A, B, C, value]")
         A, B, C, value = entry
         A, B, C = int(A), int(B), int(C)
         if not (0 <= A < N and 0 <= B < N and 0 <= C < N):

@@ -312,18 +312,28 @@ def test_10_determinism(tmp_path, capsys):
             "gauge": [["0.3*x2", "0.1*x1"],
                       ["0.1*x1*x2", "0.2*sin(x2)"],
                       ["0.1*x2^2", "0"]],
-            "lattice": {"min": [-0.5, -0.5], "max": [0.5, 0.5], "steps": [3, 3]},
+            "lattice": {"min": [-0.5, -0.5], "max": [0.5, 0.5], "steps": [6, 6]},
         },
     }
-    path = tmp_path / "problem.json"
-    path.write_text(json.dumps(problem))
+    # the same sweep twice, then its 36 lattice points as a shuffled list,
+    # which the block sweep must sort back into the same rows
+    grid = np.linspace(-0.5, 0.5, 6)
+    shuffled = [[float(x), float(y)] for x in grid for y in grid]
+    np.random.default_rng(10).shuffle(shuffled)
+    as_points = json.loads(json.dumps(problem))
+    del as_points["fields"]["lattice"]
+    as_points["fields"]["points"] = shuffled
     reports = []
-    for jobs in ("1", "8"):
-        code = cli_main(["curvature", "--input", str(path), "--jobs", jobs])
+    for i, prob in enumerate((problem, problem, as_points)):
+        path = tmp_path / f"problem{i}.json"
+        path.write_text(json.dumps(prob))
+        code = cli_main(["curvature", "--input", str(path)])
         assert code == 0
         data = json.loads(capsys.readouterr().out)
         data["wall_time_s"] = 0.0
         reports.append(data)
     assert reports[0] == reports[1]
+    assert reports[2]["per_point"] == reports[0]["per_point"]
+    assert reports[2]["summary"] == reports[0]["summary"]
     with capsys.disabled():
-        report("determinism", "curvature sweep identical for --jobs 1 and 8")
+        report("determinism", "curvature sweep identical across runs and point orders")

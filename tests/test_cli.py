@@ -162,14 +162,29 @@ def test_curvature_report(tmp_path, capsys):
         assert row["connection_torsion"] < 1e-12
 
 
-def test_curvature_jobs_do_not_change_report(tmp_path, capsys):
+def test_curvature_report_is_repeatable(tmp_path, capsys):
     path = write_problem(tmp_path, SU2_PROBLEM)
-    _, out1 = run(capsys, ["curvature", "--input", path, "--jobs", "1"])
-    _, out2 = run(capsys, ["curvature", "--input", path, "--jobs", "3"])
+    _, out1 = run(capsys, ["curvature", "--input", path])
+    _, out2 = run(capsys, ["curvature", "--input", path])
     assert normalized(out1.out) == normalized(out2.out)
 
 
-def test_curvature_computes_each_tensor_once_per_point(tmp_path, capsys, monkeypatch):
+def test_curvature_report_ignores_point_order(tmp_path, capsys):
+    points = [[0.1 * i - 0.3, 0.05 * i * i - 0.4] for i in range(40)]
+    reports = []
+    for order in (points, points[::-1], points[1::2] + points[::2]):
+        problem = json.loads(json.dumps(SU2_PROBLEM))
+        del problem["fields"]["lattice"]
+        problem["fields"]["points"] = order
+        code, out = run(capsys, ["curvature", "--input", write_problem(tmp_path, problem)])
+        assert code == EXIT_OK
+        report = json.loads(out.out)
+        reports.append((report["per_point"], report["summary"]))
+    assert reports[0] == reports[1] == reports[2]
+    assert [r["point"] for r in reports[0][0]] == sorted(points)
+
+
+def count_pipeline_calls(monkeypatch):
     calls = {}
 
     def counted(name):
@@ -182,10 +197,26 @@ def test_curvature_computes_each_tensor_once_per_point(tmp_path, capsys, monkeyp
 
     for name in ("assemble_omega", "curvature_direct", "ricci_closed_form"):
         monkeypatch.setattr(kkcurv, name, counted(name))
+    return calls
+
+
+def test_curvature_computes_each_tensor_once_per_point(tmp_path, capsys, monkeypatch):
+    calls = count_pipeline_calls(monkeypatch)
     path = write_problem(tmp_path, SU2_PROBLEM)
-    code, _ = run(capsys, ["curvature", "--input", path, "--jobs", "1"])
+    code, _ = run(capsys, ["curvature", "--input", path])
     assert code == EXIT_OK
-    assert calls == {"assemble_omega": 4, "curvature_direct": 4, "ricci_closed_form": 4}
+    # the 4 points form one block: one call per tensor for all of them
+    assert calls == {"assemble_omega": 1, "curvature_direct": 1, "ricci_closed_form": 1}
+
+
+def test_curvature_sweeps_in_blocks_of_32_points(tmp_path, capsys, monkeypatch):
+    calls = count_pipeline_calls(monkeypatch)
+    problem = json.loads(json.dumps(SU2_PROBLEM))
+    problem["fields"]["lattice"]["steps"] = [3, 11]
+    code, out = run(capsys, ["curvature", "--input", write_problem(tmp_path, problem)])
+    assert code == EXIT_OK
+    assert json.loads(out.out)["summary"]["points"] == 33
+    assert calls == {"assemble_omega": 2, "curvature_direct": 2, "ricci_closed_form": 2}
 
 
 @pytest.mark.parametrize("deriv_mode,error,expected", [
@@ -206,7 +237,7 @@ def test_curvature_exits_2_on_cross_check_violation(tmp_path, capsys, monkeypatc
     problem = json.loads(json.dumps(SU2_PROBLEM))
     problem["fields"]["deriv_mode"] = deriv_mode
     path = write_problem(tmp_path, problem)
-    code, out = run(capsys, ["curvature", "--input", path, "--jobs", "1"])
+    code, out = run(capsys, ["curvature", "--input", path])
     assert code == expected
     report = json.loads(out.out)  # the full report is written either way
     assert report["summary"]["points"] == 4
@@ -226,12 +257,12 @@ def test_curvature_exits_2_on_torsion_violation(tmp_path, capsys, monkeypatch):
     def skewed(geom, spec):
         conn = exact(geom, spec)
         K = conn.K.copy()
-        K[0, 0, 1] += 1e-9
+        K[..., 0, 0, 1] += 1e-9
         return dataclasses.replace(conn, K=K)
 
     monkeypatch.setattr(kkcurv, "assemble_omega", skewed)
     path = write_problem(tmp_path, SU2_PROBLEM)
-    code, out = run(capsys, ["curvature", "--input", path, "--jobs", "1"])
+    code, out = run(capsys, ["curvature", "--input", path])
     assert code == EXIT_VIOLATION
     assert "connection_torsion" in out.err
 
@@ -244,11 +275,59 @@ def test_stray_numeric_error_exits_70(tmp_path, capsys, monkeypatch, exc):
 
     monkeypatch.setattr(kkcurv, "curvature_direct", fail)
     path = write_problem(tmp_path, SU2_PROBLEM)
-    code, out = run(capsys, ["curvature", "--input", path, "--jobs", "1"])
+    code, out = run(capsys, ["curvature", "--input", path])
     assert code == EXIT_NUMERIC
     (line,) = out.err.strip().splitlines()
     assert line.startswith("numeric failure:")
     assert str(exc) in line
+
+
+def with_fields(**changes):
+    """SU2_PROBLEM with field entries replaced; a None value drops the entry."""
+    problem = json.loads(json.dumps(SU2_PROBLEM))
+    problem["fields"].update(changes)
+    problem["fields"] = {k: v for k, v in problem["fields"].items() if v is not None}
+    return problem
+
+
+def with_algebra(algebra):
+    problem = json.loads(json.dumps(SU2_PROBLEM))
+    problem["algebra"] = algebra
+    return problem
+
+
+@pytest.mark.parametrize("problem,argv,message", [
+    (with_fields(coframe=[["1 + 0.1*x2^", "0"], ["0", "1"]]), [], "offset"),
+    (with_fields(lattice=None), [], "'points' or 'lattice'"),
+    (with_fields(coframe=[["log(x1)", "0"], ["0", "1"]], points=[[-1.0, 0.0]]), [],
+     "log"),
+    (with_fields(coframe=[["1+exp(x1)", "0"], ["0", "1"]], points=[[1000.0, 0.0]]), [],
+     "overflow"),
+    (with_fields(points=[[0.1, 0.2], [0.1]]), [], "points[1]"),
+    (with_fields(coframe=[["1", "0"], ["0", "1"]], gauge=None, points=[[0.1]]), [],
+     "points[0]"),
+    (with_fields(lattice={"min": [0.0], "max": [1.0], "steps": [2]}), [], "lattice"),
+    (with_algebra({"n": 2, "r": 1, "c": [[1, 2]]}), [], "[1, 2]"),
+    (SU2_PROBLEM, ["--jobs", "2"], "--jobs"),
+], ids=["syntax", "no-points", "log-domain", "overflow", "short-point",
+        "short-point-unread", "short-lattice", "short-triplet", "jobs-option"])
+def test_curvature_input_errors_exit_64(tmp_path, capsys, problem, argv, message):
+    path = write_problem(tmp_path, problem)
+    code, out = run(capsys, ["curvature", "--input", path] + argv)
+    assert code == EXIT_USAGE
+    assert out.out == ""
+    assert message in out.err
+
+
+def test_curvature_without_fiber(tmp_path, capsys):
+    problem = with_algebra({"builtin": "abelian", "n": 2, "r": 0})
+    del problem["fields"]["gauge"]
+    code, out = run(capsys, ["curvature", "--input", write_problem(tmp_path, problem)])
+    assert code == EXIT_OK
+    report = json.loads(out.out)
+    assert report["summary"]["points"] == 4
+    assert report["summary"]["max_yang_mills_residual"] == 0.0
+    assert report["summary"]["max_cross_check"] < 1e-6
 
 
 def test_curvature_out_file(tmp_path, capsys):

@@ -132,8 +132,26 @@ def test_domain_errors():
         evaluate(parse("log(x1)"), [-1.0])
     with pytest.raises(EvalDomainError):
         evaluate(parse("x1^0.5"), [-4.0])
-    # integer powers of negative bases are fine
+    with pytest.raises(EvalDomainError):
+        evaluate(parse("1+exp(x1)"), [1000.0])  # overflow
+    with pytest.raises(EvalDomainError):
+        evaluate(parse("(-8)^(1/3)"), [0.0])  # constant subtrees too
+    # integer powers of negative bases are fine, and underflow is zero
     assert evaluate(parse("x1^3"), [-2.0]) == -8.0
+    assert evaluate(parse("exp(x1)"), [-1000.0]) == 0.0
+
+
+def test_batch_evaluation_matches_single_points():
+    f = FieldProvider("sin(x1*x2)+x1^3/(2+x2)", n=2)
+    points = np.array([[[0.1, 0.2], [0.3, -0.4]], [[-1.5, 2.0], [0.0, 0.7]]])
+    for method, args in ((f.evaluate, ()), (f.partial, (1,)), (f.partial2, (0, 1))):
+        batch = method(*args, points)
+        assert batch.shape == (2, 2)
+        for idx in np.ndindex(2, 2):
+            assert batch[idx] == method(*args, points[idx])
+    assert FieldProvider("x2", n=2).partial(1, points).shape == (2, 2)  # constant tree
+    with pytest.raises(EvalDomainError):
+        FieldProvider("log(x1)", n=2).evaluate(points)
 
 
 def test_unknown_param_at_evaluation():
