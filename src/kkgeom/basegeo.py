@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCoframeError, StructuralError
-from .fieldexpr import FieldProvider
+from .errors import DegenerateCoframeError, EvalDomainError, StructuralError
+from .fieldexpr import FieldProvider, pretty
 from .liealg import LieAlgebraSpec
 
 __all__ = [
@@ -83,14 +83,37 @@ class _ProviderMatrix:
             for mu, p in enumerate(row):
                 method = (p.evaluate, p.partial, p.partial2)[order]
                 for nus, perms in partials:
-                    value = method(*nus, point)
+                    try:
+                        value = method(*nus, point)
+                    except EvalDomainError as exc:
+                        raise self._domain_error(exc, a, mu, lambda q: method(*nus, q),
+                                                 point) from None
                     for perm in perms:
                         out[(..., a, mu) + perm] = value
         return out
 
+    def _domain_error(self, exc, a, mu, evaluate, point):
+        """``exc`` located: the entry as written in the field file and the
+        first point of the batch at which ``evaluate`` fails."""
+        points = point.reshape(-1, point.shape[-1])
+        bad = next((q for q in points if _fails(evaluate, q)), None)
+        where = "" if bad is None else f" at point {bad.tolist()}"
+        source = pretty(self.entries[a][mu].expr)
+        return EvalDomainError(f"{self.block}[{a}][{mu}] = {source}{where}: {exc}")
+
+
+def _fails(evaluate, point):
+    try:
+        evaluate(point)
+    except EvalDomainError:
+        return True
+    return False
+
 
 class CoframeField(_ProviderMatrix):
     """An n x n matrix of providers: entry (a, mu) is the dx^mu component of e^a."""
+
+    block = "coframe"  # the field-file key, named in evaluation errors
 
     def __init__(self, chart: ChartSpec, entries, b):
         self.chart = chart
@@ -109,6 +132,8 @@ class CoframeField(_ProviderMatrix):
 
 class GaugeField(_ProviderMatrix):
     """An r x n matrix of providers: entry (alpha, mu) is A^alpha_mu."""
+
+    block = "gauge"
 
     def __init__(self, spec: LieAlgebraSpec, chart: ChartSpec, entries):
         self.spec = spec

@@ -16,7 +16,15 @@ Both verifications work on a local chart (x, s): x is the base chart point
 (frozen inside a GeometryAtPoint) and s are exponential fiber coordinates,
 g(s) = exp(sum_delta s^delta T_delta) * g0.  In these coordinates the extra
 coframe components are e^alpha = A^alpha_mu dx^mu + V^alpha_delta ds^delta
-with V the right-trivialized derivative of the exponential.
+with V the right-trivialized derivative of the exponential.  Like
+``basegeo`` and ``kkcurv``, they take one point or a batch alike: the
+geometry, the group elements and the fiber points carry the same leading
+batch axes, the fiber stencils of every point are extra rows of one array,
+and the residuals hold one value per point.
+
+The matrix exponential (scaling and squaring with a Pade approximant) and
+the polar projection are implemented here on numpy alone, for stacks of
+matrices.
 """
 
 from __future__ import annotations
@@ -24,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag, expm, polar
 
 from .errors import IntegratorError, StructuralError
 from .kkcurv import assemble_omega, curvature_direct
@@ -36,6 +43,8 @@ __all__ = [
     "PathSpec",
     "builtin_rep",
     "adjoint_of",
+    "expm",
+    "polar",
     "lift_path",
     "verify_deextra",
     "verify_gauge_covariance",
@@ -45,6 +54,49 @@ __all__ = [
 _FD_STEP = 1e-4
 _FD4_OFFSETS = (-2.0, -1.0, 1.0, 2.0)
 _FD4_WEIGHTS = (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0)
+
+# Coefficients of the degree-13 Pade approximant to exp and the 1-norm up to
+# which it is accurate to double precision (Higham 2005, SIAM J. Matrix Anal.
+# Appl. 26(4), Table 2.3).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def expm(a) -> np.ndarray:
+    """Matrix exponential of a square matrix or of a stack ``(..., d, d)``.
+
+    Each matrix is scaled by 2^-s so that its 1-norm is at most theta_13,
+    the degree-13 Pade approximant is evaluated, and the result is squared
+    s times (s chosen per matrix).
+    """
+    a = np.asarray(a, dtype=float)
+    b = _PADE13
+    mant, expo = np.frexp(np.abs(a).sum(axis=-2).max(axis=-1) / _THETA13)
+    s = np.maximum(expo - (mant == 0.5), 0)  # ceil(log2(norm / theta)), at least 0
+    x = a * np.ldexp(1.0, -s)[..., None, None]
+    ident = np.eye(a.shape[-1])
+    x2 = x @ x
+    x4 = x2 @ x2
+    x6 = x4 @ x2
+    u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
+             + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * ident)
+    v = (x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2)
+         + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * ident)
+    out = ident + 2.0 * np.linalg.solve(v - u, u)  # (v - u)^-1 (v + u), exact at 0
+    for k in range(int(s.max(initial=0))):
+        out = np.where((s > k)[..., None, None], out @ out, out)
+    return out
+
+
+def polar(m) -> np.ndarray:
+    """Orthogonal factor ``u @ vh`` of the polar decomposition of ``m``
+    (``m = u s vh`` its singular value decomposition): the nearest
+    orthogonal matrix in the Frobenius norm."""
+    u, _, vh = np.linalg.svd(m)
+    return u @ vh
 
 
 @dataclass(frozen=True)
@@ -84,11 +136,12 @@ class MatrixRep:
         return float(np.abs(comm - np.einsum("gik,gab->abik", self.T, cf)).max())
 
     def algebra_element(self, xi) -> np.ndarray:
-        """The matrix sum_alpha xi^alpha T_alpha."""
+        """The matrix sum_alpha xi^alpha T_alpha, for an r-vector or a stack
+        ``(..., r)`` of them."""
         xi = np.asarray(xi, dtype=float)
-        if xi.shape != (self.spec.r,):
+        if xi.shape[-1:] != (self.spec.r,):
             raise StructuralError(f"need a {self.spec.r}-vector, got shape {xi.shape}")
-        return np.einsum("a,aij->ij", xi, self.T)
+        return np.einsum("...a,aij->...ij", xi, self.T)
 
     def identity_element(self) -> "GroupElement":
         return GroupElement(self, np.eye(self.dim))
@@ -99,7 +152,8 @@ class MatrixRep:
 
 @dataclass(frozen=True)
 class GroupElement:
-    """A group element realized as a matrix of its representation.
+    """A group element realized as a matrix of its representation, or a
+    batch of them (leading axes in front of the d x d matrix).
 
     The built-in reps are compact, so "on the group manifold" is checked as
     orthogonality of the matrix.
@@ -113,7 +167,7 @@ class GroupElement:
         m = np.asarray(self.matrix, dtype=float)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        if m.shape != (self.rep.dim, self.rep.dim):
+        if m.shape[-2:] != (self.rep.dim, self.rep.dim):
             raise StructuralError(f"element shape {m.shape} does not match rep "
                                   f"dimension {self.rep.dim}")
         res = self.manifold_residual()
@@ -123,7 +177,8 @@ class GroupElement:
 
     def manifold_residual(self) -> float:
         m = self.matrix
-        return float(np.abs(m.T @ m - np.eye(self.rep.dim)).max())
+        return float(np.abs(np.swapaxes(m, -2, -1) @ m - np.eye(self.rep.dim))
+                     .max(initial=0.0))
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         if other.rep is not self.rep:
@@ -131,7 +186,7 @@ class GroupElement:
         return GroupElement(self.rep, self.matrix @ other.matrix)
 
     def inverse(self) -> "GroupElement":
-        return GroupElement(self.rep, self.matrix.T.copy())
+        return GroupElement(self.rep, np.swapaxes(self.matrix, -2, -1).copy())
 
 
 @dataclass(frozen=True)
@@ -175,22 +230,36 @@ def builtin_rep(name: str) -> MatrixRep:
     if name == "u1_as_so2":
         return MatrixRep(builtin_algebra("abelian", 2, r=1), so2, name=name)
     if name == "product":
-        spec = builtin_algebra("u1_su2", 2)
-        T = np.stack([block_diag(so2[0], np.zeros((3, 3)))]
-                     + [block_diag(np.zeros((2, 2)), so3[a]) for a in range(3)])
-        return MatrixRep(spec, T, name=name)
+        T = np.zeros((4, 5, 5))
+        T[:1, :2, :2] = so2
+        T[1:, 2:, 2:] = so3
+        return MatrixRep(builtin_algebra("u1_su2", 2), T, name=name)
     raise StructuralError(f"unknown builtin rep {name!r}")
+
+
+def _identity_padded(fiber: np.ndarray, n: int) -> np.ndarray:
+    """The gauge maps diag(1_n, fiber) for a stack ``(..., r, r)`` of fiber blocks."""
+    r = fiber.shape[-1]
+    out = np.zeros(fiber.shape[:-2] + (n + r, n + r))
+    out[..., :n, :n] = np.eye(n)
+    out[..., n:, n:] = fiber
+    return out
+
+
+def _fiber_adjoint(g: GroupElement) -> np.ndarray:
+    """Fiber block of Ad_g, ``(..., r, r)``: column alpha holds the coordinates
+    of g T_alpha g^{-1} in the generator basis."""
+    rep = g.rep
+    gm = g.matrix[..., None, :, :]
+    conj = (gm @ rep.T @ np.swapaxes(gm, -2, -1)).reshape(gm.shape[:-3] + (rep.spec.r, -1))
+    coords = np.linalg.pinv(rep.T.reshape(rep.spec.r, -1).T)  # least squares on vec(T)
+    return coords @ np.swapaxes(conj, -2, -1)
 
 
 def adjoint_of(g: GroupElement) -> np.ndarray:
     """The N x N gauge map S = Ad_g: identity on the central block, the
     adjoint action g T g^{-1} on the fiber block.  S preserves h."""
-    rep = g.rep
-    r, n = rep.spec.r, rep.spec.n
-    flat = rep.T.reshape(r, -1).T  # (d*d, r), columns vec(T_beta)
-    conj = np.einsum("ij,ajk,lk->ail", g.matrix, rep.T, g.matrix)  # g T_a g^T
-    adj, *_ = np.linalg.lstsq(flat, conj.reshape(r, -1).T, rcond=None)
-    return block_diag(np.eye(n), adj)
+    return _identity_padded(_fiber_adjoint(g), g.rep.spec.n)
 
 
 def lift_path(path: PathSpec, steps: int):
@@ -201,20 +270,22 @@ def lift_path(path: PathSpec, steps: int):
         raise StructuralError(f"need at least one step, got {steps}")
     rep = path.rep
     h = 1.0 / steps
-
-    def rhs(t, m):
-        return m @ rep.algebra_element(path.v(t))
+    # the stages sample v at t, t + h/2 (twice) and t + h: each j h/2 once
+    xi = np.array([path.v(t) for t in (0.5 * h * np.arange(2 * steps + 1)).tolist()],
+                  dtype=float)
+    if xi.shape != (2 * steps + 1, rep.spec.r):
+        raise StructuralError(f"v(t) must be a {rep.spec.r}-vector, got shape {xi.shape[1:]}")
+    X = rep.algebra_element(xi)
 
     out = [path.g0]
     m = path.g0.matrix
     for k in range(steps):
-        t = k * h
-        k1 = rhs(t, m)
-        k2 = rhs(t + 0.5 * h, m + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, m + 0.5 * h * k2)
-        k4 = rhs(t + h, m + h * k3)
-        m = m + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        m, _ = polar(m)
+        x0, xh, x1 = X[2 * k], X[2 * k + 1], X[2 * k + 2]
+        k1 = m @ x0
+        k2 = (m + 0.5 * h * k1) @ xh
+        k3 = (m + 0.5 * h * k2) @ xh
+        k4 = (m + h * k3) @ x1
+        m = polar(m + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
         drift = float(np.abs(m.T @ m - np.eye(rep.dim)).max())
         if drift > 1e-6:
             raise IntegratorError(f"off-manifold drift {drift:.3e} after step "
@@ -228,8 +299,9 @@ def lift_path(path: PathSpec, steps: int):
 
 
 def _dexp_right(ad_u: np.ndarray) -> np.ndarray:
-    """Right-trivialized derivative of exp: V = sum_k ad_u^k / (k+1)!."""
-    r = ad_u.shape[0]
+    """Right-trivialized derivative of exp: V = sum_k ad_u^k / (k+1)!, for a
+    stack ``(..., r, r)`` of ad matrices."""
+    r = ad_u.shape[-1]
     out = np.eye(r)
     term = np.eye(r)
     for k in range(1, 40):
@@ -242,164 +314,160 @@ def _dexp_right(ad_u: np.ndarray) -> np.ndarray:
 
 def _fiber_ad(spec: LieAlgebraSpec, s: np.ndarray) -> np.ndarray:
     """ad_u on the fiber algebra for u = sum_delta s^delta (basis)_delta."""
-    return np.einsum("abc,b->ac", spec.fiber_c(), s)
+    return np.einsum("abc,...b->...ac", spec.fiber_c(), s)
 
 
-def _fd_grad(fun, s, shape):
-    """4th-order central-difference gradient of an array-valued fun(s)."""
-    r = s.size
-    out = np.zeros(shape + (r,))
-    for d in range(r):
-        acc = 0.0
-        for off, w in zip(_FD4_OFFSETS, _FD4_WEIGHTS):
-            sp = s.copy()
-            sp[d] += off * _FD_STEP
-            acc = acc + w * fun(sp)
-        out[..., d] = acc / _FD_STEP
-    return out
+def _fiber_stencil(r: int) -> np.ndarray:
+    """(1 + 4r, r) fiber offsets: the origin, then in row 1 + 4 d + k the
+    step _FD4_OFFSETS[k] * h along s^d."""
+    steps = np.multiply.outer(np.eye(r), np.array(_FD4_OFFSETS) * _FD_STEP)  # [d, e, k]
+    return np.concatenate([np.zeros((1, r)), np.moveaxis(steps, -1, 1).reshape(4 * r, r)])
+
+
+def _fd_rows(values: np.ndarray, axis: int) -> np.ndarray:
+    """4th-order central-difference gradient from the stencil rows laid out
+    by :func:`_fiber_stencil` along ``axis``; the row axis is dropped and
+    the derivative direction appended last."""
+    values = np.moveaxis(values, axis, 0)
+    rows = values[1:].reshape((-1, 4) + values.shape[1:])  # [d, k, ...]
+    acc = 0.0
+    for k, w in enumerate(_FD4_WEIGHTS):
+        acc = acc + w * rows[:, k]
+    return np.moveaxis(acc / _FD_STEP, 0, -1)
 
 
 def _coordinate_gauge_data(geom):
     """Coordinate components of A, F and the antisymmetrized dA at the
-    frozen base point: A_mu, F_{mu nu}, and d_mu A_nu - d_nu A_mu."""
+    frozen base points: A_mu, F_{mu nu}, and d_mu A_nu - d_nu A_mu."""
     E = geom.E
-    Ac = np.einsum("ab,bm->am", geom.A, E)
-    Fc = np.einsum("abc,bm,cn->amn", geom.F, E, E)
+    Ac = np.einsum("...ab,...bm->...am", geom.A, E)
+    Fc = np.einsum("...abc,...bm,...cn->...amn", geom.F, E, E)
     # d_mu A_nu - d_nu A_mu: frame-derivative part plus the anholonomy part
     # coming from differentiating the coframe factor.
-    dAc = np.einsum("abe,em,bn->amn", geom.dA, E, E)
-    dAc = dAc - np.swapaxes(dAc, 1, 2)
-    dAc = dAc + np.einsum("ab,bcd,cm,dn->amn", geom.A, geom.C, E, E)
+    dAc = np.einsum("...abe,...em,...bn->...amn", geom.dA, E, E)
+    dAc = dAc - np.swapaxes(dAc, -2, -1)
+    dAc = dAc + np.einsum("...ab,...bcd,...cm,...dn->...amn", geom.A, geom.C, E, E)
     return Ac, Fc, dAc
 
 
-def verify_deextra(geom, g: GroupElement, spec: LieAlgebraSpec,
-                   s=None) -> float:
+def verify_deextra(geom, g: GroupElement, spec: LieAlgebraSpec, s=None):
     """Residual of de^alpha - (1/2)[e/\\e]^alpha + [A/\\e]^alpha = F^alpha.
 
     Both sides are evaluated as coordinate 2-forms on the (x, s) chart at
-    the frozen base point of ``geom`` and fiber point ``s`` (default 0).
-    The identity is invariant under right translation, so ``g`` enters only
-    through its on-manifold precondition.
+    the frozen base points of ``geom`` and fiber points ``s`` (default 0;
+    shape ``(..., r)`` with the geometry's batch axes, or one r-vector for
+    all), one residual per point.  The identity is invariant under right
+    translation, so ``g`` enters only through its on-manifold precondition.
     """
     if g.rep.spec.r != spec.r:
         raise StructuralError("rep and algebra have different fiber dimensions")
     n, r = spec.n, spec.r
     cf = spec.fiber_c()
+    batch = geom.point.shape[:-1]
     s = np.zeros(r) if s is None else np.asarray(s, dtype=float)
 
     Ac, Fc, dAc = _coordinate_gauge_data(geom)
-    V = _dexp_right(_fiber_ad(spec, s))
-    dV = _fd_grad(lambda sp: _dexp_right(_fiber_ad(spec, sp)), s, (r, r))
+    # V at s and at its 4r stencil neighbours, one series for all of them
+    V_rows = _dexp_right(_fiber_ad(spec, s[..., None, :] + _fiber_stencil(r)))
+    V = V_rows[..., 0, :, :]
+    dV = _fd_rows(V_rows, -3)
 
     m = n + r
-    e = np.zeros((r, m))
-    e[:, :n] = Ac
-    e[:, n:] = V
-    a_full = np.zeros((r, m))
-    a_full[:, :n] = Ac
+    e = np.zeros(batch + (r, m))
+    e[..., :n] = Ac
+    e[..., n:] = V
+    a_full = np.zeros(batch + (r, m))
+    a_full[..., :n] = Ac
 
-    de = np.zeros((r, m, m))
-    de[:, :n, :n] = dAc
-    de[:, n:, n:] = np.swapaxes(dV, 1, 2) - dV  # d_delta V_eps - d_eps V_delta
+    de = np.zeros(batch + (r, m, m))
+    de[..., :n, :n] = dAc
+    de[..., n:, n:] = np.swapaxes(dV, -2, -1) - dV  # d_delta V_eps - d_eps V_delta
 
-    f_full = np.zeros((r, m, m))
-    f_full[:, :n, :n] = Fc
+    f_full = np.zeros(batch + (r, m, m))
+    f_full[..., :n, :n] = Fc
 
-    half_ee = np.einsum("abg,bi,gj->aij", cf, e, e)
-    a_wedge_e = np.einsum("abg,bi,gj->aij", cf, a_full, e)
-    a_wedge_e = a_wedge_e - np.swapaxes(a_wedge_e, 1, 2)
-    return float(np.abs(de - half_ee + a_wedge_e - f_full).max())
+    half_ee = np.einsum("abg,...bi,...gj->...aij", cf, e, e)
+    a_wedge_e = np.einsum("abg,...bi,...gj->...aij", cf, a_full, e)
+    a_wedge_e = a_wedge_e - np.swapaxes(a_wedge_e, -2, -1)
+    return np.abs(de - half_ee + a_wedge_e - f_full).max(axis=(-3, -2, -1))
 
 
 def verify_gauge_covariance(geom, g: GroupElement, spec: LieAlgebraSpec,
-                            vary: bool = True) -> float:
-    """Max residual of Omega = S Phi S^{-1} over all coordinate 2-planes.
+                            vary: bool = True):
+    """Max residual of Omega = S Phi S^{-1} over all coordinate 2-planes,
+    one value per point of ``geom`` (``g`` carries the same batch axes, or
+    none for one element at every point).
 
     The connection is pushed to the (x, s) chart, gauge-transformed by
     S(s) = Ad_{exp(u(s)) g0} (or the constant Ad_{g0} when ``vary`` is
     false), its curvature Phi = d phi + (1/2)[phi /\\ phi] is assembled with
     exact base derivatives and 4th-order fiber differences, and the result
     is conjugated back and compared against the structure-equation
-    curvature.
+    curvature.  The fiber difference of phi nests the fiber difference of
+    S, so S is needed at every sum of two stencil offsets: those (1 + 4r)^2
+    fiber points are rows of one array, and their exponentials one stack.
     """
     if g.rep.spec.r != spec.r:
         raise StructuralError("rep and algebra have different fiber dimensions")
     n, r, N = spec.n, spec.r, spec.N
     m = n + r
+    batch = geom.point.shape[:-1]
     conn = assemble_omega(geom, spec)
     W, dW = conn.W, conn.dW
     Omega = curvature_direct(conn).Omega
     E = geom.E
-    Ac, Fc, dAc = _coordinate_gauge_data(geom)
-    # the rep's own spec fixes the size of the central block adjoint_of pads with
-    adj0 = adjoint_of(g)[g.rep.spec.n:, g.rep.spec.n:]
+    Ac, _, dAc = _coordinate_gauge_data(geom)
+    adj0 = _fiber_adjoint(g)
+    stencil = _fiber_stencil(r)
 
-    def vmat(s):
-        return _dexp_right(_fiber_ad(spec, s))
+    # S at every outer stencil point (phi is differenced there) and, if it
+    # varies, its own fiber derivative from the inner stencil around each
+    if vary:
+        s_all = stencil[:, None, :] + stencil[None, :, :]  # [outer, inner]
+        fiber = expm(_fiber_ad(spec, s_all)) @ adj0[..., None, None, :, :]
+        S_all = _identity_padded(fiber, n)
+        S = S_all[..., 0, :, :]
+        dS = _fd_rows(S_all, -3)
+    else:
+        S = _identity_padded(adj0, n)[..., None, :, :]  # one S for every outer point
+    Sinv = np.linalg.inv(S)
 
-    def smat(s):
-        if not vary:
-            fiber = adj0
-        else:
-            fiber = expm(_fiber_ad(spec, s)) @ adj0
-        return block_diag(np.eye(n), fiber)
-
-    s0 = np.zeros(r)
-    V0 = vmat(s0)
-    S0 = smat(s0)
-    S0inv = np.linalg.inv(S0)
-
-    def coframe_columns(s):
-        # M[C, I]: e^C = M[C, I] dy^I on the (x, s) chart
-        M = np.zeros((N, m))
-        M[:n, :n] = E
-        M[n:, :n] = Ac
-        M[n:, n:] = vmat(s)
-        return M
-
-    M0 = coframe_columns(s0)
-
-    def omega_coord(s):
-        return np.einsum("abC,Ci->abi", W, coframe_columns(s))
-
-    def phi(s):
-        om = omega_coord(s)
-        S = smat(s)
-        Sinv = np.linalg.inv(S)
-        out = np.einsum("ab,bci,cd->adi", Sinv, om, S)
-        if vary:
-            dS = _fd_grad(smat, s, (N, N))
-            out[:, :, n:] += np.einsum("ab,bcd->acd", Sinv, dS)
-        return out
-
-    phi0 = phi(s0)
-    dphi_fiber = _fd_grad(phi, s0, (N, N, m))  # [.., I, delta] = d_delta phi_I
+    # M[C, I]: e^C = M[C, I] dy^I on the (x, s) chart, at each outer point
+    M = np.zeros(batch + (len(stencil), N, m))
+    M[..., :n, :n] = E[..., None, :, :]
+    M[..., n:, :n] = Ac[..., None, :, :]
+    M[..., n:, n:] = _dexp_right(_fiber_ad(spec, stencil))
+    om = np.einsum("...abC,...kCi->...kabi", W, M)
+    phi = np.einsum("...ab,...bci,...cd->...adi", Sinv, om, S)
+    if vary:
+        phi[..., n:] += np.einsum("...ab,...bcd->...acd", Sinv, dS)
+    # planes-first layouts: [.., I, :, :] = phi_I and [.., I, delta, :, :] = d_delta phi_I
+    phi0 = np.moveaxis(phi[..., 0, :, :, :], -1, -3)
+    dphi = np.moveaxis(_fd_rows(phi, -4), (-2, -1), (-4, -3))
+    M0 = M[..., 0, :, :]
+    # S at s = 0, with room for the (I, J) plane axes in front of the matrix
+    S0, S0inv = S[..., 0, None, None, :, :], Sinv[..., 0, None, None, :, :]
 
     # exact antisymmetrized coordinate derivative of omega over base 2-planes
-    dW_coord = np.einsum("abCd,dm->abCm", dW, E)
-    dM = np.zeros((N, n, n))  # d_mu M[C, nu] - d_nu M[C, mu]
-    dM[:n] = np.einsum("abc,bm,cn->amn", geom.C, E, E)
-    dM[n:] = dAc
-    dom_bb = np.einsum("abCm,Cn->abmn", dW_coord, M0[:, :n])
-    dom_bb = dom_bb - np.swapaxes(dom_bb, 2, 3)
-    dom_bb = dom_bb + np.einsum("abC,Cmn->abmn", W, dM)
+    dW_coord = np.einsum("...abCd,...dm->...abCm", dW, E)
+    dM = np.zeros(batch + (N, n, n))  # d_mu M[C, nu] - d_nu M[C, mu]
+    dM[..., :n, :, :] = np.einsum("...abc,...bm,...cn->...amn", geom.C, E, E)
+    dM[..., n:, :, :] = dAc
+    dom_bb = np.einsum("...abCm,...Cn->...abmn", dW_coord, M0[..., :n])
+    dom_bb = dom_bb - np.swapaxes(dom_bb, -2, -1)
+    dom = np.zeros(batch + (N, N, m, m))
+    dom[..., :n, :n] = dom_bb + np.einsum("...abC,...Cmn->...abmn", W, dM)
     # d_mu omega_{n+delta}: only the fiber coframe columns have no base block
-    dom_mixed = np.einsum("abCm,Ci->abmi", dW_coord, M0)[:, :, :, n:]
+    dom[..., :n, n:] = np.einsum("...abCm,...Ci->...abmi", dW_coord, M0)[..., n:]
 
-    om_coord = np.einsum("abCD,Ci,Dj->abij", Omega, M0, M0)
-    worst = 0.0
-    for i in range(m):
-        for j in range(i + 1, m):
-            if i < n and j < n:
-                danti = S0inv @ dom_bb[:, :, i, j] @ S0
-            elif i < n <= j:
-                danti = (S0inv @ dom_mixed[:, :, i, j - n] @ S0
-                         - dphi_fiber[:, :, i, j - n])
-            else:
-                danti = (dphi_fiber[:, :, j, i - n]
-                         - dphi_fiber[:, :, i, j - n])
-            Phi = danti + phi0[:, :, i] @ phi0[:, :, j] - phi0[:, :, j] @ phi0[:, :, i]
-            res = np.abs(om_coord[:, :, i, j] - S0 @ Phi @ S0inv).max()
-            worst = max(worst, float(res))
-    return worst
+    # d_I phi_J - d_J phi_I on every 2-plane: exact and conjugated by S0 for
+    # base I, fiber differences for fiber I and J (lower planes are unused)
+    danti = S0inv @ np.moveaxis(dom, (-2, -1), (-4, -3)) @ S0
+    danti[..., n:, :, :, :] = np.swapaxes(dphi, -4, -3)
+    danti[..., :, n:, :, :] -= dphi
+    prod = phi0[..., :, None, :, :] @ phi0[..., None, :, :, :]  # phi_I phi_J
+    Phi = danti + prod - np.swapaxes(prod, -4, -3)
+    om_coord = np.einsum("...abCD,...Ci,...Dj->...ijab", Omega, M0, M0)
+    res = np.abs(om_coord - S0 @ Phi @ S0inv)
+    upper = np.triu_indices(m, 1)
+    return res[..., upper[0], upper[1], :, :].max(axis=(-3, -2, -1))

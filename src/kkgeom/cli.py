@@ -13,9 +13,13 @@ All commands read a problem JSON (``{"algebra": …, "fields": …, "rep": …,
 stdout), and exit with 0 on success, 2 on an invariant violation, 64 on a
 usage or input error (including malformed algebras, fields and points, and
 field expressions that leave their real domain), and 70 on an internal
-numeric failure.  A curvature sweep runs in one process: its points are
-sorted and evaluated in fixed-size blocks, each block one vectorised pass
-through the pipeline, so a report depends only on the problem file.
+numeric failure.  A curvature sweep or a gauge check runs in one process:
+its points are sorted and evaluated in fixed-size blocks, each block one
+vectorised pass through the pipeline, so a report depends only on the
+problem file.  ``gauge-check`` draws its random group element and fiber
+point for each sorted point from the ``seed`` option, in point order.
+Both commands exit 2 with one stderr line naming the worst point and
+residual when a residual exceeds its rung of the tolerance ladder or is NaN.
 """
 
 from __future__ import annotations
@@ -199,9 +203,10 @@ def cmd_identities(args):
 # ---------------------------------------------------------------------------
 # curvature
 
-# Points per vectorised block: enough to amortise each stage's numpy call
-# overhead, few enough that the block's arrays (N^4 curvature numbers and 4n
-# fd stencil rows per point) stay a few MB and peak memory stays flat.
+# Points per vectorised block of curvature and gauge-check: enough to amortise
+# each stage's numpy call overhead, few enough that the block's arrays (N^4
+# curvature numbers, 4n fd stencil rows and (1 + 4r)^2 fiber stencil gauge
+# maps per point) stay a few MB and peak memory stays flat.
 _BLOCK = 32
 
 
@@ -214,7 +219,7 @@ def _curvature_rows(coframe, gauge, spec, points, deriv_mode, fd_step):
     closed = kkcurv.ricci_closed_form(geom, spec)
     res = kkcurv.eym_residuals(closed)
     cross = kkcurv.cross_check(direct, closed)
-    columns = {
+    return _rows({
         "point": points,
         "scalar_curvature": direct.scalar,
         "ricci": direct.ricci,
@@ -223,19 +228,32 @@ def _curvature_rows(coframe, gauge, spec, points, deriv_mode, fd_step):
         "cross_check_max": np.max(list(cross.values()), axis=0),
         "connection_antisymmetry": conn.antisymmetry_residual(),
         "connection_torsion": conn.torsion_residual(),
-    }
+    })
+
+
+def _rows(columns):
+    """Report rows (dicts of Python values) from per-point column arrays."""
     values = [np.asarray(v).tolist() for v in columns.values()]
     return [dict(zip(columns, row)) for row in zip(*values)]
 
 
-def _worst_violation(rows, cross_tol):
+def _worst_violation(rows, limits):
     """(excess, name, limit, row) of the row invariant furthest past its
-    tolerance, or None when every row holds; NaN counts as infinitely far."""
-    limits = (("cross_check_max", cross_tol), ("connection_torsion", _TOL_EXACT),
-              ("connection_antisymmetry", _TOL_EXACT))
+    tolerance, or None when every row holds; NaN counts as infinitely far.
+    ``limits`` holds (column name, tolerance) pairs."""
     bad = [(np.inf if np.isnan(row[name]) else row[name] / limit, name, limit, row)
            for row in rows for name, limit in limits if not row[name] <= limit]
     return max(bad, key=lambda v: v[0], default=None)
+
+
+def _exit_code(worst):
+    """EXIT_OK, or one stderr line naming the worst violation and EXIT_VIOLATION."""
+    if worst is None:
+        return EXIT_OK
+    _, name, limit, row = worst
+    print(f"invariant violation: {name} = {row[name]:.3e} exceeds {limit:.0e} "
+          f"at point {row['point']}", file=sys.stderr)
+    return EXIT_VIOLATION
 
 
 def cmd_curvature(args):
@@ -259,13 +277,9 @@ def cmd_curvature(args):
     config = {"algebra": problem.get("algebra"), "fields": problem.get("fields"),
               "options": opts}
     _emit(_report("curvature", config, {"per_point": rows, "summary": summary}), args)
-    worst = _worst_violation(rows, _TOL_FD if deriv_mode == "fd" else _TOL_ANALYTIC)
-    if worst is None:
-        return EXIT_OK
-    _, name, limit, row = worst
-    print(f"invariant violation: {name} = {row[name]:.3e} exceeds {limit:.0e} "
-          f"at point {row['point']}", file=sys.stderr)
-    return EXIT_VIOLATION
+    limits = (("cross_check_max", _TOL_FD if deriv_mode == "fd" else _TOL_ANALYTIC),
+              ("connection_torsion", _TOL_EXACT), ("connection_antisymmetry", _TOL_EXACT))
+    return _exit_code(_worst_violation(rows, limits))
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +341,18 @@ def cmd_lift(args):
 # gauge-check
 
 
+def _gauge_rows(coframe, gauge, spec, rep, points, draws, fd_step):
+    """Report rows for a (count, n) block of points, one pass of each check;
+    ``draws[i]`` holds the group-element and fiber-point normals of point i."""
+    geom = basegeo.geometry_at_point(coframe, gauge, spec, points, fd_step=fd_step)
+    g = rep.exp(draws[:, 0])
+    return _rows({
+        "point": points,
+        "deextra_residual": bundle.verify_deextra(geom, g, spec, s=0.25 * draws[:, 1]),
+        "gauge_covariance_residual": bundle.verify_gauge_covariance(geom, g, spec),
+    })
+
+
 def cmd_gauge_check(args):
     problem = _load_problem(args.input)
     opts = _options(problem, args)
@@ -341,26 +367,24 @@ def cmd_gauge_check(args):
     chart, coframe, gauge, points = basegeo.load_fields(problem.get("fields", {}), spec)
     rng = np.random.default_rng(int(opts["seed"]))
     tol = opts.get("gauge_tol", 1e-5)
+    if not (isinstance(tol, (int, float)) and tol > 0):
+        raise _UsageError(f"option gauge_tol must be a positive number, got {tol!r}")
     rows = []
-    for point in points:
-        geom = basegeo.geometry_at_point(coframe, gauge, spec, point,
-                                         fd_step=opts["fd_step"])
-        g = rep.exp(rng.normal(size=rep.spec.r))
-        s = 0.25 * rng.normal(size=rep.spec.r)
-        rows.append({
-            "point": [float(x) for x in point],
-            "deextra_residual": bundle.verify_deextra(geom, g, spec, s=s),
-            "gauge_covariance_residual": bundle.verify_gauge_covariance(geom, g, spec),
-        })
-    worst = max(max(r["deextra_residual"], r["gauge_covariance_residual"])
-                for r in rows)
-    passed = worst <= tol
+    for start in range(0, len(points), _BLOCK):
+        block = points[start:start + _BLOCK]
+        # the stream order of a per-point loop: g's normals, then s's, point by point
+        draws = rng.normal(size=(len(block), 2, rep.spec.r))
+        rows += _gauge_rows(coframe, gauge, spec, rep, block, draws, opts["fd_step"])
+    limits = (("deextra_residual", tol), ("gauge_covariance_residual", tol))
+    worst = _worst_violation(rows, limits)
     config = {"algebra": problem.get("algebra"), "fields": problem.get("fields"),
               "rep": rep_name, "options": opts}
-    body = {"passed": bool(passed), "tolerance": tol,
-            "max_residual": worst, "per_point": rows}
+    residuals = np.array([[row[name] for name, _ in limits] for row in rows])
+    body = {"passed": worst is None, "tolerance": tol,
+            "max_residual": float(residuals.max(initial=0.0)),  # NaN propagates
+            "per_point": rows}
     _emit(_report("gauge-check", config, body), args)
-    return EXIT_OK if passed else EXIT_VIOLATION
+    return _exit_code(worst)
 
 
 # ---------------------------------------------------------------------------

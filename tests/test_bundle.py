@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import expm
 
+from kkgeom import bundle
 from kkgeom.basegeo import ChartSpec, CoframeField, GaugeField, geometry_at_point
 from kkgeom.bundle import (GroupElement, MatrixRep, PathSpec, adjoint_of,
                            builtin_rep, lift_path, verify_deextra,
@@ -93,6 +95,15 @@ def test_adjoint_preserves_h_and_is_homomorphism():
         assert np.abs(adjoint_of(g1 @ g2) - S1 @ S2).max() < 1e-10
 
 
+def test_adjoint_of_a_batch_matches_each_element():
+    rep = builtin_rep("product")
+    xi = np.random.default_rng(5).normal(size=(2, 3, rep.spec.r))
+    S = adjoint_of(rep.exp(xi))
+    assert S.shape == (2, 3, rep.spec.N, rep.spec.N)
+    for index in np.ndindex(2, 3):
+        assert np.abs(S[index] - adjoint_of(rep.exp(xi[index]))).max() < 1e-14
+
+
 def test_adjoint_rotation_oracle():
     # Ad_{exp(t T3)} rotates the (T1, T2) plane by angle t
     rep = builtin_rep("su2_as_so3")
@@ -103,6 +114,54 @@ def test_adjoint_rotation_oracle():
                      [np.sin(t), np.cos(t), 0],
                      [0, 0, 1.0]])
     assert np.abs(fiber - want).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# numpy kernels against scipy
+
+# two scaling-and-squaring codes on 1-norms up to 50 (four squarings) agree
+# to a few hundred rounding units; scipy's own result for a rotation by 25
+# radians is off the closed form by up to 3e-13
+EXPM_RTOL = 1e4 * np.finfo(float).eps
+
+
+def scaled_to_norms(rng, A, top):
+    """A with each matrix rescaled to a random 1-norm in [0, top]."""
+    norm = np.abs(A).sum(axis=-2).max(axis=-1)
+    return A * (rng.uniform(0.0, top, size=norm.shape) / norm)[..., None, None]
+
+
+@pytest.mark.parametrize("batch", [(), (7,), (2, 5)])
+@pytest.mark.parametrize("name", ["su2_as_so3", "u1_as_so2", "product"])
+def test_expm_matches_scipy(name, batch):
+    rep = builtin_rep(name)
+    rng = np.random.default_rng(len(batch) + rep.dim)
+    d = rep.dim
+    xi = rng.normal(size=batch + (rep.spec.r,))
+    elements = scaled_to_norms(rng, rep.algebra_element(xi), 50.0)
+    nilpotent = scaled_to_norms(rng, np.triu(rng.normal(size=batch + (d, d)), 1), 50.0)
+    oracle = np.vectorize(expm, signature="(n,n)->(n,n)")
+    for A in (elements, nilpotent):
+        got, want = bundle.expm(A), oracle(A)
+        assert got.shape == batch + (d, d)
+        scale = np.maximum(1.0, np.abs(want).max(axis=(-2, -1), keepdims=True))
+        assert (np.abs(got - want) <= EXPM_RTOL * scale).all()
+    zero = bundle.expm(np.zeros(batch + (d, d)))
+    assert np.array_equal(zero, np.broadcast_to(np.eye(d), batch + (d, d)))
+
+
+@pytest.mark.parametrize("near_orthogonal", [True, False])
+def test_polar_matches_scipy(near_orthogonal):
+    rng = np.random.default_rng(4)
+    for d in (2, 3, 5):
+        m = rng.normal(size=(6, d, d))
+        if near_orthogonal:
+            m = np.linalg.qr(m)[0] + 1e-6 * rng.normal(size=(6, d, d))
+        got = bundle.polar(m)
+        for mi, gi in zip(m, got):
+            u, _ = scipy.linalg.polar(mi)
+            assert np.abs(bundle.polar(mi) - u).max() < 1e-12
+            assert np.abs(gi - u).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +230,27 @@ def test_lift_stays_on_manifold():
     path = PathSpec(rep, lambda t: np.array([2.0, -1.0, 3.0]), rep.identity_element())
     for g in lift_path(path, 50):
         assert g.manifold_residual() < 1e-8
+
+
+def test_lift_samples_velocity_once_per_stage_time():
+    rep = builtin_rep("su2_as_so3")
+    times = []
+
+    def v(t):
+        times.append(t)
+        return np.array([np.sin(3 * t), t, 1.0])
+
+    out = lift_path(PathSpec(rep, v, rep.identity_element()), 10)
+    # RK4 stages sit at t, t + h/2 (twice) and t + h: 2 steps + 1 distinct times
+    assert len(out) == 11
+    assert np.allclose(times, np.arange(21) * 0.05, rtol=0.0, atol=1e-15)
+
+
+def test_lift_rejects_wrong_velocity_shape():
+    rep = builtin_rep("su2_as_so3")
+    path = PathSpec(rep, lambda t: np.zeros(2), rep.identity_element())
+    with pytest.raises(StructuralError):
+        lift_path(path, 4)
 
 
 def test_lift_rejects_zero_steps():

@@ -1,11 +1,16 @@
 import dataclasses
 import json
+import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from kkgeom import kkcurv
+from kkgeom import basegeo, bundle, kkcurv
 from kkgeom.bundle import builtin_rep
 from kkgeom.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 
@@ -184,24 +189,25 @@ def test_curvature_report_ignores_point_order(tmp_path, capsys):
     assert [r["point"] for r in reports[0][0]] == sorted(points)
 
 
-def count_pipeline_calls(monkeypatch):
+def count_calls(monkeypatch, module,
+                names=("assemble_omega", "curvature_direct", "ricci_closed_form")):
     calls = {}
 
     def counted(name):
-        fn = getattr(kkcurv, name)
+        fn = getattr(module, name)
 
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] = calls.get(name, 0) + 1
-            return fn(*args)
+            return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("assemble_omega", "curvature_direct", "ricci_closed_form"):
-        monkeypatch.setattr(kkcurv, name, counted(name))
+    for name in names:
+        monkeypatch.setattr(module, name, counted(name))
     return calls
 
 
 def test_curvature_computes_each_tensor_once_per_point(tmp_path, capsys, monkeypatch):
-    calls = count_pipeline_calls(monkeypatch)
+    calls = count_calls(monkeypatch, kkcurv)
     path = write_problem(tmp_path, SU2_PROBLEM)
     code, _ = run(capsys, ["curvature", "--input", path])
     assert code == EXIT_OK
@@ -210,7 +216,7 @@ def test_curvature_computes_each_tensor_once_per_point(tmp_path, capsys, monkeyp
 
 
 def test_curvature_sweeps_in_blocks_of_32_points(tmp_path, capsys, monkeypatch):
-    calls = count_pipeline_calls(monkeypatch)
+    calls = count_calls(monkeypatch, kkcurv)
     problem = json.loads(json.dumps(SU2_PROBLEM))
     problem["fields"]["lattice"]["steps"] = [3, 11]
     code, out = run(capsys, ["curvature", "--input", write_problem(tmp_path, problem)])
@@ -431,6 +437,77 @@ def test_gauge_check_mismatched_rep(tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("tol", [0, -1e-5, "1e-5"])
+def test_gauge_check_rejects_bad_tolerance(tmp_path, capsys, tol):
+    problem = json.loads(json.dumps(SU2_PROBLEM))
+    problem["options"]["gauge_tol"] = tol
+    code, out = run(capsys, ["gauge-check", "--input", write_problem(tmp_path, problem)])
+    assert code == EXIT_USAGE
+    assert "gauge_tol" in out.err
+
+
+def test_gauge_check_sweeps_in_blocks_of_32_points(tmp_path, capsys, monkeypatch):
+    geometry = count_calls(monkeypatch, basegeo, ["geometry_at_point"])
+    calls = count_calls(monkeypatch, bundle, ["assemble_omega", "curvature_direct", "expm"])
+    problem = json.loads(json.dumps(SU2_PROBLEM))
+    problem["fields"]["lattice"]["steps"] = [3, 11]
+    code, out = run(capsys, ["gauge-check", "--input", write_problem(tmp_path, problem)])
+    assert code == EXIT_OK
+    assert len(json.loads(out.out)["per_point"]) == 33
+    assert geometry == {"geometry_at_point": 2}
+    # per block: one exp for the drawn group elements, one for all fiber stencil points
+    assert calls == {"assemble_omega": 2, "curvature_direct": 2, "expm": 4}
+
+
+def test_gauge_check_report_ignores_point_order(tmp_path, capsys):
+    points = [[0.1 * i - 0.3, 0.05 * i * i - 0.4] for i in range(40)]
+    reports = []
+    for order in (points, points[::-1], points[1::2] + points[::2]):
+        problem = with_fields(lattice=None, points=order)
+        code, out = run(capsys, ["gauge-check", "--input", write_problem(tmp_path, problem)])
+        assert code == EXIT_OK
+        report = json.loads(out.out)
+        reports.append({k: report[k] for k in ("passed", "max_residual", "per_point")})
+    assert reports[0] == reports[1] == reports[2]
+    assert [r["point"] for r in reports[0]["per_point"]] == sorted(points)
+
+
+def test_gauge_check_nan_residual_is_a_violation(tmp_path, capsys, monkeypatch):
+    exact = bundle.verify_gauge_covariance
+    second = [-0.5, 0.5]  # the second of the four sorted lattice points
+
+    def nan_at_second_point(geom, g, spec):
+        at = np.all(geom.point == second, axis=-1)
+        return np.where(at, np.nan, exact(geom, g, spec))
+
+    monkeypatch.setattr(bundle, "verify_gauge_covariance", nan_at_second_point)
+    code, out = run(capsys, ["gauge-check", "--input", write_problem(tmp_path, SU2_PROBLEM)])
+    assert code == EXIT_VIOLATION
+    report = json.loads(out.out)
+    assert report["passed"] is False
+    assert math.isnan(report["max_residual"])
+    assert math.isnan(report["per_point"][1]["gauge_covariance_residual"])
+    (line,) = out.err.strip().splitlines()
+    assert "gauge_covariance_residual = nan" in line
+    assert str(second) in line
+
+
+@pytest.mark.parametrize("command", ["curvature", "gauge-check"])
+@pytest.mark.parametrize("block,entry,source", [
+    ("coframe", (0, 0), "1+sqrt(x1)"),
+    ("gauge", (2, 1), "log(x1)"),
+])
+def test_domain_error_names_entry_and_point(tmp_path, capsys, command, block, entry,
+                                            source):
+    problem = with_fields(lattice=None, points=[[0.5, 0.1], [0.0, 0.25], [0.2, 0.3]])
+    problem["fields"][block][entry[0]][entry[1]] = source
+    code, out = run(capsys, [command, "--input", write_problem(tmp_path, problem)])
+    assert code == EXIT_USAGE
+    assert out.out == ""
+    (line,) = out.err.strip().splitlines()
+    assert f"{block}[{entry[0]}][{entry[1]}] = {source} at point [0.0, 0.25]" in line
+
+
 # ---------------------------------------------------------------------------
 # report metadata
 
@@ -442,3 +519,40 @@ def test_report_embeds_config_digest(tmp_path, capsys):
     assert len(report["config_digest"]) == 16
     assert report["wall_time_s"] >= 0.0
     assert "jobs" not in report["config"]["options"]
+
+
+# ---------------------------------------------------------------------------
+# runtime dependencies: numpy only, scipy is a test oracle
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def run_python(args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable] + args, env=env, capture_output=True,
+                          text=True, timeout=300)
+
+
+def test_cli_import_loads_no_scipy():
+    proc = run_python(["-c", "import sys, kkgeom.cli; "
+                             "print(sorted(m for m in sys.modules if m.startswith('scipy')))"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["curvature", "gauge-check", "lift"])
+def test_commands_run_without_scipy(tmp_path, command):
+    path = write_problem(tmp_path, SU2_PROBLEM)
+    proc = run_python([str(ROOT / "tests" / "no_scipy.py"), "-m", "kkgeom.cli", command,
+                       "--input", path, "--out", str(tmp_path / "report.json")])
+    assert proc.returncode == EXIT_OK, proc.stderr
+
+
+def test_scipy_blocker_blocks_scipy(tmp_path):
+    script = tmp_path / "uses_scipy.py"
+    script.write_text("import scipy.linalg\n")
+    proc = run_python([str(ROOT / "tests" / "no_scipy.py"), str(script)])
+    assert proc.returncode != 0
+    assert "scipy is blocked" in proc.stderr

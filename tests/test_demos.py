@@ -1,4 +1,5 @@
-"""Each narrative script in demos/ runs to completion against the package."""
+"""Each narrative script in demos/ runs to completion against the package,
+with the runtime dependencies only (scipy blocked)."""
 
 import os
 import pathlib
@@ -8,6 +9,7 @@ import sys
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+NO_SCIPY = ROOT / "tests" / "no_scipy.py"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
@@ -16,6 +18,6 @@ def test_demo_runs(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
+    proc = subprocess.run([sys.executable, str(NO_SCIPY), str(script)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
