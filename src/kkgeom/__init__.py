@@ -26,8 +26,7 @@ from .bundle import (GroupElement, MatrixRep, PathSpec, adjoint_of,
                      verify_gauge_covariance)
 from .errors import (DegenerateCoframeError, DegenerateMetricError,
                      DegreeError, EvalDomainError, ExprSyntaxError,
-                     IntegratorError, KKGeomError, StructuralError,
-                     UnknownIdentifierError)
+                     KKGeomError, StructuralError, UnknownIdentifierError)
 from .exterior import (AlternatingForm, basis_one_form, check_identities,
                        d_substitute, epsilon_form, frame_vector, interior,
                        lie_wedge_1, lie_wedge_2, top_form, wedge)

@@ -22,6 +22,14 @@ geometry, the group elements and the fiber points carry the same leading
 batch axes, the fiber stencils of every point are extra rows of one array,
 and the residuals hold one value per point.
 
+Path lifting is batched over its steps.  A path velocity maps an array of
+times ``(T,)`` to velocities ``(T, r)`` and is sampled once at every RK4
+stage time.  Each step g -> g P_k has a step operator P_k that depends on
+the stage velocities alone, so all P_k and their polar factors are batch
+computations, and only the chain of d x d products runs step by step.  The
+lift returns one batched ``GroupElement`` of shape ``(steps + 1, d, d)``,
+which indexes and iterates like a list of elements.
+
 The matrix exponential (scaling and squaring with a Pade approximant) and
 the polar projection are implemented here on numpy alone, for stacks of
 matrices.
@@ -33,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntegratorError, StructuralError
+from .errors import StructuralError
 from .kkcurv import assemble_omega, curvature_direct
 from .liealg import EPSILON3, LieAlgebraSpec, builtin_algebra
 
@@ -171,14 +179,27 @@ class GroupElement:
             raise StructuralError(f"element shape {m.shape} does not match rep "
                                   f"dimension {self.rep.dim}")
         res = self.manifold_residual()
-        if res > self.tol:
+        if not res <= self.tol:  # NaN and infinite matrices fail too
             raise StructuralError(f"matrix is off the group manifold "
                                   f"(orthogonality residual {res:.3e})")
 
     def manifold_residual(self) -> float:
+        """Max entry of |g^T g - 1| over the batch; NaN for a non-finite matrix."""
         m = self.matrix
-        return float(np.abs(np.swapaxes(m, -2, -1) @ m - np.eye(self.rep.dim))
-                     .max(initial=0.0))
+        with np.errstate(invalid="ignore"):  # inf entries give NaN, quietly
+            return float(np.abs(np.swapaxes(m, -2, -1) @ m - np.eye(self.rep.dim))
+                         .max(initial=0.0))
+
+    def __len__(self):
+        if self.matrix.ndim < 3:
+            raise TypeError("a single group element has no length")
+        return self.matrix.shape[0]
+
+    def __getitem__(self, index) -> "GroupElement":
+        """Element or sub-batch ``index`` along the leading batch axis."""
+        if self.matrix.ndim < 3:
+            raise TypeError("a single group element cannot be indexed")
+        return GroupElement(self.rep, self.matrix[index], self.tol)
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         if other.rep is not self.rep:
@@ -191,25 +212,30 @@ class GroupElement:
 
 @dataclass(frozen=True)
 class PathSpec:
-    """A fiber-direction path: v maps t in [0, 1] to an r-vector of algebra
-    coordinates; the lift solves g' = g * (sum v^alpha(t) T_alpha) from g0."""
+    """A fiber-direction path: v maps an array of times in [0, 1], shape
+    ``(T,)``, to the algebra coordinates at those times, shape ``(T, r)``
+    (one time is a batch of one); the lift solves
+    g' = g * (sum v^alpha(t) T_alpha) from g0."""
 
     rep: MatrixRep
-    v: object  # callable t -> array of shape (r,)
+    v: object  # callable: times (T,) -> velocities (T, r)
     g0: GroupElement
 
     @staticmethod
     def sampled(rep, times, values, g0) -> "PathSpec":
-        """Piecewise-linear v through sample points (times[i], values[i])."""
+        """Piecewise-linear v through sample points (times[i], values[i]);
+        the times must increase strictly."""
         times = np.asarray(times, dtype=float)
         values = np.asarray(values, dtype=float)
-        if values.shape != (times.size, rep.spec.r):
+        if times.ndim != 1 or values.shape != (times.size, rep.spec.r):
             raise StructuralError(f"sampled values must have shape "
                                   f"({times.size}, {rep.spec.r}), got {values.shape}")
+        if not np.all(np.diff(times) > 0):
+            raise StructuralError("sample times must increase strictly")
 
         def v(t):
-            return np.array([np.interp(t, times, values[:, a])
-                             for a in range(rep.spec.r)])
+            return np.stack([np.interp(t, times, values[:, a])
+                             for a in range(rep.spec.r)], axis=-1)
 
         return PathSpec(rep, v, g0)
 
@@ -262,36 +288,65 @@ def adjoint_of(g: GroupElement) -> np.ndarray:
     return _identity_padded(_fiber_adjoint(g), g.rep.spec.n)
 
 
-def lift_path(path: PathSpec, steps: int):
+def _step_operators(X: np.ndarray, h: float) -> np.ndarray:
+    """The classical 4th-order step of g' = g X(t) as right factors P_k,
+    g_{k+1} = g_k P_k, from the algebra elements X at the stage times
+    t_k, t_k + h/2 and t_k + h (rows 2k, 2k + 1 and 2k + 2 of ``X``).
+
+    Every stage slope is g_k times a matrix that depends on the stage
+    velocities alone, so each P_k is known before g_k."""
+    x0, xh, x1 = X[:-2:2], X[1::2], X[2::2]
+    ident = np.eye(X.shape[-1])
+    # stage slope i is g_k a_i, with a_1 = x0
+    a2 = (ident + 0.5 * h * x0) @ xh
+    a3 = (ident + 0.5 * h * a2) @ xh
+    a4 = (ident + h * a3) @ x1
+    return ident + (h / 6.0) * (x0 + 2.0 * a2 + 2.0 * a3 + a4)
+
+
+# Steps per pass of lift_path: the step operators, their polar factors and
+# the temporaries of one pass take a few MB for the built-in reps (d <= 5),
+# however many steps the path has.
+_LIFT_CHUNK = 2048
+
+
+def lift_path(path: PathSpec, steps: int) -> GroupElement:
     """Integrate g' = g * v(t) over [0, 1] with the classical 4th-order
-    one-step method, projecting back to the manifold (polar decomposition)
-    after every step.  Returns the list of steps + 1 group elements."""
+    one-step method, projecting every step back to the manifold.
+
+    v is sampled once, at all 2 steps + 1 stage times j h / 2.  Each step is
+    g_{k+1} = g_k P_k with a step operator P_k built from those samples, and
+    the projection is g_k polar(P_k): the polar factor of g_k P_k for an
+    orthogonal g_k.  The operators and their polar factors are computed in
+    batches of steps; only the chain of d x d products is sequential, with
+    one Newton-Schulz step g <- g (3 - g^T g) / 2 per step that keeps the
+    product orthogonal to rounding.  Returns the steps + 1 group elements as
+    one batched element, shape ``(steps + 1, d, d)``.
+    """
     if steps < 1:
         raise StructuralError(f"need at least one step, got {steps}")
     rep = path.rep
+    if path.g0.matrix.shape != (rep.dim, rep.dim):
+        raise StructuralError(f"g0 must be one group element, got shape "
+                              f"{path.g0.matrix.shape}")
     h = 1.0 / steps
-    # the stages sample v at t, t + h/2 (twice) and t + h: each j h/2 once
-    xi = np.array([path.v(t) for t in (0.5 * h * np.arange(2 * steps + 1)).tolist()],
-                  dtype=float)
+    xi = np.asarray(path.v(0.5 * h * np.arange(2 * steps + 1)), dtype=float)
     if xi.shape != (2 * steps + 1, rep.spec.r):
-        raise StructuralError(f"v(t) must be a {rep.spec.r}-vector, got shape {xi.shape[1:]}")
-    X = rep.algebra_element(xi)
+        raise StructuralError(f"v must map {2 * steps + 1} times to shape "
+                              f"({2 * steps + 1}, {rep.spec.r}), got {xi.shape}")
+    if not np.isfinite(xi).all():
+        raise StructuralError("v is not finite on [0, 1]")
 
-    out = [path.g0]
-    m = path.g0.matrix
-    for k in range(steps):
-        x0, xh, x1 = X[2 * k], X[2 * k + 1], X[2 * k + 2]
-        k1 = m @ x0
-        k2 = (m + 0.5 * h * k1) @ xh
-        k3 = (m + 0.5 * h * k2) @ xh
-        k4 = (m + h * k3) @ x1
-        m = polar(m + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        drift = float(np.abs(m.T @ m - np.eye(rep.dim)).max())
-        if drift > 1e-6:
-            raise IntegratorError(f"off-manifold drift {drift:.3e} after step "
-                                  f"{k + 1}/{steps}")
-        out.append(GroupElement(rep, m))
-    return out
+    out = np.empty((steps + 1, rep.dim, rep.dim))
+    out[0] = m = path.g0.matrix
+    three_halves = 1.5 * np.eye(rep.dim)
+    for start in range(0, steps, _LIFT_CHUNK):
+        stop = min(start + _LIFT_CHUNK, steps)
+        Q = polar(_step_operators(rep.algebra_element(xi[2 * start:2 * stop + 1]), h))
+        for k, q in enumerate(Q, start + 1):
+            m = m @ q
+            out[k] = m = m @ (three_halves - 0.5 * (m.T @ m))  # m (3 - m^T m) / 2
+    return GroupElement(rep, out)
 
 
 # ---------------------------------------------------------------------------

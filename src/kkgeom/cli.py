@@ -35,8 +35,8 @@ import numpy as np
 from . import basegeo, bundle, exterior, kkcurv, liealg
 from .errors import (DegenerateCoframeError, DegenerateMetricError,
                      DegreeError, EvalDomainError, ExprSyntaxError,
-                     IntegratorError, KKGeomError, StructuralError,
-                     UnknownIdentifierError)
+                     KKGeomError, StructuralError, UnknownIdentifierError)
+from .fieldexpr import FieldProvider
 
 __all__ = ["main"]
 
@@ -286,31 +286,63 @@ def cmd_curvature(args):
 # lift
 
 
+def _float_array(data, where):
+    try:
+        return np.array(data, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise _UsageError(f"{where} must be a rectangular array of numbers") from exc
+
+
+def _expression_velocity(sources):
+    """v(t) for a list of expressions in x1: one batched evaluation per
+    component over all the times."""
+    provs = [FieldProvider(s, n=1) for s in sources]
+
+    def v(t):
+        t = np.asarray(t, dtype=float)[..., None]
+        return np.stack([p.evaluate(t) for p in provs], axis=-1)
+
+    return v
+
+
 def _path_specs(problem, rep):
-    out = []
-    for entry in problem.get("paths", []):
-        g0_data = entry.get("g0", "identity")
-        if g0_data == "identity":
-            g0 = rep.identity_element()
-        else:
-            g0 = bundle.GroupElement(rep, np.array(g0_data, dtype=float))
-        v_data = entry["v"]
-        if v_data and isinstance(v_data[0], str):
-            from .fieldexpr import FieldProvider
-            provs = [FieldProvider(s, n=1) for s in v_data]
-            if len(provs) != rep.spec.r:
-                raise _UsageError(f"path needs {rep.spec.r} velocity expressions")
-
-            def v(t, provs=provs):
-                return np.array([p.evaluate(np.array([t])) for p in provs])
-
-            path = bundle.PathSpec(rep, v, g0)
-        else:
-            samples = np.array(v_data, dtype=float)
-            path = bundle.PathSpec.sampled(rep, samples[:, 0], samples[:, 1:], g0)
-        out.append((path, int(entry.get("steps", 100))))
-    if not out:
+    """(PathSpec, steps) for each entry of the problem's 'paths' list."""
+    entries = problem.get("paths")
+    if not entries:
         raise _UsageError("problem JSON has no 'paths' section")
+    if not isinstance(entries, list):
+        raise _UsageError("'paths' must be a list of path objects")
+    r = rep.spec.r
+    out = []
+    for i, entry in enumerate(entries):
+        where = f"paths[{i}]"
+        if not isinstance(entry, dict):
+            raise _UsageError(f"{where} must be an object")
+        v_data = entry.get("v")
+        if not isinstance(v_data, list) or not v_data:
+            raise _UsageError(f"{where} needs a non-empty 'v' list")
+        steps = entry.get("steps", 100)
+        if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
+            raise _UsageError(f"{where}.steps must be a positive integer, got {steps!r}")
+        g0_data = entry.get("g0", "identity")
+        try:
+            if g0_data == "identity":
+                g0 = rep.identity_element()
+            else:
+                g0 = bundle.GroupElement(rep, _float_array(g0_data, f"{where}.g0"))
+            if all(isinstance(e, str) for e in v_data):
+                if len(v_data) != r:
+                    raise _UsageError(f"{where} needs {r} velocity expressions, "
+                                      f"got {len(v_data)}")
+                path = bundle.PathSpec(rep, _expression_velocity(v_data), g0)
+            else:
+                samples = _float_array(v_data, f"{where}.v")
+                if samples.ndim != 2 or samples.shape[1] != r + 1:
+                    raise _UsageError(f"{where}.v rows must be [t, v1, ..., v{r}]")
+                path = bundle.PathSpec.sampled(rep, samples[:, 0], samples[:, 1:], g0)
+        except StructuralError as exc:
+            raise _UsageError(f"{where}: {exc}") from exc
+        out.append((path, steps))
     return out
 
 
@@ -341,10 +373,11 @@ def cmd_lift(args):
 # gauge-check
 
 
-def _gauge_rows(coframe, gauge, spec, rep, points, draws, fd_step):
+def _gauge_rows(coframe, gauge, spec, rep, points, draws, deriv_mode, fd_step):
     """Report rows for a (count, n) block of points, one pass of each check;
     ``draws[i]`` holds the group-element and fiber-point normals of point i."""
-    geom = basegeo.geometry_at_point(coframe, gauge, spec, points, fd_step=fd_step)
+    geom = basegeo.geometry_at_point(coframe, gauge, spec, points,
+                                     deriv_mode=deriv_mode, fd_step=fd_step)
     g = rep.exp(draws[:, 0])
     return _rows({
         "point": points,
@@ -364,7 +397,9 @@ def cmd_gauge_check(args):
     if rep.spec.r != spec.r:
         raise _UsageError(f"rep {rep_name!r} has fiber dimension {rep.spec.r}, "
                           f"algebra has {spec.r}")
-    chart, coframe, gauge, points = basegeo.load_fields(problem.get("fields", {}), spec)
+    fields = problem.get("fields", {})
+    deriv_mode = fields.get("deriv_mode", "analytic")
+    chart, coframe, gauge, points = basegeo.load_fields(fields, spec)
     rng = np.random.default_rng(int(opts["seed"]))
     tol = opts.get("gauge_tol", 1e-5)
     if not (isinstance(tol, (int, float)) and tol > 0):
@@ -374,7 +409,8 @@ def cmd_gauge_check(args):
         block = points[start:start + _BLOCK]
         # the stream order of a per-point loop: g's normals, then s's, point by point
         draws = rng.normal(size=(len(block), 2, rep.spec.r))
-        rows += _gauge_rows(coframe, gauge, spec, rep, block, draws, opts["fd_step"])
+        rows += _gauge_rows(coframe, gauge, spec, rep, block, draws, deriv_mode,
+                            opts["fd_step"])
     limits = (("deextra_residual", tol), ("gauge_covariance_residual", tol))
     worst = _worst_violation(rows, limits)
     config = {"algebra": problem.get("algebra"), "fields": problem.get("fields"),
@@ -440,7 +476,7 @@ def main(argv=None):
             EvalDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DegenerateCoframeError, DegenerateMetricError, IntegratorError) as exc:
+    except (DegenerateCoframeError, DegenerateMetricError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except KKGeomError as exc:

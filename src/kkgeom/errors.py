@@ -46,7 +46,3 @@ class EvalDomainError(KKGeomError):
 
 class DegreeError(KKGeomError):
     """Operation applied to a form of unsupported degree."""
-
-
-class IntegratorError(KKGeomError):
-    """Path lifting drifted off the group manifold beyond tolerance."""

@@ -5,12 +5,20 @@ coefficient arrays.  Scalar-valued forms have coefficient shape ``()``;
 vector- and matrix-valued forms carry whatever ``value_shape`` they were
 built with.  All operations are pure and the containers are treated as
 immutable once constructed.
+
+The public constructor validates every multi-index and coefficient.  The
+operations (``wedge``, ``interior``, ``d_substitute``, ``+``, ``-``, ``*``)
+produce valid coefficients by construction, so they build their results
+through a private constructor that only drops zero coefficients, and each
+result is built once (``d_substitute`` accumulates all of its Leibniz terms
+into one map).
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -95,10 +103,10 @@ class AlternatingForm:
 
     def __add__(self, other):
         self._check_compatible(other)
-        out = {}
-        for idx in set(self.coeffs) | set(other.coeffs):
-            out[idx] = self.get_sorted(idx) + other.get_sorted(idx)
-        return AlternatingForm(self.N, self.degree, out, self.value_shape)
+        out = dict(self.coeffs)
+        for idx, value in other.coeffs.items():
+            out[idx] = out[idx] + value if idx in out else value
+        return _form(self.N, self.degree, out, self.value_shape)
 
     def __sub__(self, other):
         return self + (-other)
@@ -107,17 +115,12 @@ class AlternatingForm:
         return self * (-1.0)
 
     def __mul__(self, scalar):
-        return AlternatingForm(
-            self.N,
-            self.degree,
-            {idx: scalar * v for idx, v in self.coeffs.items()},
-            self.value_shape,
-        )
+        if not isinstance(scalar, numbers.Real):
+            return NotImplemented
+        return _form(self.N, self.degree,
+                     {idx: scalar * v for idx, v in self.coeffs.items()}, self.value_shape)
 
     __rmul__ = __mul__
-
-    def get_sorted(self, idx):
-        return self.coeffs.get(idx, np.zeros(self.value_shape))
 
     def _check_compatible(self, other):
         if (
@@ -156,6 +159,22 @@ class AlternatingForm:
         )
 
 
+def _form(N, degree, coeffs, value_shape) -> AlternatingForm:
+    """Trusted constructor for the results of form operations: the keys of
+    ``coeffs`` are valid strictly increasing multi-indices and its values
+    have shape ``value_shape``.  Zero coefficients are dropped; nothing is
+    checked."""
+    form = AlternatingForm.__new__(AlternatingForm)
+    form.N = N
+    form.degree = degree
+    form.value_shape = value_shape
+    if value_shape:
+        form.coeffs = {idx: v for idx, v in coeffs.items() if v.any()}
+    else:
+        form.coeffs = {idx: v for idx, v in coeffs.items() if v != 0.0}
+    return form
+
+
 def basis_one_form(N, A, value_shape=()):
     """The coordinate 1-form with index ``A`` (scalar coefficient 1)."""
     if value_shape != ():
@@ -180,20 +199,20 @@ def wedge(alpha: AlternatingForm, beta: AlternatingForm) -> AlternatingForm:
     if degree > N:
         return AlternatingForm.zero(N, N, value_shape)
     out = {}
-    for ia, va in alpha.coeffs.items():
+    _wedge_into(out, alpha.coeffs, beta.coeffs)
+    return _form(N, degree, out, value_shape)
+
+
+def _wedge_into(out, a_coeffs, b_coeffs):
+    """Add the terms of the wedge product of two coefficient maps into ``out``."""
+    for ia, va in a_coeffs.items():
         sa = set(ia)
-        for ib, vb in beta.coeffs.items():
-            if sa & set(ib):
-                continue
-            merged = ia + ib
-            sign = _perm_sign_sorting(merged)
-            idx = tuple(sorted(merged))
-            term = sign * (va * vb)
-            if idx in out:
-                out[idx] = out[idx] + term
-            else:
-                out[idx] = term
-    return AlternatingForm(N, degree, out, value_shape)
+        for ib, vb in b_coeffs.items():
+            if sa.isdisjoint(ib):
+                merged = ia + ib
+                idx = tuple(sorted(merged))
+                term = _perm_sign_sorting(merged) * (va * vb)
+                out[idx] = out[idx] + term if idx in out else term
 
 
 def interior(v, alpha: AlternatingForm) -> AlternatingForm:
@@ -210,11 +229,8 @@ def interior(v, alpha: AlternatingForm) -> AlternatingForm:
                 continue
             rest = idx[:pos] + idx[pos + 1 :]
             term = ((-1.0) ** pos) * v[A] * value
-            if rest in out:
-                out[rest] = out[rest] + term
-            else:
-                out[rest] = term
-    return AlternatingForm(alpha.N, alpha.degree - 1, out, alpha.value_shape)
+            out[rest] = out[rest] + term if rest in out else term
+    return _form(alpha.N, alpha.degree - 1, out, alpha.value_shape)
 
 
 def frame_vector(N, A):
@@ -302,16 +318,20 @@ def d_substitute(alpha: AlternatingForm, dtheta) -> AlternatingForm:
     substituted for a basis factor commutes past the remaining 1-forms.
     """
     N = alpha.N
+    if alpha.degree >= N:
+        raise DegreeError(f"degree {alpha.degree + 1} outside 0..{N}")
     if len(dtheta) != N:
         raise StructuralError(f"need {N} substituted 2-forms, got {len(dtheta)}")
-    out = AlternatingForm.zero(N, alpha.degree + 1, alpha.value_shape)
+    for beta in dtheta:
+        if not (isinstance(beta, AlternatingForm) and beta.N == N and beta.degree == 2
+                and beta.value_shape == ()):
+            raise StructuralError(f"substituted forms must be scalar 2-forms on N={N}")
+    out = {}
     for idx, value in alpha.coeffs.items():
         for pos, A in enumerate(idx):
             rest = idx[:pos] + idx[pos + 1 :]
-            monomial = AlternatingForm(N, alpha.degree - 1, {rest: ((-1.0) ** pos) * value},
-                                       alpha.value_shape)
-            out = out + wedge(dtheta[A], monomial)
-    return out
+            _wedge_into(out, dtheta[A].coeffs, {rest: ((-1.0) ** pos) * value})
+    return _form(N, alpha.degree + 1, out, alpha.value_shape)
 
 
 @dataclass(frozen=True)
@@ -337,14 +357,25 @@ def check_identities(N, trials=200, seed=0, exhaustive_limit=5) -> IdentityRepor
     Index-choice identities are checked exhaustively for ``N`` up to
     ``exhaustive_limit`` and on random draws above it; the two derivative
     identities substitute random integer-coefficient 2-forms for each
-    ``d theta^B``.  In exact arithmetic all residuals are zero.
+    ``d theta^B``.  ``trials``, a positive integer, is the number of random
+    draws per identity.  In exact arithmetic all residuals are zero.
     """
     if N < 3:
         raise DegreeError("identity suite needs N >= 3")
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
+        raise StructuralError(f"trials must be a positive integer, got {trials!r}")
     rng = np.random.default_rng(seed)
     vol = top_form(N)
     th = [basis_one_form(N, A) for A in range(N)]
-    e1 = {A: epsilon_form(N, [A]) for A in range(N)}
+    zero = {k: AlternatingForm.zero(N, k) for k in (N - 2, N - 1, N)}
+    epsilons = {}
+
+    def eps(*fixed):
+        """epsilon_form(N, fixed), built once per index tuple."""
+        form = epsilons.get(fixed)
+        if form is None:
+            form = epsilons[fixed] = epsilon_form(N, fixed)
+        return form
 
     res = {name: 0.0 for name in (
         "theta^A /\\ theta^(N-1)",
@@ -354,76 +385,66 @@ def check_identities(N, trials=200, seed=0, exhaustive_limit=5) -> IdentityRepor
         "d theta^(N-2) Leibniz",
     )}
 
-    exhaustive = N <= exhaustive_limit
-    if exhaustive:
-        singles = [(A, Ap) for A in range(N) for Ap in range(N)]
-        pairs = [(A, Ap, Bp) for A in range(N) for Ap in range(N) for Bp in range(N)]
-        triples = [
-            (A, Ap, Bp, Cp)
-            for A in range(N)
-            for Ap in range(N)
-            for Bp in range(N)
-            for Cp in range(N)
-        ]
+    if N <= exhaustive_limit:
+        singles = list(product(range(N), repeat=2))
+        pairs = list(product(range(N), repeat=3))
+        triples = list(product(range(N), repeat=4))
     else:
-        singles = [tuple(rng.integers(0, N, 2)) for _ in range(trials)]
-        pairs = [tuple(rng.integers(0, N, 3)) for _ in range(trials)]
-        triples = [tuple(rng.integers(0, N, 4)) for _ in range(trials)]
+        # one call per family draws the same stream as one call per trial
+        singles = rng.integers(0, N, (trials, 2)).tolist()
+        pairs = rng.integers(0, N, (trials, 3)).tolist()
+        triples = rng.integers(0, N, (trials, 4)).tolist()
 
     for A, Ap in singles:
-        lhs = wedge(th[A], e1[Ap])
-        rhs = vol if A == Ap else AlternatingForm.zero(N, N)
+        lhs = wedge(th[A], eps(Ap))
+        rhs = vol if A == Ap else zero[N]
         res["theta^A /\\ theta^(N-1)"] = max(
             res["theta^A /\\ theta^(N-1)"], (lhs - rhs).max_abs()
         )
 
     for A, Ap, Bp in pairs:
-        lhs = wedge(th[A], epsilon_form(N, [Ap, Bp]))
-        rhs = AlternatingForm.zero(N, N - 1)
+        lhs = wedge(th[A], eps(Ap, Bp))
+        rhs = zero[N - 1]
         if A == Bp:
-            rhs = rhs + e1[Ap]
+            rhs = rhs + eps(Ap)
         if A == Ap:
-            rhs = rhs - e1[Bp]
+            rhs = rhs - eps(Bp)
         res["theta^A /\\ theta^(N-2)"] = max(
             res["theta^A /\\ theta^(N-2)"], (lhs - rhs).max_abs()
         )
 
     for A, Ap, Bp, Cp in triples:
-        lhs = wedge(th[A], epsilon_form(N, [Ap, Bp, Cp]))
-        rhs = AlternatingForm.zero(N, N - 2)
+        lhs = wedge(th[A], eps(Ap, Bp, Cp))
+        rhs = zero[N - 2]
         if A == Cp:
-            rhs = rhs + epsilon_form(N, [Ap, Bp])
+            rhs = rhs + eps(Ap, Bp)
         if A == Bp:
-            rhs = rhs + epsilon_form(N, [Cp, Ap])
+            rhs = rhs + eps(Cp, Ap)
         if A == Ap:
-            rhs = rhs + epsilon_form(N, [Bp, Cp])
+            rhs = rhs + eps(Bp, Cp)
         res["theta^A /\\ theta^(N-3)"] = max(
             res["theta^A /\\ theta^(N-3)"], (lhs - rhs).max_abs()
         )
 
     # Leibniz identities, with integer random 2-forms standing in for d theta^B
+    planes = list(combinations(range(N), 2))
     for _ in range(trials):
-        beta = []
-        for _B in range(N):
-            coeffs = {}
-            for i, j in combinations(range(N), 2):
-                value = float(rng.integers(-3, 4))
-                if value:
-                    coeffs[(i, j)] = value
-            beta.append(AlternatingForm(N, 2, coeffs))
+        # row B holds the coefficients of beta^B, drawn plane by plane
+        draws = rng.integers(-3, 4, (N, len(planes))).astype(float).tolist()
+        beta = [_form(N, 2, dict(zip(planes, row)), ()) for row in draws]
 
         A = int(rng.integers(0, N))
-        lhs = d_substitute(e1[A], beta)
-        rhs = AlternatingForm.zero(N, N)
+        lhs = d_substitute(eps(A), beta)
+        rhs = zero[N]
         for B in range(N):
-            rhs = rhs + wedge(beta[B], epsilon_form(N, [A, B]))
+            rhs = rhs + wedge(beta[B], eps(A, B))
         res["d theta^(N-1) Leibniz"] = max(res["d theta^(N-1) Leibniz"], (lhs - rhs).max_abs())
 
-        A, B = (int(x) for x in rng.integers(0, N, 2))
-        lhs = d_substitute(epsilon_form(N, [A, B]), beta)
-        rhs = AlternatingForm.zero(N, N - 1)
+        A, B = rng.integers(0, N, 2).tolist()
+        lhs = d_substitute(eps(A, B), beta)
+        rhs = zero[N - 1]
         for C in range(N):
-            rhs = rhs + wedge(beta[C], epsilon_form(N, [A, B, C]))
+            rhs = rhs + wedge(beta[C], eps(A, B, C))
         res["d theta^(N-2) Leibniz"] = max(res["d theta^(N-2) Leibniz"], (lhs - rhs).max_abs())
 
     return IdentityReport(N=N, trials=trials, residuals=res)

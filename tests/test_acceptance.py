@@ -242,12 +242,13 @@ def test_08_path_lifting():
     done = timed(10)
     rep = builtin_rep("su2_as_so3")
     xi = np.array([0.3, -0.7, 0.5])
-    out = lift_path(PathSpec(rep, lambda t: xi, rep.identity_element()), 1000)
+    out = lift_path(PathSpec(rep, lambda t: np.tile(xi, (len(t), 1)),
+                             rep.identity_element()), 1000)
     exp_err = np.abs(out[-1].matrix - expm(rep.algebra_element(xi))).max()
     assert exp_err <= 1e-8
 
     def v(t):
-        return np.array([np.sin(3 * t), t, np.cos(2 * t)])
+        return np.stack([np.sin(3 * t), t, np.cos(2 * t)], axis=-1)
 
     def final(steps):
         return lift_path(PathSpec(rep, v, rep.identity_element()), steps)[-1].matrix

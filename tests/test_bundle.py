@@ -8,7 +8,7 @@ from kkgeom.basegeo import ChartSpec, CoframeField, GaugeField, geometry_at_poin
 from kkgeom.bundle import (GroupElement, MatrixRep, PathSpec, adjoint_of,
                            builtin_rep, lift_path, verify_deextra,
                            verify_gauge_covariance)
-from kkgeom.errors import IntegratorError, StructuralError
+from kkgeom.errors import StructuralError
 from kkgeom.liealg import su2_algebra
 
 
@@ -62,6 +62,18 @@ def test_group_element_must_be_orthogonal():
     rep = builtin_rep("su2_as_so3")
     with pytest.raises(StructuralError):
         GroupElement(rep, 1.5 * np.eye(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_group_element_must_be_finite(bad):
+    rep = builtin_rep("su2_as_so3")
+    for m in (np.full((3, 3), bad), np.where(np.eye(3) == 1, bad, 0.0)):
+        with pytest.raises(StructuralError, match="off the group manifold"):
+            GroupElement(rep, m)
+    batch = np.stack([np.eye(3)] * 4)
+    batch[2, 1, 1] = bad
+    with pytest.raises(StructuralError):
+        GroupElement(rep, batch)
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +180,81 @@ def test_polar_matches_scipy(near_orthogonal):
 # path lifting
 
 
+def constant(xi):
+    """A vectorised velocity that is xi at every time."""
+    xi = np.asarray(xi, dtype=float)
+    return lambda t: np.tile(xi, (len(t), 1))
+
+
+def lift_oracle(path, steps):
+    """The brute-force lift: one classical RK4 step of g' = g X(t) at a time,
+    each followed by the polar projection of scipy, with v evaluated at one
+    stage time per call.  Returns the (steps + 1, d, d) matrices."""
+    rep = path.rep
+    h = 1.0 / steps
+
+    def X(j):  # the algebra element at stage time j h / 2
+        return rep.algebra_element(path.v(np.array([0.5 * h * j]))[0])
+
+    m = path.g0.matrix
+    out = [m]
+    for k in range(steps):
+        k1 = m @ X(2 * k)
+        k2 = (m + 0.5 * h * k1) @ X(2 * k + 1)
+        k3 = (m + 0.5 * h * k2) @ X(2 * k + 1)
+        k4 = (m + h * k3) @ X(2 * k + 2)
+        m, _ = scipy.linalg.polar(m + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        out.append(m)
+    return np.array(out)
+
+
+def smooth_velocity(r, seed):
+    """t -> sum of a constant and a sine per component, shape (T, r)."""
+    a, b, c = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(3, r))
+    return lambda t: a + b * np.sin(3.0 * np.asarray(t)[:, None] + c)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 10, 1000])
+@pytest.mark.parametrize("name", ["su2_as_so3", "u1_as_so2", "product"])
+def test_lift_matches_per_step_oracle(name, steps):
+    rep = builtin_rep(name)
+    g0 = rep.exp(np.random.default_rng(rep.dim).normal(size=rep.spec.r))
+    path = PathSpec(rep, smooth_velocity(rep.spec.r, rep.dim + steps), g0)
+    out = lift_path(path, steps)
+    assert out.matrix.shape == (steps + 1, rep.dim, rep.dim)
+    assert np.array_equal(out[0].matrix, g0.matrix)
+    assert np.abs(out.matrix - lift_oracle(path, steps)).max() <= 1e-12
+
+
+def test_lift_stays_orthogonal_to_rounding_over_many_steps():
+    rep = builtin_rep("su2_as_so3")
+    g0 = rep.exp(np.array([0.3, 0.1, -0.4]))
+    out = lift_path(PathSpec(rep, smooth_velocity(3, 11), g0), 20000)
+    assert len(out) == 20001
+    assert out.manifold_residual() <= 1e-14
+
+
+def test_lift_result_indexes_like_a_list():
+    rep = builtin_rep("product")
+    out = lift_path(PathSpec(rep, smooth_velocity(4, 5), rep.identity_element()), 7)
+    assert len(out) == 8
+    items = list(out)
+    assert len(items) == 8
+    for k, g in enumerate(items):
+        assert isinstance(g, GroupElement) and g.rep is rep
+        assert np.array_equal(g.matrix, out.matrix[k])
+    assert np.array_equal(out[-1].matrix, out.matrix[7])
+    assert out[2:5].matrix.shape == (3, 5, 5)
+    with pytest.raises(TypeError):
+        len(out[0])
+    with pytest.raises(TypeError):
+        out[0][0]
+
+
 def test_lift_zero_velocity_is_constant():
     rep = builtin_rep("su2_as_so3")
     g0 = rep.exp(np.array([0.3, 0.1, -0.4]))
-    path = PathSpec(rep, lambda t: np.zeros(3), g0)
+    path = PathSpec(rep, constant(np.zeros(3)), g0)
     out = lift_path(path, 10)
     assert all(np.allclose(g.matrix, g0.matrix, atol=1e-14) for g in out)
 
@@ -179,7 +262,7 @@ def test_lift_zero_velocity_is_constant():
 def test_lift_constant_velocity_matches_exponential():
     rep = builtin_rep("su2_as_so3")
     xi = np.array([0.3, -0.7, 0.5])
-    path = PathSpec(rep, lambda t: xi, rep.identity_element())
+    path = PathSpec(rep, constant(xi), rep.identity_element())
     out = lift_path(path, 1000)
     want = expm(rep.algebra_element(xi))
     assert np.abs(out[-1].matrix - want).max() < 1e-8
@@ -191,8 +274,8 @@ def test_lift_piecewise_constant_composes_exponentials():
     rep = builtin_rep("su2_as_so3")
     xi1 = np.array([0.4, 0.0, -0.2])
     xi2 = np.array([-0.1, 0.6, 0.3])
-    first = lift_path(PathSpec(rep, lambda t: 0.5 * xi1, rep.identity_element()), 1000)
-    second = lift_path(PathSpec(rep, lambda t: 0.5 * xi2, first[-1]), 1000)
+    first = lift_path(PathSpec(rep, constant(0.5 * xi1), rep.identity_element()), 1000)
+    second = lift_path(PathSpec(rep, constant(0.5 * xi2), first[-1]), 1000)
     want = expm(0.5 * rep.algebra_element(xi1)) @ expm(0.5 * rep.algebra_element(xi2))
     assert np.abs(second[-1].matrix - want).max() < 1e-8
 
@@ -201,7 +284,7 @@ def test_lift_convergence_order():
     rep = builtin_rep("su2_as_so3")
 
     def v(t):
-        return np.array([np.sin(3 * t), t, np.cos(2 * t)])
+        return np.stack([np.sin(3 * t), t, np.cos(2 * t)], axis=-1)
 
     def final(steps):
         return lift_path(PathSpec(rep, v, rep.identity_element()), steps)[-1].matrix
@@ -218,7 +301,7 @@ def test_lift_reverse_path_returns_to_start():
     g0 = rep.exp(rng.normal(size=4))
 
     def v(t):
-        return np.array([np.sin(t), t ** 2, 0.3, np.cos(3 * t)])
+        return np.stack([np.sin(t), t ** 2, np.full_like(t, 0.3), np.cos(3 * t)], axis=-1)
 
     forward = lift_path(PathSpec(rep, v, g0), 400)
     back = lift_path(PathSpec(rep, lambda t: -v(1.0 - t), forward[-1]), 400)
@@ -227,35 +310,53 @@ def test_lift_reverse_path_returns_to_start():
 
 def test_lift_stays_on_manifold():
     rep = builtin_rep("su2_as_so3")
-    path = PathSpec(rep, lambda t: np.array([2.0, -1.0, 3.0]), rep.identity_element())
+    path = PathSpec(rep, constant([2.0, -1.0, 3.0]), rep.identity_element())
     for g in lift_path(path, 50):
         assert g.manifold_residual() < 1e-8
 
 
 def test_lift_samples_velocity_once_per_stage_time():
     rep = builtin_rep("su2_as_so3")
-    times = []
+    calls = []
 
     def v(t):
-        times.append(t)
-        return np.array([np.sin(3 * t), t, 1.0])
+        calls.append(np.array(t))
+        return np.stack([np.sin(3 * t), t, np.ones_like(t)], axis=-1)
 
     out = lift_path(PathSpec(rep, v, rep.identity_element()), 10)
-    # RK4 stages sit at t, t + h/2 (twice) and t + h: 2 steps + 1 distinct times
+    # RK4 stages sit at t, t + h/2 (twice) and t + h: one call with all
+    # 2 steps + 1 distinct times
     assert len(out) == 11
+    (times,) = calls
     assert np.allclose(times, np.arange(21) * 0.05, rtol=0.0, atol=1e-15)
 
 
 def test_lift_rejects_wrong_velocity_shape():
     rep = builtin_rep("su2_as_so3")
-    path = PathSpec(rep, lambda t: np.zeros(2), rep.identity_element())
-    with pytest.raises(StructuralError):
-        lift_path(path, 4)
+    for v in (lambda t: np.zeros((len(t), 2)),  # wrong r
+              lambda t: np.zeros(3),  # one vector for all times
+              lambda t: np.zeros((3, len(t)))):  # transposed
+        path = PathSpec(rep, v, rep.identity_element())
+        with pytest.raises(StructuralError):
+            lift_path(path, 4)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_lift_rejects_non_finite_velocity(bad):
+    rep = builtin_rep("su2_as_so3")
+
+    def v(t):
+        out = np.zeros((len(t), 3))
+        out[len(t) // 2, 1] = bad
+        return out
+
+    with pytest.raises(StructuralError, match="not finite"):
+        lift_path(PathSpec(rep, v, rep.identity_element()), 4)
 
 
 def test_lift_rejects_zero_steps():
     rep = builtin_rep("su2_as_so3")
-    path = PathSpec(rep, lambda t: np.zeros(3), rep.identity_element())
+    path = PathSpec(rep, constant(np.zeros(3)), rep.identity_element())
     with pytest.raises(StructuralError):
         lift_path(path, 0)
 
@@ -265,11 +366,19 @@ def test_sampled_path_interpolation():
     times = [0.0, 0.5, 1.0]
     values = [[0.0], [1.0], [0.0]]
     path = PathSpec.sampled(rep, times, values, rep.identity_element())
-    assert path.v(0.25)[0] == 0.5
+    assert path.v(np.array([0.25])).tolist() == [[0.5]]
+    assert path.v(np.array([0.0, 0.75, 1.0])).tolist() == [[0.0], [0.5], [0.0]]
     out = lift_path(path, 200)
     # total rotation angle = integral of v = 1/2
     want = expm(0.5 * rep.T[0])
     assert np.abs(out[-1].matrix - want).max() < 1e-6
+
+
+@pytest.mark.parametrize("times", [[0.0, 0.5, 0.5], [0.0, 1.0, 0.5]])
+def test_sampled_path_rejects_unordered_times(times):
+    rep = builtin_rep("u1_as_so2")
+    with pytest.raises(StructuralError, match="increase"):
+        PathSpec.sampled(rep, times, [[0.0], [1.0], [0.0]], rep.identity_element())
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,16 @@ def test_identities_requires_n(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("n", ["4", "6"])
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_identities_rejects_non_positive_trials(capsys, n, trials):
+    code, out = run(capsys, ["identities", "--n", n, "--trials", trials])
+    assert code == EXIT_USAGE
+    assert out.out == ""
+    (line,) = out.err.strip().splitlines()
+    assert "trials" in line
+
+
 # ---------------------------------------------------------------------------
 # curvature
 
@@ -401,6 +411,62 @@ def test_lift_wrong_velocity_count(tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
+CONSTANT_V = [[0.0, 0.3, -0.2, 0.5], [1.0, 0.3, -0.2, 0.5]]
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("paths,message", [
+    ([{"steps": 10}], "'v'"),
+    ("x", "'paths' must be a list"),
+    ([1], "paths[0] must be an object"),
+    ([{"v": CONSTANT_V, "steps": "abc"}], "steps"),
+    ([{"v": CONSTANT_V, "steps": 2.5}], "steps"),
+    ([{"v": [[0.0, 0.3, -0.2, 0.5], [1.0, 0.3, -0.2]], "steps": 10}], "paths[0].v"),
+    ([{"v": [0.0, 0.3, -0.2, 0.5], "steps": 10}], "paths[0].v"),
+    ([{"v": [[0.0, 0.3, -0.2, 0.5], [0.0, 0.1, 0.2, 0.3]], "steps": 10}], "increase"),
+    ([{"v": CONSTANT_V, "g0": [[NAN] * 3] * 3, "steps": 10}], "paths[0]: matrix is off"),
+    ([{"v": CONSTANT_V, "g0": [[1.0, 0.0, 0.0], [0.0, 1.0]], "steps": 10}], "paths[0].g0"),
+    ([{"v": CONSTANT_V, "g0": [np.eye(3).tolist()] * 2, "steps": 10}], "g0 must be one"),
+    ([{"v": CONSTANT_V, "steps": 10}, {"v": ["x1", "1", "log(x1 - 2)"]}], "log"),
+], ids=["no-v", "paths-string", "entry-number", "steps-string", "steps-float",
+        "ragged-samples", "flat-samples", "unordered-times", "nan-g0", "ragged-g0",
+        "batched-g0", "log-domain"])
+def test_lift_input_errors_exit_64(tmp_path, capsys, paths, message):
+    path = write_problem(tmp_path, {"rep": "su2_as_so3", "paths": paths})
+    code, out = run(capsys, ["lift", "--input", path])
+    assert code == EXIT_USAGE
+    assert out.out == ""
+    (line,) = out.err.strip().splitlines()
+    assert line.startswith("error:")
+    assert message in line
+
+
+@pytest.mark.parametrize("paths", [SU2_PROBLEM["paths"], [{"v": CONSTANT_V, "steps": 40}]],
+                         ids=["expressions", "samples"])
+def test_lift_samples_velocity_and_projects_once_per_lift(tmp_path, capsys, monkeypatch,
+                                                          paths):
+    calls = count_calls(monkeypatch, bundle, ["polar"])
+    lifts = []
+    lift_path = bundle.lift_path
+
+    def counting_v(path, steps):
+        lifts.append(steps)
+        v = path.v
+
+        def counted(t):
+            calls["v"] = calls.get("v", 0) + 1
+            return v(t)
+        return lift_path(dataclasses.replace(path, v=counted), steps)
+
+    monkeypatch.setattr(bundle, "lift_path", counting_v)
+    path = write_problem(tmp_path, {"rep": "su2_as_so3", "paths": paths})
+    code, _ = run(capsys, ["lift", "--input", path])
+    assert code == EXIT_OK
+    steps = paths[0]["steps"]
+    assert lifts == [steps, 2 * steps]  # the path and its step-halving check
+    assert calls == {"v": 2, "polar": 2}
+
+
 # ---------------------------------------------------------------------------
 # gauge-check
 
@@ -427,6 +493,27 @@ def test_gauge_check_beyond_two_base_dimensions(tmp_path, capsys, n):
     assert report["passed"] is True
     assert len(report["per_point"]) == 2
     assert report["max_residual"] <= report["tolerance"]
+
+
+def test_gauge_check_honours_fd_deriv_mode(tmp_path, capsys):
+    rows = {}
+    for mode in ("analytic", "fd"):
+        problem = su2_problem(3)
+        problem["fields"]["deriv_mode"] = mode
+        # a coarse step, so that the error of the fd geometry shows above the
+        # fiber-difference floor of the residuals (at 1e-3 it hides below it)
+        problem["options"]["fd_step"] = 1e-2
+        code, out = run(capsys, ["gauge-check", "--input", write_problem(tmp_path, problem)])
+        assert code == EXIT_OK
+        report = json.loads(out.out)
+        assert report["config"]["fields"]["deriv_mode"] == mode
+        assert report["passed"] is True
+        rows[mode] = report["per_point"]
+    for analytic, fd in zip(rows["analytic"], rows["fd"]):
+        assert analytic["point"] == fd["point"]
+        for name in ("deextra_residual", "gauge_covariance_residual"):
+            assert fd[name] <= 1e-5
+    assert rows["analytic"] != rows["fd"]
 
 
 def test_gauge_check_mismatched_rep(tmp_path, capsys):

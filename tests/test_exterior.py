@@ -1,8 +1,12 @@
+import functools
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kkgeom import exterior
 from kkgeom.errors import DegreeError, StructuralError
 from kkgeom.exterior import (AlternatingForm, basis_one_form, check_identities,
                              d_substitute, epsilon_form, frame_vector,
@@ -224,6 +228,27 @@ def test_identity_suite_rejects_small_n():
         check_identities(2)
 
 
+@pytest.mark.parametrize("trials", [0, -1, 2.5, True, "3"])
+def test_identity_suite_rejects_non_positive_trials(trials):
+    with pytest.raises(StructuralError, match="trials"):
+        check_identities(6, trials=trials)
+
+
+@pytest.mark.parametrize("N,trials", [(4, 3), (6, 40)])
+def test_identity_suite_builds_each_epsilon_form_once(monkeypatch, N, trials):
+    built = []
+    original = exterior.epsilon_form
+
+    def recording(N, fixed):
+        built.append(tuple(int(i) for i in fixed))
+        return original(N, fixed)
+
+    monkeypatch.setattr(exterior, "epsilon_form", recording)
+    assert check_identities(N, trials=trials, seed=1).max_residual == 0.0
+    assert built
+    assert len(built) == len(set(built))
+
+
 def test_form_validation():
     with pytest.raises(StructuralError):
         AlternatingForm(3, 2, {(1, 0): 1.0})  # not increasing
@@ -242,3 +267,82 @@ def test_get_applies_permutation_sign():
 def test_dump_is_one_based():
     form = AlternatingForm(3, 2, {(0, 2): 1.5})
     assert form.dump() == "1 3 : 1.5"
+
+
+# ---------------------------------------------------------------------------
+# properties of the form operations over N = 3..7, scalar and vector valued
+
+
+def same(x, y):
+    """Exactly equal forms: same frame, degree, value shape, terms and values."""
+    return ((x.N, x.degree, x.value_shape) == (y.N, y.degree, y.value_shape)
+            and x.coeffs.keys() == y.coeffs.keys()
+            and all(np.shape(x.coeffs[k]) == x.value_shape
+                    and np.array_equal(x.coeffs[k], y.coeffs[k]) for k in x.coeffs))
+
+
+def revalidated(form):
+    """The form rebuilt through the public, checking constructor."""
+    return AlternatingForm(form.N, form.degree, form.coeffs, form.value_shape)
+
+
+def leibniz(alpha, dtheta):
+    """d alpha for constant coefficients: the sum over the terms of alpha and
+    their positions of (-1)^pos theta^i1 /\\ ... /\\ dtheta^ipos /\\ ... /\\ theta^ip,
+    with the 2-form wedged in place."""
+    N = alpha.N
+    theta = [basis_one_form(N, A) for A in range(N)]
+    out = AlternatingForm.zero(N, alpha.degree + 1, alpha.value_shape)
+    for idx, value in alpha.coeffs.items():
+        for pos, A in enumerate(idx):
+            factors = [theta[i] for i in idx[:pos]] + [dtheta[A]]
+            factors += [theta[i] for i in idx[pos + 1:]]
+            monomial = functools.reduce(wedge, factors)
+            out = out + AlternatingForm(
+                N, alpha.degree + 1,
+                {k: (-1) ** pos * v * value for k, v in monomial.coeffs.items()},
+                alpha.value_shape)
+    return out
+
+
+@st.composite
+def integer_forms(draw, N, degree, value_shape=()):
+    """An integer-coefficient form with a drawn share of its terms nonzero."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    coeffs = {}
+    for idx in itertools.combinations(range(N), degree):
+        value = rng.integers(-3, 4, size=value_shape).astype(float)
+        coeffs[idx] = value * (rng.random() < density)
+    return AlternatingForm(N, degree, coeffs, value_shape)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_form_operations_match_public_constructor_and_algebra(data):
+    draw = data.draw
+    N = draw(st.integers(3, 7))
+    p, q, s = (draw(st.integers(0, N)) for _ in range(3))
+    shape = draw(st.sampled_from([(), (2,), (3,)]))
+    alpha = draw(integer_forms(N, p, shape))
+    alpha2 = draw(integer_forms(N, p, shape))
+    beta = draw(integer_forms(N, q))
+    gamma = draw(integer_forms(N, s))
+    dtheta = [draw(integer_forms(N, 2)) for _ in range(N)]
+    v = np.array(draw(st.lists(st.integers(-2, 2), min_size=N, max_size=N)), dtype=float)
+
+    results = [wedge(alpha, beta), wedge(beta, alpha), alpha + alpha2, alpha - alpha2,
+               -alpha, 3.0 * alpha, alpha * -2, alpha + (-1) * alpha]
+    if p >= 1:
+        results.append(interior(v, alpha))
+    if p < N:
+        results.append(d_substitute(alpha, dtheta))
+    for form in results:
+        assert same(form, revalidated(form))
+    assert (alpha + (-1) * alpha).coeffs == {}
+
+    assert same(wedge(alpha, beta), (-1) ** (p * q) * wedge(beta, alpha))
+    assert same(wedge(wedge(alpha, beta), gamma), wedge(alpha, wedge(beta, gamma)))
+    if p < N:
+        assert same(d_substitute(alpha, dtheta), leibniz(alpha, dtheta))
+
