@@ -6,8 +6,8 @@ Run with:  python3 demos/exterior_identities.py
 
 import numpy as np
 
-from kkgeom import (AlternatingForm, basis_one_form, check_identities,
-                    epsilon_form, frame_vector, interior, top_form, wedge)
+from kkgeom import (basis_one_form, check_identities, epsilon_form, interior,
+                    top_form, wedge)
 
 N = 5
 
@@ -39,7 +39,7 @@ print(" ", eps.dump().replace("\n", "\n  "))
 
 check = top_form(N)
 for A in (1, 3):
-    check = interior(frame_vector(N, A), check)
+    check = interior(np.eye(N)[A], check)
 print("matches iterated interior of the volume form:", eps.equal_to(check))
 
 # The identity suite replays the epsilon/interior/wedge relations over all

@@ -63,7 +63,7 @@ print("S^T h S - h max:", np.abs(S.T @ rep.spec.h @ S - rep.spec.h).max())
 spec = rep.spec
 chart = ChartSpec(2)
 coframe = CoframeField(chart, [["1 + 0.1*x2^2", "0.1*x1"],
-                               ["0", "1 + 0.2*sin(x1)"]], spec.b)
+                               ["0", "1 + 0.2*sin(x1)"]])
 gauge = GaugeField(spec, chart, [["0.3*x2", "0.1*x1"],
                                  ["0.1*x1*x2", "0.2*sin(x2)"],
                                  ["0.1*x2^2", "0"]])

@@ -21,7 +21,7 @@ np.set_printoptions(precision=5, suppress=True)
 spec = su2_algebra(2)
 chart = ChartSpec(2)
 coframe = CoframeField(chart, [["1 + 0.1*x2^2", "0.1*x1"],
-                               ["0", "1 + 0.2*sin(x1)"]], spec.b)
+                               ["0", "1 + 0.2*sin(x1)"]])
 gauge = GaugeField(spec, chart, [["0.3*x2", "0.1*x1"],
                                  ["0.1*x1*x2", "0.2*sin(x2)"],
                                  ["0.1*x2^2", "0"]])
@@ -44,7 +44,7 @@ for name, value in cross_check(direct, closed).items():
 
 # Flat base, zero gauge field: only the fiber bracket curves the space, and
 # the base Einstein block reduces to minus the cosmological constant.
-flat = CoframeField(chart, [["1", "0"], ["0", "1"]], spec.b)
+flat = CoframeField(chart, [["1", "0"], ["0", "1"]])
 geom0 = geometry_at_point(flat, GaugeField.zero(spec, chart), spec,
                           np.zeros(2))
 res = eym_residuals(ricci_closed_form(geom0, spec))

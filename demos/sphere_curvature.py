@@ -11,16 +11,25 @@ import math
 
 import numpy as np
 
-from kkgeom import ChartSpec, CoframeField, base_curvature, levi_civita
+from kkgeom import (ChartSpec, CoframeField, base_curvature_from_geometry,
+                    geometry_at_point)
+from kkgeom.liealg import abelian_algebra
 
 np.set_printoptions(precision=5, suppress=True)
 
+
+def base_curvature(coframe, point):
+    """Curvature of the Euclidean-frame metric: no fiber, b = identity."""
+    spec = abelian_algebra(coframe.n, 0)
+    return base_curvature_from_geometry(geometry_at_point(coframe, None, spec, point))
+
+
 # Unit sphere in polar coordinates: e^1 = dx1, e^2 = sin(x1) dx2.
 chart = ChartSpec(2)
-sphere = CoframeField(chart, [["1", "0"], ["0", "sin(x1)"]], np.eye(2))
+sphere = CoframeField(chart, [["1", "0"], ["0", "sin(x1)"]])
 
 point = np.array([1.1, 0.4])
-gamma = levi_civita(sphere, point)
+gamma = geometry_at_point(sphere, None, abelian_algebra(2, 0), point).gamma
 print("connection coefficient gamma^1_{2 2} at x1=1.1:", gamma[0, 1, 1])
 print("analytic -cot(x1):                             ",
       -math.cos(1.1) / math.sin(1.1))
@@ -32,7 +41,7 @@ for x1 in np.linspace(0.4, math.pi - 0.4, 5):
     print(f"  x1 = {x1:.3f}   R = {curv.scalar:.12f}")
 
 # Radius r scales the curvature by 1/r^2.
-big = CoframeField(chart, [["3", "0"], ["0", "3*sin(x1)"]], np.eye(2))
+big = CoframeField(chart, [["3", "0"], ["0", "3*sin(x1)"]])
 print("\nradius-3 sphere: R =", base_curvature(big, point).scalar, " (2/9 =",
       2.0 / 9.0, ")")
 
@@ -42,7 +51,7 @@ chart4 = ChartSpec(4)
 product = CoframeField(chart4, [["1", "0", "0", "0"],
                                 ["0", "1", "0", "0"],
                                 ["0", "0", "1", "0"],
-                                ["0", "0", "0", "sin(x3)"]], np.eye(4))
+                                ["0", "0", "0", "sin(x3)"]])
 curv = base_curvature(product, np.array([0.2, -0.1, 1.0, 0.5]))
 print("\nflat x sphere Ricci diagonal:", np.diag(curv.ricci))
 print("scalar curvature:", curv.scalar)

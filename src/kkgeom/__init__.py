@@ -8,8 +8,10 @@ Subpackages by topic:
   the epsilon coframe family and its structural identities.
 - :mod:`kkgeom.fieldexpr` — analytic field expressions with exact symbolic
   derivatives.
-- :mod:`kkgeom.basegeo` — coframes, anholonomy, the frame Levi-Civita
-  connection and base curvature, gauge field strengths.
+- :mod:`kkgeom.basegeo` — coframe and gauge fields on a chart, and the frame
+  geometry at a batch of points (anholonomy, Levi-Civita connection, gauge
+  field strength, base curvature) from one ``geometry_at_point`` pass; the
+  base metric is the algebra's ``b``.
 - :mod:`kkgeom.kkcurv` — the block connection on the total space, its
   curvature by two independent routes, Einstein-Yang-Mills residuals.
 - :mod:`kkgeom.bundle` — matrix group representations, adjoint gauge maps,
@@ -18,9 +20,8 @@ Subpackages by topic:
 """
 
 from .basegeo import (BaseCurvature, ChartSpec, CoframeField, GaugeField,
-                      GeometryAtPoint, anholonomy, base_curvature,
-                      frame_matrix, geometry_at_point, levi_civita,
-                      load_fields)
+                      GeometryAtPoint, base_curvature_from_geometry,
+                      geometry_at_point, load_fields)
 from .bundle import (GroupElement, MatrixRep, PathSpec, adjoint_of,
                      builtin_rep, lift_path, verify_deextra,
                      verify_gauge_covariance)
@@ -28,8 +29,7 @@ from .errors import (DegenerateCoframeError, DegenerateMetricError,
                      DegreeError, EvalDomainError, ExprSyntaxError,
                      KKGeomError, StructuralError, UnknownIdentifierError)
 from .exterior import (AlternatingForm, basis_one_form, check_identities,
-                       d_substitute, epsilon_form, frame_vector, interior,
-                       lie_wedge_1, lie_wedge_2, top_form, wedge)
+                       d_substitute, epsilon_form, interior, top_form, wedge)
 from .fieldexpr import FieldProvider, diff, evaluate, parse, pretty
 from .kkcurv import (EYMResidual, KKConnection, KKCurvature, assemble_omega,
                      cross_check, curvature_direct, eym_residuals,

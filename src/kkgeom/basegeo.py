@@ -9,6 +9,10 @@ first and second coordinate derivatives are exact; derived frame quantities
 derivatives either through the chain rule on those exact partials
 (``deriv_mode="analytic"``) or through fourth-order central differences
 (``deriv_mode="fd"``).
+
+:func:`geometry_at_point` is the one route to the frame geometry; the base
+metric is the algebra spec's ``b``, and :func:`base_curvature_from_geometry`
+reads the base curvature off its result.
 """
 
 from __future__ import annotations
@@ -27,12 +31,9 @@ __all__ = [
     "CoframeField",
     "GaugeField",
     "GeometryAtPoint",
-    "frame_matrix",
-    "anholonomy",
-    "levi_civita",
-    "base_curvature",
     "geometry_at_point",
     "BaseCurvature",
+    "base_curvature_from_geometry",
     "load_fields",
 ]
 
@@ -115,15 +116,12 @@ class CoframeField(_ProviderMatrix):
 
     block = "coframe"  # the field-file key, named in evaluation errors
 
-    def __init__(self, chart: ChartSpec, entries, b):
+    def __init__(self, chart: ChartSpec, entries):
         self.chart = chart
         n = chart.n
         if len(entries) != n or any(len(row) != n for row in entries):
             raise StructuralError(f"coframe must be {n}x{n}")
         self.entries = [[_as_provider(p, n) for p in row] for row in entries]
-        self.b = np.array(b, dtype=float)
-        if self.b.shape != (n, n):
-            raise StructuralError(f"base metric must be {n}x{n}")
 
     @property
     def n(self):
@@ -273,7 +271,7 @@ def _geometry_analytic(coframe, gauge, spec, point):
     C, dC_coord = _frame_2form(T, dT, Einv, dEinv)
     dC = _to_frame(dC_coord, Einv)
 
-    b = coframe.b
+    b = spec.b
     binv = np.linalg.inv(b)
     gamma = _gamma_from_C(C, b, binv)
     # gamma is linear in C: the derivative direction rides along as a batch axis
@@ -309,7 +307,7 @@ def _geometry_analytic(coframe, gauge, spec, point):
     return GeometryAtPoint(
         point=point,
         spec=spec,
-        b_inv=np.linalg.inv(spec.b),
+        b_inv=binv,
         E=E,
         E_inv=Einv,
         C=C,
@@ -373,37 +371,18 @@ def geometry_at_point(
     deriv_mode: str = "analytic",
     fd_step: float = 1e-3,
 ) -> GeometryAtPoint:
-    """Evaluate the full frame geometry at a chart point or a batch of points."""
+    """Evaluate the full frame geometry at a chart point or a batch of points.
+
+    The base metric is ``spec.b``; the coframe carries only the frame.
+    """
+    if coframe.n != spec.n:
+        raise StructuralError(f"chart dimension {coframe.n} does not match the "
+                              f"algebra's base dimension {spec.n}")
     if deriv_mode == "analytic":
         return _geometry_analytic(coframe, gauge, spec, point)
     if deriv_mode == "fd":
         return _geometry_fd(coframe, gauge, spec, point, fd_step)
     raise StructuralError(f"unknown derivative mode {deriv_mode!r}")
-
-
-# ---------------------------------------------------------------------------
-# Public single-purpose operations
-
-
-def frame_matrix(coframe: CoframeField, point):
-    """Coframe matrix and its inverse at a point or a batch of points."""
-    E = coframe.matrix(point)
-    return E, _frame_matrix(E, point)
-
-
-def anholonomy(coframe: CoframeField, point) -> np.ndarray:
-    """Coefficients C^a_bc of de^a = (1/2) C^a_bc e^b /\\ e^c."""
-    _, Einv = frame_matrix(coframe, point)
-    dE = coframe.d_matrix(point)
-    T = np.swapaxes(dE, -2, -1) - dE  # T[a, mu, nu] = d_mu e^a_nu - d_nu e^a_mu
-    return np.einsum("...amn,...mb,...nc->...abc", T, Einv, Einv)
-
-
-def levi_civita(coframe: CoframeField, point) -> np.ndarray:
-    """Connection coefficients gamma[a, b, c] (e^c component of entry (a, b))."""
-    C = anholonomy(coframe, point)
-    b = coframe.b
-    return _gamma_from_C(C, b, np.linalg.inv(b))
 
 
 @dataclass(frozen=True)
@@ -433,17 +412,6 @@ def base_curvature_from_geometry(geom: GeometryAtPoint) -> BaseCurvature:
     return BaseCurvature(ricci=ric, scalar=scalar, einstein=ein)
 
 
-def base_curvature(coframe: CoframeField, point, spec=None, deriv_mode="analytic",
-                   fd_step=1e-3) -> BaseCurvature:
-    """Ricci tensor, scalar curvature and Einstein tensor of the chart metric."""
-    if spec is None:
-        from .liealg import abelian_algebra
-
-        spec = abelian_algebra(coframe.n, 0, b=coframe.b)
-    geom = geometry_at_point(coframe, None, spec, point, deriv_mode, fd_step)
-    return base_curvature_from_geometry(geom)
-
-
 # ---------------------------------------------------------------------------
 # JSON field files
 
@@ -470,7 +438,7 @@ def load_fields(data: dict, spec: LieAlgebraSpec):
     coframe_rows = data.get("coframe")
     if coframe_rows is None:
         coframe_rows = [["1" if a == mu else "0" for mu in range(n)] for a in range(n)]
-    coframe = CoframeField(chart, [[prov(x) for x in row] for row in coframe_rows], spec.b)
+    coframe = CoframeField(chart, [[prov(x) for x in row] for row in coframe_rows])
 
     gauge_rows = data.get("gauge")
     if gauge_rows is None:

@@ -224,7 +224,7 @@ class PathSpec:
     @staticmethod
     def sampled(rep, times, values, g0) -> "PathSpec":
         """Piecewise-linear v through sample points (times[i], values[i]);
-        the times must increase strictly."""
+        the times must increase strictly and cover [0, 1]."""
         times = np.asarray(times, dtype=float)
         values = np.asarray(values, dtype=float)
         if times.ndim != 1 or values.shape != (times.size, rep.spec.r):
@@ -232,6 +232,10 @@ class PathSpec:
                                   f"({times.size}, {rep.spec.r}), got {values.shape}")
         if not np.all(np.diff(times) > 0):
             raise StructuralError("sample times must increase strictly")
+        if times.size == 0 or times[0] > 0.0 or times[-1] < 1.0:
+            # np.interp would hold the end samples constant outside the times
+            ends = times[[0, -1]].tolist() if times.size else []
+            raise StructuralError(f"sample times must cover [0, 1], first and last are {ends}")
 
         def v(t):
             return np.stack([np.interp(t, times, values[:, a])

@@ -393,10 +393,11 @@ def cmd_gauge_check(args):
     rep_name = problem.get("rep")
     if rep_name is None:
         raise _UsageError("problem JSON has no 'rep' entry")
-    rep = bundle.builtin_rep(rep_name)
-    if rep.spec.r != spec.r:
-        raise _UsageError(f"rep {rep_name!r} has fiber dimension {rep.spec.r}, "
-                          f"algebra has {spec.r}")
+    generators = bundle.builtin_rep(rep_name).T
+    try:  # the generators must close on this problem's fiber constants
+        rep = bundle.MatrixRep(spec, generators, rep_name)
+    except StructuralError as exc:
+        raise _UsageError(f"rep {rep_name!r} does not represent the algebra: {exc}") from exc
     fields = problem.get("fields", {})
     deriv_mode = fields.get("deriv_mode", "analytic")
     chart, coframe, gauge, points = basegeo.load_fields(fields, spec)

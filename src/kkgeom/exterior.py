@@ -23,7 +23,6 @@ from itertools import combinations, product
 import numpy as np
 
 from .errors import DegreeError, StructuralError
-from .liealg import LieAlgebraSpec
 
 __all__ = [
     "AlternatingForm",
@@ -32,8 +31,6 @@ __all__ = [
     "epsilon_form",
     "top_form",
     "basis_one_form",
-    "lie_wedge_1",
-    "lie_wedge_2",
     "d_substitute",
     "IdentityReport",
     "check_identities",
@@ -233,12 +230,6 @@ def interior(v, alpha: AlternatingForm) -> AlternatingForm:
     return _form(alpha.N, alpha.degree - 1, out, alpha.value_shape)
 
 
-def frame_vector(N, A):
-    v = np.zeros(N)
-    v[A] = 1.0
-    return v
-
-
 def epsilon_form(N, fixed_indices) -> AlternatingForm:
     """The (N-k)-form built from the epsilon tensor with ``k`` fixed indices.
 
@@ -256,58 +247,6 @@ def epsilon_form(N, fixed_indices) -> AlternatingForm:
     rest = tuple(i for i in range(N) if i not in fixed)
     sign = _perm_sign_sorting(fixed + rest)
     return AlternatingForm(N, N - k, {rest: float(sign)})
-
-
-def lie_wedge_1(spec: LieAlgebraSpec, theta: AlternatingForm) -> AlternatingForm:
-    """Bracket-wedge of an algebra-valued 1-form with itself.
-
-    ``out^A = c^A_BC theta^B /\\ theta^C`` with the algebra index as the
-    coefficient vector slot.
-    """
-    N = spec.N
-    if theta.degree != 1 or theta.value_shape != (N,):
-        raise StructuralError("theta must be an algebra-valued 1-form")
-    if theta.N != N:
-        raise StructuralError(f"frame dimension {theta.N} does not match algebra dimension {N}")
-    # dense matrix of components: theta[B, i] = coefficient of basis form i
-    mat = np.zeros((N, theta.N))
-    for (i,), value in theta.coeffs.items():
-        mat[:, i] = value
-    out = {}
-    for i, j in combinations(range(theta.N), 2):
-        pair = np.einsum("abc,b,c->a", spec.c, mat[:, i], mat[:, j]) - np.einsum(
-            "abc,b,c->a", spec.c, mat[:, j], mat[:, i]
-        )
-        if np.any(pair != 0.0):
-            out[(i, j)] = pair
-    return AlternatingForm(theta.N, 2, out, (N,))
-
-
-def lie_wedge_2(spec: LieAlgebraSpec, phi: AlternatingForm, tol: float = 1e-10) -> AlternatingForm:
-    """Bracket-wedge of an so(h)-valued 1-form with itself.
-
-    ``out^{AB} = 2 h_{A'B'} phi^{AA'} /\\ phi^{B'B}``; input and output
-    coefficients are antisymmetric matrices in the raised index pair.
-    """
-    N = spec.N
-    if phi.degree != 1 or phi.value_shape != (N, N):
-        raise StructuralError("phi must be a matrix-valued 1-form")
-    for idx, value in phi.coeffs.items():
-        if np.abs(value + value.T).max() > tol:
-            raise StructuralError(f"phi coefficient at {idx} is not antisymmetric")
-    h = spec.h
-    mat = np.zeros((N, N, phi.N))
-    for (i,), value in phi.coeffs.items():
-        mat[:, :, i] = value
-    out = {}
-    for i, j in combinations(range(phi.N), 2):
-        term = 2.0 * (
-            np.einsum("pq,ap,qb->ab", h, mat[:, :, i], mat[:, :, j])
-            - np.einsum("pq,ap,qb->ab", h, mat[:, :, j], mat[:, :, i])
-        )
-        if np.any(term != 0.0):
-            out[(i, j)] = term
-    return AlternatingForm(phi.N, 2, out, (N, N))
 
 
 def d_substitute(alpha: AlternatingForm, dtheta) -> AlternatingForm:

@@ -3,17 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from kkgeom.basegeo import (ChartSpec, CoframeField, GaugeField, anholonomy,
-                            base_curvature, frame_matrix,
-                            geometry_at_point, levi_civita, load_fields)
+from kkgeom.basegeo import (ChartSpec, CoframeField, GaugeField,
+                            base_curvature_from_geometry, geometry_at_point,
+                            load_fields)
 from kkgeom.errors import DegenerateCoframeError, StructuralError
 from kkgeom.liealg import abelian_algebra, su2_algebra, u1_su2_algebra
 
 
 def sphere_coframe(radius="1"):
     chart = ChartSpec(2)
-    return CoframeField(chart, [[radius, "0"], ["0", f"{radius}*sin(x1)"]],
-                        np.eye(2))
+    return CoframeField(chart, [[radius, "0"], ["0", f"{radius}*sin(x1)"]])
 
 
 def random_coframe(rng, n):
@@ -28,7 +27,12 @@ def random_coframe(rng, n):
             base = "1" if a == mu else "0"
             row.append(f"{base} + {coef}*{f}")
         entries.append(row)
-    return CoframeField(ChartSpec(n), entries, np.eye(n))
+    return CoframeField(ChartSpec(n), entries)
+
+
+def base_geometry(cof, point):
+    """The frame geometry of ``cof`` with the Euclidean base metric, no gauge."""
+    return geometry_at_point(cof, None, abelian_algebra(cof.n, 0), point)
 
 
 # ---------------------------------------------------------------------------
@@ -36,18 +40,18 @@ def random_coframe(rng, n):
 
 def test_frame_matrix_identity_coframe():
     chart = ChartSpec(2)
-    cof = CoframeField(chart, [["1", "0"], ["0", "1"]], np.eye(2))
-    E, Einv = frame_matrix(cof, np.array([0.3, 0.7]))
-    assert np.allclose(E, np.eye(2))
-    assert np.allclose(Einv, np.eye(2))
+    cof = CoframeField(chart, [["1", "0"], ["0", "1"]])
+    geom = base_geometry(cof, np.array([0.3, 0.7]))
+    assert np.allclose(geom.E, np.eye(2))
+    assert np.allclose(geom.E_inv, np.eye(2))
 
 
 def test_sphere_frame_at_equator_and_pole():
     cof = sphere_coframe()
-    E, _ = frame_matrix(cof, np.array([math.pi / 2, 0.2]))
-    assert np.allclose(E, np.eye(2), atol=1e-12)
+    geom = base_geometry(cof, np.array([math.pi / 2, 0.2]))
+    assert np.allclose(geom.E, np.eye(2), atol=1e-12)
     with pytest.raises(DegenerateCoframeError):
-        frame_matrix(cof, np.array([0.0, 0.2]))
+        base_geometry(cof, np.array([0.0, 0.2]))
 
 
 def test_anholonomy_fd_oracle():
@@ -55,7 +59,7 @@ def test_anholonomy_fd_oracle():
     rng = np.random.default_rng(0)
     cof = random_coframe(rng, 3)
     point = np.array([0.4, -0.2, 0.7])
-    C = anholonomy(cof, point)
+    C = base_geometry(cof, point).C
     h = 1e-6
     E = cof.matrix(point)
     Einv = np.linalg.inv(E)
@@ -76,11 +80,18 @@ def test_anholonomy_fd_oracle():
 def test_levi_civita_sphere_coefficient():
     cof = sphere_coframe()
     x1 = 1.1
-    gamma = levi_civita(cof, np.array([x1, 0.5]))
+    gamma = base_geometry(cof, np.array([x1, 0.5])).gamma
     # gamma^1_{2,2} = -cos(x1)/sin(x1); the lowered tensor is antisymmetric
     assert abs(gamma[0, 1, 1] + math.cos(x1) / math.sin(x1)) < 1e-12
     low = np.einsum("ad,dbc->abc", np.eye(2), gamma)
     assert np.abs(low + np.transpose(low, (1, 0, 2))).max() < 1e-12
+
+
+def test_geometry_takes_the_base_dimension_from_the_algebra():
+    # the base metric comes from the spec alone, so its size must fit the chart
+    cof = sphere_coframe()
+    with pytest.raises(StructuralError, match="base dimension 3"):
+        geometry_at_point(cof, None, abelian_algebra(3, 0), np.array([1.0, 0.2]))
 
 
 def test_levi_civita_unique():
@@ -110,7 +121,7 @@ def test_residuals_on_random_coframes():
 def test_sphere_scalar_curvature():
     cof = sphere_coframe()
     for x1 in np.linspace(0.4, math.pi - 0.4, 7):
-        curv = base_curvature(cof, np.array([x1, 0.3]))
+        curv = base_curvature_from_geometry(base_geometry(cof, np.array([x1, 0.3])))
         assert abs(curv.scalar - 2.0) < 1e-8
         assert np.abs(curv.einstein).max() < 1e-8
 
@@ -118,7 +129,7 @@ def test_sphere_scalar_curvature():
 def test_sphere_radius_scaling():
     # R = 2 / radius^2
     cof = sphere_coframe(radius="3")
-    curv = base_curvature(cof, np.array([1.0, 0.2]))
+    curv = base_curvature_from_geometry(base_geometry(cof, np.array([1.0, 0.2])))
     assert abs(curv.scalar - 2.0 / 9.0) < 1e-10
 
 
@@ -128,8 +139,8 @@ def test_product_flat_times_sphere():
                ["0", "1", "0", "0"],
                ["0", "0", "1", "0"],
                ["0", "0", "0", "sin(x3)"]]
-    cof = CoframeField(chart, entries, np.eye(4))
-    curv = base_curvature(cof, np.array([0.1, 0.2, 1.0, 0.4]))
+    cof = CoframeField(chart, entries)
+    curv = base_curvature_from_geometry(base_geometry(cof, np.array([0.1, 0.2, 1.0, 0.4])))
     assert abs(curv.scalar - 2.0) < 1e-10
     assert np.allclose(np.diag(curv.ricci), [0, 0, 1, 1], atol=1e-10)
 
@@ -174,7 +185,7 @@ def test_field_strength_against_coordinate_oracle():
     for spec in (su2_algebra(2), u1_su2_algebra(2)):
         chart = ChartSpec(2)
         cof = CoframeField(chart, [["1+0.1*x2^2", "0.1*x1"],
-                                   ["0", "1+0.2*sin(x1)"]], spec.b)
+                                   ["0", "1+0.2*sin(x1)"]])
         entries = [[f"{0.3 * float(rng.uniform(-1, 1)):.3f}*x1*x2",
                     f"{0.3 * float(rng.uniform(-1, 1)):.3f}*sin(x{1 + al % 2})"]
                    for al in range(spec.r)]
@@ -191,7 +202,7 @@ def test_abelian_field_strength_example():
     # A^1 = x1 dx2 gives F^1_{12} = 1
     spec = abelian_algebra(2, 1)
     chart = ChartSpec(2)
-    cof = CoframeField(chart, [["1", "0"], ["0", "1"]], np.eye(2))
+    cof = CoframeField(chart, [["1", "0"], ["0", "1"]])
     gauge = GaugeField(spec, chart, [["0", "x1"]])
     geom = geometry_at_point(cof, gauge, spec, np.array([0.7, 0.1]))
     assert abs(geom.F[0, 0, 1] - 1.0) < 1e-14
@@ -229,7 +240,7 @@ def test_bianchi_identity_fd():
 def test_geometry_f_raising_consistency():
     spec = su2_algebra(2, b=2.0 * np.eye(2))
     chart = ChartSpec(2)
-    cof = CoframeField(chart, [["1", "0"], ["0", "1"]], spec.b)
+    cof = CoframeField(chart, [["1", "0"], ["0", "1"]])
     gauge = GaugeField(spec, chart, [["0", "x1"], ["0", "0"], ["0", "0"]])
     geom = geometry_at_point(cof, gauge, spec, np.array([0.2, 0.3]))
     # both-up components carry two inverse-metric factors of 1/2

@@ -17,7 +17,7 @@ def su2_setup(seed=0):
     spec = rep.spec
     chart = ChartSpec(2)
     cof = CoframeField(chart, [["1+0.1*x2^2", "0.1*x1"],
-                               ["0", "1+0.2*sin(x1)"]], spec.b)
+                               ["0", "1+0.2*sin(x1)"]])
     gauge = GaugeField(spec, chart,
                        [["0.3*x2", "0.1*x1"],
                         ["0.1*x1*x2", "0.2*sin(x2)"],
@@ -381,6 +381,20 @@ def test_sampled_path_rejects_unordered_times(times):
         PathSpec.sampled(rep, times, [[0.0], [1.0], [0.0]], rep.identity_element())
 
 
+@pytest.mark.parametrize("times", [[0.0, 0.5], [0.2, 1.0], [0.0]])
+def test_sampled_path_must_cover_the_unit_interval(times):
+    # np.interp would hold the end samples constant outside the sample times
+    rep = builtin_rep("u1_as_so2")
+    with pytest.raises(StructuralError, match=r"cover \[0, 1\]"):
+        PathSpec.sampled(rep, times, [[1.0]] * len(times), rep.identity_element())
+
+
+def test_sampled_path_may_extend_beyond_the_unit_interval():
+    rep = builtin_rep("u1_as_so2")
+    path = PathSpec.sampled(rep, [-1.0, 2.0], [[0.0], [3.0]], rep.identity_element())
+    assert path.v(np.array([0.0, 1.0])).tolist() == [[1.0], [2.0]]
+
+
 # ---------------------------------------------------------------------------
 # structural identity checks
 
@@ -389,7 +403,7 @@ def test_deextra_abelian_zero_gauge():
     rep = builtin_rep("u1_as_so2")
     spec = rep.spec
     chart = ChartSpec(2)
-    cof = CoframeField(chart, [["1", "0"], ["0", "1"]], spec.b)
+    cof = CoframeField(chart, [["1", "0"], ["0", "1"]])
     geom = geometry_at_point(cof, GaugeField.zero(spec, chart), spec,
                              np.array([0.1, 0.2]))
     assert verify_deextra(geom, rep.identity_element(), spec) < 1e-14
@@ -398,7 +412,7 @@ def test_deextra_abelian_zero_gauge():
 def test_deextra_su2_zero_gauge_along_fiber():
     rep, spec, _ = su2_setup()
     chart = ChartSpec(2)
-    cof = CoframeField(chart, [["1", "0"], ["0", "1"]], spec.b)
+    cof = CoframeField(chart, [["1", "0"], ["0", "1"]])
     geom = geometry_at_point(cof, GaugeField.zero(spec, chart), spec,
                              np.array([0.1, 0.2]))
     g = rep.exp(np.array([0.2, -0.1, 0.3]))
@@ -443,7 +457,7 @@ def test_gauge_covariance_product_rep():
     rep = builtin_rep("product")
     spec = rep.spec
     chart = ChartSpec(2)
-    cof = CoframeField(chart, [["1", "0.2*x2"], ["0", "1+0.1*x1^2"]], spec.b)
+    cof = CoframeField(chart, [["1", "0.2*x2"], ["0", "1+0.1*x1^2"]])
     gauge = GaugeField(spec, chart,
                        [["0.2*x2", "0"], ["0.1*x1", "0.1*x2"],
                         ["0", "0.3*x1"], ["0.05*x1*x2", "0.1*sin(x1)"]])

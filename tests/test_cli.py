@@ -13,6 +13,7 @@ from scipy.linalg import expm
 from kkgeom import basegeo, bundle, kkcurv
 from kkgeom.bundle import builtin_rep
 from kkgeom.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
+from kkgeom.liealg import su2_algebra
 
 
 SU2_PROBLEM = {
@@ -428,9 +429,10 @@ NAN = float("nan")
     ([{"v": CONSTANT_V, "g0": [[1.0, 0.0, 0.0], [0.0, 1.0]], "steps": 10}], "paths[0].g0"),
     ([{"v": CONSTANT_V, "g0": [np.eye(3).tolist()] * 2, "steps": 10}], "g0 must be one"),
     ([{"v": CONSTANT_V, "steps": 10}, {"v": ["x1", "1", "log(x1 - 2)"]}], "log"),
+    ([{"v": [[0.0, 0.3, -0.2, 0.5], [0.5, 0.3, -0.2, 0.5]], "steps": 50}], "cover [0, 1]"),
 ], ids=["no-v", "paths-string", "entry-number", "steps-string", "steps-float",
         "ragged-samples", "flat-samples", "unordered-times", "nan-g0", "ragged-g0",
-        "batched-g0", "log-domain"])
+        "batched-g0", "log-domain", "partial-times"])
 def test_lift_input_errors_exit_64(tmp_path, capsys, paths, message):
     path = write_problem(tmp_path, {"rep": "su2_as_so3", "paths": paths})
     code, out = run(capsys, ["lift", "--input", path])
@@ -522,6 +524,36 @@ def test_gauge_check_mismatched_rep(tmp_path, capsys):
     path = write_problem(tmp_path, problem)
     code, _ = run(capsys, ["gauge-check", "--input", path])
     assert code == EXIT_USAGE
+
+
+def scaled_su2_algebra(scale):
+    """su(2) over a 2-D chart, inline, with its structure constants scaled."""
+    c = su2_algebra(2).c
+    return {"n": 2, "r": 3, "c": [[int(A), int(B), int(C), scale * c[A, B, C]]
+                                  for A, B, C in zip(*np.nonzero(c))]}
+
+
+@pytest.mark.parametrize("algebra", [{"builtin": "abelian", "n": 2, "r": 3},
+                                     scaled_su2_algebra(2.0)],
+                         ids=["abelian-r3", "su2-scaled"])
+def test_gauge_check_rejects_rep_of_another_algebra(tmp_path, capsys, algebra):
+    # su2_as_so3 has the right fiber dimension, but its generators do not
+    # close on these fiber constants
+    problem = json.loads(json.dumps(SU2_PROBLEM))
+    problem["algebra"] = algebra
+    code, out = run(capsys, ["gauge-check", "--input", write_problem(tmp_path, problem)])
+    assert code == EXIT_USAGE
+    assert out.out == ""
+    assert "does not represent the algebra" in out.err
+    assert "do not close" in out.err
+
+
+def test_gauge_check_accepts_rep_of_an_equal_inline_algebra(tmp_path, capsys):
+    problem = json.loads(json.dumps(SU2_PROBLEM))
+    problem["algebra"] = scaled_su2_algebra(1.0)
+    code, out = run(capsys, ["gauge-check", "--input", write_problem(tmp_path, problem)])
+    assert code == EXIT_OK
+    assert json.loads(out.out)["passed"] is True
 
 
 @pytest.mark.parametrize("tol", [0, -1e-5, "1e-5"])

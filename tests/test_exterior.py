@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 from kkgeom import exterior
 from kkgeom.errors import DegreeError, StructuralError
 from kkgeom.exterior import (AlternatingForm, basis_one_form, check_identities,
-                             d_substitute, epsilon_form, frame_vector,
-                             interior, lie_wedge_1, lie_wedge_2, top_form,
+                             d_substitute, epsilon_form, interior, top_form,
                              wedge)
-from kkgeom.liealg import su2_algebra
 
 
 def random_form(rng, N, degree, value_shape=()):
@@ -130,8 +128,8 @@ def test_interior_squares_to_zero():
 def test_interior_on_basis_form():
     N = 4
     th2 = basis_one_form(N, 2)
-    assert interior(frame_vector(N, 2), th2).get(()) == 1.0
-    assert interior(frame_vector(N, 1), th2).is_zero()
+    assert interior(np.eye(N)[2], th2).get(()) == 1.0
+    assert interior(np.eye(N)[1], th2).is_zero()
 
 
 def test_epsilon_coefficients_are_signs():
@@ -153,7 +151,7 @@ def test_epsilon_equals_iterated_interior_of_volume():
             for fixed in itertools.permutations(range(N), k):
                 want = top_form(N)
                 for A in fixed:
-                    want = interior(frame_vector(N, A), want)
+                    want = interior(np.eye(N)[A], want)
                 assert epsilon_form(N, fixed).equal_to(want)
 
 
@@ -165,37 +163,6 @@ def test_epsilon_antisymmetry_in_fixed_indices():
         c = epsilon_form(N, [0, 2, 3])
         d = epsilon_form(N, [2, 0, 3])
         assert c.equal_to(-1.0 * d)
-
-
-def test_lie_wedge_1_su2():
-    spec = su2_algebra(2)
-    N = spec.N
-    theta = AlternatingForm(N, 1, {(i,): np.eye(N)[i] for i in range(N)}, (N,))
-    out = lie_wedge_1(spec, theta)
-    # [theta /\ theta]^A on the soldering form picks out 2 c^A_BC
-    for A in range(N):
-        for B in range(N):
-            for C in range(B + 1, N):
-                want = 2.0 * spec.c[A, B, C]
-                assert out.get((B, C))[A] == want
-
-
-def test_lie_wedge_2_antisymmetry_check():
-    spec = su2_algebra(2)
-    N = spec.N
-    rng = np.random.default_rng(7)
-    mats = {}
-    for i in range(N):
-        m = rng.normal(size=(N, N))
-        mats[(i,)] = m - m.T
-    phi = AlternatingForm(N, 1, mats, (N, N))
-    out = lie_wedge_2(spec, phi)
-    # output coefficients stay antisymmetric after raising (h = identity here)
-    for v in out.coeffs.values():
-        assert np.abs(v + v.T).max() < 1e-12
-    bad = AlternatingForm(N, 1, {(0,): rng.normal(size=(N, N))}, (N, N))
-    with pytest.raises(StructuralError):
-        lie_wedge_2(spec, bad)
 
 
 def test_d_substitute_against_leibniz_by_hand():

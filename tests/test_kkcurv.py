@@ -12,7 +12,7 @@ from kkgeom.liealg import (abelian_algebra, cosmological_constant,
 def flat_geometry(spec, n=2, point=None):
     chart = ChartSpec(n)
     rows = [["1" if a == mu else "0" for mu in range(n)] for a in range(n)]
-    cof = CoframeField(chart, rows, spec.b)
+    cof = CoframeField(chart, rows)
     gauge = GaugeField.zero(spec, chart)
     point = np.zeros(n) if point is None else point
     return geometry_at_point(cof, gauge, spec, point)
@@ -27,7 +27,7 @@ def random_configuration(rng, spec, n):
         args = [int(rng.integers(n)) + 1 for _ in range(f.count("{}"))]
         return f"{base} + {0.2 * float(rng.uniform(-1, 1)):.6f}*{f.format(*args)}"
     cof = CoframeField(chart, [[entry("1" if a == mu else "0")
-                                for mu in range(n)] for a in range(n)], spec.b)
+                                for mu in range(n)] for a in range(n)])
     gauge = GaugeField(spec, chart, [[entry("0") for _ in range(n)]
                                      for _ in range(spec.r)])
     return cof, gauge
@@ -106,7 +106,7 @@ def test_base_block_embeds_base_curvature():
     # A = 0: the base-base Ricci block reduces to the base Ricci tensor
     spec = su2_algebra(2)
     chart = ChartSpec(2)
-    cof = CoframeField(chart, [["1", "0"], ["0", "sin(x1)"]], spec.b)
+    cof = CoframeField(chart, [["1", "0"], ["0", "sin(x1)"]])
     gauge = GaugeField.zero(spec, chart)
     geom = geometry_at_point(cof, gauge, spec, np.array([1.1, 0.3]))
     direct = curvature_direct(assemble_omega(geom, spec))
@@ -157,7 +157,7 @@ def test_ym_block_tracks_gauge_divergence():
     # nonzero current block; a constant-F configuration does not
     spec = abelian_algebra(2, 1)
     chart = ChartSpec(2)
-    cof = CoframeField(chart, [["1", "0"], ["0", "1"]], spec.b)
+    cof = CoframeField(chart, [["1", "0"], ["0", "1"]])
     const = GaugeField(spec, chart, [["0", "x1"]])  # F = dx1 /\ dx2
     geom = geometry_at_point(cof, const, spec, np.array([0.3, 0.1]))
     assert eym_residuals(ricci_closed_form(geom, spec)).ym_norm < 1e-12
@@ -165,3 +165,22 @@ def test_ym_block_tracks_gauge_divergence():
     geom = geometry_at_point(cof, quad, spec, np.array([0.3, 0.1]))
     res = eym_residuals(ricci_closed_form(geom, spec))
     assert abs(res.ym_norm - 2.0) < 1e-12  # div F = F^{12}_{,1} = 2
+    # the signed block is -d_a F^{a2}: the sign is a convention no norm sees
+    assert np.abs(res.ym_block - np.array([[0.0, -2.0]])).max() < 1e-12
+
+
+@pytest.mark.parametrize("b", [[[2.0, 0.3], [0.3, 1.0]], [[-1.0, 0.0], [0.0, 1.0]]],
+                         ids=["non-diagonal", "lorentzian"])
+def test_invariants_hold_for_a_non_euclidean_base_metric(b):
+    # the base metric reaches gamma, the raised F and both curvature routes
+    # only through spec.b; a mismatch anywhere shows in these residuals
+    spec = su2_algebra(2, b=np.array(b))
+    rng = np.random.default_rng(12)
+    cof, gauge = random_configuration(rng, spec, 2)
+    geom = geometry_at_point(cof, gauge, spec, rng.uniform(-0.5, 0.5, size=(6, 2)))
+    conn = assemble_omega(geom, spec)
+    assert geom.torsion_residual().max() <= 1e-12
+    assert geom.metricity_residual().max() <= 1e-12
+    assert conn.torsion_residual().max() <= 1e-12
+    assert conn.antisymmetry_residual().max() <= 1e-12
+    assert max(np.max(v) for v in cross_check(*both_routes(geom, spec)).values()) <= 1e-6
