@@ -4,11 +4,17 @@ Everything is evaluated on a single chart, at one point or at a batch of
 points: a point array has the chart coordinates on its last axis, and every
 result carries the point array's leading axes in front of its own.  Coframe
 and gauge entries are :class:`~kkgeom.fieldexpr.FieldProvider` objects, so
-first and second coordinate derivatives are exact; derived frame quantities
-(the connection coefficients and the field-strength components) get their frame
-derivatives either through the chain rule on those exact partials
-(``deriv_mode="analytic"``) or through fourth-order central differences
-(``deriv_mode="fd"``).
+first and second coordinate derivatives are exact.
+
+The geometry comes in two halves.  The value half computes E, E^-1, the
+anholonomy C, the connection coefficients gamma, and the frame components of
+A and F from the value and first-partial fills.  The frame derivatives dC,
+dgamma, dA and dF come either from the chain-rule half, on the exact second
+partials (``deriv_mode="analytic"``), or from fourth-order central
+differences of the values (``deriv_mode="fd"``): one value pass over each
+point and its 4n stencil rows, with no second partials.  That stencil (the
+origin first, then four rows per axis) is the one finite-difference stencil
+of the package; ``bundle`` uses it for its fiber differences too.
 
 :func:`geometry_at_point` is the one route to the frame geometry; the base
 metric is the algebra spec's ``b``, and :func:`base_curvature_from_geometry`
@@ -18,6 +24,7 @@ reads the base curvature off its result.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,18 +49,13 @@ _DEGENERACY_FACTOR = 1e-12  # |det e| threshold is this times ||e||^n
 
 @dataclass(frozen=True)
 class ChartSpec:
-    """Chart dimension and variable names (x1..xn by default)."""
+    """Chart dimension; field expressions name the coordinates x1..xn."""
 
     n: int
-    names: tuple = ()
 
     def __post_init__(self):
         if self.n < 2:
             raise StructuralError("chart dimension must be at least 2")
-        names = tuple(self.names) or tuple(f"x{i + 1}" for i in range(self.n))
-        if len(names) != self.n:
-            raise StructuralError("number of variable names does not match the dimension")
-        object.__setattr__(self, "names", names)
 
 
 class _ProviderMatrix:
@@ -179,7 +181,7 @@ def _gamma_from_C(C, b, binv):
     return np.einsum("ad,...dbc->...abc", binv, gl)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GeometryAtPoint:
     """All frame-level data needed by the total-space curvature formulas.
 
@@ -252,47 +254,53 @@ class GeometryAtPoint:
         return np.abs(low + np.swapaxes(low, -3, -2)).max(axis=(-3, -2, -1))
 
 
-def _geometry_analytic(coframe, gauge, spec, point):
-    point = np.asarray(point, dtype=float)
+def _frame_values(coframe, gauge, spec, point):
+    """The value half of the geometry: E, E^-1, C, gamma, A and F from the
+    value and first-partial fills, as keyword arguments of GeometryAtPoint,
+    and the coordinate arrays (dE, T, A_mu, d_nu A_mu, F_mu nu) that
+    :func:`_frame_derivatives` reuses."""
     E = coframe.matrix(point)
     Einv = _frame_matrix(E, point)
+    # dE[a, mu, nu] = d_nu e^a_mu
     dE = coframe.d_matrix(point)
-    d2E = coframe.d2_matrix(point)
-
-    # dE[a, mu, nu] = d_nu e^a_mu, so dE itself is d_rho E with rho last.
-    # dEinv[mu, a, rho] = d_rho (E^-1)[mu, a] = -(E^-1 (d_rho E) E^-1)[mu, a]
-    dEinv = -np.einsum("...mx,...xyr,...ya->...mar", Einv, dE, Einv)
-
     # T[a, mu, nu] = d_mu e^a_nu - d_nu e^a_mu (coordinate components of de^a)
     T = np.swapaxes(dE, -2, -1) - dE
-    # dT[a, mu, nu, rho] = d_rho T[a, mu, nu]
-    dT = np.swapaxes(d2E, -3, -2) - d2E
-
-    C, dC_coord = _frame_2form(T, dT, Einv, dEinv)
-    dC = _to_frame(dC_coord, Einv)
-
+    C = _frame_2form(T, Einv)
     b = spec.b
     binv = np.linalg.inv(b)
-    gamma = _gamma_from_C(C, b, binv)
-    # gamma is linear in C: the derivative direction rides along as a batch axis
-    dgamma_coord = np.moveaxis(_gamma_from_C(np.moveaxis(dC_coord, -1, 0), b, binv), 0, -1)
-    dgamma = _to_frame(dgamma_coord, Einv)
 
-    if gauge is None:
-        gauge = GaugeField.zero(spec, coframe.chart)
     Am = gauge.matrix(point)  # A^al_mu
     dAm = gauge.d_matrix(point)  # d_nu A^al_mu
+    # F^al_{mu nu} = d_mu A^al_nu - d_nu A^al_mu + c^al_bg A^b_mu A^g_nu
+    # (the quadratic term is already antisymmetric in mu, nu)
+    Fc = (np.swapaxes(dAm, -2, -1) - dAm
+          + np.einsum("abg,...bm,...gn->...amn", spec.fiber_c(), Am, Am))
+    values = dict(point=point, spec=spec, b_inv=binv, E=E, E_inv=Einv, C=C,
+                  gamma=_gamma_from_C(C, b, binv),
+                  A=np.einsum("...am,...mb->...ab", Am, Einv), F=_frame_2form(Fc, Einv))
+    return values, (dE, T, Am, dAm, Fc)
+
+
+def _frame_derivatives(coframe, gauge, spec, values, coord):
+    """The chain-rule half: frame derivatives dC, dgamma, dA and dF from the
+    second-partial fills and the coordinate arrays of :func:`_frame_values`."""
+    dE, T, Am, dAm, Fc = coord
+    point, Einv, binv = values["point"], values["E_inv"], values["b_inv"]
+    d2E = coframe.d2_matrix(point)
     d2Am = gauge.d2_matrix(point)
     cf = spec.fiber_c()
 
-    A_frame = np.einsum("...am,...mb->...ab", Am, Einv)
+    # dE itself is d_rho E with rho last, so
+    # dEinv[mu, a, rho] = d_rho (E^-1)[mu, a] = -(E^-1 (d_rho E) E^-1)[mu, a]
+    dEinv = -np.einsum("...mx,...xyr,...ya->...mar", Einv, dE, Einv)
+    # dT[a, mu, nu, rho] = d_rho T[a, mu, nu]
+    dT = np.swapaxes(d2E, -3, -2) - d2E
+    dC_coord = _d_frame_2form(T, dT, Einv, dEinv)
+    # gamma is linear in C: the derivative direction rides along as a batch axis
+    dgamma_coord = np.moveaxis(_gamma_from_C(np.moveaxis(dC_coord, -1, 0), spec.b, binv), 0, -1)
+
     dA_coord = (np.einsum("...amr,...mb->...abr", dAm, Einv)
                 + np.einsum("...am,...mbr->...abr", Am, dEinv))
-    dA_frame = _to_frame(dA_coord, Einv)
-
-    # F^al_{mu nu} = d_mu A^al_nu - d_nu A^al_mu + c^al_bg A^b_mu A^g_nu
-    # (the quadratic term is already antisymmetric in mu, nu)
-    Fc = np.swapaxes(dAm, -2, -1) - dAm + np.einsum("abg,...bm,...gn->...amn", cf, Am, Am)
     # d_rho F^al_{mu nu}; dAm[al, mu, nu] = d_nu A^al_mu
     dFc = (
         np.swapaxes(d2Am, -3, -2)
@@ -300,67 +308,77 @@ def _geometry_analytic(coframe, gauge, spec, point):
         + np.einsum("abg,...bmr,...gn->...amnr", cf, dAm, Am)
         + np.einsum("abg,...bm,...gnr->...amnr", cf, Am, dAm)
     )
-
-    F, dF_coord = _frame_2form(Fc, dFc, Einv, dEinv)
-    dF = _to_frame(dF_coord, Einv)
-
-    return GeometryAtPoint(
-        point=point,
-        spec=spec,
-        b_inv=binv,
-        E=E,
-        E_inv=Einv,
-        C=C,
-        dC=dC,
-        gamma=gamma,
-        dgamma=dgamma,
-        A=A_frame,
-        dA=dA_frame,
-        F=F,
-        dF=dF,
-    )
+    dF_coord = _d_frame_2form(Fc, dFc, Einv, dEinv)
+    return {name: _to_frame(coord, Einv) for name, coord in
+            (("dC", dC_coord), ("dgamma", dgamma_coord), ("dA", dA_coord), ("dF", dF_coord))}
 
 
-def _frame_2form(X, dX, Einv, dEinv):
-    """Frame components X[a, b, c] of coordinate 2-forms X[a, mu, nu], and
-    their coordinate derivatives [a, b, c, rho] from dX = d_rho X[a, mu, nu]."""
-    frame = np.einsum("...amn,...mb,...nc->...abc", X, Einv, Einv)
-    d_frame = (
+def _geometry_analytic(coframe, gauge, spec, point):
+    values, coord = _frame_values(coframe, gauge, spec, np.asarray(point, dtype=float))
+    return GeometryAtPoint(**values, **_frame_derivatives(coframe, gauge, spec, values, coord))
+
+
+def _frame_2form(X, Einv):
+    """Frame components X[a, b, c] of coordinate 2-forms X[a, mu, nu]."""
+    return np.einsum("...amn,...mb,...nc->...abc", X, Einv, Einv)
+
+
+def _d_frame_2form(X, dX, Einv, dEinv):
+    """Coordinate derivatives [a, b, c, rho] of :func:`_frame_2form` from
+    dX = d_rho X[a, mu, nu]."""
+    return (
         np.einsum("...amnr,...mb,...nc->...abcr", dX, Einv, Einv)
         + np.einsum("...amn,...mbr,...nc->...abcr", X, dEinv, Einv)
         + np.einsum("...amn,...mb,...ncr->...abcr", X, Einv, dEinv)
     )
-    return frame, d_frame
 
 
 def _to_frame(coord, Einv):
     """Turn the trailing coordinate-derivative axis rho of ``coord`` into a
     frame direction: out[..., d] = coord[..., rho] (E^-1)[rho, d]."""
-    flat = coord.reshape(Einv.shape[:-2] + (-1, coord.shape[-1]))
+    inner = math.prod(coord.shape[Einv.ndim - 2:-1])  # given, not inferred: coord may be empty
+    flat = coord.reshape(Einv.shape[:-2] + (inner, coord.shape[-1]))
     return (flat @ Einv).reshape(coord.shape)
 
 
-_FD4_OFFSETS = (-2, -1, 1, 2)
+# The one fourth-order central-difference stencil, shared with the fiber
+# differences of ``bundle``: f'(x) = sum_k w_k f(x + o_k h) / h + O(h^4).
+_FD4_OFFSETS = (-2.0, -1.0, 1.0, 2.0)
 _FD4_WEIGHTS = (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0)
 
 
+def _fd_stencil(dim: int, h: float) -> np.ndarray:
+    """(1 + 4 dim, dim) offsets: the origin, then in row 1 + 4 d + k the step
+    _FD4_OFFSETS[k] * h along axis d."""
+    steps = np.multiply.outer(np.eye(dim), np.array(_FD4_OFFSETS) * h)  # [d, e, k]
+    return np.concatenate([np.zeros((1, dim)), np.moveaxis(steps, -1, 1).reshape(4 * dim, dim)])
+
+
+def _fd_gradient(values: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """Fourth-order gradient from values on the :func:`_fd_stencil` rows,
+    laid out along ``axis``; the row axis is dropped and the derivative
+    direction appended last."""
+    values = np.moveaxis(values, axis, 0)
+    # the row count is given, not inferred: values may be empty (r = 0)
+    rows = values[1:].reshape(((values.shape[0] - 1) // 4, 4) + values.shape[1:])  # [d, k, ...]
+    acc = 0.0
+    for k, w in enumerate(_FD4_WEIGHTS):
+        acc = acc + w * rows[:, k]
+    return np.moveaxis(acc / h, 0, -1)
+
+
 def _geometry_fd(coframe, gauge, spec, point, h):
-    """Same contract as the analytic path, but frame derivatives of the derived
-    quantities come from fourth-order central differences in the chart."""
-    base = _geometry_analytic(coframe, gauge, spec, point)
-    n = base.n
-    point = base.point
-    # stencil[k, rho, ..., :] is the point moved by _FD4_OFFSETS[k] * h along x^rho
-    shift = np.multiply.outer(np.array(_FD4_OFFSETS) * h, np.eye(n))  # (4, n, n)
-    shift = shift.reshape(shift.shape[:2] + (1,) * (point.ndim - 1) + (n,))
-    rows = _geometry_analytic(coframe, gauge, spec, point + shift)
-
-    def derivative(values):  # sum_k w_k values[k, rho] / h, rho moved last
-        coord = np.moveaxis(np.tensordot(_FD4_WEIGHTS, values, axes=1), 0, -1) / h
-        return _to_frame(coord, base.E_inv)
-
-    base.dC, base.dgamma, base.dA, base.dF = map(derivative, (rows.C, rows.gamma, rows.A, rows.F))
-    return base
+    """Same contract as the analytic path, but the frame derivatives of C,
+    gamma, A and F come from fourth-order central differences in the chart:
+    one value pass over each point and its 4n stencil rows, no second
+    partials."""
+    point = np.asarray(point, dtype=float)
+    axis = point.ndim - 1  # the stencil-row axis, behind the batch axes
+    rows, _ = _frame_values(coframe, gauge, spec, point[..., None, :] + _fd_stencil(spec.n, h))
+    at = {name: np.take(rows[name], 0, axis) for name in ("E", "E_inv", "C", "gamma", "A", "F")}
+    derivs = {"d" + name: _to_frame(_fd_gradient(rows[name], axis, h), at["E_inv"])
+              for name in ("C", "gamma", "A", "F")}
+    return GeometryAtPoint(point=point, spec=spec, b_inv=rows["b_inv"], **at, **derivs)
 
 
 def geometry_at_point(
@@ -378,6 +396,8 @@ def geometry_at_point(
     if coframe.n != spec.n:
         raise StructuralError(f"chart dimension {coframe.n} does not match the "
                               f"algebra's base dimension {spec.n}")
+    if gauge is None:
+        gauge = GaugeField.zero(spec, coframe.chart)
     if deriv_mode == "analytic":
         return _geometry_analytic(coframe, gauge, spec, point)
     if deriv_mode == "fd":
@@ -419,7 +439,7 @@ def base_curvature_from_geometry(geom: GeometryAtPoint) -> BaseCurvature:
 def load_fields(data: dict, spec: LieAlgebraSpec):
     """Build chart, coframe, gauge and evaluation points from the JSON format.
 
-    ``{"chart":{"n":…,"names":[…]}, "coframe":[["expr",…],…],
+    ``{"chart":{"n":…}, "coframe":[["expr",…],…],
     "gauge":[["expr",…],…], "params":{…}, "points":[[…]] or
     "lattice":{"min":[…],"max":[…],"steps":[…]}}``
 
@@ -427,7 +447,7 @@ def load_fields(data: dict, spec: LieAlgebraSpec):
     """
     chart_data = data.get("chart", {})
     n = int(chart_data.get("n", spec.n))
-    chart = ChartSpec(n, tuple(chart_data.get("names", ())))
+    chart = ChartSpec(n)
     params = data.get("params", {})
 
     def prov(entry):

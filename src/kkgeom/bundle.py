@@ -20,7 +20,8 @@ with V the right-trivialized derivative of the exponential.  Like
 ``basegeo`` and ``kkcurv``, they take one point or a batch alike: the
 geometry, the group elements and the fiber points carry the same leading
 batch axes, the fiber stencils of every point are extra rows of one array,
-and the residuals hold one value per point.
+and the residuals hold one value per point.  The fiber differences use the
+fourth-order stencil of ``basegeo`` with step ``_FD_STEP``.
 
 Path lifting is batched over its steps.  A path velocity maps an array of
 times ``(T,)`` to velocities ``(T, r)`` and is sampled once at every RK4
@@ -41,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basegeo import _fd_gradient, _fd_stencil
 from .errors import StructuralError
 from .kkcurv import assemble_omega, curvature_direct
 from .liealg import EPSILON3, LieAlgebraSpec, builtin_algebra
@@ -58,10 +60,10 @@ __all__ = [
     "verify_gauge_covariance",
 ]
 
-# central-difference stencil used for all fiber-direction derivatives
+# step of the basegeo fourth-order stencil in every fiber-direction derivative
 _FD_STEP = 1e-4
-_FD4_OFFSETS = (-2.0, -1.0, 1.0, 2.0)
-_FD4_WEIGHTS = (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0)
+# largest |g^T g - 1| entry of a group element on the manifold
+_MANIFOLD_TOL = 1e-8
 
 # Coefficients of the degree-13 Pade approximant to exp and the 1-norm up to
 # which it is accurate to double precision (Higham 2005, SIAM J. Matrix Anal.
@@ -164,12 +166,11 @@ class GroupElement:
     batch of them (leading axes in front of the d x d matrix).
 
     The built-in reps are compact, so "on the group manifold" is checked as
-    orthogonality of the matrix.
+    orthogonality of the matrix, within ``_MANIFOLD_TOL``.
     """
 
     rep: MatrixRep
     matrix: np.ndarray
-    tol: float = 1e-8
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -179,7 +180,7 @@ class GroupElement:
             raise StructuralError(f"element shape {m.shape} does not match rep "
                                   f"dimension {self.rep.dim}")
         res = self.manifold_residual()
-        if not res <= self.tol:  # NaN and infinite matrices fail too
+        if not res <= _MANIFOLD_TOL:  # NaN and infinite matrices fail too
             raise StructuralError(f"matrix is off the group manifold "
                                   f"(orthogonality residual {res:.3e})")
 
@@ -199,15 +200,12 @@ class GroupElement:
         """Element or sub-batch ``index`` along the leading batch axis."""
         if self.matrix.ndim < 3:
             raise TypeError("a single group element cannot be indexed")
-        return GroupElement(self.rep, self.matrix[index], self.tol)
+        return GroupElement(self.rep, self.matrix[index])
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         if other.rep is not self.rep:
             raise StructuralError("cannot multiply elements of different reps")
         return GroupElement(self.rep, self.matrix @ other.matrix)
-
-    def inverse(self) -> "GroupElement":
-        return GroupElement(self.rep, np.swapaxes(self.matrix, -2, -1).copy())
 
 
 @dataclass(frozen=True)
@@ -376,25 +374,6 @@ def _fiber_ad(spec: LieAlgebraSpec, s: np.ndarray) -> np.ndarray:
     return np.einsum("abc,...b->...ac", spec.fiber_c(), s)
 
 
-def _fiber_stencil(r: int) -> np.ndarray:
-    """(1 + 4r, r) fiber offsets: the origin, then in row 1 + 4 d + k the
-    step _FD4_OFFSETS[k] * h along s^d."""
-    steps = np.multiply.outer(np.eye(r), np.array(_FD4_OFFSETS) * _FD_STEP)  # [d, e, k]
-    return np.concatenate([np.zeros((1, r)), np.moveaxis(steps, -1, 1).reshape(4 * r, r)])
-
-
-def _fd_rows(values: np.ndarray, axis: int) -> np.ndarray:
-    """4th-order central-difference gradient from the stencil rows laid out
-    by :func:`_fiber_stencil` along ``axis``; the row axis is dropped and
-    the derivative direction appended last."""
-    values = np.moveaxis(values, axis, 0)
-    rows = values[1:].reshape((-1, 4) + values.shape[1:])  # [d, k, ...]
-    acc = 0.0
-    for k, w in enumerate(_FD4_WEIGHTS):
-        acc = acc + w * rows[:, k]
-    return np.moveaxis(acc / _FD_STEP, 0, -1)
-
-
 def _coordinate_gauge_data(geom):
     """Coordinate components of A, F and the antisymmetrized dA at the
     frozen base points: A_mu, F_{mu nu}, and d_mu A_nu - d_nu A_mu."""
@@ -427,9 +406,9 @@ def verify_deextra(geom, g: GroupElement, spec: LieAlgebraSpec, s=None):
 
     Ac, Fc, dAc = _coordinate_gauge_data(geom)
     # V at s and at its 4r stencil neighbours, one series for all of them
-    V_rows = _dexp_right(_fiber_ad(spec, s[..., None, :] + _fiber_stencil(r)))
+    V_rows = _dexp_right(_fiber_ad(spec, s[..., None, :] + _fd_stencil(r, _FD_STEP)))
     V = V_rows[..., 0, :, :]
-    dV = _fd_rows(V_rows, -3)
+    dV = _fd_gradient(V_rows, -3, _FD_STEP)
 
     m = n + r
     e = np.zeros(batch + (r, m))
@@ -477,7 +456,7 @@ def verify_gauge_covariance(geom, g: GroupElement, spec: LieAlgebraSpec,
     E = geom.E
     Ac, _, dAc = _coordinate_gauge_data(geom)
     adj0 = _fiber_adjoint(g)
-    stencil = _fiber_stencil(r)
+    stencil = _fd_stencil(r, _FD_STEP)
 
     # S at every outer stencil point (phi is differenced there) and, if it
     # varies, its own fiber derivative from the inner stencil around each
@@ -486,7 +465,7 @@ def verify_gauge_covariance(geom, g: GroupElement, spec: LieAlgebraSpec,
         fiber = expm(_fiber_ad(spec, s_all)) @ adj0[..., None, None, :, :]
         S_all = _identity_padded(fiber, n)
         S = S_all[..., 0, :, :]
-        dS = _fd_rows(S_all, -3)
+        dS = _fd_gradient(S_all, -3, _FD_STEP)
     else:
         S = _identity_padded(adj0, n)[..., None, :, :]  # one S for every outer point
     Sinv = np.linalg.inv(S)
@@ -502,7 +481,7 @@ def verify_gauge_covariance(geom, g: GroupElement, spec: LieAlgebraSpec,
         phi[..., n:] += np.einsum("...ab,...bcd->...acd", Sinv, dS)
     # planes-first layouts: [.., I, :, :] = phi_I and [.., I, delta, :, :] = d_delta phi_I
     phi0 = np.moveaxis(phi[..., 0, :, :, :], -1, -3)
-    dphi = np.moveaxis(_fd_rows(phi, -4), (-2, -1), (-4, -3))
+    dphi = np.moveaxis(_fd_gradient(phi, -4, _FD_STEP), (-2, -1), (-4, -3))
     M0 = M[..., 0, :, :]
     # S at s = 0, with room for the (I, J) plane axes in front of the matrix
     S0, S0inv = S[..., 0, None, None, :, :], Sinv[..., 0, None, None, :, :]

@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 
@@ -129,8 +130,11 @@ def _to_csv(report):
 
 
 def _options(problem, args):
-    """Merge problem-file options with command-line overrides."""
-    opts = dict(problem.get("options", {}))
+    """Merge problem-file options with command-line overrides, checked."""
+    opts = problem.get("options", {})
+    if not isinstance(opts, dict):
+        raise _UsageError("'options' must be an object")
+    opts = dict(opts)
     for name in ("tol", "fd_step", "trials", "seed"):
         val = getattr(args, name, None)
         if val is not None:
@@ -138,6 +142,19 @@ def _options(problem, args):
     opts.setdefault("tol", 1e-10)
     opts.setdefault("fd_step", 1e-3)
     opts.setdefault("seed", 0)
+    return _checked(opts)
+
+
+def _checked(opts):
+    """``opts``, once ``tol``, ``fd_step`` and ``gauge_tol`` are known to be
+    positive finite numbers and ``seed`` a non-negative integer, where given."""
+    for name in ("tol", "fd_step", "gauge_tol"):
+        val = opts.get(name, 1.0)
+        if isinstance(val, bool) or not isinstance(val, (int, float)) or not 0 < val < math.inf:
+            raise _UsageError(f"option {name} must be a positive finite number, got {val!r}")
+    seed = opts.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise _UsageError(f"option seed must be a non-negative integer, got {seed!r}")
     return opts
 
 
@@ -184,11 +201,14 @@ def cmd_identities(args):
         raise _UsageError("identities needs --n")
     trials = args.trials if args.trials is not None else 200
     seed = args.seed if args.seed is not None else 0
+    tol = args.tol if args.tol is not None else 1e-12
+    if not 0 <= tol < math.inf:  # 0 asks for exact identities
+        raise _UsageError(f"option tol must be a non-negative finite number, got {tol!r}")
+    _checked({"seed": seed})
     try:
         rep = exterior.check_identities(n, trials=trials, seed=seed)
     except DegreeError as exc:
         raise _UsageError(str(exc)) from exc
-    tol = args.tol if args.tol is not None else 1e-12
     passed = rep.max_residual <= tol
     config = {"n": n, "trials": trials, "seed": seed, "tol": tol}
     body = {
@@ -401,10 +421,8 @@ def cmd_gauge_check(args):
     fields = problem.get("fields", {})
     deriv_mode = fields.get("deriv_mode", "analytic")
     chart, coframe, gauge, points = basegeo.load_fields(fields, spec)
-    rng = np.random.default_rng(int(opts["seed"]))
+    rng = np.random.default_rng(opts["seed"])
     tol = opts.get("gauge_tol", 1e-5)
-    if not (isinstance(tol, (int, float)) and tol > 0):
-        raise _UsageError(f"option gauge_tol must be a positive number, got {tol!r}")
     rows = []
     for start in range(0, len(points), _BLOCK):
         block = points[start:start + _BLOCK]

@@ -131,15 +131,6 @@ class AlternatingForm:
     def equal_to(self, other, tol=0.0) -> bool:
         return (self - other).is_zero(tol)
 
-    def component(self, selector) -> "AlternatingForm":
-        """Scalar form extracted from a vector-valued one."""
-        return AlternatingForm(
-            self.N,
-            self.degree,
-            {idx: v[selector] for idx, v in self.coeffs.items()},
-            (),
-        )
-
     def dump(self) -> str:
         """One line per multi-index: "A1 A2 ... Ap : v1 ... vm" (1-based)."""
         lines = []
@@ -283,18 +274,16 @@ class IdentityReport:
     def max_residual(self) -> float:
         return max(self.residuals.values())
 
-    def summary(self) -> str:
-        lines = [f"coframe identity suite, N={self.N}, trials={self.trials}"]
-        for name, res in self.residuals.items():
-            lines.append(f"  {name}: max residual {res:.3e}")
-        return "\n".join(lines)
+
+# largest N whose index-choice identities are checked on every index tuple
+_EXHAUSTIVE_LIMIT = 5
 
 
-def check_identities(N, trials=200, seed=0, exhaustive_limit=5) -> IdentityReport:
+def check_identities(N, trials=200, seed=0) -> IdentityReport:
     """Verify the five structural identities tying the epsilon-built forms.
 
     Index-choice identities are checked exhaustively for ``N`` up to
-    ``exhaustive_limit`` and on random draws above it; the two derivative
+    ``_EXHAUSTIVE_LIMIT`` and on random draws above it; the two derivative
     identities substitute random integer-coefficient 2-forms for each
     ``d theta^B``.  ``trials``, a positive integer, is the number of random
     draws per identity.  In exact arithmetic all residuals are zero.
@@ -324,7 +313,7 @@ def check_identities(N, trials=200, seed=0, exhaustive_limit=5) -> IdentityRepor
         "d theta^(N-2) Leibniz",
     )}
 
-    if N <= exhaustive_limit:
+    if N <= _EXHAUSTIVE_LIMIT:
         singles = list(product(range(N), repeat=2))
         pairs = list(product(range(N), repeat=3))
         triples = list(product(range(N), repeat=4))

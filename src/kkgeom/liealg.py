@@ -40,6 +40,9 @@ __all__ = [
 # never silently flipped.
 LAMBDA_PREFACTOR = -0.125
 
+# |det| at or below which h_inv and k_inv call a metric block singular
+_SINGULAR_TOL = 1e-12
+
 EPSILON3 = np.zeros((3, 3, 3))
 for _i, _j, _k, _s in [(0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
                        (0, 2, 1, -1), (2, 1, 0, -1), (1, 0, 2, -1)]:
@@ -58,7 +61,6 @@ class LieAlgebraSpec:
     c: np.ndarray  # (N, N, N)
     b: np.ndarray  # (n, n)
     k: np.ndarray  # (r, r)
-    names: tuple | None = None
 
     def __post_init__(self):
         n, r = self.n, self.r
@@ -90,16 +92,16 @@ class LieAlgebraSpec:
         h[self.n :, self.n :] = self.k
         return h
 
-    def h_inv(self, tol: float = 1e-12) -> np.ndarray:
+    def h_inv(self) -> np.ndarray:
         h = self.h
-        if abs(np.linalg.det(h)) <= tol:
+        if abs(np.linalg.det(h)) <= _SINGULAR_TOL:
             raise DegenerateMetricError("metric h is singular")
         return np.linalg.inv(h)
 
-    def k_inv(self, tol: float = 1e-12) -> np.ndarray:
+    def k_inv(self) -> np.ndarray:
         if self.r == 0:
             return np.zeros((0, 0))
-        if abs(np.linalg.det(self.k)) <= tol:
+        if abs(np.linalg.det(self.k)) <= _SINGULAR_TOL:
             raise DegenerateMetricError("fiber metric k is singular")
         return np.linalg.inv(self.k)
 
@@ -115,11 +117,6 @@ class CheckResult:
     passed: bool
     max_violation: float
     worst_indices: tuple | None = None  # 1-based
-
-    def __str__(self):
-        status = "pass" if self.passed else "FAIL"
-        where = "" if self.worst_indices is None else f" at {self.worst_indices}"
-        return f"{self.name}: {status} (max violation {self.max_violation:.3e}{where})"
 
 
 @dataclass(frozen=True)
@@ -140,19 +137,6 @@ class ValidationReport:
             if c.name == name:
                 return c
         raise KeyError(name)
-
-    def summary(self) -> str:
-        lines = [str(c) for c in self.checks]
-        lines.append(
-            "unimodular: %s (max |c^a_ba| = %.3e)%s"
-            % (
-                "yes" if self.unimodular else "no",
-                self.unimodular_violation,
-                "" if self.unimodular else "  [warning only]",
-            )
-        )
-        lines.append(f"signature of b: {self.b_signature}, of k: {self.k_signature}")
-        return "\n".join(lines)
 
 
 def _worst(residual: np.ndarray):
@@ -245,10 +229,10 @@ def killing_form(spec: LieAlgebraSpec) -> np.ndarray:
     return np.einsum("abg,bae->ge", cf, cf)
 
 
-def cosmological_constant(spec: LieAlgebraSpec, tol: float = 1e-12) -> float:
+def cosmological_constant(spec: LieAlgebraSpec) -> float:
     """``LAMBDA_PREFACTOR`` times the pairing of the Killing form with ``k``-inverse."""
     K = killing_form(spec)
-    return LAMBDA_PREFACTOR * float(np.einsum("ge,ge->", K, spec.k_inv(tol)))
+    return LAMBDA_PREFACTOR * float(np.einsum("ge,ge->", K, spec.k_inv()))
 
 
 def adjoint_matrix(spec: LieAlgebraSpec, xi) -> np.ndarray:

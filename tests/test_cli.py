@@ -347,6 +347,18 @@ def test_curvature_without_fiber(tmp_path, capsys):
     assert report["summary"]["max_cross_check"] < 1e-6
 
 
+def test_fd_curvature_without_fiber(tmp_path, capsys):
+    problem = with_algebra({"builtin": "abelian", "n": 2, "r": 0})
+    del problem["fields"]["gauge"]
+    problem["fields"]["deriv_mode"] = "fd"
+    code, out = run(capsys, ["curvature", "--input", write_problem(tmp_path, problem)])
+    assert code == EXIT_OK
+    report = json.loads(out.out)
+    assert report["summary"]["points"] == 4
+    assert report["summary"]["max_yang_mills_residual"] == 0.0
+    assert report["summary"]["max_cross_check"] < 1e-3
+
+
 def test_curvature_out_file(tmp_path, capsys):
     path = write_problem(tmp_path, SU2_PROBLEM)
     dest = tmp_path / "report.json"
@@ -563,6 +575,50 @@ def test_gauge_check_rejects_bad_tolerance(tmp_path, capsys, tol):
     code, out = run(capsys, ["gauge-check", "--input", write_problem(tmp_path, problem)])
     assert code == EXIT_USAGE
     assert "gauge_tol" in out.err
+
+
+BAD_OPTIONS = [("tol", "abc"), ("tol", None), ("tol", -1.0), ("fd_step", "abc"),
+               ("fd_step", None), ("fd_step", 0), ("fd_step", float("inf")),
+               ("gauge_tol", None), ("gauge_tol", True), ("seed", "abc"), ("seed", None),
+               ("seed", 1.5), ("seed", -1)]
+
+
+@pytest.mark.parametrize("command", ["curvature", "gauge-check", "validate"])
+@pytest.mark.parametrize("name,value", BAD_OPTIONS)
+def test_bad_option_value_exits_64(tmp_path, capsys, command, name, value):
+    problem = json.loads(json.dumps(SU2_PROBLEM))
+    problem["options"][name] = value
+    code, out = run(capsys, [command, "--input", write_problem(tmp_path, problem)])
+    assert code == EXIT_USAGE
+    assert out.out == ""
+    assert out.err.count("\n") == 1
+    assert out.err.startswith(f"error: option {name} must be")
+
+
+def test_options_must_be_an_object(tmp_path, capsys):
+    problem = dict(SU2_PROBLEM, options=[["seed", 1]])
+    code, out = run(capsys, ["curvature", "--input", write_problem(tmp_path, problem)])
+    assert code == EXIT_USAGE
+    assert out.err == "error: 'options' must be an object\n"
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("curvature", "--fd-step", "0"), ("curvature", "--tol", "nan"), ("curvature", "--seed", "-2"),
+    ("identities", "--tol", "-1"), ("identities", "--tol", "nan"), ("identities", "--seed", "-1")])
+def test_bad_option_override_exits_64(tmp_path, capsys, command, flag, value):
+    argv = (["identities", "--n", "3"] if command == "identities"
+            else [command, "--input", write_problem(tmp_path, SU2_PROBLEM)])
+    code, out = run(capsys, argv + [flag, value])
+    assert code == EXIT_USAGE
+    assert out.out == ""
+    assert out.err.startswith(f"error: option {flag[2:].replace('-', '_')} must be")
+
+
+def test_identities_accepts_an_exact_tolerance(capsys):
+    # the identity residuals come from integer-coefficient forms: tol 0 is exact
+    code, out = run(capsys, ["identities", "--n", "3", "--tol", "0"])
+    assert code == EXIT_OK
+    assert json.loads(out.out)["config"]["tol"] == 0.0
 
 
 def test_gauge_check_sweeps_in_blocks_of_32_points(tmp_path, capsys, monkeypatch):
