@@ -9,12 +9,13 @@ first and second coordinate derivatives are exact.
 The geometry comes in two halves.  The value half computes E, E^-1, the
 anholonomy C, the connection coefficients gamma, and the frame components of
 A and F from the value and first-partial fills.  The frame derivatives dC,
-dgamma, dA and dF come either from the chain-rule half, on the exact second
+dA and dF come either from the chain-rule half, on the exact second
 partials (``deriv_mode="analytic"``), or from fourth-order central
 differences of the values (``deriv_mode="fd"``): one value pass over each
 point and its 4n stencil rows, with no second partials.  That stencil (the
 origin first, then four rows per axis) is the one finite-difference stencil
-of the package; ``bundle`` uses it for its fiber differences too.
+of the package; ``bundle`` uses it for its fiber differences too.  In both
+routes dgamma = gamma(dC), since gamma is linear in C.
 
 :func:`geometry_at_point` is the one route to the frame geometry; the base
 metric is the algebra spec's ``b``, and :func:`base_curvature_from_geometry`
@@ -74,8 +75,12 @@ class _ProviderMatrix:
     def d2_matrix(self, point) -> np.ndarray:
         return self._fill(point, 2)
 
-    def _fill(self, point, order):
-        """out[..., row, mu, *nus] = d_{nus} entries[row][mu], ``order`` derivatives."""
+    def _fill(self, point, order, fd_step=None):
+        """out[..., row, mu, *nus] = d_{nus} entries[row][mu], ``order`` derivatives.
+
+        With ``fd_step`` the last batch axis of ``point`` holds the fd stencil
+        rows of each input point, row 0 the point itself; it only changes
+        how an evaluation error names its point."""
         point = np.asarray(point, dtype=float)
         n = self.chart.n
         out = np.empty(point.shape[:-1] + (len(self.entries), n) + (n,) * order)
@@ -90,17 +95,23 @@ class _ProviderMatrix:
                         value = method(*nus, point)
                     except EvalDomainError as exc:
                         raise self._domain_error(exc, a, mu, lambda q: method(*nus, q),
-                                                 point) from None
+                                                 point, fd_step) from None
                     for perm in perms:
                         out[(..., a, mu) + perm] = value
         return out
 
-    def _domain_error(self, exc, a, mu, evaluate, point):
+    def _domain_error(self, exc, a, mu, evaluate, point, fd_step):
         """``exc`` located: the entry as written in the field file and the
-        first point of the batch at which ``evaluate`` fails."""
-        points = point.reshape(-1, point.shape[-1])
-        bad = next((q for q in points if _fails(evaluate, q)), None)
-        where = "" if bad is None else f" at point {bad.tolist()}"
+        first point of the batch at which ``evaluate`` fails.  A failing fd
+        stencil row is named with the input point it was stepped from."""
+        bad = next((i for i in np.ndindex(point.shape[:-1]) if _fails(evaluate, point[i])), None)
+        if bad is None:
+            where = ""
+        elif fd_step is None or bad[-1] == 0:
+            where = f" at point {point[bad].tolist()}"
+        else:
+            where = (f" at point {point[bad[:-1] + (0,)].tolist()}: fails on its fd stencil "
+                     f"row {point[bad].tolist()} (fd_step {fd_step})")
         source = pretty(self.entries[a][mu].expr)
         return EvalDomainError(f"{self.block}[{a}][{mu}] = {source}{where}: {exc}")
 
@@ -210,67 +221,34 @@ class GeometryAtPoint:
     def n(self):
         return self.E.shape[-1]
 
-    @property
-    def b(self):
-        return np.asarray(self.spec.b)
-
-    @property
-    def k(self):
-        return np.asarray(self.spec.k)
-
-    # raised / lowered field-strength variants used by the block connection
-    def F_mixed(self) -> np.ndarray:
-        """out[g, a, c] = k_{gg'} F^{g'}_{a'c} b^{a'a}."""
-        return np.einsum("gd,...dxc,xa->...gac", self.k, self.F, self.b_inv)
-
-    def F_low_up(self) -> np.ndarray:
-        """out[g, b, c] = k_{gg'} F^{g'}_{bc'} b^{c'c}."""
-        return np.einsum("gd,...dbx,xc->...gbc", self.k, self.F, self.b_inv)
-
-    # optimize=True (pairwise contraction) pays off on the sweep blocks these serve
-    def F_up2(self) -> np.ndarray:
-        """out[g, a, c] = k_{gg'} F^{g'}_{a'c'} b^{a'a} b^{c'c} (both base indices up)."""
-        return np.einsum("gd,...dxy,xa,yc->...gac", self.k, self.F, self.b_inv, self.b_inv,
-                         optimize=True)
-
-    def dF_up2(self) -> np.ndarray:
-        """Frame derivative of :meth:`F_up2` (metric blocks are constant)."""
-        return np.einsum("gd,...dxye,xa,yc->...gace", self.k, self.dF, self.b_inv, self.b_inv,
-                         optimize=True)
-
-    def dF_mixed(self) -> np.ndarray:
-        return np.einsum("gd,...dxce,xa->...gace", self.k, self.dF, self.b_inv)
-
-    def dF_low_up(self) -> np.ndarray:
-        return np.einsum("gd,...dbxe,xc->...gbce", self.k, self.dF, self.b_inv)
-
     def torsion_residual(self):
         """Max violation of the first structure equation, as a C-coefficient identity."""
         g = self.gamma
         return np.abs(self.C - (g - np.swapaxes(g, -2, -1))).max(axis=(-3, -2, -1))
 
     def metricity_residual(self):
-        low = np.einsum("ad,...dbc->...abc", self.b, self.gamma)
+        low = np.einsum("ad,...dbc->...abc", self.spec.b, self.gamma)
         return np.abs(low + np.swapaxes(low, -3, -2)).max(axis=(-3, -2, -1))
 
 
-def _frame_values(coframe, gauge, spec, point):
+def _frame_values(coframe, gauge, spec, point, fd_step=None):
     """The value half of the geometry: E, E^-1, C, gamma, A and F from the
     value and first-partial fills, as keyword arguments of GeometryAtPoint,
     and the coordinate arrays (dE, T, A_mu, d_nu A_mu, F_mu nu) that
-    :func:`_frame_derivatives` reuses."""
-    E = coframe.matrix(point)
+    :func:`_frame_derivatives` reuses.  ``fd_step`` marks ``point`` as fd
+    stencil rows (see :meth:`_ProviderMatrix._fill`)."""
+    E = coframe._fill(point, 0, fd_step)
     Einv = _frame_matrix(E, point)
     # dE[a, mu, nu] = d_nu e^a_mu
-    dE = coframe.d_matrix(point)
+    dE = coframe._fill(point, 1, fd_step)
     # T[a, mu, nu] = d_mu e^a_nu - d_nu e^a_mu (coordinate components of de^a)
     T = np.swapaxes(dE, -2, -1) - dE
     C = _frame_2form(T, Einv)
     b = spec.b
     binv = np.linalg.inv(b)
 
-    Am = gauge.matrix(point)  # A^al_mu
-    dAm = gauge.d_matrix(point)  # d_nu A^al_mu
+    Am = gauge._fill(point, 0, fd_step)  # A^al_mu
+    dAm = gauge._fill(point, 1, fd_step)  # d_nu A^al_mu
     # F^al_{mu nu} = d_mu A^al_nu - d_nu A^al_mu + c^al_bg A^b_mu A^g_nu
     # (the quadratic term is already antisymmetric in mu, nu)
     Fc = (np.swapaxes(dAm, -2, -1) - dAm
@@ -282,10 +260,10 @@ def _frame_values(coframe, gauge, spec, point):
 
 
 def _frame_derivatives(coframe, gauge, spec, values, coord):
-    """The chain-rule half: frame derivatives dC, dgamma, dA and dF from the
+    """The chain-rule half: frame derivatives dC, dA and dF from the
     second-partial fills and the coordinate arrays of :func:`_frame_values`."""
     dE, T, Am, dAm, Fc = coord
-    point, Einv, binv = values["point"], values["E_inv"], values["b_inv"]
+    point, Einv = values["point"], values["E_inv"]
     d2E = coframe.d2_matrix(point)
     d2Am = gauge.d2_matrix(point)
     cf = spec.fiber_c()
@@ -296,8 +274,6 @@ def _frame_derivatives(coframe, gauge, spec, values, coord):
     # dT[a, mu, nu, rho] = d_rho T[a, mu, nu]
     dT = np.swapaxes(d2E, -3, -2) - d2E
     dC_coord = _d_frame_2form(T, dT, Einv, dEinv)
-    # gamma is linear in C: the derivative direction rides along as a batch axis
-    dgamma_coord = np.moveaxis(_gamma_from_C(np.moveaxis(dC_coord, -1, 0), spec.b, binv), 0, -1)
 
     dA_coord = (np.einsum("...amr,...mb->...abr", dAm, Einv)
                 + np.einsum("...am,...mbr->...abr", Am, dEinv))
@@ -310,12 +286,21 @@ def _frame_derivatives(coframe, gauge, spec, values, coord):
     )
     dF_coord = _d_frame_2form(Fc, dFc, Einv, dEinv)
     return {name: _to_frame(coord, Einv) for name, coord in
-            (("dC", dC_coord), ("dgamma", dgamma_coord), ("dA", dA_coord), ("dF", dF_coord))}
+            (("dC", dC_coord), ("dA", dA_coord), ("dF", dF_coord))}
+
+
+def _geometry(values, derivs):
+    """GeometryAtPoint from the value half and the frame derivatives dC, dA
+    and dF of either route.  dgamma = gamma(dC): gamma is linear in C and b
+    is constant, so the derivative direction rides along as a batch axis."""
+    dC_first = np.moveaxis(derivs["dC"], -1, 0)
+    dgamma = np.moveaxis(_gamma_from_C(dC_first, values["spec"].b, values["b_inv"]), 0, -1)
+    return GeometryAtPoint(**values, **derivs, dgamma=dgamma)
 
 
 def _geometry_analytic(coframe, gauge, spec, point):
     values, coord = _frame_values(coframe, gauge, spec, np.asarray(point, dtype=float))
-    return GeometryAtPoint(**values, **_frame_derivatives(coframe, gauge, spec, values, coord))
+    return _geometry(values, _frame_derivatives(coframe, gauge, spec, values, coord))
 
 
 def _frame_2form(X, Einv):
@@ -369,16 +354,16 @@ def _fd_gradient(values: np.ndarray, axis: int, h: float) -> np.ndarray:
 
 def _geometry_fd(coframe, gauge, spec, point, h):
     """Same contract as the analytic path, but the frame derivatives of C,
-    gamma, A and F come from fourth-order central differences in the chart:
-    one value pass over each point and its 4n stencil rows, no second
+    A and F come from fourth-order central differences in the chart: one
+    value pass over each point and its 4n stencil rows, no second
     partials."""
     point = np.asarray(point, dtype=float)
     axis = point.ndim - 1  # the stencil-row axis, behind the batch axes
-    rows, _ = _frame_values(coframe, gauge, spec, point[..., None, :] + _fd_stencil(spec.n, h))
+    rows, _ = _frame_values(coframe, gauge, spec, point[..., None, :] + _fd_stencil(spec.n, h), h)
     at = {name: np.take(rows[name], 0, axis) for name in ("E", "E_inv", "C", "gamma", "A", "F")}
     derivs = {"d" + name: _to_frame(_fd_gradient(rows[name], axis, h), at["E_inv"])
-              for name in ("C", "gamma", "A", "F")}
-    return GeometryAtPoint(point=point, spec=spec, b_inv=rows["b_inv"], **at, **derivs)
+              for name in ("C", "A", "F")}
+    return _geometry(dict(point=point, spec=spec, b_inv=rows["b_inv"], **at), derivs)
 
 
 def geometry_at_point(

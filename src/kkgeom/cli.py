@@ -452,23 +452,26 @@ def _build_parser():
         description="batch runner for the reduction-geometry checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
+    # each subcommand accepts only the option flags it reads
+    flag_types = {"--tol": float, "--fd-step": float, "--trials": int, "--seed": int}
+
+    def command(name, help, *flags, needs_input=True):
+        p = sub.add_parser(name, help=help)
         if needs_input:
             p.add_argument("--input", help="problem JSON file")
         p.add_argument("--out", help="report file (default stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--fd-step", dest="fd_step", type=float, default=None)
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
+        for flag in flags:
+            p.add_argument(flag, type=flag_types[flag])
+        return p
 
-    common(sub.add_parser("validate", help="algebra hypothesis checks"))
-    p_id = sub.add_parser("identities", help="coframe identity suite")
+    command("validate", "algebra hypothesis checks", "--tol")
+    p_id = command("identities", "coframe identity suite", "--tol", "--trials", "--seed",
+                   needs_input=False)
     p_id.add_argument("--n", type=int, default=None, help="coframe dimension")
-    common(p_id, needs_input=False)
-    common(sub.add_parser("curvature", help="curvature and residual sweep"))
-    common(sub.add_parser("lift", help="fiber path lifting"))
-    common(sub.add_parser("gauge-check", help="gauge covariance verification"))
+    command("curvature", "curvature and residual sweep", "--fd-step")
+    command("lift", "fiber path lifting")
+    command("gauge-check", "gauge covariance verification", "--fd-step", "--seed")
     return parser
 
 

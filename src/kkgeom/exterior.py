@@ -1,10 +1,8 @@
 """Alternating multilinear algebra over an N-dimensional coframe.
 
-Forms are stored sparsely: a map from strictly increasing multi-indices to
-coefficient arrays.  Scalar-valued forms have coefficient shape ``()``;
-vector- and matrix-valued forms carry whatever ``value_shape`` they were
-built with.  All operations are pure and the containers are treated as
-immutable once constructed.
+Forms are scalar valued and stored sparsely: a map from strictly increasing
+multi-indices to coefficients.  All operations are pure and the containers
+are treated as immutable once constructed.
 
 The public constructor validates every multi-index and coefficient.  The
 operations (``wedge``, ``interior``, ``d_substitute``, ``+``, ``-``, ``*``)
@@ -53,14 +51,13 @@ def _perm_sign_sorting(seq):
 class AlternatingForm:
     """A degree-``p`` alternating form on an ``N``-dimensional frame."""
 
-    __slots__ = ("N", "degree", "value_shape", "coeffs")
+    __slots__ = ("N", "degree", "coeffs")
 
-    def __init__(self, N, degree, coeffs=None, value_shape=()):
+    def __init__(self, N, degree, coeffs=None):
         if not 0 <= degree <= N:
             raise DegreeError(f"degree {degree} outside 0..{N}")
         self.N = N
         self.degree = degree
-        self.value_shape = tuple(value_shape)
         self.coeffs = {}
         for idx, value in (coeffs or {}).items():
             idx = tuple(idx)
@@ -69,25 +66,23 @@ class AlternatingForm:
             if list(idx) != sorted(idx) or len(set(idx)) != degree:
                 raise StructuralError(f"multi-index {idx} is not strictly increasing")
             value = np.asarray(value, dtype=float)
-            if value.shape != self.value_shape:
-                raise StructuralError(
-                    f"coefficient shape {value.shape} does not match {self.value_shape}"
-                )
-            if np.any(value != 0.0):
+            if value.shape != ():
+                raise StructuralError(f"coefficient shape {value.shape} is not scalar")
+            if value != 0.0:
                 self.coeffs[idx] = value
 
     @classmethod
-    def zero(cls, N, degree, value_shape=()):
-        return cls(N, degree, {}, value_shape)
+    def zero(cls, N, degree):
+        return cls(N, degree, {})
 
-    def get(self, indices) -> np.ndarray:
+    def get(self, indices) -> float:
         """Coefficient at an arbitrary index tuple, with the permutation sign."""
         sign = _perm_sign_sorting(indices)
         if sign == 0:
-            return np.zeros(self.value_shape)
+            return 0.0
         value = self.coeffs.get(tuple(sorted(indices)))
         if value is None:
-            return np.zeros(self.value_shape)
+            return 0.0
         return sign * value
 
     def is_zero(self, tol=0.0) -> bool:
@@ -103,7 +98,7 @@ class AlternatingForm:
         out = dict(self.coeffs)
         for idx, value in other.coeffs.items():
             out[idx] = out[idx] + value if idx in out else value
-        return _form(self.N, self.degree, out, self.value_shape)
+        return _form(self.N, self.degree, out)
 
     def __sub__(self, other):
         return self + (-other)
@@ -114,8 +109,7 @@ class AlternatingForm:
     def __mul__(self, scalar):
         if not isinstance(scalar, numbers.Real):
             return NotImplemented
-        return _form(self.N, self.degree,
-                     {idx: scalar * v for idx, v in self.coeffs.items()}, self.value_shape)
+        return _form(self.N, self.degree, {idx: scalar * v for idx, v in self.coeffs.items()})
 
     __rmul__ = __mul__
 
@@ -124,7 +118,6 @@ class AlternatingForm:
             not isinstance(other, AlternatingForm)
             or other.N != self.N
             or other.degree != self.degree
-            or other.value_shape != self.value_shape
         ):
             raise StructuralError("incompatible forms")
 
@@ -132,41 +125,30 @@ class AlternatingForm:
         return (self - other).is_zero(tol)
 
     def dump(self) -> str:
-        """One line per multi-index: "A1 A2 ... Ap : v1 ... vm" (1-based)."""
+        """One line per multi-index: "A1 A2 ... Ap : v" (1-based)."""
         lines = []
         for idx in sorted(self.coeffs):
             head = " ".join(str(i + 1) for i in idx)
-            vals = " ".join(repr(float(x)) for x in np.atleast_1d(self.coeffs[idx]).ravel())
-            lines.append(f"{head} : {vals}")
+            lines.append(f"{head} : {float(self.coeffs[idx])!r}")
         return "\n".join(lines)
 
     def __repr__(self):
-        return (
-            f"AlternatingForm(N={self.N}, degree={self.degree}, "
-            f"terms={len(self.coeffs)}, value_shape={self.value_shape})"
-        )
+        return f"AlternatingForm(N={self.N}, degree={self.degree}, terms={len(self.coeffs)})"
 
 
-def _form(N, degree, coeffs, value_shape) -> AlternatingForm:
+def _form(N, degree, coeffs) -> AlternatingForm:
     """Trusted constructor for the results of form operations: the keys of
     ``coeffs`` are valid strictly increasing multi-indices and its values
-    have shape ``value_shape``.  Zero coefficients are dropped; nothing is
-    checked."""
+    are scalars.  Zero coefficients are dropped; nothing is checked."""
     form = AlternatingForm.__new__(AlternatingForm)
     form.N = N
     form.degree = degree
-    form.value_shape = value_shape
-    if value_shape:
-        form.coeffs = {idx: v for idx, v in coeffs.items() if v.any()}
-    else:
-        form.coeffs = {idx: v for idx, v in coeffs.items() if v != 0.0}
+    form.coeffs = {idx: v for idx, v in coeffs.items() if v != 0.0}
     return form
 
 
-def basis_one_form(N, A, value_shape=()):
-    """The coordinate 1-form with index ``A`` (scalar coefficient 1)."""
-    if value_shape != ():
-        raise StructuralError("basis one-forms are scalar valued")
+def basis_one_form(N, A):
+    """The coordinate 1-form with index ``A`` (coefficient 1)."""
     return AlternatingForm(N, 1, {(A,): 1.0})
 
 
@@ -176,19 +158,16 @@ def top_form(N):
 
 
 def wedge(alpha: AlternatingForm, beta: AlternatingForm) -> AlternatingForm:
-    """Wedge product; one factor may be vector valued, not both."""
+    """Wedge product."""
     if alpha.N != beta.N:
         raise StructuralError(f"frame dimensions differ: {alpha.N} vs {beta.N}")
-    if alpha.value_shape != () and beta.value_shape != ():
-        raise StructuralError("cannot wedge two vector-valued forms without a bracket")
     N = alpha.N
     degree = alpha.degree + beta.degree
-    value_shape = alpha.value_shape or beta.value_shape
     if degree > N:
-        return AlternatingForm.zero(N, N, value_shape)
+        return AlternatingForm.zero(N, N)
     out = {}
     _wedge_into(out, alpha.coeffs, beta.coeffs)
-    return _form(N, degree, out, value_shape)
+    return _form(N, degree, out)
 
 
 def _wedge_into(out, a_coeffs, b_coeffs):
@@ -218,7 +197,7 @@ def interior(v, alpha: AlternatingForm) -> AlternatingForm:
             rest = idx[:pos] + idx[pos + 1 :]
             term = ((-1.0) ** pos) * v[A] * value
             out[rest] = out[rest] + term if rest in out else term
-    return _form(alpha.N, alpha.degree - 1, out, alpha.value_shape)
+    return _form(alpha.N, alpha.degree - 1, out)
 
 
 def epsilon_form(N, fixed_indices) -> AlternatingForm:
@@ -253,15 +232,14 @@ def d_substitute(alpha: AlternatingForm, dtheta) -> AlternatingForm:
     if len(dtheta) != N:
         raise StructuralError(f"need {N} substituted 2-forms, got {len(dtheta)}")
     for beta in dtheta:
-        if not (isinstance(beta, AlternatingForm) and beta.N == N and beta.degree == 2
-                and beta.value_shape == ()):
-            raise StructuralError(f"substituted forms must be scalar 2-forms on N={N}")
+        if not (isinstance(beta, AlternatingForm) and beta.N == N and beta.degree == 2):
+            raise StructuralError(f"substituted forms must be 2-forms on N={N}")
     out = {}
     for idx, value in alpha.coeffs.items():
         for pos, A in enumerate(idx):
             rest = idx[:pos] + idx[pos + 1 :]
             _wedge_into(out, dtheta[A].coeffs, {rest: ((-1.0) ** pos) * value})
-    return _form(N, alpha.degree + 1, out, alpha.value_shape)
+    return _form(N, alpha.degree + 1, out)
 
 
 @dataclass(frozen=True)
@@ -359,7 +337,7 @@ def check_identities(N, trials=200, seed=0) -> IdentityReport:
     for _ in range(trials):
         # row B holds the coefficients of beta^B, drawn plane by plane
         draws = rng.integers(-3, 4, (N, len(planes))).astype(float).tolist()
-        beta = [_form(N, 2, dict(zip(planes, row)), ()) for row in draws]
+        beta = [_form(N, 2, dict(zip(planes, row))) for row in draws]
 
         A = int(rng.integers(0, N))
         lhs = d_substitute(eps(A), beta)

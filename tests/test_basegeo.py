@@ -9,6 +9,7 @@ from kkgeom.basegeo import (ChartSpec, CoframeField, GaugeField, _fd_gradient,
                             geometry_at_point, load_fields)
 from kkgeom.errors import DegenerateCoframeError, StructuralError
 from kkgeom.fieldexpr import FieldProvider
+from kkgeom.kkcurv import assemble_omega
 from kkgeom.liealg import abelian_algebra, su2_algebra, u1_su2_algebra
 
 
@@ -277,7 +278,9 @@ def test_abelian_field_strength_example():
     gauge = GaugeField(spec, chart, [["0", "x1"]])
     geom = geometry_at_point(cof, gauge, spec, np.array([0.7, 0.1]))
     assert abs(geom.F[0, 0, 1] - 1.0) < 1e-14
-    assert np.abs(geom.dF_up2()).max() < 1e-12  # constant F has vanishing derivatives
+    # constant F has vanishing derivatives: the connection's field-strength
+    # blocks (all of dW here, flat frame and abelian fiber) stay constant
+    assert np.abs(assemble_omega(geom, spec).dW).max() < 1e-12
 
 
 def test_bianchi_identity_fd():
@@ -314,8 +317,11 @@ def test_geometry_f_raising_consistency():
     cof = CoframeField(chart, [["1", "0"], ["0", "1"]])
     gauge = GaugeField(spec, chart, [["0", "x1"], ["0", "0"], ["0", "0"]])
     geom = geometry_at_point(cof, gauge, spec, np.array([0.2, 0.3]))
-    # both-up components carry two inverse-metric factors of 1/2
-    assert abs(geom.F_up2()[0, 0, 1] - geom.F[0, 0, 1] * 0.25) < 1e-14
+    # the connection's e^gamma coefficients omega^a_c = -(1/2) F_gamma^a_c, with
+    # c raised by h as well, are -(1/2) F_gamma^{ac}: both-up components carry
+    # two inverse-metric factors of 1/2
+    W_up = np.einsum("axc,xb->abc", assemble_omega(geom, spec).W, spec.h_inv())
+    assert abs(-2.0 * W_up[0, 1, 2] - geom.F[0, 0, 1] * 0.25) < 1e-14
 
 
 def test_chart_validation():

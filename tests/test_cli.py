@@ -603,7 +603,7 @@ def test_options_must_be_an_object(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command,flag,value", [
-    ("curvature", "--fd-step", "0"), ("curvature", "--tol", "nan"), ("curvature", "--seed", "-2"),
+    ("curvature", "--fd-step", "0"), ("validate", "--tol", "nan"), ("gauge-check", "--seed", "-2"),
     ("identities", "--tol", "-1"), ("identities", "--tol", "nan"), ("identities", "--seed", "-1")])
 def test_bad_option_override_exits_64(tmp_path, capsys, command, flag, value):
     argv = (["identities", "--n", "3"] if command == "identities"
@@ -612,6 +612,20 @@ def test_bad_option_override_exits_64(tmp_path, capsys, command, flag, value):
     assert code == EXIT_USAGE
     assert out.out == ""
     assert out.err.startswith(f"error: option {flag[2:].replace('-', '_')} must be")
+
+
+@pytest.mark.parametrize("argv", [
+    ["lift", "--trials", "7"], ["lift", "--seed", "9"], ["identities", "--n", "3", "--fd-step", "99"],
+    ["curvature", "--tol", "1e-3"], ["curvature", "--seed", "2"], ["validate", "--fd-step", "0.1"],
+    ["gauge-check", "--trials", "3"]], ids="-".join)
+def test_unread_option_flag_exits_64(tmp_path, capsys, argv):
+    # each subcommand accepts only the flags it reads; argparse rejects the rest
+    if argv[0] != "identities":
+        argv = argv[:1] + ["--input", write_problem(tmp_path, SU2_PROBLEM)] + argv[1:]
+    code, out = run(capsys, argv)
+    assert code == EXIT_USAGE
+    assert out.out == ""
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in out.err
 
 
 def test_identities_accepts_an_exact_tolerance(capsys):
@@ -681,6 +695,19 @@ def test_domain_error_names_entry_and_point(tmp_path, capsys, command, block, en
     assert out.out == ""
     (line,) = out.err.strip().splitlines()
     assert f"{block}[{entry[0]}][{entry[1]}] = {source} at point [0.0, 0.25]" in line
+
+
+@pytest.mark.parametrize("command", ["curvature", "gauge-check"])
+def test_fd_domain_error_names_the_input_point(tmp_path, capsys, command):
+    # sqrt(x1) holds at x1 = 0.001 but not on the stencil row 2 fd_step below
+    problem = with_fields(lattice=None, points=[[0.001, 0.2]], deriv_mode="fd",
+                          coframe=[["1 + sqrt(x1)", "0"], ["0", "1"]])
+    code, out = run(capsys, [command, "--input", write_problem(tmp_path, problem)])
+    assert code == EXIT_USAGE
+    assert out.out == ""
+    (line,) = out.err.strip().splitlines()
+    assert line.startswith("error: coframe[0][0] = 1+sqrt(x1) at point [0.001, 0.2]: fails on "
+                           "its fd stencil row [-0.001, 0.2] (fd_step 0.001): ")
 
 
 # ---------------------------------------------------------------------------

@@ -13,17 +13,16 @@ from kkgeom.exterior import (AlternatingForm, basis_one_form, check_identities,
                              wedge)
 
 
-def random_form(rng, N, degree, value_shape=()):
+def random_form(rng, N, degree):
     coeffs = {}
     for idx in itertools.combinations(range(N), degree):
-        coeffs[idx] = rng.integers(-3, 4, size=value_shape).astype(float)
-    return AlternatingForm(N, degree, coeffs, value_shape)
+        coeffs[idx] = float(rng.integers(-3, 4))
+    return AlternatingForm(N, degree, coeffs)
 
 
 def dense(form):
     """Full antisymmetric coefficient tensor, the brute-force representation."""
-    shape = (form.N,) * form.degree + form.value_shape
-    out = np.zeros(shape)
+    out = np.zeros((form.N,) * form.degree)
     for idx in itertools.product(range(form.N), repeat=form.degree):
         out[idx] = form.get(idx)
     return out
@@ -97,13 +96,6 @@ def test_wedge_above_top_degree_is_zero():
     a = random_form(rng, 3, 2)
     b = random_form(rng, 3, 2)
     assert wedge(a, b).is_zero()
-
-
-def test_wedge_rejects_two_vector_valued_factors():
-    rng = np.random.default_rng(4)
-    a = random_form(rng, 3, 1, (3,))
-    with pytest.raises(StructuralError):
-        wedge(a, a)
 
 
 def test_interior_is_antiderivation():
@@ -221,6 +213,8 @@ def test_form_validation():
         AlternatingForm(3, 2, {(1, 0): 1.0})  # not increasing
     with pytest.raises(StructuralError):
         AlternatingForm(3, 2, {(0, 0): 1.0})  # repeated
+    with pytest.raises(StructuralError):
+        AlternatingForm(3, 1, {(0,): [1.0, 2.0]})  # forms are scalar valued
     with pytest.raises(DegreeError):
         AlternatingForm(3, 4, {})
 
@@ -237,20 +231,20 @@ def test_dump_is_one_based():
 
 
 # ---------------------------------------------------------------------------
-# properties of the form operations over N = 3..7, scalar and vector valued
+# properties of the form operations over N = 3..7
 
 
 def same(x, y):
-    """Exactly equal forms: same frame, degree, value shape, terms and values."""
-    return ((x.N, x.degree, x.value_shape) == (y.N, y.degree, y.value_shape)
+    """Exactly equal forms: same frame, degree, terms and scalar values."""
+    return ((x.N, x.degree) == (y.N, y.degree)
             and x.coeffs.keys() == y.coeffs.keys()
-            and all(np.shape(x.coeffs[k]) == x.value_shape
+            and all(np.shape(x.coeffs[k]) == ()
                     and np.array_equal(x.coeffs[k], y.coeffs[k]) for k in x.coeffs))
 
 
 def revalidated(form):
     """The form rebuilt through the public, checking constructor."""
-    return AlternatingForm(form.N, form.degree, form.coeffs, form.value_shape)
+    return AlternatingForm(form.N, form.degree, form.coeffs)
 
 
 def leibniz(alpha, dtheta):
@@ -259,7 +253,7 @@ def leibniz(alpha, dtheta):
     with the 2-form wedged in place."""
     N = alpha.N
     theta = [basis_one_form(N, A) for A in range(N)]
-    out = AlternatingForm.zero(N, alpha.degree + 1, alpha.value_shape)
+    out = AlternatingForm.zero(N, alpha.degree + 1)
     for idx, value in alpha.coeffs.items():
         for pos, A in enumerate(idx):
             factors = [theta[i] for i in idx[:pos]] + [dtheta[A]]
@@ -267,21 +261,20 @@ def leibniz(alpha, dtheta):
             monomial = functools.reduce(wedge, factors)
             out = out + AlternatingForm(
                 N, alpha.degree + 1,
-                {k: (-1) ** pos * v * value for k, v in monomial.coeffs.items()},
-                alpha.value_shape)
+                {k: (-1) ** pos * v * value for k, v in monomial.coeffs.items()})
     return out
 
 
 @st.composite
-def integer_forms(draw, N, degree, value_shape=()):
+def integer_forms(draw, N, degree):
     """An integer-coefficient form with a drawn share of its terms nonzero."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     density = draw(st.sampled_from([0.0, 0.3, 1.0]))
     coeffs = {}
     for idx in itertools.combinations(range(N), degree):
-        value = rng.integers(-3, 4, size=value_shape).astype(float)
+        value = float(rng.integers(-3, 4))
         coeffs[idx] = value * (rng.random() < density)
-    return AlternatingForm(N, degree, coeffs, value_shape)
+    return AlternatingForm(N, degree, coeffs)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -290,9 +283,8 @@ def test_form_operations_match_public_constructor_and_algebra(data):
     draw = data.draw
     N = draw(st.integers(3, 7))
     p, q, s = (draw(st.integers(0, N)) for _ in range(3))
-    shape = draw(st.sampled_from([(), (2,), (3,)]))
-    alpha = draw(integer_forms(N, p, shape))
-    alpha2 = draw(integer_forms(N, p, shape))
+    alpha = draw(integer_forms(N, p))
+    alpha2 = draw(integer_forms(N, p))
     beta = draw(integer_forms(N, q))
     gamma = draw(integer_forms(N, s))
     dtheta = [draw(integer_forms(N, 2)) for _ in range(N)]

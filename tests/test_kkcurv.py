@@ -169,18 +169,26 @@ def test_ym_block_tracks_gauge_divergence():
     assert np.abs(res.ym_block - np.array([[0.0, -2.0]])).max() < 1e-12
 
 
-@pytest.mark.parametrize("b", [[[2.0, 0.3], [0.3, 1.0]], [[-1.0, 0.0], [0.0, 1.0]]],
-                         ids=["non-diagonal", "lorentzian"])
-def test_invariants_hold_for_a_non_euclidean_base_metric(b):
-    # the base metric reaches gamma, the raised F and both curvature routes
-    # only through spec.b; a mismatch anywhere shows in these residuals
-    spec = su2_algebra(2, b=np.array(b))
+@pytest.mark.parametrize("builder,b,k", [
+    (su2_algebra, [[2.0, 0.3], [0.3, 1.0]], None),
+    (su2_algebra, [[-1.0, 0.0], [0.0, 1.0]], None),
+    (u1_su2_algebra, [[2.0, 0.3, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 1.0]],
+     np.diag([1.5, 0.4, 0.4, 0.4])),
+], ids=["non-diagonal", "lorentzian", "u1-su2-fiber-metric"])
+def test_invariants_hold_for_a_non_euclidean_base_metric(builder, b, k):
+    # the metric blocks reach gamma, the raised F and both curvature routes
+    # only through spec.b and spec.k; a mismatch anywhere shows in these
+    # residuals, in either derivative mode
+    n = len(b)
+    spec = builder(n, b=np.array(b), k=k)
     rng = np.random.default_rng(12)
-    cof, gauge = random_configuration(rng, spec, 2)
-    geom = geometry_at_point(cof, gauge, spec, rng.uniform(-0.5, 0.5, size=(6, 2)))
-    conn = assemble_omega(geom, spec)
-    assert geom.torsion_residual().max() <= 1e-12
-    assert geom.metricity_residual().max() <= 1e-12
-    assert conn.torsion_residual().max() <= 1e-12
-    assert conn.antisymmetry_residual().max() <= 1e-12
-    assert max(np.max(v) for v in cross_check(*both_routes(geom, spec)).values()) <= 1e-6
+    cof, gauge = random_configuration(rng, spec, n)
+    points = rng.uniform(-0.5, 0.5, size=(6, n))
+    for deriv_mode, cross_tol in (("analytic", 1e-6), ("fd", 1e-3)):
+        geom = geometry_at_point(cof, gauge, spec, points, deriv_mode=deriv_mode)
+        conn = assemble_omega(geom, spec)
+        assert geom.torsion_residual().max() <= 1e-12
+        assert geom.metricity_residual().max() <= 1e-12
+        assert conn.torsion_residual().max() <= 1e-12
+        assert conn.antisymmetry_residual().max() <= 1e-12
+        assert max(np.max(v) for v in cross_check(*both_routes(geom, spec)).values()) <= cross_tol
