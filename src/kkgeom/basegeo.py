@@ -17,6 +17,14 @@ origin first, then four rows per axis) is the one finite-difference stencil
 of the package; ``bundle`` uses it for its fiber differences too.  In both
 routes dgamma = gamma(dC), since gamma is linear in C.
 
+A block costs a few numpy calls per tensor, not one per component: each
+provider matrix is filled in one pass per derivative order, and every
+contraction is a batched matmul (E^-T X E^-1 for a frame 2-form, one
+(r^2, r) matmul for each c A A-type quadratic, the coordinate derivative
+direction rho moved in front in the chain-rule half).  The matmuls
+re-associate the einsum contractions of the definitions and use no symmetry
+that those do not, so an inline ``c`` need not be antisymmetric.
+
 :func:`geometry_at_point` is the one route to the frame geometry; the base
 metric is the algebra spec's ``b``, and :func:`base_curvature_from_geometry`
 reads the base curvature off its result.
@@ -31,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCoframeError, EvalDomainError, StructuralError
-from .fieldexpr import FieldProvider, pretty
+from .fieldexpr import FieldProvider, Num, pretty, run_into
 from .liealg import LieAlgebraSpec
 
 __all__ = [
@@ -64,7 +72,20 @@ class _ProviderMatrix:
 
     ``matrix`` is indexed ``[..., row, mu]``; ``d_matrix`` appends the
     derivative direction nu and ``d2_matrix`` the directions nu, rho.
+
+    Each derivative order is filled in one pass.  On first use the order
+    gets a plan, built from the providers' cached derivative trees: a
+    constant template holding every entry or distinct partial whose tree is
+    a literal number, and one compiled closure for each of the others.  A
+    block copies the template once and runs the closures under one numpy
+    error state; each distinct mixed partial is computed once and then
+    written to every ordering of its indices.
     """
+
+    def __init__(self, chart, entries):
+        self.chart = chart
+        self.entries = [[_as_provider(p, chart.n) for p in row] for row in entries]
+        self._plans = {}
 
     def matrix(self, point) -> np.ndarray:
         return self._fill(point, 0)
@@ -75,6 +96,31 @@ class _ProviderMatrix:
     def d2_matrix(self, point) -> np.ndarray:
         return self._fill(point, 2)
 
+    def _plan(self, order):
+        """(template, calls, spread) of ``order``.  The fill is laid out as
+        [row, mu, partial] over the distinct partials (sorted index tuples);
+        ``template`` holds the literal ones, ``calls`` pairs the closure of
+        every other slot with its flat index, and ``spread`` takes each
+        ordering of the derivative indices to its partial."""
+        plan = self._plans.get(order)
+        if plan is None:
+            n = self.chart.n
+            multis = list(itertools.combinations_with_replacement(range(n), order))
+            template = np.zeros((len(self.entries), n, len(multis)))
+            calls = []
+            for k, (p, nus) in enumerate(itertools.product(itertools.chain(*self.entries),
+                                                           multis)):
+                node, fn = p.compiled(nus)
+                if isinstance(node, Num):
+                    template.flat[k] = node.value
+                else:
+                    calls.append((fn, k))
+            slot = {nus: j for j, nus in enumerate(multis)}
+            spread = np.array([slot[tuple(sorted(nus))]
+                               for nus in itertools.product(range(n), repeat=order)])
+            plan = self._plans[order] = (template, calls, spread)
+        return plan
+
     def _fill(self, point, order, fd_step=None):
         """out[..., row, mu, *nus] = d_{nus} entries[row][mu], ``order`` derivatives.
 
@@ -82,6 +128,21 @@ class _ProviderMatrix:
         rows of each input point, row 0 the point itself; it only changes
         how an evaluation error names its point."""
         point = np.asarray(point, dtype=float)
+        n = self.chart.n
+        template, calls, spread = self._plan(order)
+        batch = point.shape[:-1]
+        out = np.empty(batch + template.shape)
+        out[...] = template
+        try:
+            run_into(calls, point, out.reshape(batch + (template.size,)))
+        except (FloatingPointError, ZeroDivisionError):
+            return self._fill_entries(point, order, fd_step)
+        return out[..., spread].reshape(batch + (len(self.entries), n) + (n,) * order)
+
+    def _fill_entries(self, point, order, fd_step):
+        """:meth:`_fill` one entry and partial at a time, each through the
+        provider's own evaluation: the path of a block that leaves an
+        expression's domain, so the error names the entry and the point."""
         n = self.chart.n
         out = np.empty(point.shape[:-1] + (len(self.entries), n) + (n,) * order)
         # each distinct partial once, written to every ordering of its indices
@@ -130,11 +191,10 @@ class CoframeField(_ProviderMatrix):
     block = "coframe"  # the field-file key, named in evaluation errors
 
     def __init__(self, chart: ChartSpec, entries):
-        self.chart = chart
         n = chart.n
         if len(entries) != n or any(len(row) != n for row in entries):
             raise StructuralError(f"coframe must be {n}x{n}")
-        self.entries = [[_as_provider(p, n) for p in row] for row in entries]
+        super().__init__(chart, entries)
 
     @property
     def n(self):
@@ -148,11 +208,10 @@ class GaugeField(_ProviderMatrix):
 
     def __init__(self, spec: LieAlgebraSpec, chart: ChartSpec, entries):
         self.spec = spec
-        self.chart = chart
         r, n = spec.r, chart.n
         if len(entries) != r or any(len(row) != n for row in entries):
             raise StructuralError(f"gauge potential must be {r}x{n}")
-        self.entries = [[_as_provider(p, n) for p in row] for row in entries]
+        super().__init__(chart, entries)
 
     @classmethod
     def zero(cls, spec, chart):
@@ -173,23 +232,48 @@ def _as_provider(p, n):
 # Batched kernels: leading axes index points, trailing axes are tensor indices
 
 
-def _frame_matrix(E, point):
+def _frame_matrix(E, point, fd_step=None):
+    """E^-1, or DegenerateCoframeError at the first point where E is
+    degenerate.  With ``fd_step`` the last batch axis of ``point`` holds fd
+    stencil rows (see :meth:`_ProviderMatrix._fill`): a degenerate row other
+    than row 0 is named with the input point it was stepped from."""
     n = E.shape[-1]
     det = np.linalg.det(E)
     scale = np.maximum(np.abs(E).max(axis=(-2, -1)), 1e-300)
     bad = np.abs(det) < _DEGENERACY_FACTOR * scale**n
     if bad.any():
         first = tuple(np.argwhere(bad)[0])
-        raise DegenerateCoframeError(np.asarray(point)[first], det[first])
+        point = np.asarray(point)
+        if fd_step is None or first[-1] == 0:
+            raise DegenerateCoframeError(point[first], det[first])
+        raise DegenerateCoframeError(point[first[:-1] + (0,)], det[first],
+                                     stencil_row=point[first], fd_step=fd_step)
     return np.linalg.inv(E)
 
 
 def _gamma_from_C(C, b, binv):
     # unique coefficients with gamma antisymmetric after lowering and zero torsion
-    Cl = np.einsum("ad,...dbc->...abc", b, C)
+    Cl = _on_first(b, C)
     # gl[a,b,c] = (Cl[a,b,c] + Cl[b,c,a] - Cl[c,a,b]) / 2
     gl = 0.5 * (Cl + np.moveaxis(Cl, -1, -3) - np.moveaxis(Cl, -3, -1))
-    return np.einsum("ad,...dbc->...abc", binv, gl)
+    return _on_first(binv, gl)
+
+
+def _on_first(M, X):
+    """out[..., a, b, c] = M[a, d] X[..., d, b, c], as one matmul."""
+    n = X.shape[-3]
+    flat = X.reshape(X.shape[:-3] + (n, X.shape[-2] * X.shape[-1]))
+    return (M @ flat).reshape(X.shape)
+
+
+def _quadratic(c, X, Y):
+    """out[..., a, m, n] = c[a, b, g] X[..., b, m] Y[..., g, n], as one
+    (r, r^2) matmul on the outer products; X and Y broadcast."""
+    r = c.shape[0]
+    P = X[..., :, None, :, None] * Y[..., None, :, None, :]  # [..., b, g, m, n]
+    m, n = P.shape[-2:]
+    flat = P.reshape(P.shape[:-4] + (r * r, m * n))
+    return (c.reshape(r, r * r) @ flat).reshape(P.shape[:-4] + (r, m, n))
 
 
 @dataclass(frozen=True)
@@ -238,7 +322,7 @@ def _frame_values(coframe, gauge, spec, point, fd_step=None):
     :func:`_frame_derivatives` reuses.  ``fd_step`` marks ``point`` as fd
     stencil rows (see :meth:`_ProviderMatrix._fill`)."""
     E = coframe._fill(point, 0, fd_step)
-    Einv = _frame_matrix(E, point)
+    Einv = _frame_matrix(E, point, fd_step)
     # dE[a, mu, nu] = d_nu e^a_mu
     dE = coframe._fill(point, 1, fd_step)
     # T[a, mu, nu] = d_mu e^a_nu - d_nu e^a_mu (coordinate components of de^a)
@@ -250,43 +334,41 @@ def _frame_values(coframe, gauge, spec, point, fd_step=None):
     Am = gauge._fill(point, 0, fd_step)  # A^al_mu
     dAm = gauge._fill(point, 1, fd_step)  # d_nu A^al_mu
     # F^al_{mu nu} = d_mu A^al_nu - d_nu A^al_mu + c^al_bg A^b_mu A^g_nu
-    # (the quadratic term is already antisymmetric in mu, nu)
-    Fc = (np.swapaxes(dAm, -2, -1) - dAm
-          + np.einsum("abg,...bm,...gn->...amn", spec.fiber_c(), Am, Am))
+    # (the quadratic term is antisymmetric in mu, nu when c is in its lower pair)
+    Fc = np.swapaxes(dAm, -2, -1) - dAm + _quadratic(spec.fiber_c(), Am, Am)
     values = dict(point=point, spec=spec, b_inv=binv, E=E, E_inv=Einv, C=C,
-                  gamma=_gamma_from_C(C, b, binv),
-                  A=np.einsum("...am,...mb->...ab", Am, Einv), F=_frame_2form(Fc, Einv))
+                  gamma=_gamma_from_C(C, b, binv), A=Am @ Einv, F=_frame_2form(Fc, Einv))
     return values, (dE, T, Am, dAm, Fc)
 
 
 def _frame_derivatives(coframe, gauge, spec, values, coord):
     """The chain-rule half: frame derivatives dC, dA and dF from the
-    second-partial fills and the coordinate arrays of :func:`_frame_values`."""
+    second-partial fills and the coordinate arrays of :func:`_frame_values`.
+    The coordinate derivative direction rho rides in front of each tensor's
+    own axes (arrays named ``*_r``), so every term is a batched matmul."""
     dE, T, Am, dAm, Fc = coord
     point, Einv = values["point"], values["E_inv"]
-    d2E = coframe.d2_matrix(point)
-    d2Am = gauge.d2_matrix(point)
+    d2E_r = np.moveaxis(coframe.d2_matrix(point), -1, -4)  # [rho, a, mu, nu]
+    d2Am_r = np.moveaxis(gauge.d2_matrix(point), -1, -4)
+    dAm_r = np.moveaxis(dAm, -1, -3)  # [rho, al, mu] = d_rho A^al_mu
     cf = spec.fiber_c()
 
-    # dE itself is d_rho E with rho last, so
-    # dEinv[mu, a, rho] = d_rho (E^-1)[mu, a] = -(E^-1 (d_rho E) E^-1)[mu, a]
-    dEinv = -np.einsum("...mx,...xyr,...ya->...mar", Einv, dE, Einv)
-    # dT[a, mu, nu, rho] = d_rho T[a, mu, nu]
-    dT = np.swapaxes(d2E, -3, -2) - d2E
-    dC_coord = _d_frame_2form(T, dT, Einv, dEinv)
+    # dEinv_r[rho, mu, a] = d_rho (E^-1)[mu, a] = -(E^-1 (d_rho E) E^-1)[mu, a]
+    Einv_1 = Einv[..., None, :, :]
+    dEinv_r = -(Einv_1 @ np.moveaxis(dE, -1, -3) @ Einv_1)
+    # dT_r[rho, a, mu, nu] = d_rho T[a, mu, nu]
+    dT_r = np.swapaxes(d2E_r, -2, -1) - d2E_r
+    dC_r = _d_frame_2form(T, dT_r, Einv, dEinv_r)
 
-    dA_coord = (np.einsum("...amr,...mb->...abr", dAm, Einv)
-                + np.einsum("...am,...mbr->...abr", Am, dEinv))
-    # d_rho F^al_{mu nu}; dAm[al, mu, nu] = d_nu A^al_mu
-    dFc = (
-        np.swapaxes(d2Am, -3, -2)
-        - d2Am
-        + np.einsum("abg,...bmr,...gn->...amnr", cf, dAm, Am)
-        + np.einsum("abg,...bm,...gnr->...amnr", cf, Am, dAm)
-    )
-    dF_coord = _d_frame_2form(Fc, dFc, Einv, dEinv)
-    return {name: _to_frame(coord, Einv) for name, coord in
-            (("dC", dC_coord), ("dA", dA_coord), ("dF", dF_coord))}
+    dA_r = dAm_r @ Einv_1 + Am[..., None, :, :] @ dEinv_r
+    # d_rho F^al_{mu nu}
+    dFc_r = (np.swapaxes(d2Am_r, -2, -1) - d2Am_r
+             + _quadratic(cf, dAm_r, Am[..., None, :, :])
+             + _quadratic(cf, Am[..., None, :, :], dAm_r))
+    dF_r = _d_frame_2form(Fc, dFc_r, Einv, dEinv_r)
+    rho = Einv.ndim - 2  # the first axis behind the batch axes
+    return {name: _to_frame(np.moveaxis(coord_r, rho, -1), Einv)
+            for name, coord_r in (("dC", dC_r), ("dA", dA_r), ("dF", dF_r))}
 
 
 def _geometry(values, derivs):
@@ -304,18 +386,23 @@ def _geometry_analytic(coframe, gauge, spec, point):
 
 
 def _frame_2form(X, Einv):
-    """Frame components X[a, b, c] of coordinate 2-forms X[a, mu, nu]."""
-    return np.einsum("...amn,...mb,...nc->...abc", X, Einv, Einv)
+    """Frame components X[a, b, c] of coordinate 2-forms X[a, mu, nu]:
+    E^-T X_a E^-1 for each a."""
+    Einv_1 = Einv[..., None, :, :]
+    return np.swapaxes(Einv_1, -2, -1) @ X @ Einv_1
 
 
-def _d_frame_2form(X, dX, Einv, dEinv):
-    """Coordinate derivatives [a, b, c, rho] of :func:`_frame_2form` from
-    dX = d_rho X[a, mu, nu]."""
-    return (
-        np.einsum("...amnr,...mb,...nc->...abcr", dX, Einv, Einv)
-        + np.einsum("...amn,...mbr,...nc->...abcr", X, dEinv, Einv)
-        + np.einsum("...amn,...mb,...ncr->...abcr", X, Einv, dEinv)
-    )
+def _d_frame_2form(X, dX_r, Einv, dEinv_r):
+    """Coordinate derivatives [rho, a, b, c] of :func:`_frame_2form` from
+    dX_r = d_rho X[a, mu, nu] and dEinv_r = d_rho E^-1, rho in front: one
+    matmul chain per term of the product rule."""
+    Einv_2 = Einv[..., None, None, :, :]
+    EinvT_2 = np.swapaxes(Einv_2, -2, -1)
+    dEinv_2 = dEinv_r[..., :, None, :, :]
+    X_1 = X[..., None, :, :, :]
+    return (EinvT_2 @ dX_r @ Einv_2
+            + np.swapaxes(dEinv_2, -2, -1) @ X_1 @ Einv_2
+            + EinvT_2 @ X_1 @ dEinv_2)
 
 
 def _to_frame(coord, Einv):

@@ -38,7 +38,7 @@ matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,6 +56,7 @@ __all__ = [
     "expm",
     "polar",
     "lift_path",
+    "lift_and_halve",
     "verify_deextra",
     "verify_gauge_covariance",
 ]
@@ -213,11 +214,13 @@ class PathSpec:
     """A fiber-direction path: v maps an array of times in [0, 1], shape
     ``(T,)``, to the algebra coordinates at those times, shape ``(T, r)``
     (one time is a batch of one); the lift solves
-    g' = g * (sum v^alpha(t) T_alpha) from g0."""
+    g' = g * (sum v^alpha(t) T_alpha) from g0.  ``stages``, when given, is
+    v already sampled at the stage times of the lift, and v is not called."""
 
     rep: MatrixRep
     v: object  # callable: times (T,) -> velocities (T, r)
     g0: GroupElement
+    stages: np.ndarray | None = None  # (2 steps + 1, r)
 
     @staticmethod
     def sampled(rep, times, values, g0) -> "PathSpec":
@@ -306,6 +309,11 @@ def _step_operators(X: np.ndarray, h: float) -> np.ndarray:
     return ident + (h / 6.0) * (x0 + 2.0 * a2 + 2.0 * a3 + a4)
 
 
+def _stage_times(steps):
+    """The 2 steps + 1 stage times j h / 2 of a lift with ``steps`` steps."""
+    return 0.5 * (1.0 / steps) * np.arange(2 * steps + 1)
+
+
 # Steps per pass of lift_path: the step operators, their polar factors and
 # the temporaries of one pass take a few MB for the built-in reps (d <= 5),
 # however many steps the path has.
@@ -316,7 +324,8 @@ def lift_path(path: PathSpec, steps: int) -> GroupElement:
     """Integrate g' = g * v(t) over [0, 1] with the classical 4th-order
     one-step method, projecting every step back to the manifold.
 
-    v is sampled once, at all 2 steps + 1 stage times j h / 2.  Each step is
+    v is sampled once, at all 2 steps + 1 stage times j h / 2 (or given as
+    ``path.stages``).  Each step is
     g_{k+1} = g_k P_k with a step operator P_k built from those samples, and
     the projection is g_k polar(P_k): the polar factor of g_k P_k for an
     orthogonal g_k.  The operators and their polar factors are computed in
@@ -332,7 +341,8 @@ def lift_path(path: PathSpec, steps: int) -> GroupElement:
         raise StructuralError(f"g0 must be one group element, got shape "
                               f"{path.g0.matrix.shape}")
     h = 1.0 / steps
-    xi = np.asarray(path.v(0.5 * h * np.arange(2 * steps + 1)), dtype=float)
+    xi = np.asarray(path.v(_stage_times(steps)) if path.stages is None else path.stages,
+                    dtype=float)
     if xi.shape != (2 * steps + 1, rep.spec.r):
         raise StructuralError(f"v must map {2 * steps + 1} times to shape "
                               f"({2 * steps + 1}, {rep.spec.r}), got {xi.shape}")
@@ -349,6 +359,22 @@ def lift_path(path: PathSpec, steps: int) -> GroupElement:
             m = m @ q
             out[k] = m = m @ (three_halves - 0.5 * (m.T @ m))  # m (3 - m^T m) / 2
     return GroupElement(rep, out)
+
+
+def lift_and_halve(path: PathSpec, steps: int) -> tuple[GroupElement, GroupElement]:
+    """:func:`lift_path` at ``steps`` and at ``2 steps``, for a step-halving
+    error estimate, with v sampled once: at the 4 steps + 1 stage times of
+    the fine lift, of which the coarse lift's stage times are every other
+    one, bit for bit.  The coarse lift takes the samples through its v call,
+    the fine lift as ``stages``."""
+    fine = []
+
+    def every_other(t):
+        fine.append(np.asarray(path.v(_stage_times(2 * steps)), dtype=float))
+        return fine[0][::2]
+
+    coarse = lift_path(replace(path, v=every_other), steps)
+    return coarse, lift_path(replace(path, stages=fine[0]), 2 * steps)
 
 
 # ---------------------------------------------------------------------------

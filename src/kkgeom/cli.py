@@ -375,8 +375,7 @@ def cmd_lift(args):
     rep = bundle.builtin_rep(rep_name)
     results = []
     for path, steps in _path_specs(problem, rep):
-        coarse = bundle.lift_path(path, steps)
-        fine = bundle.lift_path(path, 2 * steps)
+        coarse, fine = bundle.lift_and_halve(path, steps)
         err = float(np.abs(coarse[-1].matrix - fine[-1].matrix).max())
         results.append({
             "steps": steps,

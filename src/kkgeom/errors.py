@@ -14,14 +14,17 @@ class DegenerateMetricError(KKGeomError):
 
 
 class DegenerateCoframeError(KKGeomError):
-    """The coframe matrix is singular at an evaluation point."""
+    """The coframe matrix is singular at an evaluation point, or on one of
+    the fd stencil rows (``stencil_row``, ``fd_step`` apart) around it."""
 
-    def __init__(self, point, det):
+    def __init__(self, point, det, stencil_row=None, fd_step=None):
         self.point = tuple(float(x) for x in point)
         self.det = float(det)
-        super().__init__(
-            f"coframe matrix is degenerate at point {self.point} (det = {self.det:.3e})"
-        )
+        self.stencil_row = None if stencil_row is None else tuple(float(x) for x in stencil_row)
+        where = f"at point {self.point}"
+        if self.stencil_row is not None:
+            where += f": on its fd stencil row {self.stencil_row} (fd_step {fd_step})"
+        super().__init__(f"coframe matrix is degenerate {where} (det = {self.det:.3e})")
 
 
 class ExprSyntaxError(KKGeomError):

@@ -242,6 +242,17 @@ def _run(node, fn, point):
     return np.broadcast_to(value, point.shape[:-1]) if point.ndim > 1 else value
 
 
+@np.errstate(divide="raise", invalid="raise", over="raise", under="ignore")
+def run_into(calls, point, out):
+    """``out[..., k] = fn(point)`` for each ``(fn, k)`` of ``calls``, under
+    the error state of :func:`_run`: one error-state switch for all the
+    closures, and numpy broadcasts each value as it is written.  A domain
+    error propagates as numpy raised it (``FloatingPointError`` or
+    ``ZeroDivisionError``), for the caller to locate."""
+    for fn, k in calls:
+        out[..., k] = fn(point)
+
+
 def _compile(node, params):
     """The tree as nested closures ``fn(point)``, walked once; parameters and
     constants become numpy floats here, so evaluation does no dispatch."""
@@ -483,13 +494,19 @@ class FieldProvider:
         self._deriv_cache[multi] = node
         return node
 
-    def _at(self, multi, point):
-        """The mixed partial ``multi`` evaluated at ``point``, compiled on first use."""
+    def compiled(self, multi):
+        """``(tree, fn)`` of the mixed partial given by a sorted tuple of
+        variable indices, compiled on first use; ``fn(point)`` is the bare
+        closure, without the error state and broadcasting of :meth:`evaluate`."""
         entry = self._compiled.get(multi)
         if entry is None:
             node = self._derivative(multi)
             entry = self._compiled[multi] = (node, _compile(node, self.params))
-        return _run(*entry, point)
+        return entry
+
+    def _at(self, multi, point):
+        """The mixed partial ``multi`` evaluated at ``point``."""
+        return _run(*self.compiled(multi), point)
 
     def evaluate(self, point):
         return self._at((), point)

@@ -79,6 +79,7 @@ class LieAlgebraSpec:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "k", k)
+        object.__setattr__(self, "_inverses", {})  # h_inv and k_inv, once computed
 
     @property
     def N(self) -> int:
@@ -93,17 +94,24 @@ class LieAlgebraSpec:
         return h
 
     def h_inv(self) -> np.ndarray:
-        h = self.h
-        if abs(np.linalg.det(h)) <= _SINGULAR_TOL:
-            raise DegenerateMetricError("metric h is singular")
-        return np.linalg.inv(h)
+        """Inverse of h, read-only and computed once; a singular h raises on
+        every call."""
+        return self._inverse("h", lambda: self.h, "metric h is singular")
 
     def k_inv(self) -> np.ndarray:
-        if self.r == 0:
-            return np.zeros((0, 0))
-        if abs(np.linalg.det(self.k)) <= _SINGULAR_TOL:
-            raise DegenerateMetricError("fiber metric k is singular")
-        return np.linalg.inv(self.k)
+        """Inverse of k, as :meth:`h_inv`."""
+        return self._inverse("k", lambda: self.k, "fiber metric k is singular")
+
+    def _inverse(self, name, matrix, singular):
+        inv = self._inverses.get(name)
+        if inv is None:
+            m = matrix()  # det of the empty k (r = 0) is 1
+            if abs(np.linalg.det(m)) <= _SINGULAR_TOL:
+                raise DegenerateMetricError(singular)
+            inv = np.linalg.inv(m)
+            inv.flags.writeable = False
+            self._inverses[name] = inv
+        return inv
 
     def fiber_c(self) -> np.ndarray:
         """The (r, r, r) block of structure constants on the subalgebra."""

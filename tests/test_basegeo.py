@@ -1,16 +1,19 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from kkgeom.basegeo import (ChartSpec, CoframeField, GaugeField, _fd_gradient,
-                            _fd_stencil, base_curvature_from_geometry,
+from kkgeom import fieldexpr
+from kkgeom.basegeo import (ChartSpec, CoframeField, GaugeField, _d_frame_2form,
+                            _fd_gradient, _fd_stencil, _frame_2form, _gamma_from_C,
+                            _ProviderMatrix, _quadratic, base_curvature_from_geometry,
                             geometry_at_point, load_fields)
-from kkgeom.errors import DegenerateCoframeError, StructuralError
-from kkgeom.fieldexpr import FieldProvider
+from kkgeom.errors import DegenerateCoframeError, EvalDomainError, StructuralError
+from kkgeom.fieldexpr import FieldProvider, Num
 from kkgeom.kkcurv import assemble_omega
-from kkgeom.liealg import abelian_algebra, su2_algebra, u1_su2_algebra
+from kkgeom.liealg import LieAlgebraSpec, abelian_algebra, su2_algebra, u1_su2_algebra
 
 
 def sphere_coframe(radius="1"):
@@ -192,16 +195,23 @@ def fd_problem():
 
 
 def test_fd_mode_evaluates_no_second_partials(monkeypatch):
+    # second partials come only from the order-2 fill: the fd route never
+    # asks for it, the analytic route asks once per provider matrix
     cof, gauge, spec, points = fd_problem()
+    orders = []
+    fill = _ProviderMatrix._fill
 
-    def forbidden(self, *args):
-        raise AssertionError("fd mode evaluated a second partial")
+    def recording(self, point, order, fd_step=None):
+        orders.append(order)
+        return fill(self, point, order, fd_step)
 
-    monkeypatch.setattr(FieldProvider, "partial2", forbidden)
+    monkeypatch.setattr(_ProviderMatrix, "_fill", recording)
     geom = geometry_at_point(cof, gauge, spec, points, deriv_mode="fd")
     assert geom.dF.shape == (5, 3, 3, 3, 3)
-    with pytest.raises(AssertionError, match="second partial"):
-        geometry_at_point(cof, gauge, spec, points)
+    assert sorted(orders) == [0, 0, 1, 1]
+    orders.clear()
+    geometry_at_point(cof, gauge, spec, points)
+    assert sorted(orders) == [0, 0, 1, 1, 2, 2]
 
 
 @pytest.mark.parametrize("deriv_mode", ["analytic", "fd"])
@@ -354,3 +364,213 @@ def test_load_fields_params():
     }
     _, coframe, gauge, points = load_fields(data, spec)
     assert gauge.matrix(points[0])[0, 1] == 2.5 * 0.3
+
+
+# ---------------------------------------------------------------------------
+# The batched matmul kernels against the einsum formulas they re-associate.
+# These oracles are the contractions as the geometry wrote them before; the
+# kernels must agree with them to rounding, for any algebra the input format
+# accepts (c need not be antisymmetric), any chart size and any batch.
+
+
+def einsum_frame_2form(X, Einv):
+    return np.einsum("...amn,...mb,...nc->...abc", X, Einv, Einv)
+
+
+def einsum_d_frame_2form(X, dX, Einv, dEinv):
+    """dX[..., a, mu, nu, rho] and dEinv[..., mu, b, rho], rho last."""
+    return (np.einsum("...amnr,...mb,...nc->...abcr", dX, Einv, Einv)
+            + np.einsum("...amn,...mbr,...nc->...abcr", X, dEinv, Einv)
+            + np.einsum("...amn,...mb,...ncr->...abcr", X, Einv, dEinv))
+
+
+def einsum_gamma_from_C(C, b, binv):
+    Cl = np.einsum("ad,...dbc->...abc", b, C)
+    gl = 0.5 * (Cl + np.moveaxis(Cl, -1, -3) - np.moveaxis(Cl, -3, -1))
+    return np.einsum("ad,...dbc->...abc", binv, gl)
+
+
+def einsum_geometry(cof, gauge, spec, point):
+    """The analytic frame geometry, every contraction an einsum."""
+    E, dE, d2E = cof.matrix(point), cof.d_matrix(point), cof.d2_matrix(point)
+    Am, dAm, d2Am = gauge.matrix(point), gauge.d_matrix(point), gauge.d2_matrix(point)
+    cf, b = spec.fiber_c(), spec.b
+    binv, Einv = np.linalg.inv(b), np.linalg.inv(E)
+    T = np.swapaxes(dE, -2, -1) - dE
+    Fc = (np.swapaxes(dAm, -2, -1) - dAm
+          + np.einsum("abg,...bm,...gn->...amn", cf, Am, Am))
+    dEinv = -np.einsum("...mx,...xyr,...ya->...mar", Einv, dE, Einv)
+    dT = np.swapaxes(d2E, -3, -2) - d2E
+    dA = (np.einsum("...amr,...mb->...abr", dAm, Einv)
+          + np.einsum("...am,...mbr->...abr", Am, dEinv))
+    dFc = (np.swapaxes(d2Am, -3, -2) - d2Am
+           + np.einsum("abg,...bmr,...gn->...amnr", cf, dAm, Am)
+           + np.einsum("abg,...bm,...gnr->...amnr", cf, Am, dAm))
+    C = einsum_frame_2form(T, Einv)
+    dC = np.einsum("...abcr,...rd->...abcd", einsum_d_frame_2form(T, dT, Einv, dEinv), Einv)
+    return {
+        "E": E, "E_inv": Einv, "C": C, "gamma": einsum_gamma_from_C(C, b, binv),
+        "A": np.einsum("...am,...mb->...ab", Am, Einv), "F": einsum_frame_2form(Fc, Einv),
+        "dC": dC,
+        "dgamma": np.moveaxis(einsum_gamma_from_C(np.moveaxis(dC, -1, 0), b, binv), 0, -1),
+        "dA": np.einsum("...abr,...rd->...abd", dA, Einv),
+        "dF": np.einsum("...abcr,...rd->...abcd",
+                        einsum_d_frame_2form(Fc, dFc, Einv, dEinv), Einv),
+    }
+
+
+BATCHES = [(), (0,), (4,)]  # one point, an empty batch, a block
+
+
+def random_inline_spec(rng, n, r):
+    """An inline algebra with random, not antisymmetric, structure constants
+    and a non-diagonal base metric."""
+    N = n + r
+    b = np.eye(n) + 0.1 * rng.normal(size=(n, n))
+    return LieAlgebraSpec(n, r, 0.5 * rng.normal(size=(N, N, N)), b @ b.T, 2.0 * np.eye(r))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("r", [0, 1, 2, 3, 4])
+def test_matmul_kernels_match_einsum(n, r):
+    rng = np.random.default_rng(10 * n + r)
+    c = rng.normal(size=(r, r, r))
+    b = np.eye(n) + 0.1 * rng.normal(size=(n, n))
+    binv = np.linalg.inv(b)
+    for batch in BATCHES:
+        Einv = np.eye(n) + 0.2 * rng.normal(size=batch + (n, n))
+        dEinv = rng.normal(size=batch + (n, n, n))  # [mu, a, rho]
+        A = rng.normal(size=batch + (r, n))
+        dA = rng.normal(size=batch + (r, n, n))  # [al, mu, rho]
+        for X in (rng.normal(size=batch + (n, n, n)), rng.normal(size=batch + (r, n, n))):
+            dX = rng.normal(size=X.shape + (n,))
+            assert np.abs(_frame_2form(X, Einv) - einsum_frame_2form(X, Einv)).max(
+                initial=0.0) < 1e-13
+            got = np.moveaxis(_d_frame_2form(X, np.moveaxis(dX, -1, -4), Einv,
+                                             np.moveaxis(dEinv, -1, -3)), -4, -1)
+            assert got.shape == dX.shape
+            assert np.abs(got - einsum_d_frame_2form(X, dX, Einv, dEinv)).max(
+                initial=0.0) < 1e-13
+        C = rng.normal(size=batch + (n, n, n))
+        assert np.abs(_gamma_from_C(C, b, binv) - einsum_gamma_from_C(C, b, binv)).max(
+            initial=0.0) < 1e-13
+        quad = _quadratic(c, A, A)
+        assert quad.shape == batch + (r, n, n)
+        assert np.abs(quad - np.einsum("abg,...bm,...gn->...amn", c, A, A)).max(
+            initial=0.0) < 1e-13
+        dA_r = np.moveaxis(dA, -1, -3)
+        for got, want in ((_quadratic(c, dA_r, A[..., None, :, :]),
+                           np.einsum("abg,...bmr,...gn->...amnr", c, dA, A)),
+                          (_quadratic(c, A[..., None, :, :], dA_r),
+                           np.einsum("abg,...bm,...gnr->...amnr", c, A, dA))):
+            assert np.abs(np.moveaxis(got, -4, -1) - want).max(initial=0.0) < 1e-13
+
+
+def random_gauge(rng, spec, chart):
+    funcs = ["sin(x{})", "x{}*x{}", "cos(x{})", "x{}"]
+    n = chart.n
+    entries = [[f"{0.3 * float(rng.uniform(-1, 1)):.4f}*"
+                + funcs[int(rng.integers(len(funcs)))].format(*rng.integers(1, n + 1, size=2))
+                if rng.uniform() < 0.7 else "0" for _ in range(n)] for _ in range(spec.r)]
+    return GaugeField(spec, chart, entries)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("r", [0, 1, 2, 3, 4])
+def test_geometry_matches_einsum_formulas(n, r):
+    rng = np.random.default_rng(100 + 10 * n + r)
+    cof = random_coframe(rng, n)
+    spec = random_inline_spec(rng, n, r)
+    gauge = random_gauge(rng, spec, cof.chart)
+    for batch in BATCHES:
+        point = rng.uniform(-0.5, 0.5, size=batch + (n,))
+        geom = geometry_at_point(cof, gauge, spec, point)
+        for name, want in einsum_geometry(cof, gauge, spec, point).items():
+            got = getattr(geom, name)
+            assert got.shape == want.shape, name
+            assert np.abs(got - want).max(initial=0.0) < 1e-13, name
+
+
+# ---------------------------------------------------------------------------
+# The fused provider fill
+
+
+def fill_problem():
+    """A 3 x 3 coframe with literal entries, a parameter-only entry and
+    parametrised expressions, as a field file would give it."""
+    params = {"q": 1.5, "w": -0.25}
+    rows = [["1 + q*x1", "0", "2.5"],
+            ["w", "sin(x2)*x3^2", "exp(w*x1)"],
+            ["x2", "q*x1*x2*x3 - x3", "1"]]
+    chart = ChartSpec(3)
+    return CoframeField(chart, [[FieldProvider(e, n=3, params=params) for e in row]
+                                for row in rows])
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("batch", [(), (0,), (4,), (2, 5)])
+def test_fused_fill_equals_per_entry_provider_calls(order, batch):
+    cof = fill_problem()
+    point = np.random.default_rng(order).uniform(-1, 1, size=batch + (3,))
+    want = np.empty(batch + (3, 3) + (3,) * order)
+    for a, row in enumerate(cof.entries):
+        for mu, p in enumerate(row):
+            for nus in itertools.product(range(3), repeat=order):
+                method = (p.evaluate, p.partial, p.partial2)[order]
+                want[(..., a, mu) + nus] = method(*nus, point)
+    got = cof._fill(point, order)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("deriv_mode,message", [
+    ("analytic", "coframe[0][0] = 1+sqrt(x1) at point [0.0, 0.25]: 0.5/sqrt(x1): "
+                 "divide by zero encountered in divide"),
+    ("fd", "coframe[0][0] = 1+sqrt(x1) at point [0.0, 0.25]: fails on its fd stencil row "
+           "[-0.002, 0.25] (fd_step 0.001): 1+sqrt(x1): invalid value encountered in sqrt"),
+])
+def test_domain_error_message_in_both_modes(deriv_mode, message):
+    # the value holds at x1 = 0 and its partial does not; in fd mode the
+    # stencil leaves the domain first
+    cof = CoframeField(ChartSpec(2), [["1 + sqrt(x1)", "0"], ["0", "1"]])
+    points = np.array([[0.5, 0.1], [0.0, 0.25], [0.2, 0.3]])
+    with pytest.raises(EvalDomainError) as info:
+        geometry_at_point(cof, None, su2_algebra(2), points, deriv_mode=deriv_mode)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("deriv_mode", ["analytic", "fd"])
+def test_fill_calls_each_closure_once_per_block(monkeypatch, deriv_mode):
+    # one closure call per non-literal entry and distinct partial per block,
+    # none for literal trees, and no per-entry evaluation
+    calls, literal = {}, {}
+    compiled = FieldProvider.compiled
+
+    def counting(self, multi):
+        node, fn = compiled(self, multi)
+        key = (id(self), multi)
+        literal[key] = isinstance(node, Num)
+
+        def counted(point):
+            calls[key] = calls.get(key, 0) + 1
+            return fn(point)
+        return node, counted
+
+    def per_entry(*args):
+        raise AssertionError("a block evaluated its providers one entry at a time")
+
+    monkeypatch.setattr(FieldProvider, "compiled", counting)
+    monkeypatch.setattr(fieldexpr, "_run", per_entry)
+    cof = fill_problem()
+    spec = su2_algebra(3)
+    gauge = GaugeField(spec, cof.chart, [["0.3*x2", "0", "0.1*x1^2"],
+                                         ["0", "0.2*sin(x3)", "0"],
+                                         ["0.05*x1*x2", "0", "0.1"]])
+    points = np.random.default_rng(7).uniform(0.1, 0.5, size=(6, 3))
+    for block in (points[:3], points[3:]):
+        geometry_at_point(cof, gauge, spec, block, deriv_mode=deriv_mode)
+    orders = {len(multi) for _, multi in literal}
+    assert orders == ({0, 1, 2} if deriv_mode == "analytic" else {0, 1})
+    assert any(literal.values()) and not all(literal.values())
+    assert {key: calls.get(key, 0) for key in literal} == {
+        key: 0 if is_literal else 2 for key, is_literal in literal.items()}

@@ -478,7 +478,7 @@ def test_lift_samples_velocity_and_projects_once_per_lift(tmp_path, capsys, monk
     assert code == EXIT_OK
     steps = paths[0]["steps"]
     assert lifts == [steps, 2 * steps]  # the path and its step-halving check
-    assert calls == {"v": 2, "polar": 2}
+    assert calls == {"v": 1, "polar": 2}
 
 
 # ---------------------------------------------------------------------------
@@ -708,6 +708,24 @@ def test_fd_domain_error_names_the_input_point(tmp_path, capsys, command):
     (line,) = out.err.strip().splitlines()
     assert line.startswith("error: coframe[0][0] = 1+sqrt(x1) at point [0.001, 0.2]: fails on "
                            "its fd stencil row [-0.001, 0.2] (fd_step 0.001): ")
+
+
+@pytest.mark.parametrize("command", ["curvature", "gauge-check"])
+def test_fd_degenerate_frame_names_the_input_point(tmp_path, capsys, command):
+    # the frame holds at x1 = 0.001 but is degenerate on the stencil row one
+    # fd_step below; an fd stencil that crosses a degenerate frame stays a
+    # numeric failure, while the analytic route evaluates the point
+    problem = with_fields(lattice=None, points=[[0.001, 0.2]], deriv_mode="fd",
+                          coframe=[["x1", "0"], ["0", "1"]])
+    code, out = run(capsys, [command, "--input", write_problem(tmp_path, problem)])
+    assert code == EXIT_NUMERIC
+    assert out.out == ""
+    (line,) = out.err.strip().splitlines()
+    assert line == ("numeric failure: coframe matrix is degenerate at point (0.001, 0.2): "
+                    "on its fd stencil row (0.0, 0.2) (fd_step 0.001) (det = 0.000e+00)")
+    problem["fields"].pop("deriv_mode")
+    code, _ = run(capsys, [command, "--input", write_problem(tmp_path, problem)])
+    assert code == EXIT_OK
 
 
 # ---------------------------------------------------------------------------
