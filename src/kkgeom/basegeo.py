@@ -79,7 +79,9 @@ class _ProviderMatrix:
     a literal number, and one compiled closure for each of the others.  A
     block copies the template once and runs the closures under one numpy
     error state; each distinct mixed partial is computed once and then
-    written to every ordering of its indices.
+    written to every ordering of its indices.  A closure that leaves its
+    expression's domain is located from its slot in the fill: the error
+    names the entry, the partial and the first failing point.
     """
 
     def __init__(self, chart, entries):
@@ -98,14 +100,15 @@ class _ProviderMatrix:
 
     def _plan(self, order):
         """(template, calls, spread) of ``order``.  The fill is laid out as
-        [row, mu, partial] over the distinct partials (sorted index tuples);
-        ``template`` holds the literal ones, ``calls`` pairs the closure of
-        every other slot with its flat index, and ``spread`` takes each
-        ordering of the derivative indices to its partial."""
+        [row, mu, partial] over the distinct partials (sorted index tuples,
+        see :func:`_partials`); ``template`` holds the literal ones,
+        ``calls`` pairs the closure of every other slot with its flat index,
+        and ``spread`` takes each ordering of the derivative indices to its
+        partial."""
         plan = self._plans.get(order)
         if plan is None:
             n = self.chart.n
-            multis = list(itertools.combinations_with_replacement(range(n), order))
+            multis = _partials(n, order)
             template = np.zeros((len(self.entries), n, len(multis)))
             calls = []
             for k, (p, nus) in enumerate(itertools.product(itertools.chain(*self.entries),
@@ -133,56 +136,52 @@ class _ProviderMatrix:
         batch = point.shape[:-1]
         out = np.empty(batch + template.shape)
         out[...] = template
-        try:
-            run_into(calls, point, out.reshape(batch + (template.size,)))
-        except (FloatingPointError, ZeroDivisionError):
-            return self._fill_entries(point, order, fd_step)
+        failed = run_into(calls, point, out.reshape(batch + (template.size,)))
+        if failed is not None:
+            raise self._domain_error(*failed, order, point, fd_step) from None
         return out[..., spread].reshape(batch + (len(self.entries), n) + (n,) * order)
 
-    def _fill_entries(self, point, order, fd_step):
-        """:meth:`_fill` one entry and partial at a time, each through the
-        provider's own evaluation: the path of a block that leaves an
-        expression's domain, so the error names the entry and the point."""
-        n = self.chart.n
-        out = np.empty(point.shape[:-1] + (len(self.entries), n) + (n,) * order)
-        # each distinct partial once, written to every ordering of its indices
-        partials = [(nus, set(itertools.permutations(nus)))
-                    for nus in itertools.combinations_with_replacement(range(n), order)]
-        for a, row in enumerate(self.entries):
-            for mu, p in enumerate(row):
-                method = (p.evaluate, p.partial, p.partial2)[order]
-                for nus, perms in partials:
-                    try:
-                        value = method(*nus, point)
-                    except EvalDomainError as exc:
-                        raise self._domain_error(exc, a, mu, lambda q: method(*nus, q),
-                                                 point, fd_step) from None
-                    for perm in perms:
-                        out[(..., a, mu) + perm] = value
-        return out
-
-    def _domain_error(self, exc, a, mu, evaluate, point, fd_step):
-        """``exc`` located: the entry as written in the field file and the
-        first point of the batch at which ``evaluate`` fails.  A failing fd
-        stencil row is named with the input point it was stepped from."""
-        bad = next((i for i in np.ndindex(point.shape[:-1]) if _fails(evaluate, point[i])), None)
-        if bad is None:
-            where = ""
-        elif fd_step is None or bad[-1] == 0:
-            where = f" at point {point[bad].tolist()}"
-        else:
-            where = (f" at point {point[bad[:-1] + (0,)].tolist()}: fails on its fd stencil "
-                     f"row {point[bad].tolist()} (fd_step {fd_step})")
-        source = pretty(self.entries[a][mu].expr)
-        return EvalDomainError(f"{self.block}[{a}][{mu}] = {source}{where}: {exc}")
+    def _domain_error(self, k, exc, order, point, fd_step):
+        """The numpy error ``exc`` of slot ``k`` of the ``order`` fill
+        located: the entry as written in the field file and the first point
+        of the batch at which its partial fails."""
+        multis = _partials(self.chart.n, order)
+        a, mu, j = np.unravel_index(k, (len(self.entries), self.chart.n, len(multis)))
+        p = self.entries[a][mu]
+        bad = next((i for i in np.ndindex(point.shape[:-1])
+                    if _fails(p, multis[j], point[i])), None)
+        where = ""
+        if bad is not None:
+            at, row = _fd_where(point, bad, fd_step)
+            where = f" at point {at.tolist()}{row}"
+        node = p.compiled(multis[j])[0]
+        return EvalDomainError(f"{self.block}[{a}][{mu}] = {pretty(p.expr)}{where}: "
+                               f"{pretty(node)}: {exc}")
 
 
-def _fails(evaluate, point):
+def _partials(n, order):
+    """The distinct partials of ``order`` derivatives in n variables, as
+    sorted index tuples."""
+    return list(itertools.combinations_with_replacement(range(n), order))
+
+
+def _fails(p, multi, point):
     try:
-        evaluate(point)
+        p._at(multi, point)
     except EvalDomainError:
         return True
     return False
+
+
+def _fd_where(point, index, fd_step):
+    """Where batch index ``index`` of ``point`` lies: the input point, and
+    a suffix naming the fd stencil row when ``fd_step`` is given and the
+    row is not row 0 (the layout of :meth:`_ProviderMatrix._fill`), else
+    an empty one."""
+    if fd_step is None or index[-1] == 0:
+        return point[index], ""
+    return (point[index[:-1] + (0,)],
+            f": fails on its fd stencil row {point[index].tolist()} (fd_step {fd_step})")
 
 
 class CoframeField(_ProviderMatrix):
@@ -234,20 +233,16 @@ def _as_provider(p, n):
 
 def _frame_matrix(E, point, fd_step=None):
     """E^-1, or DegenerateCoframeError at the first point where E is
-    degenerate.  With ``fd_step`` the last batch axis of ``point`` holds fd
-    stencil rows (see :meth:`_ProviderMatrix._fill`): a degenerate row other
-    than row 0 is named with the input point it was stepped from."""
+    degenerate; with ``fd_step`` a degenerate fd stencil row is named as
+    :func:`_fd_where` names it."""
     n = E.shape[-1]
     det = np.linalg.det(E)
     scale = np.maximum(np.abs(E).max(axis=(-2, -1)), 1e-300)
     bad = np.abs(det) < _DEGENERACY_FACTOR * scale**n
     if bad.any():
         first = tuple(np.argwhere(bad)[0])
-        point = np.asarray(point)
-        if fd_step is None or first[-1] == 0:
-            raise DegenerateCoframeError(point[first], det[first])
-        raise DegenerateCoframeError(point[first[:-1] + (0,)], det[first],
-                                     stencil_row=point[first], fd_step=fd_step)
+        at, row = _fd_where(np.asarray(point), first, fd_step)
+        raise DegenerateCoframeError(at, det[first], row)
     return np.linalg.inv(E)
 
 

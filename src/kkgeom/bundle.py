@@ -38,7 +38,7 @@ matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +56,6 @@ __all__ = [
     "expm",
     "polar",
     "lift_path",
-    "lift_and_halve",
     "verify_deextra",
     "verify_gauge_covariance",
 ]
@@ -214,13 +213,11 @@ class PathSpec:
     """A fiber-direction path: v maps an array of times in [0, 1], shape
     ``(T,)``, to the algebra coordinates at those times, shape ``(T, r)``
     (one time is a batch of one); the lift solves
-    g' = g * (sum v^alpha(t) T_alpha) from g0.  ``stages``, when given, is
-    v already sampled at the stage times of the lift, and v is not called."""
+    g' = g * (sum v^alpha(t) T_alpha) from g0."""
 
     rep: MatrixRep
     v: object  # callable: times (T,) -> velocities (T, r)
     g0: GroupElement
-    stages: np.ndarray | None = None  # (2 steps + 1, r)
 
     @staticmethod
     def sampled(rep, times, values, g0) -> "PathSpec":
@@ -324,8 +321,7 @@ def lift_path(path: PathSpec, steps: int) -> GroupElement:
     """Integrate g' = g * v(t) over [0, 1] with the classical 4th-order
     one-step method, projecting every step back to the manifold.
 
-    v is sampled once, at all 2 steps + 1 stage times j h / 2 (or given as
-    ``path.stages``).  Each step is
+    v is sampled once, at all 2 steps + 1 stage times j h / 2.  Each step is
     g_{k+1} = g_k P_k with a step operator P_k built from those samples, and
     the projection is g_k polar(P_k): the polar factor of g_k P_k for an
     orthogonal g_k.  The operators and their polar factors are computed in
@@ -334,21 +330,40 @@ def lift_path(path: PathSpec, steps: int) -> GroupElement:
     product orthogonal to rounding.  Returns the steps + 1 group elements as
     one batched element, shape ``(steps + 1, d, d)``.
     """
+    return _lift(path, steps, _sample(path, steps))
+
+
+def lift_and_halve(path: PathSpec, steps: int) -> tuple[GroupElement, GroupElement]:
+    """:func:`lift_path` at ``steps`` and at ``2 steps``, for a step-halving
+    error estimate, with v sampled once: at the 4 steps + 1 stage times of
+    the fine lift, of which the coarse lift's stage times are every other
+    one, bit for bit."""
+    xi = _sample(path, 2 * steps)
+    return _lift(path, steps, xi[::2]), _lift(path, 2 * steps, xi)
+
+
+def _sample(path, steps):
+    """v at the 2 steps + 1 stage times of a lift with ``steps`` steps,
+    after checking the step count and g0."""
     if steps < 1:
         raise StructuralError(f"need at least one step, got {steps}")
     rep = path.rep
     if path.g0.matrix.shape != (rep.dim, rep.dim):
         raise StructuralError(f"g0 must be one group element, got shape "
                               f"{path.g0.matrix.shape}")
-    h = 1.0 / steps
-    xi = np.asarray(path.v(_stage_times(steps)) if path.stages is None else path.stages,
-                    dtype=float)
+    xi = np.asarray(path.v(_stage_times(steps)), dtype=float)
     if xi.shape != (2 * steps + 1, rep.spec.r):
         raise StructuralError(f"v must map {2 * steps + 1} times to shape "
                               f"({2 * steps + 1}, {rep.spec.r}), got {xi.shape}")
     if not np.isfinite(xi).all():
         raise StructuralError("v is not finite on [0, 1]")
+    return xi
 
+
+def _lift(path, steps, xi):
+    """The lift of :func:`lift_path` from the stage samples ``xi`` of v."""
+    rep = path.rep
+    h = 1.0 / steps
     out = np.empty((steps + 1, rep.dim, rep.dim))
     out[0] = m = path.g0.matrix
     three_halves = 1.5 * np.eye(rep.dim)
@@ -359,22 +374,6 @@ def lift_path(path: PathSpec, steps: int) -> GroupElement:
             m = m @ q
             out[k] = m = m @ (three_halves - 0.5 * (m.T @ m))  # m (3 - m^T m) / 2
     return GroupElement(rep, out)
-
-
-def lift_and_halve(path: PathSpec, steps: int) -> tuple[GroupElement, GroupElement]:
-    """:func:`lift_path` at ``steps`` and at ``2 steps``, for a step-halving
-    error estimate, with v sampled once: at the 4 steps + 1 stage times of
-    the fine lift, of which the coarse lift's stage times are every other
-    one, bit for bit.  The coarse lift takes the samples through its v call,
-    the fine lift as ``stages``."""
-    fine = []
-
-    def every_other(t):
-        fine.append(np.asarray(path.v(_stage_times(2 * steps)), dtype=float))
-        return fine[0][::2]
-
-    coarse = lift_path(replace(path, v=every_other), steps)
-    return coarse, lift_path(replace(path, stages=fine[0]), 2 * steps)
 
 
 # ---------------------------------------------------------------------------

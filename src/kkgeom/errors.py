@@ -14,17 +14,15 @@ class DegenerateMetricError(KKGeomError):
 
 
 class DegenerateCoframeError(KKGeomError):
-    """The coframe matrix is singular at an evaluation point, or on one of
-    the fd stencil rows (``stencil_row``, ``fd_step`` apart) around it."""
+    """The coframe matrix is singular at an evaluation point; ``stencil``
+    names the fd stencil row around it on which it is, if any."""
 
-    def __init__(self, point, det, stencil_row=None, fd_step=None):
+    def __init__(self, point, det, stencil=""):
         self.point = tuple(float(x) for x in point)
         self.det = float(det)
-        self.stencil_row = None if stencil_row is None else tuple(float(x) for x in stencil_row)
-        where = f"at point {self.point}"
-        if self.stencil_row is not None:
-            where += f": on its fd stencil row {self.stencil_row} (fd_step {fd_step})"
-        super().__init__(f"coframe matrix is degenerate {where} (det = {self.det:.3e})")
+        super().__init__(
+            f"coframe matrix is degenerate at point {self.point}{stencil} (det = {self.det:.3e})"
+        )
 
 
 class ExprSyntaxError(KKGeomError):

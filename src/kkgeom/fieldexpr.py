@@ -246,11 +246,16 @@ def _run(node, fn, point):
 def run_into(calls, point, out):
     """``out[..., k] = fn(point)`` for each ``(fn, k)`` of ``calls``, under
     the error state of :func:`_run`: one error-state switch for all the
-    closures, and numpy broadcasts each value as it is written.  A domain
-    error propagates as numpy raised it (``FloatingPointError`` or
-    ``ZeroDivisionError``), for the caller to locate."""
+    closures, and numpy broadcasts each value as it is written.  Returns
+    None, or ``(k, exc)`` for the first closure that leaves its domain, with
+    the ``FloatingPointError`` or ``ZeroDivisionError`` numpy raised, for
+    the caller to locate."""
     for fn, k in calls:
-        out[..., k] = fn(point)
+        try:
+            out[..., k] = fn(point)
+        except (FloatingPointError, ZeroDivisionError) as exc:
+            return k, exc
+    return None
 
 
 def _compile(node, params):

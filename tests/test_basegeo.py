@@ -523,19 +523,39 @@ def test_fused_fill_equals_per_entry_provider_calls(order, batch):
     assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("deriv_mode,message", [
-    ("analytic", "coframe[0][0] = 1+sqrt(x1) at point [0.0, 0.25]: 0.5/sqrt(x1): "
-                 "divide by zero encountered in divide"),
-    ("fd", "coframe[0][0] = 1+sqrt(x1) at point [0.0, 0.25]: fails on its fd stencil row "
-           "[-0.002, 0.25] (fd_step 0.001): 1+sqrt(x1): invalid value encountered in sqrt"),
-])
-def test_domain_error_message_in_both_modes(deriv_mode, message):
+SQRT_X1 = [["1 + sqrt(x1)", "0"], ["0", "1"]]
+SQRT_X2 = [["1", "0"], ["0", "1 + sqrt(x2)"]]
+
+
+@pytest.mark.parametrize("deriv_mode,coframe,points,message", [
     # the value holds at x1 = 0 and its partial does not; in fd mode the
     # stencil leaves the domain first
-    cof = CoframeField(ChartSpec(2), [["1 + sqrt(x1)", "0"], ["0", "1"]])
-    points = np.array([[0.5, 0.1], [0.0, 0.25], [0.2, 0.3]])
+    ("analytic", SQRT_X1, [[0.5, 0.1], [0.0, 0.25], [0.2, 0.3]],
+     "coframe[0][0] = 1+sqrt(x1) at point [0.0, 0.25]: 0.5/sqrt(x1): "
+     "divide by zero encountered in divide"),
+    ("fd", SQRT_X1, [[0.5, 0.1], [0.0, 0.25], [0.2, 0.3]],
+     "coframe[0][0] = 1+sqrt(x1) at point [0.0, 0.25]: fails on its fd stencil row "
+     "[-0.002, 0.25] (fd_step 0.001): 1+sqrt(x1): invalid value encountered in sqrt"),
+    # the value fails at the input point itself: no stencil row is named
+    ("analytic", SQRT_X1, [[0.5, 0.1], [-0.1, 0.25]],
+     "coframe[0][0] = 1+sqrt(x1) at point [-0.1, 0.25]: 1+sqrt(x1): "
+     "invalid value encountered in sqrt"),
+    ("fd", SQRT_X1, [[0.5, 0.1], [-0.1, 0.25]],
+     "coframe[0][0] = 1+sqrt(x1) at point [-0.1, 0.25]: 1+sqrt(x1): "
+     "invalid value encountered in sqrt"),
+    # a later entry and its partial in the second direction
+    ("analytic", SQRT_X2, [[0.5, 0.1], [0.25, 0.0]],
+     "coframe[1][1] = 1+sqrt(x2) at point [0.25, 0.0]: 0.5/sqrt(x2): "
+     "divide by zero encountered in divide"),
+    ("fd", SQRT_X2, [[0.5, 0.1], [0.25, 0.0]],
+     "coframe[1][1] = 1+sqrt(x2) at point [0.25, 0.0]: fails on its fd stencil row "
+     "[0.25, -0.002] (fd_step 0.001): 1+sqrt(x2): invalid value encountered in sqrt"),
+], ids=["analytic", "fd", "analytic-value", "fd-value", "analytic-second-entry",
+        "fd-second-entry"])
+def test_domain_error_message_in_both_modes(deriv_mode, coframe, points, message):
+    cof = CoframeField(ChartSpec(2), coframe)
     with pytest.raises(EvalDomainError) as info:
-        geometry_at_point(cof, None, su2_algebra(2), points, deriv_mode=deriv_mode)
+        geometry_at_point(cof, None, su2_algebra(2), np.array(points), deriv_mode=deriv_mode)
     assert str(info.value) == message
 
 

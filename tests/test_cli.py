@@ -459,26 +459,32 @@ def test_lift_input_errors_exit_64(tmp_path, capsys, paths, message):
                          ids=["expressions", "samples"])
 def test_lift_samples_velocity_and_projects_once_per_lift(tmp_path, capsys, monkeypatch,
                                                           paths):
+    # the path's own v, as the CLI built it, counted before any lift sees it
     calls = count_calls(monkeypatch, bundle, ["polar"])
-    lifts = []
-    lift_path = bundle.lift_path
+    times, lifts = [], []
+    lift_and_halve, lift = bundle.lift_and_halve, bundle._lift
 
-    def counting_v(path, steps):
-        lifts.append(steps)
+    def counting_lift_and_halve(path, steps):
         v = path.v
 
         def counted(t):
-            calls["v"] = calls.get("v", 0) + 1
+            times.append(len(t))
             return v(t)
-        return lift_path(dataclasses.replace(path, v=counted), steps)
+        return lift_and_halve(dataclasses.replace(path, v=counted), steps)
 
-    monkeypatch.setattr(bundle, "lift_path", counting_v)
+    def counting_lift(path, steps, xi):
+        lifts.append(steps)
+        return lift(path, steps, xi)
+
+    monkeypatch.setattr(bundle, "lift_and_halve", counting_lift_and_halve)
+    monkeypatch.setattr(bundle, "_lift", counting_lift)
     path = write_problem(tmp_path, {"rep": "su2_as_so3", "paths": paths})
     code, _ = run(capsys, ["lift", "--input", path])
     assert code == EXIT_OK
     steps = paths[0]["steps"]
     assert lifts == [steps, 2 * steps]  # the path and its step-halving check
-    assert calls == {"v": 1, "polar": 2}
+    assert times == [4 * steps + 1]  # one call, at the fine lift's stage times
+    assert calls == {"polar": 2}
 
 
 # ---------------------------------------------------------------------------
@@ -722,7 +728,8 @@ def test_fd_degenerate_frame_names_the_input_point(tmp_path, capsys, command):
     assert out.out == ""
     (line,) = out.err.strip().splitlines()
     assert line == ("numeric failure: coframe matrix is degenerate at point (0.001, 0.2): "
-                    "on its fd stencil row (0.0, 0.2) (fd_step 0.001) (det = 0.000e+00)")
+                    "fails on its fd stencil row [0.0, 0.2] (fd_step 0.001) "
+                    "(det = 0.000e+00)")
     problem["fields"].pop("deriv_mode")
     code, _ = run(capsys, [command, "--input", write_problem(tmp_path, problem)])
     assert code == EXIT_OK
