@@ -64,11 +64,11 @@ spec = rep.spec
 chart = ChartSpec(2)
 coframe = CoframeField(chart, [["1 + 0.1*x2^2", "0.1*x1"],
                                ["0", "1 + 0.2*sin(x1)"]])
-gauge = GaugeField(spec, chart, [["0.3*x2", "0.1*x1"],
-                                 ["0.1*x1*x2", "0.2*sin(x2)"],
-                                 ["0.1*x2^2", "0"]])
+gauge = GaugeField(chart, [["0.3*x2", "0.1*x1"],
+                           ["0.1*x1*x2", "0.2*sin(x2)"],
+                           ["0.1*x2^2", "0"]])
 geom = geometry_at_point(coframe, gauge, spec, np.array([0.4, -0.3]))
 g = rep.exp(np.array([0.2, 0.5, -0.1]))
-print("\nstructure-equation residual:", verify_deextra(geom, g, spec))
+print("\nstructure-equation residual:", verify_deextra(geom, g))
 print("gauge covariance residual:  ",
-      verify_gauge_covariance(geom, g, spec))
+      verify_gauge_covariance(geom, g))

@@ -22,19 +22,19 @@ spec = su2_algebra(2)
 chart = ChartSpec(2)
 coframe = CoframeField(chart, [["1 + 0.1*x2^2", "0.1*x1"],
                                ["0", "1 + 0.2*sin(x1)"]])
-gauge = GaugeField(spec, chart, [["0.3*x2", "0.1*x1"],
-                                 ["0.1*x1*x2", "0.2*sin(x2)"],
-                                 ["0.1*x2^2", "0"]])
+gauge = GaugeField(chart, [["0.3*x2", "0.1*x1"],
+                           ["0.1*x1*x2", "0.2*sin(x2)"],
+                           ["0.1*x2^2", "0"]])
 
 point = np.array([0.4, -0.3])
 geom = geometry_at_point(coframe, gauge, spec, point)
 
-conn = assemble_omega(geom, spec)
+conn = assemble_omega(geom)
 print("connection antisymmetry residual:", conn.antisymmetry_residual())
 print("connection torsion residual:     ", conn.torsion_residual())
 
 direct = curvature_direct(conn)
-closed = ricci_closed_form(geom, spec)
+closed = ricci_closed_form(geom)
 print("\nscalar curvature  direct:", direct.scalar)
 print("scalar curvature  closed:", closed.scalar)
 
@@ -45,9 +45,9 @@ for name, value in cross_check(direct, closed).items():
 # Flat base, zero gauge field: only the fiber bracket curves the space, and
 # the base Einstein block reduces to minus the cosmological constant.
 flat = CoframeField(chart, [["1", "0"], ["0", "1"]])
-geom0 = geometry_at_point(flat, GaugeField.zero(spec, chart), spec,
+geom0 = geometry_at_point(flat, GaugeField.zero(chart, spec.r), spec,
                           np.zeros(2))
-res = eym_residuals(ricci_closed_form(geom0, spec))
+res = eym_residuals(ricci_closed_form(geom0))
 print("\nflat base, A = 0:")
 print("  einstein block:")
 print(" ", str(res.einstein_block).replace("\n", "\n  "))

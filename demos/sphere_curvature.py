@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from kkgeom import (ChartSpec, CoframeField, base_curvature_from_geometry,
+from kkgeom import (ChartSpec, CoframeField, GaugeField, base_curvature_from_geometry,
                     geometry_at_point)
 from kkgeom.liealg import abelian_algebra
 
@@ -21,7 +21,8 @@ np.set_printoptions(precision=5, suppress=True)
 def base_curvature(coframe, point):
     """Curvature of the Euclidean-frame metric: no fiber, b = identity."""
     spec = abelian_algebra(coframe.n, 0)
-    return base_curvature_from_geometry(geometry_at_point(coframe, None, spec, point))
+    no_gauge = GaugeField.zero(coframe.chart, 0)
+    return base_curvature_from_geometry(geometry_at_point(coframe, no_gauge, spec, point))
 
 
 # Unit sphere in polar coordinates: e^1 = dx1, e^2 = sin(x1) dx2.
@@ -29,7 +30,8 @@ chart = ChartSpec(2)
 sphere = CoframeField(chart, [["1", "0"], ["0", "sin(x1)"]])
 
 point = np.array([1.1, 0.4])
-gamma = geometry_at_point(sphere, None, abelian_algebra(2, 0), point).gamma
+gamma = geometry_at_point(sphere, GaugeField.zero(chart, 0), abelian_algebra(2, 0),
+                          point).gamma
 print("connection coefficient gamma^1_{2 2} at x1=1.1:", gamma[0, 1, 1])
 print("analytic -cot(x1):                             ",
       -math.cos(1.1) / math.sin(1.1))

@@ -25,9 +25,10 @@ direction rho moved in front in the chain-rule half).  The matmuls
 re-associate the einsum contractions of the definitions and use no symmetry
 that those do not, so an inline ``c`` need not be antisymmetric.
 
-:func:`geometry_at_point` is the one route to the frame geometry; the base
-metric is the algebra spec's ``b``, and :func:`base_curvature_from_geometry`
-reads the base curvature off its result.
+:func:`geometry_at_point` is the one route to the frame geometry and the one
+place where the algebra spec comes in; its result carries the spec, and every
+later stage (:func:`base_curvature_from_geometry`, ``kkcurv``, ``bundle``)
+reads it there.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 
 from .errors import DegenerateCoframeError, EvalDomainError, StructuralError
 from .fieldexpr import FieldProvider, Num, pretty, run_into
-from .liealg import LieAlgebraSpec
+from .liealg import LieAlgebraSpec, _number
 
 __all__ = [
     "ChartSpec",
@@ -85,6 +86,8 @@ class _ProviderMatrix:
     """
 
     def __init__(self, chart, entries):
+        if any(len(row) != chart.n for row in entries):
+            raise StructuralError(f"{self.block} rows must have {chart.n} entries")
         self.chart = chart
         self.entries = [[_as_provider(p, chart.n) for p in row] for row in entries]
         self._plans = {}
@@ -190,9 +193,8 @@ class CoframeField(_ProviderMatrix):
     block = "coframe"  # the field-file key, named in evaluation errors
 
     def __init__(self, chart: ChartSpec, entries):
-        n = chart.n
-        if len(entries) != n or any(len(row) != n for row in entries):
-            raise StructuralError(f"coframe must be {n}x{n}")
+        if len(entries) != chart.n:
+            raise StructuralError(f"coframe must be {chart.n}x{chart.n}")
         super().__init__(chart, entries)
 
     @property
@@ -205,26 +207,20 @@ class GaugeField(_ProviderMatrix):
 
     block = "gauge"
 
-    def __init__(self, spec: LieAlgebraSpec, chart: ChartSpec, entries):
-        self.spec = spec
-        r, n = spec.r, chart.n
-        if len(entries) != r or any(len(row) != n for row in entries):
-            raise StructuralError(f"gauge potential must be {r}x{n}")
-        super().__init__(chart, entries)
-
     @classmethod
-    def zero(cls, spec, chart):
-        return cls(spec, chart, [[0.0] * chart.n for _ in range(spec.r)])
+    def zero(cls, chart, r):
+        """The zero potential with r rows; reuse it, as its fill plans are cached."""
+        return cls(chart, [[0.0] * chart.n for _ in range(r)])
 
 
-def _as_provider(p, n):
+def _as_provider(p, n, params=None):
     if isinstance(p, FieldProvider):
         return p
-    if isinstance(p, (int, float)):
-        return FieldProvider.constant(p, n=n)
+    if isinstance(p, (int, float)):  # a bool or NaN is refused by _number
+        return FieldProvider.constant(_number(p, "coframe/gauge entry"), n=n)
     if isinstance(p, str):
-        return FieldProvider(p, n=n)
-    raise StructuralError(f"coframe/gauge entries must be providers, strings or numbers, got {type(p)}")
+        return FieldProvider(p, n=n, params=params)
+    raise StructuralError(f"coframe/gauge entries must be providers, strings or numbers, got {p!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -277,14 +273,13 @@ class GeometryAtPoint:
 
     Index conventions: ``gamma[a, b, c]`` is the ``e^c`` coefficient of the
     connection 1-form entry (a, b); trailing index of each ``d*`` array is
-    the frame direction of the derivative.  Every field except ``b_inv``
-    carries the batch axes of ``point`` (none for a single point) in front
-    of the shapes listed.
+    the frame direction of the derivative.  Every field except ``spec``, the
+    algebra, carries the batch axes of ``point`` (none for a single point)
+    in front of the shapes listed.
     """
 
     point: np.ndarray  # (n,)
     spec: LieAlgebraSpec
-    b_inv: np.ndarray  # (n, n) inverse of spec.b
     E: np.ndarray  # (n, n)  e^a_mu
     E_inv: np.ndarray  # (n, n)  indexed [mu, a]
     C: np.ndarray  # (n, n, n) anholonomy
@@ -323,16 +318,15 @@ def _frame_values(coframe, gauge, spec, point, fd_step=None):
     # T[a, mu, nu] = d_mu e^a_nu - d_nu e^a_mu (coordinate components of de^a)
     T = np.swapaxes(dE, -2, -1) - dE
     C = _frame_2form(T, Einv)
-    b = spec.b
-    binv = np.linalg.inv(b)
 
     Am = gauge._fill(point, 0, fd_step)  # A^al_mu
     dAm = gauge._fill(point, 1, fd_step)  # d_nu A^al_mu
     # F^al_{mu nu} = d_mu A^al_nu - d_nu A^al_mu + c^al_bg A^b_mu A^g_nu
     # (the quadratic term is antisymmetric in mu, nu when c is in its lower pair)
     Fc = np.swapaxes(dAm, -2, -1) - dAm + _quadratic(spec.fiber_c(), Am, Am)
-    values = dict(point=point, spec=spec, b_inv=binv, E=E, E_inv=Einv, C=C,
-                  gamma=_gamma_from_C(C, b, binv), A=Am @ Einv, F=_frame_2form(Fc, Einv))
+    values = dict(point=point, spec=spec, E=E, E_inv=Einv, C=C,
+                  gamma=_gamma_from_C(C, spec.b, spec.b_inv()), A=Am @ Einv,
+                  F=_frame_2form(Fc, Einv))
     return values, (dE, T, Am, dAm, Fc)
 
 
@@ -371,7 +365,7 @@ def _geometry(values, derivs):
     and dF of either route.  dgamma = gamma(dC): gamma is linear in C and b
     is constant, so the derivative direction rides along as a batch axis."""
     dC_first = np.moveaxis(derivs["dC"], -1, 0)
-    dgamma = np.moveaxis(_gamma_from_C(dC_first, values["spec"].b, values["b_inv"]), 0, -1)
+    dgamma = np.moveaxis(_gamma_from_C(dC_first, values["spec"].b, values["spec"].b_inv()), 0, -1)
     return GeometryAtPoint(**values, **derivs, dgamma=dgamma)
 
 
@@ -445,12 +439,12 @@ def _geometry_fd(coframe, gauge, spec, point, h):
     at = {name: np.take(rows[name], 0, axis) for name in ("E", "E_inv", "C", "gamma", "A", "F")}
     derivs = {"d" + name: _to_frame(_fd_gradient(rows[name], axis, h), at["E_inv"])
               for name in ("C", "A", "F")}
-    return _geometry(dict(point=point, spec=spec, b_inv=rows["b_inv"], **at), derivs)
+    return _geometry(dict(point=point, spec=spec, **at), derivs)
 
 
 def geometry_at_point(
     coframe: CoframeField,
-    gauge: GaugeField | None,
+    gauge: GaugeField,
     spec: LieAlgebraSpec,
     point,
     deriv_mode: str = "analytic",
@@ -458,13 +452,15 @@ def geometry_at_point(
 ) -> GeometryAtPoint:
     """Evaluate the full frame geometry at a chart point or a batch of points.
 
-    The base metric is ``spec.b``; the coframe carries only the frame.
+    The base metric is ``spec.b``; the coframe carries only the frame, and
+    the gauge potential needs one row per fiber direction of ``spec``.
     """
     if coframe.n != spec.n:
         raise StructuralError(f"chart dimension {coframe.n} does not match the "
                               f"algebra's base dimension {spec.n}")
-    if gauge is None:
-        gauge = GaugeField.zero(spec, coframe.chart)
+    if len(gauge.entries) != spec.r:
+        raise StructuralError(f"gauge potential has {len(gauge.entries)} rows, the "
+                              f"algebra's fiber dimension is {spec.r}")
     if deriv_mode == "analytic":
         return _geometry_analytic(coframe, gauge, spec, point)
     if deriv_mode == "fd":
@@ -493,7 +489,7 @@ def riemann_from_geometry(geom: GeometryAtPoint) -> np.ndarray:
 
 def base_curvature_from_geometry(geom: GeometryAtPoint) -> BaseCurvature:
     R = riemann_from_geometry(geom)
-    ric = np.einsum("...acde,ce->...ad", R, geom.b_inv)
+    ric = np.einsum("...acde,ce->...ad", R, geom.spec.b_inv())
     scalar = np.trace(ric, axis1=-2, axis2=-1)
     ein = ric - 0.5 * scalar[..., None, None] * np.eye(geom.n)
     return BaseCurvature(ricci=ric, scalar=scalar, einstein=ein)
@@ -511,43 +507,48 @@ def load_fields(data: dict, spec: LieAlgebraSpec):
     "lattice":{"min":[…],"max":[…],"steps":[…]}}``
 
     The points come back as one ``(count, n)`` array in lexicographic order.
+    A value of the wrong type or shape raises :class:`StructuralError`.
     """
-    chart_data = data.get("chart", {})
-    n = int(chart_data.get("n", spec.n))
+    if not isinstance(data, dict) or not all(isinstance(data.get(key, {}), dict)
+                                             for key in ("chart", "params", "lattice")):
+        raise StructuralError("fields, and their chart, params and lattice, must be objects")
+    n = _number(data.get("chart", {}).get("n", spec.n), "chart n", True)
     chart = ChartSpec(n)
-    params = data.get("params", {})
+    params = {name: _number(v, f"params {name!r}") for name, v in data.get("params", {}).items()}
 
-    def prov(entry):
-        if isinstance(entry, (int, float)):
-            return FieldProvider.constant(entry, n=n)
-        return FieldProvider(entry, n=n, params=params)
+    def providers(block, default):
+        rows = data.get(block)
+        return [[_as_provider(x, n, params) for x in row]
+                for row in _rows(default if rows is None else rows, block)]
 
-    coframe_rows = data.get("coframe")
-    if coframe_rows is None:
-        coframe_rows = [["1" if a == mu else "0" for mu in range(n)] for a in range(n)]
-    coframe = CoframeField(chart, [[prov(x) for x in row] for row in coframe_rows])
-
-    gauge_rows = data.get("gauge")
-    if gauge_rows is None:
-        gauge = GaugeField.zero(spec, chart)
-    else:
-        gauge = GaugeField(spec, chart, [[prov(x) for x in row] for row in gauge_rows])
+    coframe = CoframeField(chart, providers(
+        "coframe", [["1" if a == mu else "0" for mu in range(n)] for a in range(n)]))
+    gauge = GaugeField(chart, providers("gauge", [[0.0] * n for _ in range(spec.r)]))
 
     if "points" in data:
-        points = [np.array(p, dtype=float) for p in data["points"]]
-        for i, p in enumerate(points):
-            if p.shape != (n,):
-                raise StructuralError(f"points[{i}] has shape {p.shape}, the chart needs ({n},)")
+        points = []
+        for i, p in enumerate(_rows(data["points"], "points")):
+            if len(p) != n:
+                raise StructuralError(f"points[{i}] has {len(p)} coordinates, the chart needs {n}")
+            points.append([_number(x, f"points[{i}]") for x in p])
         points = np.array(points).reshape(-1, n)
     elif "lattice" in data:
         lat = data["lattice"]
         for key in ("min", "max", "steps"):
-            if len(lat.get(key, ())) != n:
+            if np.shape(lat.get(key)) != (n,):
                 raise StructuralError(f"lattice '{key}' needs {n} entries")
-        axes = [np.linspace(lo, hi, int(steps))
+        axes = [np.linspace(_number(lo, "lattice min"), _number(hi, "lattice max"),
+                            _number(steps, "lattice steps", True))
                 for lo, hi, steps in zip(lat["min"], lat["max"], lat["steps"])]
         mesh = np.meshgrid(*axes, indexing="ij")
         points = np.stack([m.ravel() for m in mesh], axis=-1)
     else:
         raise StructuralError("field file needs either 'points' or 'lattice'")
     return chart, coframe, gauge, points[np.lexsort(points.T[::-1])]
+
+
+def _rows(value, where):
+    """``value`` if it is a list of lists, else StructuralError naming ``where``."""
+    if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
+        raise StructuralError(f"{where} must be a list of lists, got {value!r}")
+    return value

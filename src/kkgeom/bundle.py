@@ -413,7 +413,7 @@ def _coordinate_gauge_data(geom):
     return Ac, Fc, dAc
 
 
-def verify_deextra(geom, g: GroupElement, spec: LieAlgebraSpec, s=None):
+def verify_deextra(geom, g: GroupElement, s=None):
     """Residual of de^alpha - (1/2)[e/\\e]^alpha + [A/\\e]^alpha = F^alpha.
 
     Both sides are evaluated as coordinate 2-forms on the (x, s) chart at
@@ -422,6 +422,7 @@ def verify_deextra(geom, g: GroupElement, spec: LieAlgebraSpec, s=None):
     all), one residual per point.  The identity is invariant under right
     translation, so ``g`` enters only through its on-manifold precondition.
     """
+    spec = geom.spec
     if g.rep.spec.r != spec.r:
         raise StructuralError("rep and algebra have different fiber dimensions")
     n, r = spec.n, spec.r
@@ -455,8 +456,7 @@ def verify_deextra(geom, g: GroupElement, spec: LieAlgebraSpec, s=None):
     return np.abs(de - half_ee + a_wedge_e - f_full).max(axis=(-3, -2, -1))
 
 
-def verify_gauge_covariance(geom, g: GroupElement, spec: LieAlgebraSpec,
-                            vary: bool = True):
+def verify_gauge_covariance(geom, g: GroupElement, vary: bool = True):
     """Max residual of Omega = S Phi S^{-1} over all coordinate 2-planes,
     one value per point of ``geom`` (``g`` carries the same batch axes, or
     none for one element at every point).
@@ -470,12 +470,13 @@ def verify_gauge_covariance(geom, g: GroupElement, spec: LieAlgebraSpec,
     S, so S is needed at every sum of two stencil offsets: those (1 + 4r)^2
     fiber points are rows of one array, and their exponentials one stack.
     """
+    spec = geom.spec
     if g.rep.spec.r != spec.r:
         raise StructuralError("rep and algebra have different fiber dimensions")
     n, r, N = spec.n, spec.r, spec.N
     m = n + r
     batch = geom.point.shape[:-1]
-    conn = assemble_omega(geom, spec)
+    conn = assemble_omega(geom)
     W, dW = conn.W, conn.dW
     Omega = curvature_direct(conn).Omega
     E = geom.E

@@ -61,17 +61,20 @@ def _load_problem(path):
         raise _UsageError("--input is required for this command")
     try:
         with open(path) as f:
-            return json.load(f)
+            problem = json.load(f)
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise _UsageError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(problem, dict):
+        raise _UsageError(f"{path} must hold a JSON object, got {type(problem).__name__}")
+    return problem
 
 
 def _algebra_from(problem):
     data = problem.get("algebra")
-    if data is None:
-        raise _UsageError("problem JSON has no 'algebra' section")
+    if not isinstance(data, dict):
+        raise _UsageError(f"problem JSON needs an 'algebra' object, got {data!r}")
     return liealg.load_spec(data)
 
 
@@ -234,9 +237,9 @@ def _curvature_rows(coframe, gauge, spec, points, deriv_mode, fd_step):
     """Report rows for a (count, n) block of points, one pipeline pass."""
     geom = basegeo.geometry_at_point(coframe, gauge, spec, points,
                                      deriv_mode=deriv_mode, fd_step=fd_step)
-    conn = kkcurv.assemble_omega(geom, spec)
+    conn = kkcurv.assemble_omega(geom)
     direct = kkcurv.curvature_direct(conn)
-    closed = kkcurv.ricci_closed_form(geom, spec)
+    closed = kkcurv.ricci_closed_form(geom)
     res = kkcurv.eym_residuals(closed)
     cross = kkcurv.cross_check(direct, closed)
     return _rows({
@@ -281,8 +284,8 @@ def cmd_curvature(args):
     opts = _options(problem, args)
     spec = _algebra_from(problem)
     fields = problem.get("fields", {})
-    deriv_mode = fields.get("deriv_mode", "analytic")
     _, coframe, gauge, points = basegeo.load_fields(fields, spec)
+    deriv_mode = fields.get("deriv_mode", "analytic")
     rows = []
     for start in range(0, len(points), _BLOCK):
         rows += _curvature_rows(coframe, gauge, spec, points[start:start + _BLOCK],
@@ -400,8 +403,8 @@ def _gauge_rows(coframe, gauge, spec, rep, points, draws, deriv_mode, fd_step):
     g = rep.exp(draws[:, 0])
     return _rows({
         "point": points,
-        "deextra_residual": bundle.verify_deextra(geom, g, spec, s=0.25 * draws[:, 1]),
-        "gauge_covariance_residual": bundle.verify_gauge_covariance(geom, g, spec),
+        "deextra_residual": bundle.verify_deextra(geom, g, s=0.25 * draws[:, 1]),
+        "gauge_covariance_residual": bundle.verify_gauge_covariance(geom, g),
     })
 
 
@@ -418,8 +421,8 @@ def cmd_gauge_check(args):
     except StructuralError as exc:
         raise _UsageError(f"rep {rep_name!r} does not represent the algebra: {exc}") from exc
     fields = problem.get("fields", {})
+    _, coframe, gauge, points = basegeo.load_fields(fields, spec)
     deriv_mode = fields.get("deriv_mode", "analytic")
-    chart, coframe, gauge, points = basegeo.load_fields(fields, spec)
     rng = np.random.default_rng(opts["seed"])
     tol = opts.get("gauge_tol", 1e-5)
     rows = []

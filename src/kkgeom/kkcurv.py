@@ -15,7 +15,7 @@ constant along the fibers), so frame derivatives in fiber directions vanish.
 
 Every function takes one point or a batch alike: arrays carry the batch
 axes of the geometry in front of the shapes listed here, and scalars and
-residual norms hold one value per point.
+residual norms hold one value per point.  The algebra is ``geom.spec``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basegeo import GeometryAtPoint, base_curvature_from_geometry
-from .liealg import LieAlgebraSpec
 
 __all__ = [
     "KKConnection",
@@ -47,22 +46,13 @@ class KKConnection:
     and the frame derivatives dW[A, B, C, d] along base directions."""
 
     geom: GeometryAtPoint
-    spec: LieAlgebraSpec
     W: np.ndarray  # (N, N, N)
     K: np.ndarray  # (N, N, N)
     dW: np.ndarray  # (N, N, N, n)
 
-    @property
-    def n(self):
-        return self.spec.n
-
-    @property
-    def N(self):
-        return self.spec.N
-
     def antisymmetry_residual(self):
         """Max violation of omega^{AB} + omega^{BA} = 0 after raising with h."""
-        up = np.einsum("...axc,xb->...abc", self.W, self.spec.h_inv())
+        up = np.einsum("...axc,xb->...abc", self.W, self.geom.spec.h_inv())
         return _max_abs(up + np.swapaxes(up, -3, -2), 3)
 
     def torsion_residual(self):
@@ -112,7 +102,7 @@ def _max_abs(block, rank=2):
     return np.abs(block).max(axis=tuple(range(-rank, 0)), initial=0.0)
 
 
-def assemble_omega(geom: GeometryAtPoint, spec: LieAlgebraSpec) -> KKConnection:
+def assemble_omega(geom: GeometryAtPoint) -> KKConnection:
     """Build the block connection 1-form at the geometry's points.
 
     Blocks: base-base is the base connection corrected by the mixed field
@@ -120,6 +110,7 @@ def assemble_omega(geom: GeometryAtPoint, spec: LieAlgebraSpec) -> KKConnection:
     half field strength; fiber-fiber carries the structure constants and the
     gauge potential.
     """
+    spec = geom.spec
     n, N = spec.n, spec.N
     batch = geom.point.shape[:-1]
     cf = spec.fiber_c()
@@ -127,8 +118,8 @@ def assemble_omega(geom: GeometryAtPoint, spec: LieAlgebraSpec) -> KKConnection:
     dW = np.zeros(batch + (N, N, N, n))
 
     # F_gamma^a_c: fiber index lowered with k, first base index raised with b^-1
-    Fm = np.einsum("gd,...dxc,xa->...gac", spec.k, geom.F, geom.b_inv)
-    dFm = np.einsum("gd,...dxce,xa->...gace", spec.k, geom.dF, geom.b_inv)
+    Fm = np.einsum("gd,...dxc,xa->...gac", spec.k, geom.F, spec.b_inv())
+    dFm = np.einsum("gd,...dxce,xa->...gace", spec.k, geom.dF, spec.b_inv())
     W[..., :n, :n, :n] = geom.gamma
     W[..., :n, :n, n:] = -0.5 * np.moveaxis(Fm, -3, -1)  # e^gamma coefficient
     # omega^a_gamma = (1/2) F_{gamma b}^a e^b: the same numbers, since F is antisymmetric
@@ -152,7 +143,7 @@ def assemble_omega(geom: GeometryAtPoint, spec: LieAlgebraSpec) -> KKConnection:
     K[..., n:, :n, n:] = mixed
     K[..., n:, n:, :n] = -np.swapaxes(mixed, -2, -1)
 
-    return KKConnection(geom=geom, spec=spec, W=W, K=K, dW=dW)
+    return KKConnection(geom=geom, W=W, K=K, dW=dW)
 
 
 def curvature_direct(conn: KKConnection) -> KKCurvature:
@@ -162,8 +153,8 @@ def curvature_direct(conn: KKConnection) -> KKCurvature:
     ``d e^A`` contributions enter through the structure coefficients K.
     """
     W, K, dW = conn.W, conn.K, conn.dW
-    n, N = conn.n, conn.N
-    spec = conn.spec
+    spec = conn.geom.spec
+    n, N = spec.n, spec.N
 
     dterm = np.zeros(W.shape[:-3] + (N, N, N, N))
     dterm[..., :n, :] += np.swapaxes(dW, -2, -1)  # d_D W[A,C,E]
@@ -187,14 +178,15 @@ def _contract(X, Y):
     return flat.reshape(X.shape[:-1] + Y.shape[-2:])
 
 
-def ricci_closed_form(geom: GeometryAtPoint, spec: LieAlgebraSpec) -> ClosedFormCurvature:
+def ricci_closed_form(geom: GeometryAtPoint) -> ClosedFormCurvature:
     """The closed-form Ricci blocks, scalar curvature and Einstein blocks."""
+    spec = geom.spec
     n = spec.n
     cf = spec.fiber_c()
     kinv = spec.k_inv()
     base = base_curvature_from_geometry(geom)
 
-    F, binv = geom.F, geom.b_inv
+    F, binv = geom.F, spec.b_inv()
     # F_beta^{ac}: fiber index lowered with k, both base indices raised with b^-1
     # (optimize=True, pairwise contraction, pays off on sweep blocks)
     Fup = np.einsum("gd,...dxy,xa,yc->...gac", spec.k, F, binv, binv, optimize=True)

@@ -10,6 +10,7 @@ indices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +41,7 @@ __all__ = [
 # never silently flipped.
 LAMBDA_PREFACTOR = -0.125
 
-# |det| at or below which h_inv and k_inv call a metric block singular
+# |det| at or below which h_inv, b_inv and k_inv call a metric block singular
 _SINGULAR_TOL = 1e-12
 
 EPSILON3 = np.zeros((3, 3, 3))
@@ -64,22 +65,16 @@ class LieAlgebraSpec:
 
     def __post_init__(self):
         n, r = self.n, self.r
-        N = n + r
-        c = np.array(self.c, dtype=float)
-        b = np.array(self.b, dtype=float)
-        k = np.array(self.k, dtype=float)
-        if c.shape != (N, N, N):
-            raise StructuralError(f"c has shape {c.shape}, expected {(N, N, N)}")
-        if b.shape != (n, n):
-            raise StructuralError(f"b has shape {b.shape}, expected {(n, n)}")
-        if k.shape != (r, r):
-            raise StructuralError(f"k has shape {k.shape}, expected {(r, r)}")
-        for arr in (c, b, k):
+        for name, shape in (("c", (n + r,) * 3), ("b", (n, n)), ("k", (r, r))):
+            try:
+                arr = np.array(getattr(self, name), dtype=float)
+            except (TypeError, ValueError):
+                raise StructuralError(f"{name} is not an array of numbers") from None
+            if arr.shape != shape:
+                raise StructuralError(f"{name} has shape {arr.shape}, expected {shape}")
             arr.flags.writeable = False
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "_inverses", {})  # h_inv and k_inv, once computed
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_inverses", {})  # h_inv, b_inv and k_inv, once computed
 
     @property
     def N(self) -> int:
@@ -97,6 +92,10 @@ class LieAlgebraSpec:
         """Inverse of h, read-only and computed once; a singular h raises on
         every call."""
         return self._inverse("h", lambda: self.h, "metric h is singular")
+
+    def b_inv(self) -> np.ndarray:
+        """Inverse of b, as :meth:`h_inv`."""
+        return self._inverse("b", lambda: self.b, "base metric b is singular")
 
     def k_inv(self) -> np.ndarray:
         """Inverse of k, as :meth:`h_inv`."""
@@ -256,12 +255,8 @@ def adjoint_matrix(spec: LieAlgebraSpec, xi) -> np.ndarray:
 
 
 def _default_block(m, given):
-    if given is None:
-        return np.eye(m)
-    arr = np.array(given, dtype=float)
-    if arr.shape != (m, m):
-        raise StructuralError(f"block has shape {arr.shape}, expected {(m, m)}")
-    return arr
+    """``given`` (LieAlgebraSpec checks it), or the m x m identity for None."""
+    return np.eye(m) if given is None else given
 
 
 def abelian_algebra(n, r, b=None, k=None) -> LieAlgebraSpec:
@@ -306,18 +301,16 @@ def load_spec(data: dict) -> LieAlgebraSpec:
     """Build a spec from the JSON wire format.
 
     ``{"n":…, "r":…, "c":[[A,B,C,value],…], "h_b":[[…]], "h_k":[[…]]}``
-    with zero-based sparse triplet indices.
+    with zero-based sparse triplet indices.  A value of the wrong type
+    raises :class:`StructuralError`.
     """
     if "builtin" in data:
-        return builtin_algebra(
-            data["builtin"],
-            data.get("n", 0),
-            data.get("r"),
-            data.get("h_b"),
-            data.get("h_k"),
-        )
+        r = data.get("r")
+        return builtin_algebra(data["builtin"], _number(data.get("n", 0), "algebra n", True),
+                               r if r is None else _number(r, "algebra r", True),
+                               data.get("h_b"), data.get("h_k"))
     try:
-        n, r = int(data["n"]), int(data["r"])
+        n, r = _number(data["n"], "algebra n", True), _number(data["r"], "algebra r", True)
     except KeyError as exc:
         raise StructuralError(f"algebra JSON is missing field {exc}") from None
     N = n + r
@@ -325,13 +318,22 @@ def load_spec(data: dict) -> LieAlgebraSpec:
     for entry in data.get("c", []):
         if not isinstance(entry, (list, tuple)) or len(entry) != 4:
             raise StructuralError(f"structure-constant entry {entry} is not [A, B, C, value]")
-        A, B, C, value = entry
-        A, B, C = int(A), int(B), int(C)
+        A, B, C = (_number(i, f"structure-constant entry {entry}", True) for i in entry[:3])
         if not (0 <= A < N and 0 <= B < N and 0 <= C < N):
             raise StructuralError(
                 f"structure-constant index ({A + 1},{B + 1},{C + 1}) outside 1..{N}"
             )
-        c[A, B, C] = value
+        c[A, B, C] = _number(entry[3], f"structure-constant entry {entry}")
     b = _default_block(n, data.get("h_b"))
     k = _default_block(r, data.get("h_k"))
     return LieAlgebraSpec(n, r, c, b, k)
+
+
+def _number(value, where, integer=False):
+    """``value``, a finite JSON number (with an integer value if ``integer``),
+    as a float (an int); anything else raises StructuralError naming ``where``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or integer and value != int(value)):
+        raise StructuralError(f"{where} must be {'an integer' if integer else 'a finite number'}, "
+                              f"got {value!r}")
+    return int(value) if integer else float(value)

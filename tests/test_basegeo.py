@@ -38,7 +38,8 @@ def random_coframe(rng, n):
 
 def base_geometry(cof, point):
     """The frame geometry of ``cof`` with the Euclidean base metric, no gauge."""
-    return geometry_at_point(cof, None, abelian_algebra(cof.n, 0), point)
+    spec = abelian_algebra(cof.n, 0)
+    return geometry_at_point(cof, GaugeField.zero(cof.chart, 0), spec, point)
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +98,18 @@ def test_geometry_takes_the_base_dimension_from_the_algebra():
     # the base metric comes from the spec alone, so its size must fit the chart
     cof = sphere_coframe()
     with pytest.raises(StructuralError, match="base dimension 3"):
-        geometry_at_point(cof, None, abelian_algebra(3, 0), np.array([1.0, 0.2]))
+        geometry_at_point(cof, GaugeField.zero(cof.chart, 0), abelian_algebra(3, 0),
+                          np.array([1.0, 0.2]))
+
+
+def test_gauge_rows_must_match_the_algebra():
+    # a potential written for su(2) has 3 rows; u(1)+su(2) needs one per fiber direction
+    cof = CoframeField(ChartSpec(2), [["1", "0"], ["0", "1"]])
+    gauge = GaugeField(cof.chart, [["0.3*x2", "0"], ["0", "x1"], ["0", "0"]])
+    for deriv_mode in ("analytic", "fd"):
+        with pytest.raises(StructuralError, match="3 rows, the algebra's fiber dimension is 4"):
+            geometry_at_point(cof, gauge, u1_su2_algebra(2), np.array([0.1, 0.2]),
+                              deriv_mode=deriv_mode)
 
 
 def test_levi_civita_unique():
@@ -105,7 +117,7 @@ def test_levi_civita_unique():
     rng = np.random.default_rng(1)
     cof = random_coframe(rng, 3)
     spec = abelian_algebra(3, 0)
-    geom = geometry_at_point(cof, None, spec, np.array([0.2, 0.4, -0.1]))
+    geom = geometry_at_point(cof, GaugeField.zero(cof.chart, 0), spec, np.array([0.2, 0.4, -0.1]))
     assert geom.torsion_residual() < 1e-12
     assert geom.metricity_residual() < 1e-12
     bent = dataclasses.replace(geom, gamma=geom.gamma + 1e-3 * rng.normal(size=geom.gamma.shape))
@@ -119,7 +131,7 @@ def test_residuals_on_random_coframes():
             cof = random_coframe(rng, n)
             point = rng.uniform(-0.5, 0.5, size=n)
             spec = abelian_algebra(n, 0)
-            geom = geometry_at_point(cof, None, spec, point)
+            geom = geometry_at_point(cof, GaugeField.zero(cof.chart, 0), spec, point)
             assert geom.torsion_residual() <= 1e-10
             assert geom.metricity_residual() <= 1e-10
 
@@ -155,7 +167,7 @@ def test_analytic_and_fd_modes_agree():
     rng = np.random.default_rng(3)
     cof = random_coframe(rng, 3)
     spec = su2_algebra(3)
-    gauge = GaugeField(spec, cof.chart,
+    gauge = GaugeField(cof.chart,
                        [["0.3*x2", "0.1*x1^2", "0"],
                         ["0.1*x3", "0.2*sin(x2)", "0.1*x1"],
                         ["0", "0.05*x1*x2", "0.1*x2"]])
@@ -174,8 +186,9 @@ def test_fd_mode_without_fiber(points):
     # r = 0: A and F are empty arrays, and the stencil must still difference them
     cof = random_coframe(np.random.default_rng(4), 3)
     spec = abelian_algebra(3, 0)
-    ga = geometry_at_point(cof, None, spec, points)
-    gf = geometry_at_point(cof, None, spec, points, deriv_mode="fd")
+    no_gauge = GaugeField.zero(cof.chart, 0)
+    ga = geometry_at_point(cof, no_gauge, spec, points)
+    gf = geometry_at_point(cof, no_gauge, spec, points, deriv_mode="fd")
     for name in ("A", "dA", "F", "dF"):
         assert getattr(gf, name).shape == getattr(ga, name).shape
         assert getattr(gf, name).size == 0
@@ -187,7 +200,7 @@ def fd_problem():
     rng = np.random.default_rng(5)
     cof = random_coframe(rng, 3)
     spec = su2_algebra(3)
-    gauge = GaugeField(spec, cof.chart,
+    gauge = GaugeField(cof.chart,
                        [["0.3*x2", "0.1*x1^2", "0"],
                         ["0.1*x3", "0.2*sin(x2)", "0.1*x1"],
                         ["0", "0.05*x1*x2", "0.1*x2"]])
@@ -271,7 +284,7 @@ def test_field_strength_against_coordinate_oracle():
         entries = [[f"{0.3 * float(rng.uniform(-1, 1)):.3f}*x1*x2",
                     f"{0.3 * float(rng.uniform(-1, 1)):.3f}*sin(x{1 + al % 2})"]
                    for al in range(spec.r)]
-        gauge = GaugeField(spec, chart, entries)
+        gauge = GaugeField(chart, entries)
         point = np.array([0.6, -0.4])
         geom = geometry_at_point(cof, gauge, spec, point)
         Fc = np.einsum("abc,bm,cn->amn", geom.F, geom.E, geom.E)
@@ -285,12 +298,12 @@ def test_abelian_field_strength_example():
     spec = abelian_algebra(2, 1)
     chart = ChartSpec(2)
     cof = CoframeField(chart, [["1", "0"], ["0", "1"]])
-    gauge = GaugeField(spec, chart, [["0", "x1"]])
+    gauge = GaugeField(chart, [["0", "x1"]])
     geom = geometry_at_point(cof, gauge, spec, np.array([0.7, 0.1]))
     assert abs(geom.F[0, 0, 1] - 1.0) < 1e-14
     # constant F has vanishing derivatives: the connection's field-strength
     # blocks (all of dW here, flat frame and abelian fiber) stay constant
-    assert np.abs(assemble_omega(geom, spec).dW).max() < 1e-12
+    assert np.abs(assemble_omega(geom).dW).max() < 1e-12
 
 
 def test_bianchi_identity_fd():
@@ -298,7 +311,7 @@ def test_bianchi_identity_fd():
     # coordinate-oracle field strength
     spec = su2_algebra(3)
     chart = ChartSpec(3)
-    gauge = GaugeField(spec, chart,
+    gauge = GaugeField(chart,
                        [["0.3*x2", "0.1*x1^2", "0.2*x3"],
                         ["0.1*x3", "0.2*sin(x2)", "0"],
                         ["0.05*x1*x2", "0", "0.1*x2"]])
@@ -325,12 +338,12 @@ def test_geometry_f_raising_consistency():
     spec = su2_algebra(2, b=2.0 * np.eye(2))
     chart = ChartSpec(2)
     cof = CoframeField(chart, [["1", "0"], ["0", "1"]])
-    gauge = GaugeField(spec, chart, [["0", "x1"], ["0", "0"], ["0", "0"]])
+    gauge = GaugeField(chart, [["0", "x1"], ["0", "0"], ["0", "0"]])
     geom = geometry_at_point(cof, gauge, spec, np.array([0.2, 0.3]))
     # the connection's e^gamma coefficients omega^a_c = -(1/2) F_gamma^a_c, with
     # c raised by h as well, are -(1/2) F_gamma^{ac}: both-up components carry
     # two inverse-metric factors of 1/2
-    W_up = np.einsum("axc,xb->abc", assemble_omega(geom, spec).W, spec.h_inv())
+    W_up = np.einsum("axc,xb->abc", assemble_omega(geom).W, spec.h_inv())
     assert abs(-2.0 * W_up[0, 1, 2] - geom.F[0, 0, 1] * 0.25) < 1e-14
 
 
@@ -472,7 +485,7 @@ def random_gauge(rng, spec, chart):
     entries = [[f"{0.3 * float(rng.uniform(-1, 1)):.4f}*"
                 + funcs[int(rng.integers(len(funcs)))].format(*rng.integers(1, n + 1, size=2))
                 if rng.uniform() < 0.7 else "0" for _ in range(n)] for _ in range(spec.r)]
-    return GaugeField(spec, chart, entries)
+    return GaugeField(chart, entries)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -554,8 +567,9 @@ SQRT_X2 = [["1", "0"], ["0", "1 + sqrt(x2)"]]
         "fd-second-entry"])
 def test_domain_error_message_in_both_modes(deriv_mode, coframe, points, message):
     cof = CoframeField(ChartSpec(2), coframe)
+    gauge = GaugeField.zero(cof.chart, 3)
     with pytest.raises(EvalDomainError) as info:
-        geometry_at_point(cof, None, su2_algebra(2), np.array(points), deriv_mode=deriv_mode)
+        geometry_at_point(cof, gauge, su2_algebra(2), np.array(points), deriv_mode=deriv_mode)
     assert str(info.value) == message
 
 
@@ -583,9 +597,9 @@ def test_fill_calls_each_closure_once_per_block(monkeypatch, deriv_mode):
     monkeypatch.setattr(fieldexpr, "_run", per_entry)
     cof = fill_problem()
     spec = su2_algebra(3)
-    gauge = GaugeField(spec, cof.chart, [["0.3*x2", "0", "0.1*x1^2"],
-                                         ["0", "0.2*sin(x3)", "0"],
-                                         ["0.05*x1*x2", "0", "0.1"]])
+    gauge = GaugeField(cof.chart, [["0.3*x2", "0", "0.1*x1^2"],
+                                   ["0", "0.2*sin(x3)", "0"],
+                                   ["0.05*x1*x2", "0", "0.1"]])
     points = np.random.default_rng(7).uniform(0.1, 0.5, size=(6, 3))
     for block in (points[:3], points[3:]):
         geometry_at_point(cof, gauge, spec, block, deriv_mode=deriv_mode)

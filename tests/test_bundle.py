@@ -18,7 +18,7 @@ def su2_setup(seed=0):
     chart = ChartSpec(2)
     cof = CoframeField(chart, [["1+0.1*x2^2", "0.1*x1"],
                                ["0", "1+0.2*sin(x1)"]])
-    gauge = GaugeField(spec, chart,
+    gauge = GaugeField(chart,
                        [["0.3*x2", "0.1*x1"],
                         ["0.1*x1*x2", "0.2*sin(x2)"],
                         ["0.1*x2^2", "0"]])
@@ -404,53 +404,52 @@ def test_deextra_abelian_zero_gauge():
     spec = rep.spec
     chart = ChartSpec(2)
     cof = CoframeField(chart, [["1", "0"], ["0", "1"]])
-    geom = geometry_at_point(cof, GaugeField.zero(spec, chart), spec,
+    geom = geometry_at_point(cof, GaugeField.zero(chart, spec.r), spec,
                              np.array([0.1, 0.2]))
-    assert verify_deextra(geom, rep.identity_element(), spec) < 1e-14
+    assert verify_deextra(geom, rep.identity_element()) < 1e-14
 
 
 def test_deextra_su2_zero_gauge_along_fiber():
     rep, spec, _ = su2_setup()
     chart = ChartSpec(2)
     cof = CoframeField(chart, [["1", "0"], ["0", "1"]])
-    geom = geometry_at_point(cof, GaugeField.zero(spec, chart), spec,
+    geom = geometry_at_point(cof, GaugeField.zero(chart, spec.r), spec,
                              np.array([0.1, 0.2]))
     g = rep.exp(np.array([0.2, -0.1, 0.3]))
-    res = verify_deextra(geom, g, spec, s=np.array([0.4, -0.3, 0.2]))
+    res = verify_deextra(geom, g, s=np.array([0.4, -0.3, 0.2]))
     assert res < 1e-8
 
 
 def test_deextra_generic_gauge():
     rep, spec, geom = su2_setup()
     g = rep.exp(np.array([0.5, 0.2, -0.4]))
-    assert verify_deextra(geom, g, spec) < 1e-6
-    assert verify_deextra(geom, g, spec, s=np.array([0.3, 0.1, -0.2])) < 1e-6
+    assert verify_deextra(geom, g) < 1e-6
+    assert verify_deextra(geom, g, s=np.array([0.3, 0.1, -0.2])) < 1e-6
 
 
 def test_deextra_rejects_mismatched_rep():
-    _, spec, geom = su2_setup()
+    _, _, geom = su2_setup()
     rep1 = builtin_rep("u1_as_so2")
     with pytest.raises(StructuralError):
-        verify_deextra(geom, rep1.identity_element(), spec)
+        verify_deextra(geom, rep1.identity_element())
 
 
 def test_gauge_covariance_identity_element():
     rep, spec, geom = su2_setup()
     # constant gauge curve through the identity: phi = omega exactly
-    assert verify_gauge_covariance(geom, rep.identity_element(), spec,
-                                   vary=False) < 1e-10
+    assert verify_gauge_covariance(geom, rep.identity_element(), vary=False) < 1e-10
 
 
 def test_gauge_covariance_constant_conjugation():
     rep, spec, geom = su2_setup()
     g = rep.exp(np.array([0.8, -0.5, 0.3]))
-    assert verify_gauge_covariance(geom, g, spec, vary=False) < 1e-10
+    assert verify_gauge_covariance(geom, g, vary=False) < 1e-10
 
 
 def test_gauge_covariance_varying_along_fiber():
     rep, spec, geom = su2_setup()
     g = rep.exp(np.array([0.2, 0.5, -0.1]))
-    assert verify_gauge_covariance(geom, g, spec) < 1e-5
+    assert verify_gauge_covariance(geom, g) < 1e-5
 
 
 def test_gauge_covariance_product_rep():
@@ -458,9 +457,9 @@ def test_gauge_covariance_product_rep():
     spec = rep.spec
     chart = ChartSpec(2)
     cof = CoframeField(chart, [["1", "0.2*x2"], ["0", "1+0.1*x1^2"]])
-    gauge = GaugeField(spec, chart,
+    gauge = GaugeField(chart,
                        [["0.2*x2", "0"], ["0.1*x1", "0.1*x2"],
                         ["0", "0.3*x1"], ["0.05*x1*x2", "0.1*sin(x1)"]])
     geom = geometry_at_point(cof, gauge, spec, np.array([0.3, 0.6]))
     g = rep.exp(np.array([0.4, 0.1, -0.3, 0.2]))
-    assert verify_gauge_covariance(geom, g, spec) < 1e-5
+    assert verify_gauge_covariance(geom, g) < 1e-5

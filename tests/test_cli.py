@@ -246,8 +246,8 @@ def test_curvature_exits_2_on_cross_check_violation(tmp_path, capsys, monkeypatc
                                                     deriv_mode, error, expected):
     exact = kkcurv.ricci_closed_form
 
-    def off_by_error(geom, spec):
-        closed = exact(geom, spec)
+    def off_by_error(geom):
+        closed = exact(geom)
         return dataclasses.replace(closed, ric_base=closed.ric_base + error)
 
     monkeypatch.setattr(kkcurv, "ricci_closed_form", off_by_error)
@@ -271,8 +271,8 @@ def test_curvature_exits_2_on_cross_check_violation(tmp_path, capsys, monkeypatc
 def test_curvature_exits_2_on_torsion_violation(tmp_path, capsys, monkeypatch):
     exact = kkcurv.assemble_omega
 
-    def skewed(geom, spec):
-        conn = exact(geom, spec)
+    def skewed(geom):
+        conn = exact(geom)
         K = conn.K.copy()
         K[..., 0, 0, 1] += 1e-9
         return dataclasses.replace(conn, K=K)
@@ -334,6 +334,43 @@ def test_curvature_input_errors_exit_64(tmp_path, capsys, problem, argv, message
     assert code == EXIT_USAGE
     assert out.out == ""
     assert message in out.err
+
+
+INLINE_SU2 = {"n": 2, "r": 3, "c": [[2, 3, 4, 1.0], [3, 4, 2, 1.0], [4, 2, 3, 1.0],
+                                   [2, 4, 3, -1.0], [3, 2, 4, -1.0], [4, 3, 2, -1.0]]}
+
+
+@pytest.mark.parametrize("problem", [
+    with_fields(coframe=[[None, "0"], ["0", "1"]]),
+    with_fields(coframe=[[[1], "0"], ["0", "1"]]),
+    with_fields(coframe=[[{"a": 1}, "0"], ["0", "1"]]),
+    with_fields(coframe=[[True, "0"], ["0", "1"]]),
+    with_fields(coframe=[[float("nan"), "0"], ["0", "1"]]),
+    with_fields(params=[1]),
+    {**SU2_PROBLEM, "fields": [1, 2]},
+    with_fields(lattice=None, points=[[0.1, "a"]]),
+    with_fields(lattice=None, points=[[0.1, None]]),
+    with_fields(lattice={"min": [0, 0], "max": [1, 1], "steps": ["x", 2]}),
+    with_fields(chart={"n": "two"}),
+    with_algebra({**INLINE_SU2, "r": "x"}),
+    with_algebra({**INLINE_SU2, "h_b": [["a", 0], [0, 1]]}),
+    with_algebra({**INLINE_SU2, "c": [[2, 3, 4, "v"]]}),
+    with_algebra([1]),
+    [1],
+], ids=["coframe-null", "coframe-list", "coframe-object", "coframe-true", "coframe-nan",
+        "params-list", "fields-list", "point-string", "point-null", "steps-string",
+        "chart-n-string", "algebra-r-string", "h_b-string", "c-value-string", "algebra-list",
+        "problem-list"])
+def test_values_of_the_wrong_type_exit_64(tmp_path, capsys, problem):
+    # JSON values of the wrong type are input errors, never a traceback, a
+    # numeric failure or a value silently read as 1.0 or NaN
+    for command in ("curvature", "gauge-check"):
+        code, out = run(capsys, [command, "--input", write_problem(tmp_path, problem)])
+        assert code == EXIT_USAGE
+        assert out.out == ""
+        (line,) = out.err.strip().splitlines()
+        assert line.startswith("error: ")
+        assert "Traceback" not in out.err
 
 
 def test_curvature_without_fiber(tmp_path, capsys):
@@ -671,9 +708,9 @@ def test_gauge_check_nan_residual_is_a_violation(tmp_path, capsys, monkeypatch):
     exact = bundle.verify_gauge_covariance
     second = [-0.5, 0.5]  # the second of the four sorted lattice points
 
-    def nan_at_second_point(geom, g, spec):
+    def nan_at_second_point(geom, g):
         at = np.all(geom.point == second, axis=-1)
-        return np.where(at, np.nan, exact(geom, g, spec))
+        return np.where(at, np.nan, exact(geom, g))
 
     monkeypatch.setattr(bundle, "verify_gauge_covariance", nan_at_second_point)
     code, out = run(capsys, ["gauge-check", "--input", write_problem(tmp_path, SU2_PROBLEM)])

@@ -182,25 +182,32 @@ def test_degenerate_metric_raises():
 
 
 def test_metric_inverses_are_computed_once_and_read_only():
-    spec = su2_algebra(2, b=2.0 * np.eye(2))
-    for inv, metric in ((spec.h_inv(), spec.h), (spec.k_inv(), spec.k)):
+    spec = su2_algebra(2, b=[[2.0, 0.3], [0.3, 0.7]])
+    for inv, metric in ((spec.h_inv(), spec.h), (spec.k_inv(), spec.k),
+                        (spec.b_inv(), spec.b)):
         assert np.allclose(inv @ metric, np.eye(len(metric)), atol=1e-15)
         assert not inv.flags.writeable
         with pytest.raises(ValueError):
             inv[0, 0] = 1.0
     assert spec.h_inv() is spec.h_inv()
     assert spec.k_inv() is spec.k_inv()
+    assert spec.b_inv() is spec.b_inv()
+    # bit for bit the inverse the geometry computed per block before it was cached
+    assert np.array_equal(spec.b_inv(), np.linalg.inv(spec.b))
     assert abelian_algebra(2, 0).k_inv().shape == (0, 0)
 
 
 def test_singular_metric_raises_on_every_call():
     base = su2_algebra(2)
     spec = LieAlgebraSpec(base.n, base.r, base.c, base.b, np.zeros((3, 3)))
+    flat_b = LieAlgebraSpec(base.n, base.r, base.c, np.zeros((2, 2)), base.k)
     for _ in range(2):
         with pytest.raises(DegenerateMetricError, match="fiber metric k is singular"):
             spec.k_inv()
         with pytest.raises(DegenerateMetricError, match="metric h is singular"):
             spec.h_inv()
+        with pytest.raises(DegenerateMetricError, match="base metric b is singular"):
+            flat_b.b_inv()
 
 
 def test_structure_constants_frozen():
