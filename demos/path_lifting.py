@@ -52,7 +52,7 @@ print("worst manifold drift along the lift:", out.manifold_residual())
 
 # The adjoint action preserves the algebra metric and rotates the fiber.
 g = rep.exp(np.array([0.0, 0.0, 0.9]))
-S = adjoint_of(g)
+S = adjoint_of(g, 2)  # over a 2-D base
 print("\nadjoint of exp(0.9 T3), fiber block (a rotation by 0.9):")
 print(S[2:, 2:])
 print("S^T h S - h max:", np.abs(S.T @ rep.spec.h @ S - rep.spec.h).max())

@@ -33,7 +33,7 @@ from .exterior import (AlternatingForm, basis_one_form, check_identities,
 from .fieldexpr import FieldProvider, diff, evaluate, parse, pretty
 from .kkcurv import (EYMResidual, KKConnection, KKCurvature, assemble_omega,
                      cross_check, curvature_direct, eym_residuals,
-                     ricci_closed_form)
+                     ricci_closed_form, riemann_direct)
 from .liealg import (LAMBDA_PREFACTOR, LieAlgebraSpec, ValidationReport,
                      bracket, builtin_algebra, cosmological_constant,
                      killing_form, load_spec, su2_algebra, u1_su2_algebra,

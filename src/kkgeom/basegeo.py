@@ -54,7 +54,7 @@ __all__ = [
     "load_fields",
 ]
 
-_DEGENERACY_FACTOR = 1e-12  # |det e| threshold is this times ||e||^n
+_DEGENERACY_FACTOR = 1e-12  # threshold of |det(e / max|e|)|, that is of |det e| / max|e|^n
 
 
 @dataclass(frozen=True)
@@ -231,10 +231,9 @@ def _frame_matrix(E, point, fd_step=None):
     """E^-1, or DegenerateCoframeError at the first point where E is
     degenerate; with ``fd_step`` a degenerate fd stencil row is named as
     :func:`_fd_where` names it."""
-    n = E.shape[-1]
-    det = np.linalg.det(E)
     scale = np.maximum(np.abs(E).max(axis=(-2, -1)), 1e-300)
-    bad = np.abs(det) < _DEGENERACY_FACTOR * scale**n
+    det = np.linalg.det(E / scale[..., None, None])  # no scale**n to overflow
+    bad = np.abs(det) < _DEGENERACY_FACTOR
     if bad.any():
         first = tuple(np.argwhere(bad)[0])
         at, row = _fd_where(np.asarray(point), first, fd_step)

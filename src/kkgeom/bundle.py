@@ -44,7 +44,7 @@ import numpy as np
 
 from .basegeo import _fd_gradient, _fd_stencil
 from .errors import StructuralError
-from .kkcurv import assemble_omega, curvature_direct
+from .kkcurv import assemble_omega, riemann_direct
 from .liealg import EPSILON3, LieAlgebraSpec, builtin_algebra
 
 __all__ = [
@@ -284,10 +284,11 @@ def _fiber_adjoint(g: GroupElement) -> np.ndarray:
     return coords @ np.swapaxes(conj, -2, -1)
 
 
-def adjoint_of(g: GroupElement) -> np.ndarray:
-    """The N x N gauge map S = Ad_g: identity on the central block, the
-    adjoint action g T g^{-1} on the fiber block.  S preserves h."""
-    return _identity_padded(_fiber_adjoint(g), g.rep.spec.n)
+def adjoint_of(g: GroupElement, n: int) -> np.ndarray:
+    """The (n + r) x (n + r) gauge map S = Ad_g over an n-dimensional base:
+    identity on the central block, the adjoint action g T g^{-1} on the
+    fiber block.  S preserves h."""
+    return _identity_padded(_fiber_adjoint(g), n)
 
 
 def _step_operators(X: np.ndarray, h: float) -> np.ndarray:
@@ -478,7 +479,7 @@ def verify_gauge_covariance(geom, g: GroupElement, vary: bool = True):
     batch = geom.point.shape[:-1]
     conn = assemble_omega(geom)
     W, dW = conn.W, conn.dW
-    Omega = curvature_direct(conn).Omega
+    Omega = riemann_direct(conn)
     E = geom.E
     Ac, _, dAc = _coordinate_gauge_data(geom)
     adj0 = _fiber_adjoint(g)

@@ -20,6 +20,7 @@ problem file.  ``gauge-check`` draws its random group element and fiber
 point for each sorted point from the ``seed`` option, in point order.
 Both commands exit 2 with one stderr line naming the worst point and
 residual when a residual exceeds its rung of the tolerance ladder or is NaN.
+JSON reports are compact: one line, keys sorted, no indentation.
 """
 
 from __future__ import annotations
@@ -101,7 +102,8 @@ def _emit(report, args):
     if args.format == "csv":
         text = _to_csv(report)
     else:
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        # no indent: indent would force json's pure-Python encoder
+        text = json.dumps(report, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w") as f:
             f.write(text)
@@ -227,9 +229,9 @@ def cmd_identities(args):
 # curvature
 
 # Points per vectorised block of curvature and gauge-check: enough to amortise
-# each stage's numpy call overhead, few enough that the block's arrays (N^4
-# curvature numbers, 4n fd stencil rows and (1 + 4r)^2 fiber stencil gauge
-# maps per point) stay a few MB and peak memory stays flat.
+# each stage's numpy call overhead, few enough that the block's arrays (4n fd
+# stencil rows per point, and in gauge-check N^4 curvature numbers and
+# (1 + 4r)^2 fiber stencil gauge maps) stay a few MB and peak memory stays flat.
 _BLOCK = 32
 
 

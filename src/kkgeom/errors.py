@@ -14,15 +14,15 @@ class DegenerateMetricError(KKGeomError):
 
 
 class DegenerateCoframeError(KKGeomError):
-    """The coframe matrix is singular at an evaluation point; ``stencil``
-    names the fd stencil row around it on which it is, if any."""
+    """The coframe matrix is singular at an evaluation point, relative to
+    its scale: ``det`` is the determinant of e / max|e|.  ``stencil`` names
+    the fd stencil row around the point on which it is, if any."""
 
     def __init__(self, point, det, stencil=""):
         self.point = tuple(float(x) for x in point)
         self.det = float(det)
-        super().__init__(
-            f"coframe matrix is degenerate at point {self.point}{stencil} (det = {self.det:.3e})"
-        )
+        super().__init__(f"coframe matrix is degenerate at point {self.point}{stencil} "
+                         f"(det(e / max|e|) = {self.det:.3e})")
 
 
 class ExprSyntaxError(KKGeomError):

@@ -5,9 +5,12 @@ strength and the fiber structure constants.  Its curvature is computed two
 independent ways: a direct structure-equation expansion (``d omega + omega /\\
 omega`` with all ``d e^A`` terms substituted from the structure equations)
 and the closed-form Ricci/Einstein block formulas.  Agreement of the two
-routes is the module's central check.  The Einstein-Yang-Mills residuals are
-the closed-form Einstein block and the gauge-covariant divergence of the
-field strength.
+routes is the module's central check.  The direct route contracts each term
+of the expansion with h^-1 on its own, so it reaches Ricci without forming
+the curvature 2-form Omega (N^4 numbers per point); ``riemann_direct``
+builds Omega from the same expansion for the gauge-covariance check alone.
+The Einstein-Yang-Mills residuals are the closed-form Einstein block and the
+gauge-covariant divergence of the field strength.
 
 Total-space index convention: ``A < n`` is a base index, ``A >= n`` a fiber
 index; all coefficients are functions of the chart point only (they are
@@ -33,6 +36,7 @@ __all__ = [
     "EYMResidual",
     "assemble_omega",
     "curvature_direct",
+    "riemann_direct",
     "ricci_closed_form",
     "eym_residuals",
     "cross_check",
@@ -62,14 +66,9 @@ class KKConnection:
 
 @dataclass(frozen=True)
 class KKCurvature:
-    Omega: np.ndarray  # (N, N, N, N): Omega^A_{B; C D}
     ricci: np.ndarray  # (N, N)
     scalar: np.ndarray  # ()
     einstein: np.ndarray  # (N, N)
-
-    def antisymmetry_residual(self, spec):
-        up = np.einsum("...axcd,xb->...abcd", self.Omega, spec.h_inv())
-        return _max_abs(up + np.swapaxes(up, -4, -3), 4)
 
 
 @dataclass(frozen=True)
@@ -118,8 +117,10 @@ def assemble_omega(geom: GeometryAtPoint) -> KKConnection:
     dW = np.zeros(batch + (N, N, N, n))
 
     # F_gamma^a_c: fiber index lowered with k, first base index raised with b^-1
-    Fm = np.einsum("gd,...dxc,xa->...gac", spec.k, geom.F, spec.b_inv())
-    dFm = np.einsum("gd,...dxce,xa->...gace", spec.k, geom.dF, spec.b_inv())
+    binvT, r = spec.b_inv().T, spec.r
+    Fm = binvT @ (spec.k @ geom.F.reshape(batch + (r, n * n))).reshape(geom.F.shape)
+    kdF = (spec.k @ geom.dF.reshape(batch + (r, n**3))).reshape(batch + (r, n, n * n))
+    dFm = (binvT @ kdF).reshape(geom.dF.shape)
     W[..., :n, :n, :n] = geom.gamma
     W[..., :n, :n, n:] = -0.5 * np.moveaxis(Fm, -3, -1)  # e^gamma coefficient
     # omega^a_gamma = (1/2) F_{gamma b}^a e^b: the same numbers, since F is antisymmetric
@@ -147,7 +148,38 @@ def assemble_omega(geom: GeometryAtPoint) -> KKConnection:
 
 
 def curvature_direct(conn: KKConnection) -> KKCurvature:
-    """Curvature by expanding d omega + omega /\\ omega in the moving coframe.
+    """Ricci, scalar and Einstein tensors from d omega + omega /\\ omega.
+
+    Ricci^A_C = Omega^A_{X; C B} h^{XB} for the curvature Omega of
+    :func:`riemann_direct`, but h^-1 is contracted into each term of the
+    expansion before the terms are summed, so Omega itself is never formed.
+    """
+    W, K, dW = conn.W, conn.K, conn.dW
+    spec = conn.geom.spec
+    n, N = spec.n, spec.N
+    lead = W.shape[:-3]
+    hinv = spec.h_inv()
+
+    # W K[A,X,C,B] h^{XB} = T[A,Y,B] K[Y,C,B] with T[A,Y,B] = W[A,X,Y] h^{XB}
+    T = np.swapaxes(W, -2, -1) @ hinv
+    ricci = _flat(T, 1) @ _flat(np.swapaxes(K, -2, -1), 2)
+    # WW[A,X,C,B] h^{XB} = W[A,Y,C] v[Y] with the trace v[Y] = W[Y,X,B] h^{XB}
+    v = _flat(W, 1) @ hinv.reshape(-1)
+    ricci += (np.swapaxes(W, -2, -1) @ v[..., None, :, None])[..., 0]
+    # -WW[A,X,B,C] h^{XB} = -U[A,Y,X] W[Y,X,C] with U[A,Y,X] = W[A,Y,B] h^{XB}
+    ricci -= _flat(W @ hinv.T, 1) @ _flat(W, 2)
+    # the d omega terms: + d_C W[A,X,B] h^{XB} for base C, - d_b W[A,X,C] h^{Xb}
+    ricci[..., :n] += hinv.reshape(-1) @ dW.reshape(lead + (N, N * N, n))
+    ricci -= _flat(np.moveaxis(dW, -3, -2), 1) @ hinv[:, :n].reshape(-1)
+
+    scalar = np.trace(ricci, axis1=-2, axis2=-1)
+    einstein = ricci - 0.5 * scalar[..., None, None] * np.eye(N)
+    return KKCurvature(ricci=ricci, scalar=scalar, einstein=einstein)
+
+
+def riemann_direct(conn: KKConnection) -> np.ndarray:
+    """The curvature Omega^A_{C; D E} of d omega + omega /\\ omega in the
+    moving coframe, shape ``(N, N, N, N)`` per point.
 
     Coefficient derivatives act along base frame directions only; the
     ``d e^A`` contributions enter through the structure coefficients K.
@@ -162,13 +194,14 @@ def curvature_direct(conn: KKConnection) -> KKCurvature:
     # W K[A,C,D,E] = W[A,C,B] K[B,D,E]; omega /\ omega = WW[A,C,D,E] - WW[A,C,E,D]
     # with WW[A,C,D,E] = W[A,B,D] W[B,C,E]
     WW = np.swapaxes(_contract(np.swapaxes(W, -2, -1), W), -3, -2)
-    Omega = dterm + _contract(W, K) + WW - np.swapaxes(WW, -2, -1)
+    return dterm + _contract(W, K) + WW - np.swapaxes(WW, -2, -1)
 
-    hinv = spec.h_inv()
-    ricci = np.einsum("...axcb,xb->...ac", Omega, hinv)
-    scalar = np.trace(ricci, axis1=-2, axis2=-1)
-    einstein = ricci - 0.5 * scalar[..., None, None] * np.eye(N)
-    return KKCurvature(Omega=Omega, ricci=ricci, scalar=scalar, einstein=einstein)
+
+def _flat(X, split):
+    """``X`` with its trailing three axes merged into two: the first ``split``
+    of them into rows, the rest into columns."""
+    i, j, k = X.shape[-3:]
+    return X.reshape(X.shape[:-3] + ((i, j * k) if split == 1 else (i * j, k)))
 
 
 def _contract(X, Y):
@@ -187,20 +220,22 @@ def ricci_closed_form(geom: GeometryAtPoint) -> ClosedFormCurvature:
     base = base_curvature_from_geometry(geom)
 
     F, binv = geom.F, spec.b_inv()
+    lead, r = F.shape[:-3], spec.r
     # F_beta^{ac}: fiber index lowered with k, both base indices raised with b^-1
-    # (optimize=True, pairwise contraction, pays off on sweep blocks)
-    Fup = np.einsum("gd,...dxy,xa,yc->...gac", spec.k, F, binv, binv, optimize=True)
-    dFup = np.einsum("gd,...dxye,xa,yc->...gace", spec.k, geom.dF, binv, binv, optimize=True)
+    Fup = binv.T @ (spec.k @ F.reshape(lead + (r, n * n))).reshape(F.shape) @ binv
+    # the divergence dF_beta^{ac}_{,c} of the same raising, contracted as it is raised
+    div = (spec.k @ (geom.dF.reshape(lead + (r, n, n * n)) @ binv.reshape(-1))) @ binv
     g = geom.gamma
 
     FF = np.einsum("...bac,...bdc->...ad", Fup, F)
     ric_base = base.ricci - 0.5 * FF
 
-    div = np.einsum("...dacc->...da", dFup)
     t2 = np.einsum("...abc,...dbc->...da", g, Fup)
     t3 = np.einsum("...cbc,...dab->...da", g, Fup)
-    # t4[delta, a] = c^g_{al delta} A^al_c F_g^{ac}
-    t4 = np.einsum("gxd,...xc,...gac->...da", cf, geom.A, Fup)
+    # t4[delta, a] = c^g_{al delta} A^al_c F_g^{ac}, from P[g, a, al] = F_g^{ac} A^al_c
+    P = Fup @ np.swapaxes(geom.A, -2, -1)[..., None, :, :]
+    t4 = np.swapaxes(np.swapaxes(P, -3, -2).reshape(lead + (n, r * r)) @ cf.reshape(r * r, r),
+                     -2, -1)
     ric_mixed = 0.5 * np.swapaxes(div + t2 + t3 - t4, -2, -1)  # (n, r): rows a, columns delta
 
     cc = np.einsum("abg,bde,ge->ad", cf, cf, kinv)  # c^al_{beta gamma} c^beta_{delta eps} k^{gamma eps}

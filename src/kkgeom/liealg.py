@@ -330,10 +330,12 @@ def load_spec(data: dict) -> LieAlgebraSpec:
 
 
 def _number(value, where, integer=False):
-    """``value``, a finite JSON number (with an integer value if ``integer``),
-    as a float (an int); anything else raises StructuralError naming ``where``."""
+    """``value``, a finite JSON number (a non-negative integer value, a count
+    or an index, if ``integer``), as a float (an int); anything else raises
+    StructuralError naming ``where``."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value) or integer and value != int(value)):
-        raise StructuralError(f"{where} must be {'an integer' if integer else 'a finite number'}, "
+            or not math.isfinite(value) or integer and not (value == int(value) >= 0)):
+        raise StructuralError(f"{where} must be "
+                              f"{'a non-negative integer' if integer else 'a finite number'}, "
                               f"got {value!r}")
     return int(value) if integer else float(value)

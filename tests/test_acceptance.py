@@ -232,7 +232,7 @@ def test_07_gauge_covariance():
     assert worst <= 1e-5
     h_err = 0.0
     for _ in range(100):
-        S = adjoint_of(rep.exp(rng.normal(size=3)))
+        S = adjoint_of(rep.exp(rng.normal(size=3)), spec.n)
         h_err = max(h_err, np.abs(S.T @ spec.h @ S - spec.h).max())
     assert h_err <= 1e-8
     report("gauge covariance",

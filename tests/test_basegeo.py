@@ -61,6 +61,20 @@ def test_sphere_frame_at_equator_and_pole():
         base_geometry(cof, np.array([0.0, 0.2]))
 
 
+def test_degeneracy_check_is_scale_free_and_does_not_overflow():
+    # |det e| against max|e|^n would overflow here; the test compares the
+    # determinant of e / max|e| instead (pytest turns any warning into an error)
+    point = np.array([0.1, 0.2])
+    sheared = CoframeField(ChartSpec(2), [["1", "1e160*x1^2"], ["0", "1"]])
+    with pytest.raises(DegenerateCoframeError) as info:
+        base_geometry(sheared, point)  # det e = 1, but e is ill-conditioned
+    assert info.value.det < 1e-300
+    assert "det(e / max|e|) = 1.000e-316" in str(info.value)
+    huge = CoframeField(ChartSpec(2), [["1e200", "0"], ["0", "1e200"]])
+    geom = base_geometry(huge, point)
+    assert np.array_equal(geom.E_inv, 1e-200 * np.eye(2))
+
+
 def test_anholonomy_fd_oracle():
     # C^a_bc from the definition: finite-difference the coframe matrix
     rng = np.random.default_rng(0)

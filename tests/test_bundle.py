@@ -9,7 +9,7 @@ from kkgeom.bundle import (GroupElement, MatrixRep, PathSpec, adjoint_of,
                            builtin_rep, lift_path, verify_deextra,
                            verify_gauge_covariance)
 from kkgeom.errors import StructuralError
-from kkgeom.liealg import su2_algebra
+from kkgeom.liealg import su2_algebra, u1_su2_algebra
 
 
 def su2_setup(seed=0):
@@ -82,14 +82,14 @@ def test_group_element_must_be_finite(bad):
 
 def test_adjoint_of_identity():
     rep = builtin_rep("su2_as_so3")
-    assert np.allclose(adjoint_of(rep.identity_element()), np.eye(rep.spec.N))
+    assert np.allclose(adjoint_of(rep.identity_element(), 2), np.eye(rep.spec.N))
 
 
 def test_adjoint_fixes_central_block():
     rep = builtin_rep("su2_as_so3")
     g = rep.exp(np.array([0.7, -0.2, 1.1]))
-    S = adjoint_of(g)
-    n = rep.spec.n
+    n = 2
+    S = adjoint_of(g, n)
     assert np.allclose(S[:n, :n], np.eye(n))
     assert np.abs(S[:n, n:]).max() < 1e-12
     assert np.abs(S[n:, :n]).max() < 1e-12
@@ -102,25 +102,37 @@ def test_adjoint_preserves_h_and_is_homomorphism():
     for _ in range(10):
         g1 = rep.exp(rng.normal(size=rep.spec.r))
         g2 = rep.exp(rng.normal(size=rep.spec.r))
-        S1, S2 = adjoint_of(g1), adjoint_of(g2)
+        S1, S2 = adjoint_of(g1, 2), adjoint_of(g2, 2)
         assert np.abs(S1.T @ h @ S1 - h).max() < 1e-10
-        assert np.abs(adjoint_of(g1 @ g2) - S1 @ S2).max() < 1e-10
+        assert np.abs(adjoint_of(g1 @ g2, 2) - S1 @ S2).max() < 1e-10
+
+
+def test_adjoint_takes_the_base_dimension_from_the_caller():
+    # a built-in rep's own spec has n = 2; over a 3-D base S is (3 + r)^2
+    rep = builtin_rep("product")
+    spec = u1_su2_algebra(3)
+    g = rep.exp(np.random.default_rng(6).normal(size=rep.spec.r))
+    S = adjoint_of(g, spec.n)
+    assert S.shape == (spec.N, spec.N) == (3 + 4, 3 + 4)
+    assert np.array_equal(S[:3, :3], np.eye(3))
+    assert np.array_equal(S[3:, 3:], adjoint_of(g, 2)[2:, 2:])
+    assert np.abs(S.T @ spec.h @ S - spec.h).max() < 1e-10
 
 
 def test_adjoint_of_a_batch_matches_each_element():
     rep = builtin_rep("product")
     xi = np.random.default_rng(5).normal(size=(2, 3, rep.spec.r))
-    S = adjoint_of(rep.exp(xi))
+    S = adjoint_of(rep.exp(xi), 2)
     assert S.shape == (2, 3, rep.spec.N, rep.spec.N)
     for index in np.ndindex(2, 3):
-        assert np.abs(S[index] - adjoint_of(rep.exp(xi[index]))).max() < 1e-14
+        assert np.abs(S[index] - adjoint_of(rep.exp(xi[index]), 2)).max() < 1e-14
 
 
 def test_adjoint_rotation_oracle():
     # Ad_{exp(t T3)} rotates the (T1, T2) plane by angle t
     rep = builtin_rep("su2_as_so3")
     t = 0.9
-    S = adjoint_of(rep.exp(np.array([0.0, 0.0, t])))
+    S = adjoint_of(rep.exp(np.array([0.0, 0.0, t])), 2)
     fiber = S[2:, 2:]
     want = np.array([[np.cos(t), -np.sin(t), 0],
                      [np.sin(t), np.cos(t), 0],

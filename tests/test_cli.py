@@ -236,6 +236,17 @@ def test_curvature_sweeps_in_blocks_of_32_points(tmp_path, capsys, monkeypatch):
     assert calls == {"assemble_omega": 2, "curvature_direct": 2, "ricci_closed_form": 2}
 
 
+def test_curvature_never_builds_the_riemann_tensor(tmp_path, capsys, monkeypatch):
+    # a sweep reads Ricci alone, which the direct route contracts without Omega
+    def fail(conn):
+        raise AssertionError("curvature built Omega")
+
+    monkeypatch.setattr(kkcurv, "riemann_direct", fail)
+    code, out = run(capsys, ["curvature", "--input", write_problem(tmp_path, SU2_PROBLEM)])
+    assert code == EXIT_OK
+    assert json.loads(out.out)["summary"]["points"] == 4
+
+
 @pytest.mark.parametrize("deriv_mode,error,expected", [
     ("analytic", 1e-5, EXIT_VIOLATION),
     ("analytic", 1e-8, EXIT_OK),
@@ -326,8 +337,16 @@ def with_algebra(algebra):
     (with_fields(lattice={"min": [0.0], "max": [1.0], "steps": [2]}), [], "lattice"),
     (with_algebra({"n": 2, "r": 1, "c": [[1, 2]]}), [], "[1, 2]"),
     (SU2_PROBLEM, ["--jobs", "2"], "--jobs"),
+    (with_fields(lattice={"min": [0.0, 0.0], "max": [1.0, 1.0], "steps": [-1, 2]}), [],
+     "lattice steps must be a non-negative integer, got -1"),
+    (with_algebra({"n": -1, "r": 1}), [], "algebra n must be a non-negative integer, got -1"),
+    (with_algebra({"n": 2, "r": -3}), [], "algebra r must be a non-negative integer, got -3"),
+    (with_algebra({"builtin": "su2", "n": -2}), [], "algebra n must be a non-negative"),
+    (with_fields(chart={"n": -2}), [], "chart n must be a non-negative integer, got -2"),
 ], ids=["syntax", "no-points", "log-domain", "overflow", "short-point",
-        "short-point-unread", "short-lattice", "short-triplet", "jobs-option"])
+        "short-point-unread", "short-lattice", "short-triplet", "jobs-option",
+        "negative-steps", "negative-algebra-n", "negative-algebra-r", "negative-builtin-n",
+        "negative-chart-n"])
 def test_curvature_input_errors_exit_64(tmp_path, capsys, problem, argv, message):
     path = write_problem(tmp_path, problem)
     code, out = run(capsys, ["curvature", "--input", path] + argv)
@@ -680,7 +699,7 @@ def test_identities_accepts_an_exact_tolerance(capsys):
 
 def test_gauge_check_sweeps_in_blocks_of_32_points(tmp_path, capsys, monkeypatch):
     geometry = count_calls(monkeypatch, basegeo, ["geometry_at_point"])
-    calls = count_calls(monkeypatch, bundle, ["assemble_omega", "curvature_direct", "expm"])
+    calls = count_calls(monkeypatch, bundle, ["assemble_omega", "riemann_direct", "expm"])
     problem = json.loads(json.dumps(SU2_PROBLEM))
     problem["fields"]["lattice"]["steps"] = [3, 11]
     code, out = run(capsys, ["gauge-check", "--input", write_problem(tmp_path, problem)])
@@ -688,7 +707,7 @@ def test_gauge_check_sweeps_in_blocks_of_32_points(tmp_path, capsys, monkeypatch
     assert len(json.loads(out.out)["per_point"]) == 33
     assert geometry == {"geometry_at_point": 2}
     # per block: one exp for the drawn group elements, one for all fiber stencil points
-    assert calls == {"assemble_omega": 2, "curvature_direct": 2, "expm": 4}
+    assert calls == {"assemble_omega": 2, "riemann_direct": 2, "expm": 4}
 
 
 def test_gauge_check_report_ignores_point_order(tmp_path, capsys):
@@ -766,7 +785,7 @@ def test_fd_degenerate_frame_names_the_input_point(tmp_path, capsys, command):
     (line,) = out.err.strip().splitlines()
     assert line == ("numeric failure: coframe matrix is degenerate at point (0.001, 0.2): "
                     "fails on its fd stencil row [0.0, 0.2] (fd_step 0.001) "
-                    "(det = 0.000e+00)")
+                    "(det(e / max|e|) = 0.000e+00)")
     problem["fields"].pop("deriv_mode")
     code, _ = run(capsys, [command, "--input", write_problem(tmp_path, problem)])
     assert code == EXIT_OK

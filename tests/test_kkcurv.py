@@ -4,7 +4,7 @@ import pytest
 from kkgeom.basegeo import (ChartSpec, CoframeField, GaugeField,
                             base_curvature_from_geometry, geometry_at_point)
 from kkgeom.kkcurv import (assemble_omega, cross_check, curvature_direct,
-                           eym_residuals, ricci_closed_form)
+                           eym_residuals, ricci_closed_form, riemann_direct)
 from kkgeom.liealg import (abelian_algebra, cosmological_constant,
                            su2_algebra, u1_su2_algebra)
 
@@ -51,13 +51,62 @@ def test_connection_invariants():
     assert conn.torsion_residual() < 1e-12
 
 
+def omega_oracle(conn):
+    """Omega^A_{C; D E} of d omega + omega /\\ omega, one einsum per term,
+    straight from W, K and dW (the fiber-direction derivatives vanish)."""
+    W, K, dW = conn.W, conn.K, conn.dW
+    n, N = dW.shape[-1], W.shape[-1]
+    d = np.zeros(W.shape + (N,))  # d[A, C, E, D] = d_D W[A, C, E]
+    d[..., :n] = dW
+    return (np.einsum("...aced->...acde", d) - d
+            + np.einsum("...acb,...bde->...acde", W, K)
+            + np.einsum("...abd,...bce->...acde", W, W)
+            - np.einsum("...abe,...bcd->...acde", W, W))
+
+
 def test_curvature_antisymmetry():
+    # Omega^{AB} + Omega^{BA} = 0 after raising with h
     spec = u1_su2_algebra(2)
     rng = np.random.default_rng(1)
     cof, gauge = random_configuration(rng, spec, 2)
     geom = geometry_at_point(cof, gauge, spec, np.array([0.2, 0.5]))
-    curv = curvature_direct(assemble_omega(geom))
-    assert curv.antisymmetry_residual(spec) < 1e-12
+    up = np.einsum("...axcd,xb->...abcd", riemann_direct(assemble_omega(geom)), spec.h_inv())
+    assert np.abs(up + np.swapaxes(up, -4, -3)).max() < 1e-12
+
+
+ORACLE_CASES = pytest.mark.parametrize("builder,n,b,k", [
+    (su2_algebra, 2, None, None),
+    (su2_algebra, 3, None, None),
+    (u1_su2_algebra, 4, [[2.0, 0.3, 0.0, 0.1], [0.3, 1.0, 0.0, 0.0],
+                         [0.0, 0.0, 1.5, 0.2], [0.1, 0.0, 0.2, 0.8]],
+     np.diag([1.5, 0.4, 0.4, 0.4])),
+], ids=["su2-n2", "su2-n3", "u1-su2-n4-metric"])
+
+
+def oracle_geometry(builder, n, b, k, deriv_mode):
+    """A random configuration at five points of the algebra ``builder(n, b, k)``."""
+    spec = builder(n, b=None if b is None else np.array(b), k=k)
+    rng = np.random.default_rng(40 + n)
+    cof, gauge = random_configuration(rng, spec, n)
+    points = rng.uniform(-0.5, 0.5, size=(5, n))
+    return geometry_at_point(cof, gauge, spec, points, deriv_mode=deriv_mode)
+
+
+@pytest.mark.parametrize("deriv_mode", ["analytic", "fd"])
+@ORACLE_CASES
+def test_riemann_and_ricci_match_the_einsum_oracle(builder, n, b, k, deriv_mode):
+    # riemann_direct is the oracle's Omega; curvature_direct, which never
+    # forms Omega, is its h^-1 trace
+    geom = oracle_geometry(builder, n, b, k, deriv_mode)
+    spec = geom.spec
+    conn = assemble_omega(geom)
+    omega = riemann_direct(conn)
+    assert omega.shape == (5,) + (spec.N,) * 4
+    assert np.abs(omega - omega_oracle(conn)).max() <= 1e-14
+    trace = np.einsum("...axcb,xb->...ac", omega, spec.h_inv())
+    curv = curvature_direct(conn)
+    assert np.abs(curv.ricci - trace).max() <= 1e-14
+    assert np.abs(curv.scalar - np.trace(trace, axis1=-2, axis2=-1)).max() <= 1e-14
 
 
 def test_flat_abelian_everything_vanishes():
@@ -192,3 +241,28 @@ def test_invariants_hold_for_a_non_euclidean_base_metric(builder, b, k):
         assert conn.torsion_residual().max() <= 1e-12
         assert conn.antisymmetry_residual().max() <= 1e-12
         assert max(np.max(v) for v in cross_check(*both_routes(geom)).values()) <= cross_tol
+
+
+@pytest.mark.parametrize("deriv_mode", ["analytic", "fd"])
+@ORACLE_CASES
+def test_closed_form_matches_the_einsum_oracle(builder, n, b, k, deriv_mode):
+    # the closed form's matmul raisings and contractions against the einsum
+    # definitions: F_g^{ac} = k_gd F^d_xy b^xa b^yc, its divergence over c, and
+    # t4[d, a] = c^g_{al d} A^al_c F_g^{ac}
+    geom = oracle_geometry(builder, n, b, k, deriv_mode)
+    spec, binv, g = geom.spec, geom.spec.b_inv(), geom.gamma
+    cf = spec.fiber_c()
+    Fup = np.einsum("gd,...dxy,xa,yc->...gac", spec.k, geom.F, binv, binv)
+    div = np.einsum("gd,...dxyc,xa,yc->...ga", spec.k, geom.dF, binv, binv)
+    t2 = np.einsum("...abc,...dbc->...da", g, Fup)
+    t3 = np.einsum("...cbc,...dab->...da", g, Fup)
+    t4 = np.einsum("gxd,...xc,...gac->...da", cf, geom.A, Fup)
+    closed = ricci_closed_form(geom)
+    base = base_curvature_from_geometry(geom)
+    FF = np.einsum("...bac,...bdc->...ad", Fup, geom.F)
+    assert np.abs(closed.ric_base - (base.ricci - 0.5 * FF)).max() <= 1e-14
+    want = 0.5 * np.swapaxes(div + t2 + t3 - t4, -2, -1)
+    assert np.abs(closed.ric_mixed - want).max() <= 1e-14
+    cc = np.einsum("abg,bde,ge->ad", cf, cf, spec.k_inv())
+    want = 0.25 * np.einsum("...dbc,...abc->...ad", Fup, geom.F) - 0.25 * cc
+    assert np.abs(closed.ric_fiber - want).max() <= 1e-14
