@@ -27,7 +27,8 @@ from .bundle import (GroupElement, MatrixRep, PathSpec, adjoint_of,
                      verify_gauge_covariance)
 from .errors import (DegenerateCoframeError, DegenerateMetricError,
                      DegreeError, EvalDomainError, ExprSyntaxError,
-                     KKGeomError, StructuralError, UnknownIdentifierError)
+                     KKGeomError, NonFiniteGeometryError, StructuralError,
+                     UnknownIdentifierError)
 from .exterior import (AlternatingForm, basis_one_form, check_identities,
                        d_substitute, epsilon_form, interior, top_form, wedge)
 from .fieldexpr import FieldProvider, diff, evaluate, parse, pretty

@@ -35,11 +35,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DegenerateCoframeError, EvalDomainError, StructuralError
+from .errors import (DegenerateCoframeError, EvalDomainError, NonFiniteGeometryError,
+                     StructuralError)
 from .fieldexpr import FieldProvider, Num, pretty, run_into
 from .liealg import LieAlgebraSpec, _number
 
@@ -452,7 +453,10 @@ def geometry_at_point(
     """Evaluate the full frame geometry at a chart point or a batch of points.
 
     The base metric is ``spec.b``; the coframe carries only the frame, and
-    the gauge potential needs one row per fiber direction of ``spec``.
+    the gauge potential needs one row per fiber direction of ``spec``.  A
+    frame that passes the degeneracy test can still be so small or large
+    that the frame arrays overflow: that raises NonFiniteGeometryError at
+    the first such point.
     """
     if coframe.n != spec.n:
         raise StructuralError(f"chart dimension {coframe.n} does not match the "
@@ -460,11 +464,33 @@ def geometry_at_point(
     if len(gauge.entries) != spec.r:
         raise StructuralError(f"gauge potential has {len(gauge.entries)} rows, the "
                               f"algebra's fiber dimension is {spec.r}")
-    if deriv_mode == "analytic":
-        return _geometry_analytic(coframe, gauge, spec, point)
-    if deriv_mode == "fd":
-        return _geometry_fd(coframe, gauge, spec, point, fd_step)
-    raise StructuralError(f"unknown derivative mode {deriv_mode!r}")
+    if deriv_mode not in ("analytic", "fd"):
+        raise StructuralError(f"unknown derivative mode {deriv_mode!r}")
+    # a finite but tiny or huge frame can overflow its products (E^-T X E^-1);
+    # that is caught as a non-finite geometry below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        if deriv_mode == "analytic":
+            geom = _geometry_analytic(coframe, gauge, spec, point)
+        else:
+            geom = _geometry_fd(coframe, gauge, spec, point, fd_step)
+    _check_finite(geom)
+    return geom
+
+
+def _check_finite(geom):
+    """NonFiniteGeometryError at the first point where a frame array of
+    ``geom`` holds an infinity or NaN."""
+    lead = geom.point.ndim - 1  # batch axes; an array may be empty (r = 0)
+    finite = {}
+    for field in fields(geom):
+        if field.name not in ("point", "spec"):
+            arr = getattr(geom, field.name)
+            finite[field.name] = np.isfinite(arr).all(axis=tuple(range(lead, arr.ndim)))
+    bad = ~np.logical_and.reduce(list(finite.values()))
+    if bad.any():
+        first = tuple(np.argwhere(bad)[0])
+        raise NonFiniteGeometryError(geom.point[first],
+                                     [name for name, ok in finite.items() if not ok[first]])
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basegeo import _fd_gradient, _fd_stencil
+from .basegeo import _fd_gradient, _fd_stencil, _frame_2form, _quadratic
 from .errors import StructuralError
 from .kkcurv import assemble_omega, riemann_direct
 from .liealg import EPSILON3, LieAlgebraSpec, builtin_algebra
@@ -396,22 +396,25 @@ def _dexp_right(ad_u: np.ndarray) -> np.ndarray:
 
 
 def _fiber_ad(spec: LieAlgebraSpec, s: np.ndarray) -> np.ndarray:
-    """ad_u on the fiber algebra for u = sum_delta s^delta (basis)_delta."""
-    return np.einsum("abc,...b->...ac", spec.fiber_c(), s)
+    """ad_u on the fiber algebra for u = sum_delta s^delta (basis)_delta:
+    ad[a, c] = c^a_{b c} s^b, one (..., r) @ (r, r^2) matmul."""
+    r = spec.r
+    ad = s @ np.moveaxis(spec.fiber_c(), 1, 0).reshape(r, r * r)
+    return ad.reshape(s.shape[:-1] + (r, r))
 
 
 def _coordinate_gauge_data(geom):
     """Coordinate components of A, F and the antisymmetrized dA at the
-    frozen base points: A_mu, F_{mu nu}, and d_mu A_nu - d_nu A_mu."""
+    frozen base points: A_mu, F_{mu nu}, and d_mu A_nu - d_nu A_mu, shapes
+    ``(r, n)``, ``(r, n, n)`` and ``(r, n, n)``.  Each 2-form is E^T X_al E
+    for its frame components X_al (``_frame_2form`` with E for E^-1), one
+    matmul chain over the fiber index."""
     E = geom.E
-    Ac = np.einsum("...ab,...bm->...am", geom.A, E)
-    Fc = np.einsum("...abc,...bm,...cn->...amn", geom.F, E, E)
-    # d_mu A_nu - d_nu A_mu: frame-derivative part plus the anholonomy part
-    # coming from differentiating the coframe factor.
-    dAc = np.einsum("...abe,...em,...bn->...amn", geom.dA, E, E)
-    dAc = dAc - np.swapaxes(dAc, -2, -1)
-    dAc = dAc + np.einsum("...ab,...bcd,...cm,...dn->...amn", geom.A, geom.C, E, E)
-    return Ac, Fc, dAc
+    # d_mu A_nu - d_nu A_mu: the frame derivatives, antisymmetrized, plus the
+    # anholonomy part A^al_b C^b_{cd} coming from differentiating the coframe
+    AC = (geom.A @ geom.C.reshape(geom.C.shape[:-3] + (geom.n, -1))).reshape(geom.dA.shape)
+    dAc = _frame_2form(np.swapaxes(geom.dA, -2, -1) - geom.dA + AC, E)
+    return geom.A @ E, _frame_2form(geom.F, E), dAc
 
 
 def verify_deextra(geom, g: GroupElement, s=None):
@@ -451,8 +454,8 @@ def verify_deextra(geom, g: GroupElement, s=None):
     f_full = np.zeros(batch + (r, m, m))
     f_full[..., :n, :n] = Fc
 
-    half_ee = np.einsum("abg,...bi,...gj->...aij", cf, e, e)
-    a_wedge_e = np.einsum("abg,...bi,...gj->...aij", cf, a_full, e)
+    half_ee = _quadratic(cf, e, e)
+    a_wedge_e = _quadratic(cf, a_full, e)
     a_wedge_e = a_wedge_e - np.swapaxes(a_wedge_e, -2, -1)
     return np.abs(de - half_ee + a_wedge_e - f_full).max(axis=(-3, -2, -1))
 
@@ -470,12 +473,21 @@ def verify_gauge_covariance(geom, g: GroupElement, vary: bool = True):
     curvature.  The fiber difference of phi nests the fiber difference of
     S, so S is needed at every sum of two stencil offsets: those (1 + 4r)^2
     fiber points are rows of one array, and their exponentials one stack.
+
+    Every contraction is a batched matmul, and the forms on the chart are
+    laid out planes first, ``[..., k, I, a, b]``: phi[k, I] is the N x N
+    matrix of the dy^I component at outer stencil point k, dphi[delta, I]
+    its fiber derivative d_delta phi_I, and the (I, J) components of
+    d omega and Phi are stacked the same way, so S acts on the trailing
+    matrix axes.  Only the upper planes I < J are compared: Omega is
+    projected onto them by one matmul against the matching columns of
+    M0 (x) M0.
     """
     spec = geom.spec
     if g.rep.spec.r != spec.r:
         raise StructuralError("rep and algebra have different fiber dimensions")
     n, r, N = spec.n, spec.r, spec.N
-    m = n + r
+    m, P = n + r, N * N  # chart dimension; entries of one N x N matrix
     batch = geom.point.shape[:-1]
     conn = assemble_omega(geom)
     W, dW = conn.W, conn.dW
@@ -485,54 +497,64 @@ def verify_gauge_covariance(geom, g: GroupElement, vary: bool = True):
     adj0 = _fiber_adjoint(g)
     stencil = _fd_stencil(r, _FD_STEP)
 
-    # S at every outer stencil point (phi is differenced there) and, if it
-    # varies, its own fiber derivative from the inner stencil around each
+    # The fiber block of S = diag(1, fiber) at every outer stencil point (phi
+    # is differenced there) and, if it varies, its fiber derivative from the
+    # inner stencil around each; dS has no base block.
     if vary:
         s_all = stencil[:, None, :] + stencil[None, :, :]  # [outer, inner]
-        fiber = expm(_fiber_ad(spec, s_all)) @ adj0[..., None, None, :, :]
-        S_all = _identity_padded(fiber, n)
-        S = S_all[..., 0, :, :]
-        dS = _fd_gradient(S_all, -3, _FD_STEP)
+        X = expm(_fiber_ad(spec, s_all))
+        fiber_all = (X.reshape(-1, r) @ adj0[..., None, :, :]).reshape(adj0.shape[:-2] + X.shape)
+        fiber = fiber_all[..., 0, :, :]
+        dfiber = np.moveaxis(_fd_gradient(fiber_all, -3, _FD_STEP), -1, -3)  # [k, delta]
     else:
-        S = _identity_padded(adj0, n)[..., None, :, :]  # one S for every outer point
-    Sinv = np.linalg.inv(S)
+        fiber = adj0[..., None, :, :]  # one S for every outer point
+    fiber_inv = np.linalg.inv(fiber)
+    S, Sinv = _identity_padded(fiber, n), _identity_padded(fiber_inv, n)
 
     # M[C, I]: e^C = M[C, I] dy^I on the (x, s) chart, at each outer point
     M = np.zeros(batch + (len(stencil), N, m))
     M[..., :n, :n] = E[..., None, :, :]
     M[..., n:, :n] = Ac[..., None, :, :]
     M[..., n:, n:] = _dexp_right(_fiber_ad(spec, stencil))
-    om = np.einsum("...abC,...kCi->...kabi", W, M)
-    phi = np.einsum("...ab,...bci,...cd->...adi", Sinv, om, S)
+    # phi_I = S^-1 omega_I S with omega_I = M[C, I] W[:, :, C]: S^-1 W[:, :, C]
+    # for every C in one matmul, contracted with M, then times S
+    SW = Sinv @ W.reshape(batch + (1, N, P))
+    om = np.swapaxes(M, -2, -1) @ np.swapaxes(SW.reshape(SW.shape[:-2] + (P, N)), -2, -1)
+    phi = (om.reshape(om.shape[:-2] + (m * N, N)) @ S).reshape(om.shape[:-1] + (N, N))
     if vary:
-        phi[..., n:] += np.einsum("...ab,...bcd->...acd", Sinv, dS)
-    # planes-first layouts: [.., I, :, :] = phi_I and [.., I, delta, :, :] = d_delta phi_I
-    phi0 = np.moveaxis(phi[..., 0, :, :, :], -1, -3)
-    dphi = np.moveaxis(_fd_gradient(phi, -4, _FD_STEP), (-2, -1), (-4, -3))
+        phi[..., n:, n:, n:] += fiber_inv[..., None, :, :] @ dfiber
+    phi0 = phi[..., 0, :, :, :]
+    dphi = np.moveaxis(_fd_gradient(phi, -4, _FD_STEP), -1, -4)
+
+    # d_mu omega_J - d_J omega_mu for base mu, exact.  The coordinate
+    # derivative of omega_J is dW_J[mu] = M0[C, J] d_mu W[:, :, C]; on base
+    # planes the coframe factor adds W[:, :, C] dM[C, mu, nu].
     M0 = M[..., 0, :, :]
-    # S at s = 0, with room for the (I, J) plane axes in front of the matrix
-    S0, S0inv = S[..., 0, None, None, :, :], Sinv[..., 0, None, None, :, :]
-
-    # exact antisymmetrized coordinate derivative of omega over base 2-planes
-    dW_coord = np.einsum("...abCd,...dm->...abCm", dW, E)
+    dW_coord = np.swapaxes(E, -2, -1)[..., None, :, :] @ np.moveaxis(
+        dW.reshape(batch + (P, N, n)), -3, -1)  # [C, mu, (a, b)]
+    dW_J = (np.swapaxes(M0, -2, -1) @ dW_coord.reshape(batch + (N, n * P))).reshape(
+        batch + (m, n, P))
     dM = np.zeros(batch + (N, n, n))  # d_mu M[C, nu] - d_nu M[C, mu]
-    dM[..., :n, :, :] = np.einsum("...abc,...bm,...cn->...amn", geom.C, E, E)
+    dM[..., :n, :, :] = _frame_2form(geom.C, E)
     dM[..., n:, :, :] = dAc
-    dom_bb = np.einsum("...abCm,...Cn->...abmn", dW_coord, M0[..., :n])
-    dom_bb = dom_bb - np.swapaxes(dom_bb, -2, -1)
-    dom = np.zeros(batch + (N, N, m, m))
-    dom[..., :n, :n] = dom_bb + np.einsum("...abC,...Cmn->...abmn", W, dM)
-    # d_mu omega_{n+delta}: only the fiber coframe columns have no base block
-    dom[..., :n, n:] = np.einsum("...abCm,...Ci->...abmi", dW_coord, M0)[..., n:]
+    dom = np.swapaxes(dW_J, -3, -2).copy()  # [mu, J]
+    WdM = np.swapaxes(dM.reshape(batch + (N, n * n)), -2, -1) @ np.swapaxes(
+        W.reshape(batch + (P, N)), -2, -1)
+    dom[..., :n, :] += WdM.reshape(batch + (n, n, P)) - dW_J[..., :n, :, :]
 
-    # d_I phi_J - d_J phi_I on every 2-plane: exact and conjugated by S0 for
-    # base I, fiber differences for fiber I and J (lower planes are unused)
-    danti = S0inv @ np.moveaxis(dom, (-2, -1), (-4, -3)) @ S0
-    danti[..., n:, :, :, :] = np.swapaxes(dphi, -4, -3)
-    danti[..., :, n:, :, :] -= dphi
-    prod = phi0[..., :, None, :, :] @ phi0[..., None, :, :, :]  # phi_I phi_J
-    Phi = danti + prod - np.swapaxes(prod, -4, -3)
-    om_coord = np.einsum("...abCD,...Ci,...Dj->...ijab", Omega, M0, M0)
-    res = np.abs(om_coord - S0 @ Phi @ S0inv)
-    upper = np.triu_indices(m, 1)
-    return res[..., upper[0], upper[1], :, :].max(axis=(-3, -2, -1))
+    # d_I phi_J - d_J phi_I on every 2-plane: exact and conjugated by S at
+    # s = 0 for base I, fiber differences for fiber I and J
+    S0, S0inv = S[..., 0, :, :], Sinv[..., 0, :, :]
+    danti = np.empty(batch + (m, m, N, N))
+    danti[..., :n, :, :, :] = (S0inv[..., None, None, :, :] @ dom.reshape(batch + (n, m, N, N))
+                               @ S0[..., None, None, :, :])
+    danti[..., n:, :, :, :] = dphi
+    danti[..., :, n:, :, :] -= np.swapaxes(dphi, -4, -3)
+    I, J = np.triu_indices(m, 1)
+    Phi = (danti[..., I, J, :, :] + phi0[..., I, :, :] @ phi0[..., J, :, :]
+           - phi0[..., J, :, :] @ phi0[..., I, :, :])
+    conj = (S0[..., None, :, :] @ Phi @ S0inv[..., None, :, :]).reshape(Phi.shape[:-2] + (P,))
+    # Omega[a, b, C, D] M0[C, I] M0[D, J] as [(a, b), (I, J)]
+    M0M0 = (M0[..., :, None, I] * M0[..., None, :, J]).reshape(batch + (P, len(I)))
+    om_coord = Omega.reshape(batch + (P, P)) @ M0M0
+    return np.abs(om_coord - np.swapaxes(conj, -2, -1)).max(axis=(-2, -1))

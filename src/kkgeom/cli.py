@@ -37,7 +37,8 @@ import numpy as np
 from . import basegeo, bundle, exterior, kkcurv, liealg
 from .errors import (DegenerateCoframeError, DegenerateMetricError,
                      DegreeError, EvalDomainError, ExprSyntaxError,
-                     KKGeomError, StructuralError, UnknownIdentifierError)
+                     KKGeomError, NonFiniteGeometryError, StructuralError,
+                     UnknownIdentifierError)
 from .fieldexpr import FieldProvider
 
 __all__ = ["main"]
@@ -502,7 +503,7 @@ def main(argv=None):
             EvalDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DegenerateCoframeError, DegenerateMetricError) as exc:
+    except (DegenerateCoframeError, DegenerateMetricError, NonFiniteGeometryError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except KKGeomError as exc:

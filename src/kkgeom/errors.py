@@ -25,6 +25,17 @@ class DegenerateCoframeError(KKGeomError):
                          f"(det(e / max|e|) = {self.det:.3e})")
 
 
+class NonFiniteGeometryError(KKGeomError):
+    """The frame geometry overflowed at an evaluation point: ``fields``
+    names the frame arrays (E, C, gamma, A, F, ...) that are not finite."""
+
+    def __init__(self, point, fields):
+        self.point = tuple(float(x) for x in point)
+        self.fields = tuple(fields)
+        super().__init__(f"frame geometry is not finite at point {self.point} "
+                         f"({', '.join(self.fields)})")
+
+
 class ExprSyntaxError(KKGeomError):
     """Syntax error in a field expression, with the byte offset of the bad token."""
 

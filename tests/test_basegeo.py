@@ -10,7 +10,8 @@ from kkgeom.basegeo import (ChartSpec, CoframeField, GaugeField, _d_frame_2form,
                             _fd_gradient, _fd_stencil, _frame_2form, _gamma_from_C,
                             _ProviderMatrix, _quadratic, base_curvature_from_geometry,
                             geometry_at_point, load_fields)
-from kkgeom.errors import DegenerateCoframeError, EvalDomainError, StructuralError
+from kkgeom.errors import (DegenerateCoframeError, EvalDomainError, NonFiniteGeometryError,
+                           StructuralError)
 from kkgeom.fieldexpr import FieldProvider, Num
 from kkgeom.kkcurv import assemble_omega
 from kkgeom.liealg import LieAlgebraSpec, abelian_algebra, su2_algebra, u1_su2_algebra
@@ -73,6 +74,24 @@ def test_degeneracy_check_is_scale_free_and_does_not_overflow():
     huge = CoframeField(ChartSpec(2), [["1e200", "0"], ["0", "1e200"]])
     geom = base_geometry(huge, point)
     assert np.array_equal(geom.E_inv, 1e-200 * np.eye(2))
+
+
+@pytest.mark.parametrize("deriv_mode", ["analytic", "fd"])
+def test_overflowing_geometry_names_the_first_point(deriv_mode):
+    # e = x1 I is well conditioned everywhere, but at x1 = 1e-200 the frame
+    # 2-forms E^-T X E^-1 overflow; the error names that point and the
+    # arrays, and no numpy warning escapes (pytest turns one into an error)
+    spec = su2_algebra(2)
+    chart = ChartSpec(2)
+    cof = CoframeField(chart, [["x1", "0"], ["0", "x1"]])
+    gauge = GaugeField(chart, [["x2", "0"], ["0", "x1*x2"], ["1", "x2"]])
+    points = np.array([[0.5, 0.2], [1e-200, 0.3], [1e-200, 0.4]])
+    with pytest.raises(NonFiniteGeometryError) as info:
+        geometry_at_point(cof, gauge, spec, points, deriv_mode=deriv_mode)
+    assert info.value.point == (1e-200, 0.3)
+    assert "F" in info.value.fields
+    assert str(info.value).startswith("frame geometry is not finite at point (1e-200, 0.3) (")
+    geometry_at_point(cof, gauge, spec, points[:1], deriv_mode=deriv_mode)
 
 
 def test_anholonomy_fd_oracle():

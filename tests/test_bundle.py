@@ -4,12 +4,15 @@ import scipy.linalg
 from scipy.linalg import expm
 
 from kkgeom import bundle
-from kkgeom.basegeo import ChartSpec, CoframeField, GaugeField, geometry_at_point
+from kkgeom.basegeo import (ChartSpec, CoframeField, GaugeField, _fd_gradient, _fd_stencil,
+                            geometry_at_point)
 from kkgeom.bundle import (GroupElement, MatrixRep, PathSpec, adjoint_of,
                            builtin_rep, lift_path, verify_deextra,
                            verify_gauge_covariance)
 from kkgeom.errors import StructuralError
+from kkgeom.kkcurv import assemble_omega, riemann_direct
 from kkgeom.liealg import su2_algebra, u1_su2_algebra
+from test_kkcurv import oracle_geometry
 
 
 def su2_setup(seed=0):
@@ -475,3 +478,140 @@ def test_gauge_covariance_product_rep():
     geom = geometry_at_point(cof, gauge, spec, np.array([0.3, 0.6]))
     g = rep.exp(np.array([0.4, 0.1, -0.3, 0.2]))
     assert verify_gauge_covariance(geom, g) < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# the gauge-check kernels against their einsum definitions
+
+
+def coordinate_gauge_oracle(geom):
+    """A_mu, F_{mu nu} and d_mu A_nu - d_nu A_mu as einsums over the coframe."""
+    E = geom.E
+    Ac = np.einsum("...ab,...bm->...am", geom.A, E)
+    Fc = np.einsum("...abc,...bm,...cn->...amn", geom.F, E, E)
+    dAc = np.einsum("...abe,...em,...bn->...amn", geom.dA, E, E)
+    dAc = dAc - np.swapaxes(dAc, -2, -1)
+    dAc = dAc + np.einsum("...ab,...bcd,...cm,...dn->...amn", geom.A, geom.C, E, E)
+    return Ac, Fc, dAc
+
+
+def gauge_covariance_oracle(geom, g, vary=True):
+    """verify_gauge_covariance as einsums: every 2-plane, forms laid out
+    [..., k, a, b, I] with the plane index last, S padded to N x N
+    everywhere and differenced as a whole."""
+    spec = geom.spec
+    n, r, N = spec.n, spec.r, spec.N
+    m = n + r
+    batch = geom.point.shape[:-1]
+    cf = spec.fiber_c()
+    conn = assemble_omega(geom)
+    W, dW = conn.W, conn.dW
+    Omega = riemann_direct(conn)
+    E = geom.E
+    Ac, _, dAc = coordinate_gauge_oracle(geom)
+    adj0 = bundle._fiber_adjoint(g)
+    stencil = _fd_stencil(r, bundle._FD_STEP)
+    if vary:
+        s_all = stencil[:, None, :] + stencil[None, :, :]
+        fiber = (bundle.expm(np.einsum("abc,...b->...ac", cf, s_all))
+                 @ adj0[..., None, None, :, :])
+        S_all = bundle._identity_padded(fiber, n)
+        S = S_all[..., 0, :, :]
+        dS = _fd_gradient(S_all, -3, bundle._FD_STEP)
+    else:
+        S = bundle._identity_padded(adj0, n)[..., None, :, :]
+    Sinv = np.linalg.inv(S)
+    M = np.zeros(batch + (len(stencil), N, m))
+    M[..., :n, :n] = E[..., None, :, :]
+    M[..., n:, :n] = Ac[..., None, :, :]
+    M[..., n:, n:] = bundle._dexp_right(np.einsum("abc,...b->...ac", cf, stencil))
+    om = np.einsum("...abC,...kCi->...kabi", W, M)
+    phi = np.einsum("...ab,...bci,...cd->...adi", Sinv, om, S)
+    if vary:
+        phi[..., n:] += np.einsum("...ab,...bcd->...acd", Sinv, dS)
+    phi0 = np.moveaxis(phi[..., 0, :, :, :], -1, -3)
+    dphi = np.moveaxis(_fd_gradient(phi, -4, bundle._FD_STEP), (-2, -1), (-4, -3))
+    M0 = M[..., 0, :, :]
+    S0, S0inv = S[..., 0, None, None, :, :], Sinv[..., 0, None, None, :, :]
+    dW_coord = np.einsum("...abCd,...dm->...abCm", dW, E)
+    dM = np.zeros(batch + (N, n, n))
+    dM[..., :n, :, :] = np.einsum("...abc,...bm,...cn->...amn", geom.C, E, E)
+    dM[..., n:, :, :] = dAc
+    dom_bb = np.einsum("...abCm,...Cn->...abmn", dW_coord, M0[..., :n])
+    dom_bb = dom_bb - np.swapaxes(dom_bb, -2, -1)
+    dom = np.zeros(batch + (N, N, m, m))
+    dom[..., :n, :n] = dom_bb + np.einsum("...abC,...Cmn->...abmn", W, dM)
+    dom[..., :n, n:] = np.einsum("...abCm,...Ci->...abmi", dW_coord, M0)[..., n:]
+    danti = S0inv @ np.moveaxis(dom, (-2, -1), (-4, -3)) @ S0
+    danti[..., n:, :, :, :] = np.swapaxes(dphi, -4, -3)
+    danti[..., :, n:, :, :] -= dphi
+    prod = phi0[..., :, None, :, :] @ phi0[..., None, :, :, :]
+    Phi = danti + prod - np.swapaxes(prod, -4, -3)
+    om_coord = np.einsum("...abCD,...Ci,...Dj->...ijab", Omega, M0, M0)
+    res = np.abs(om_coord - S0 @ Phi @ S0inv)
+    upper = np.triu_indices(m, 1)
+    return res[..., upper[0], upper[1], :, :].max(axis=(-3, -2, -1))
+
+
+# the kernels re-associate the oracle's sums: the coordinate data move by a
+# few rounding units, the residual by up to about 1.8e-12 (measured), far
+# below its rounding floor of about 1e-8 (GAUGE_ROUNDING in test_properties)
+COORD_ORACLE_TOL = 1e-14
+RESIDUAL_ORACLE_TOL = 1e-11
+
+GAUGE_ORACLE_CASES = pytest.mark.parametrize("rep_name,builder,n,b,k", [
+    ("su2_as_so3", su2_algebra, 2, None, None),
+    ("su2_as_so3", su2_algebra, 3, None, None),
+    ("su2_as_so3", su2_algebra, 4, None, None),
+    ("product", u1_su2_algebra, 3, [[2.0, 0.3, 0.1], [0.3, 1.0, 0.0], [0.1, 0.0, 0.8]],
+     np.diag([1.5, 0.4, 0.4, 0.4])),
+], ids=["su2-n2", "su2-n3", "su2-n4", "product-n3-metric"])
+
+
+@pytest.mark.parametrize("deriv_mode", ["analytic", "fd"])
+@GAUGE_ORACLE_CASES
+def test_coordinate_gauge_data_matches_the_einsum_oracle(rep_name, builder, n, b, k,
+                                                         deriv_mode):
+    geom = oracle_geometry(builder, n, b, k, deriv_mode)
+    for got, want in zip(bundle._coordinate_gauge_data(geom), coordinate_gauge_oracle(geom)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= COORD_ORACLE_TOL
+
+
+@pytest.mark.parametrize("vary", [True, False])
+@pytest.mark.parametrize("deriv_mode", ["analytic", "fd"])
+@GAUGE_ORACLE_CASES
+def test_gauge_covariance_matches_the_einsum_oracle(rep_name, builder, n, b, k, deriv_mode,
+                                                    vary):
+    geom = oracle_geometry(builder, n, b, k, deriv_mode)
+    rep = builtin_rep(rep_name)
+    xi = np.random.default_rng(n + rep.dim).normal(size=(6, rep.spec.r))
+    # one element per point, and one element for every point
+    for g in (rep.exp(xi[:5]), rep.exp(xi[5])):
+        got = verify_gauge_covariance(geom, g, vary=vary)
+        want = gauge_covariance_oracle(geom, g, vary=vary)
+        assert got.shape == want.shape == (5,)
+        assert np.abs(got - want).max() <= RESIDUAL_ORACLE_TOL
+        assert want.max() <= 1e-5
+
+
+@pytest.mark.parametrize("vary", [True, False])
+@pytest.mark.parametrize("n", [2, 3])
+def test_gauge_covariance_sees_a_perturbed_curvature(monkeypatch, n, vary):
+    # Omega + eps on one antisymmetric (C, D) slot is no longer the
+    # conjugated Phi: the residual must show eps on every point
+    eps = 1e-3
+    exact = bundle.riemann_direct
+
+    def perturbed(conn):
+        Omega = exact(conn).copy()
+        Omega[..., 1, 0, 0, 1] += eps
+        Omega[..., 1, 0, 1, 0] -= eps
+        return Omega
+
+    geom = oracle_geometry(su2_algebra, n, None, None, "analytic")
+    rep = builtin_rep("su2_as_so3")
+    g = rep.exp(np.random.default_rng(n).normal(size=(5, rep.spec.r)))
+    assert verify_gauge_covariance(geom, g, vary=vary).max() <= 1e-5
+    monkeypatch.setattr(bundle, "riemann_direct", perturbed)
+    assert (verify_gauge_covariance(geom, g, vary=vary) > eps / 10).all()

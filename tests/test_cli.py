@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -741,6 +742,23 @@ def test_gauge_check_nan_residual_is_a_violation(tmp_path, capsys, monkeypatch):
     (line,) = out.err.strip().splitlines()
     assert "gauge_covariance_residual = nan" in line
     assert str(second) in line
+
+
+@pytest.mark.parametrize("deriv_mode", ["analytic", "fd"])
+@pytest.mark.parametrize("command", ["curvature", "gauge-check"])
+def test_overflowing_frame_geometry_exits_70_in_one_line(tmp_path, capsys, command, deriv_mode):
+    # e = 1e-200 I passes the scale-free degeneracy test, but E^-1 = 1e200 I
+    # overflows the frame field strength: one line naming the first sorted
+    # point, no report (so no bare NaN) and no numpy warning
+    problem = with_fields(coframe=[["1e-200", "0"], ["0", "1e-200"]], lattice=None,
+                          points=[[0.3, 0.1], [0.1, 0.2]], deriv_mode=deriv_mode)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(capsys, [command, "--input", write_problem(tmp_path, problem)])
+    assert code == EXIT_NUMERIC
+    assert out.out == ""
+    (line,) = out.err.strip().splitlines()
+    assert line.startswith("numeric failure: frame geometry is not finite at point (0.1, 0.2) (")
 
 
 @pytest.mark.parametrize("command", ["curvature", "gauge-check"])
