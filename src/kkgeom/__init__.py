@@ -17,27 +17,50 @@ Subpackages by topic:
 - :mod:`kkgeom.bundle` — matrix group representations, adjoint gauge maps,
   path lifting, gauge-covariance verification.
 - :mod:`kkgeom.cli` — the batch front end (``kkgeom`` console script).
+
+Importing the package loads none of them.  Each public name below is
+resolved on first access (``kkgeom.wedge``, ``from kkgeom import wedge``),
+which imports the one module that defines it, so a program pays only for
+the modules it uses.  ``__all__`` lists those names, and ``dir(kkgeom)``
+lists them too.
 """
 
-from .basegeo import (BaseCurvature, ChartSpec, CoframeField, GaugeField,
-                      GeometryAtPoint, base_curvature_from_geometry,
-                      geometry_at_point, load_fields)
-from .bundle import (GroupElement, MatrixRep, PathSpec, adjoint_of,
-                     builtin_rep, lift_path, verify_deextra,
-                     verify_gauge_covariance)
-from .errors import (DegenerateCoframeError, DegenerateMetricError,
-                     DegreeError, EvalDomainError, ExprSyntaxError,
-                     KKGeomError, NonFiniteGeometryError, StructuralError,
-                     UnknownIdentifierError)
-from .exterior import (AlternatingForm, basis_one_form, check_identities,
-                       d_substitute, epsilon_form, interior, top_form, wedge)
-from .fieldexpr import FieldProvider, diff, evaluate, parse, pretty
-from .kkcurv import (EYMResidual, KKConnection, KKCurvature, assemble_omega,
-                     cross_check, curvature_direct, eym_residuals,
-                     ricci_closed_form, riemann_direct)
-from .liealg import (LAMBDA_PREFACTOR, LieAlgebraSpec, ValidationReport,
-                     bracket, builtin_algebra, cosmological_constant,
-                     killing_form, load_spec, su2_algebra, u1_su2_algebra,
-                     validate_spec)
+from importlib import import_module
 
+# defining module -> the names the package exports from it
+_EXPORTS = {
+    "basegeo": ("BaseCurvature", "ChartSpec", "CoframeField", "GaugeField",
+                "GeometryAtPoint", "base_curvature_from_geometry", "geometry_at_point",
+                "load_fields"),
+    "bundle": ("GroupElement", "MatrixRep", "PathSpec", "adjoint_of", "builtin_rep",
+               "lift_path", "verify_deextra", "verify_gauge_covariance"),
+    "errors": ("DegenerateCoframeError", "DegenerateMetricError", "DegreeError",
+               "EvalDomainError", "ExprSyntaxError", "KKGeomError", "NonFiniteGeometryError",
+               "StructuralError", "UnknownIdentifierError"),
+    "exterior": ("AlternatingForm", "basis_one_form", "check_identities", "d_substitute",
+                 "epsilon_form", "interior", "top_form", "wedge"),
+    "fieldexpr": ("FieldProvider", "diff", "evaluate", "parse", "pretty"),
+    "kkcurv": ("EYMResidual", "KKConnection", "KKCurvature", "assemble_omega",
+               "cross_check", "curvature_direct", "eym_residuals", "ricci_closed_form",
+               "riemann_direct"),
+    "liealg": ("LAMBDA_PREFACTOR", "LieAlgebraSpec", "ValidationReport", "bracket",
+               "builtin_algebra", "cosmological_constant", "killing_form", "load_spec",
+               "su2_algebra", "u1_su2_algebra", "validate_spec"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -53,6 +53,7 @@ __all__ = [
     "BaseCurvature",
     "base_curvature_from_geometry",
     "load_fields",
+    "check_finite",
 ]
 
 _DEGENERACY_FACTOR = 1e-12  # threshold of |det(e / max|e|)|, that is of |det e| / max|e|^n
@@ -473,24 +474,24 @@ def geometry_at_point(
             geom = _geometry_analytic(coframe, gauge, spec, point)
         else:
             geom = _geometry_fd(coframe, gauge, spec, point, fd_step)
-    _check_finite(geom)
+    check_finite(geom.point, {field.name: getattr(geom, field.name) for field in fields(geom)
+                              if field.name not in ("point", "spec")})
     return geom
 
 
-def _check_finite(geom):
-    """NonFiniteGeometryError at the first point where a frame array of
-    ``geom`` holds an infinity or NaN."""
-    lead = geom.point.ndim - 1  # batch axes; an array may be empty (r = 0)
-    finite = {}
-    for field in fields(geom):
-        if field.name not in ("point", "spec"):
-            arr = getattr(geom, field.name)
-            finite[field.name] = np.isfinite(arr).all(axis=tuple(range(lead, arr.ndim)))
+def check_finite(point, arrays, what="frame geometry"):
+    """NonFiniteGeometryError at the first of the points ``point`` (shape
+    ``(..., n)``) where one of the named ``arrays``, each with the same batch
+    axes in front, holds an infinity or NaN."""
+    lead = point.ndim - 1  # batch axes; an array may be empty (r = 0)
+    finite = {name: np.isfinite(arr).all(axis=tuple(range(lead, arr.ndim)))
+              for name, arr in arrays.items()}
     bad = ~np.logical_and.reduce(list(finite.values()))
     if bad.any():
         first = tuple(np.argwhere(bad)[0])
-        raise NonFiniteGeometryError(geom.point[first],
-                                     [name for name, ok in finite.items() if not ok[first]])
+        raise NonFiniteGeometryError(point[first],
+                                     [name for name, ok in finite.items() if not ok[first]],
+                                     what)
 
 
 @dataclass(frozen=True)

@@ -26,10 +26,10 @@ fourth-order stencil of ``basegeo`` with step ``_FD_STEP``.
 Path lifting is batched over its steps.  A path velocity maps an array of
 times ``(T,)`` to velocities ``(T, r)`` and is sampled once at every RK4
 stage time.  Each step g -> g P_k has a step operator P_k that depends on
-the stage velocities alone, so all P_k and their polar factors are batch
-computations, and only the chain of d x d products runs step by step.  The
-lift returns one batched ``GroupElement`` of shape ``(steps + 1, d, d)``,
-which indexes and iterates like a list of elements.
+the stage velocities alone, so all P_k, their polar factors and the prefix
+products of those factors are batch computations; nothing runs step by
+step.  The lift returns one batched ``GroupElement`` of shape
+``(steps + 1, d, d)``, which indexes and iterates like a list of elements.
 
 The matrix exponential (scaling and squaring with a Pade approximant) and
 the polar projection are implemented here on numpy alone, for stacks of
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basegeo import _fd_gradient, _fd_stencil, _frame_2form, _quadratic
+from .basegeo import _fd_gradient, _fd_stencil, _frame_2form, _quadratic, check_finite
 from .errors import StructuralError
 from .kkcurv import assemble_omega, riemann_direct
 from .liealg import EPSILON3, LieAlgebraSpec, builtin_algebra
@@ -325,11 +325,14 @@ def lift_path(path: PathSpec, steps: int) -> GroupElement:
     v is sampled once, at all 2 steps + 1 stage times j h / 2.  Each step is
     g_{k+1} = g_k P_k with a step operator P_k built from those samples, and
     the projection is g_k polar(P_k): the polar factor of g_k P_k for an
-    orthogonal g_k.  The operators and their polar factors are computed in
-    batches of steps; only the chain of d x d products is sequential, with
-    one Newton-Schulz step g <- g (3 - g^T g) / 2 per step that keeps the
-    product orthogonal to rounding.  Returns the steps + 1 group elements as
-    one batched element, shape ``(steps + 1, d, d)``.
+    orthogonal g_k.  The steps run in chunks of ``_LIFT_CHUNK``.  In each,
+    the operators, their polar factors and the chain of their products are
+    batch computations: the products come from a doubling scan, in log2 of
+    the chunk length batched matmuls, and the element at the chunk's start
+    multiplies them all.  One Newton-Schulz step g <- g (3 - g^T g) / 2 over
+    the chunk keeps every product orthogonal to rounding.  Returns the
+    steps + 1 group elements as one batched element, shape
+    ``(steps + 1, d, d)``.
     """
     return _lift(path, steps, _sample(path, steps))
 
@@ -366,14 +369,20 @@ def _lift(path, steps, xi):
     rep = path.rep
     h = 1.0 / steps
     out = np.empty((steps + 1, rep.dim, rep.dim))
-    out[0] = m = path.g0.matrix
-    three_halves = 1.5 * np.eye(rep.dim)
+    out[0] = path.g0.matrix
+    ident = np.eye(rep.dim)
     for start in range(0, steps, _LIFT_CHUNK):
         stop = min(start + _LIFT_CHUNK, steps)
-        Q = polar(_step_operators(rep.algebra_element(xi[2 * start:2 * stop + 1]), h))
-        for k, q in enumerate(Q, start + 1):
-            m = m @ q
-            out[k] = m = m @ (three_halves - 0.5 * (m.T @ m))  # m (3 - m^T m) / 2
+        # the chunk's polar factors Q[k], turned in place into their prefix
+        # products Q[0] ... Q[k] by doubling: after the pass with shift s,
+        # P[k] holds the product of the last 2 s factors up to Q[k]
+        P = polar(_step_operators(rep.algebra_element(xi[2 * start:2 * stop + 1]), h))
+        s = 1
+        while s < len(P):
+            P[s:] = P[:-s] @ P[s:]
+            s *= 2
+        m = out[start] @ P
+        out[start + 1:stop + 1] = m @ (1.5 * ident - 0.5 * (np.swapaxes(m, -2, -1) @ m))
     return GroupElement(rep, out)
 
 
@@ -482,6 +491,8 @@ def verify_gauge_covariance(geom, g: GroupElement, vary: bool = True):
     matrix axes.  Only the upper planes I < J are compared: Omega is
     projected onto them by one matmul against the matching columns of
     M0 (x) M0.
+
+    Raises NonFiniteGeometryError at the first point where Omega overflows.
     """
     spec = geom.spec
     if g.rep.spec.r != spec.r:
@@ -491,7 +502,11 @@ def verify_gauge_covariance(geom, g: GroupElement, vary: bool = True):
     batch = geom.point.shape[:-1]
     conn = assemble_omega(geom)
     W, dW = conn.W, conn.dW
-    Omega = riemann_direct(conn)
+    # a finite geometry can still overflow the curvature products (a tiny
+    # frame makes F huge): that is caught as a non-finite Omega, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        Omega = riemann_direct(conn)
+    check_finite(geom.point, {"Omega": Omega}, "curvature")
     E = geom.E
     Ac, _, dAc = _coordinate_gauge_data(geom)
     adj0 = _fiber_adjoint(g)

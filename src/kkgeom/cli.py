@@ -19,8 +19,16 @@ vectorised pass through the pipeline, so a report depends only on the
 problem file.  ``gauge-check`` draws its random group element and fiber
 point for each sorted point from the ``seed`` option, in point order.
 Both commands exit 2 with one stderr line naming the worst point and
-residual when a residual exceeds its rung of the tolerance ladder or is NaN.
-JSON reports are compact: one line, keys sorted, no indentation.
+residual when a residual exceeds its rung of the tolerance ladder or is NaN,
+and 70 with one line naming the first point where the frame geometry or the
+curvature overflows.  JSON reports are compact: one line, keys sorted, no
+indentation.
+
+Each subcommand imports the kkgeom modules it runs on when it is dispatched:
+``validate`` loads ``liealg``, ``identities`` ``exterior``, ``lift``
+``bundle`` and ``fieldexpr``, ``curvature`` ``basegeo`` and ``kkcurv``, and
+``gauge-check`` ``basegeo`` and ``bundle`` (with what they import), so a
+cold process compiles and runs only those.
 """
 
 from __future__ import annotations
@@ -34,12 +42,10 @@ import time
 
 import numpy as np
 
-from . import basegeo, bundle, exterior, kkcurv, liealg
 from .errors import (DegenerateCoframeError, DegenerateMetricError,
                      DegreeError, EvalDomainError, ExprSyntaxError,
                      KKGeomError, NonFiniteGeometryError, StructuralError,
                      UnknownIdentifierError)
-from .fieldexpr import FieldProvider
 
 __all__ = ["main"]
 
@@ -74,6 +80,8 @@ def _load_problem(path):
 
 
 def _algebra_from(problem):
+    from . import liealg
+
     data = problem.get("algebra")
     if not isinstance(data, dict):
         raise _UsageError(f"problem JSON needs an 'algebra' object, got {data!r}")
@@ -169,6 +177,8 @@ def _checked(opts):
 
 
 def cmd_validate(args):
+    from . import liealg
+
     problem = _load_problem(args.input)
     opts = _options(problem, args)
     spec = _algebra_from(problem)
@@ -202,6 +212,8 @@ def cmd_validate(args):
 
 
 def cmd_identities(args):
+    from . import exterior
+
     n = args.n
     if n is None:
         raise _UsageError("identities needs --n")
@@ -238,23 +250,30 @@ _BLOCK = 32
 
 def _curvature_rows(coframe, gauge, spec, points, deriv_mode, fd_step):
     """Report rows for a (count, n) block of points, one pipeline pass."""
+    from . import basegeo, kkcurv
+
     geom = basegeo.geometry_at_point(coframe, gauge, spec, points,
                                      deriv_mode=deriv_mode, fd_step=fd_step)
-    conn = kkcurv.assemble_omega(geom)
-    direct = kkcurv.curvature_direct(conn)
-    closed = kkcurv.ricci_closed_form(geom)
-    res = kkcurv.eym_residuals(closed)
-    cross = kkcurv.cross_check(direct, closed)
-    return _rows({
-        "point": points,
-        "scalar_curvature": direct.scalar,
-        "ricci": direct.ricci,
-        "einstein_residual_norm": res.einstein_norm,
-        "yang_mills_residual_norm": res.ym_norm,
-        "cross_check_max": np.max(list(cross.values()), axis=0),
-        "connection_antisymmetry": conn.antisymmetry_residual(),
-        "connection_torsion": conn.torsion_residual(),
-    })
+    # a finite geometry can still overflow the curvature products (a tiny
+    # frame makes F huge): that is caught as a non-finite Ricci, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        conn = kkcurv.assemble_omega(geom)
+        direct = kkcurv.curvature_direct(conn)
+        basegeo.check_finite(points, {"ricci": direct.ricci}, "curvature")
+        closed = kkcurv.ricci_closed_form(geom)
+        res = kkcurv.eym_residuals(closed)
+        cross = kkcurv.cross_check(direct, closed)
+        columns = {
+            "point": points,
+            "scalar_curvature": direct.scalar,
+            "ricci": direct.ricci,
+            "einstein_residual_norm": res.einstein_norm,
+            "yang_mills_residual_norm": res.ym_norm,
+            "cross_check_max": np.max(list(cross.values()), axis=0),
+            "connection_antisymmetry": conn.antisymmetry_residual(),
+            "connection_torsion": conn.torsion_residual(),
+        }
+    return _rows(columns)
 
 
 def _rows(columns):
@@ -283,6 +302,8 @@ def _exit_code(worst):
 
 
 def cmd_curvature(args):
+    from . import basegeo
+
     problem = _load_problem(args.input)
     opts = _options(problem, args)
     spec = _algebra_from(problem)
@@ -322,6 +343,8 @@ def _float_array(data, where):
 def _expression_velocity(sources):
     """v(t) for a list of expressions in x1: one batched evaluation per
     component over all the times."""
+    from .fieldexpr import FieldProvider
+
     provs = [FieldProvider(s, n=1) for s in sources]
 
     def v(t):
@@ -333,6 +356,8 @@ def _expression_velocity(sources):
 
 def _path_specs(problem, rep):
     """(PathSpec, steps) for each entry of the problem's 'paths' list."""
+    from . import bundle
+
     entries = problem.get("paths")
     if not entries:
         raise _UsageError("problem JSON has no 'paths' section")
@@ -373,6 +398,8 @@ def _path_specs(problem, rep):
 
 
 def cmd_lift(args):
+    from . import bundle
+
     problem = _load_problem(args.input)
     opts = _options(problem, args)
     rep_name = problem.get("rep")
@@ -401,6 +428,8 @@ def cmd_lift(args):
 def _gauge_rows(coframe, gauge, spec, rep, points, draws, deriv_mode, fd_step):
     """Report rows for a (count, n) block of points, one pass of each check;
     ``draws[i]`` holds the group-element and fiber-point normals of point i."""
+    from . import basegeo, bundle
+
     geom = basegeo.geometry_at_point(coframe, gauge, spec, points,
                                      deriv_mode=deriv_mode, fd_step=fd_step)
     g = rep.exp(draws[:, 0])
@@ -412,6 +441,8 @@ def _gauge_rows(coframe, gauge, spec, rep, points, draws, deriv_mode, fd_step):
 
 
 def cmd_gauge_check(args):
+    from . import basegeo, bundle
+
     problem = _load_problem(args.input)
     opts = _options(problem, args)
     spec = _algebra_from(problem)

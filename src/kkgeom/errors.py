@@ -26,13 +26,14 @@ class DegenerateCoframeError(KKGeomError):
 
 
 class NonFiniteGeometryError(KKGeomError):
-    """The frame geometry overflowed at an evaluation point: ``fields``
-    names the frame arrays (E, C, gamma, A, F, ...) that are not finite."""
+    """The geometry overflowed at an evaluation point: ``fields`` names the
+    arrays that are not finite, frame arrays (E, C, gamma, A, F, ...) or,
+    with ``what = "curvature"``, curvature arrays (ricci, Omega)."""
 
-    def __init__(self, point, fields):
+    def __init__(self, point, fields, what="frame geometry"):
         self.point = tuple(float(x) for x in point)
         self.fields = tuple(fields)
-        super().__init__(f"frame geometry is not finite at point {self.point} "
+        super().__init__(f"{what} is not finite at point {self.point} "
                          f"({', '.join(self.fields)})")
 
 

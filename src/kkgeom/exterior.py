@@ -170,15 +170,26 @@ def wedge(alpha: AlternatingForm, beta: AlternatingForm) -> AlternatingForm:
     return _form(N, degree, out)
 
 
+# (ia, ib) -> (sorted ia + ib, sign of the sorting permutation) for ordered
+# pairs of multi-indices, sign 0 where they share an index; filled on first use
+_MERGED = {}
+
+
+def _merge(ia, ib):
+    """The ``_MERGED`` entry of the pair (ia, ib), computed and stored."""
+    merged = ia + ib
+    entry = _MERGED[ia, ib] = (tuple(sorted(merged)), _perm_sign_sorting(merged))
+    return entry
+
+
 def _wedge_into(out, a_coeffs, b_coeffs):
     """Add the terms of the wedge product of two coefficient maps into ``out``."""
+    merged = _MERGED
     for ia, va in a_coeffs.items():
-        sa = set(ia)
         for ib, vb in b_coeffs.items():
-            if sa.isdisjoint(ib):
-                merged = ia + ib
-                idx = tuple(sorted(merged))
-                term = _perm_sign_sorting(merged) * (va * vb)
+            idx, sign = merged.get((ia, ib)) or _merge(ia, ib)
+            if sign:
+                term = sign * (va * vb)
                 out[idx] = out[idx] + term if idx in out else term
 
 
@@ -339,18 +350,21 @@ def check_identities(N, trials=200, seed=0) -> IdentityReport:
         draws = rng.integers(-3, 4, (N, len(planes))).astype(float).tolist()
         beta = [_form(N, 2, dict(zip(planes, row))) for row in draws]
 
+        # each right-hand side sum_B beta^B /\ eps(..., B) is one coefficient map
         A = int(rng.integers(0, N))
         lhs = d_substitute(eps(A), beta)
-        rhs = zero[N]
+        rhs = {}
         for B in range(N):
-            rhs = rhs + wedge(beta[B], eps(A, B))
-        res["d theta^(N-1) Leibniz"] = max(res["d theta^(N-1) Leibniz"], (lhs - rhs).max_abs())
+            _wedge_into(rhs, beta[B].coeffs, eps(A, B).coeffs)
+        res["d theta^(N-1) Leibniz"] = max(res["d theta^(N-1) Leibniz"],
+                                           (lhs - _form(N, N, rhs)).max_abs())
 
         A, B = rng.integers(0, N, 2).tolist()
         lhs = d_substitute(eps(A, B), beta)
-        rhs = zero[N - 1]
+        rhs = {}
         for C in range(N):
-            rhs = rhs + wedge(beta[C], eps(A, B, C))
-        res["d theta^(N-2) Leibniz"] = max(res["d theta^(N-2) Leibniz"], (lhs - rhs).max_abs())
+            _wedge_into(rhs, beta[C].coeffs, eps(A, B, C).coeffs)
+        res["d theta^(N-2) Leibniz"] = max(res["d theta^(N-2) Leibniz"],
+                                           (lhs - _form(N, N - 1, rhs)).max_abs())
 
     return IdentityReport(N=N, trials=trials, residuals=res)

@@ -229,7 +229,10 @@ def smooth_velocity(r, seed):
     return lambda t: a + b * np.sin(3.0 * np.asarray(t)[:, None] + c)
 
 
-@pytest.mark.parametrize("steps", [1, 2, 3, 10, 1000])
+# 2047, 2049 and 4097 straddle multiples of the 2048-step chunk of the lift:
+# prefix-product scans over chunks that are not powers of two, one-step
+# chunks, and products carried across two chunk boundaries
+@pytest.mark.parametrize("steps", [1, 2, 3, 10, 1000, 2047, 2049, 4097])
 @pytest.mark.parametrize("name", ["su2_as_so3", "u1_as_so2", "product"])
 def test_lift_matches_per_step_oracle(name, steps):
     rep = builtin_rep(name)

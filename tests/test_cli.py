@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import kkgeom
 from kkgeom import basegeo, bundle, kkcurv
 from kkgeom.bundle import builtin_rep
 from kkgeom.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
@@ -761,6 +763,24 @@ def test_overflowing_frame_geometry_exits_70_in_one_line(tmp_path, capsys, comma
     assert line.startswith("numeric failure: frame geometry is not finite at point (0.1, 0.2) (")
 
 
+@pytest.mark.parametrize("deriv_mode", ["analytic", "fd"])
+@pytest.mark.parametrize("command,array", [("curvature", "ricci"), ("gauge-check", "Omega")])
+def test_overflowing_curvature_exits_70_in_one_line(tmp_path, capsys, command, array,
+                                                    deriv_mode):
+    # e = 1e-100 I keeps every frame array finite (F is about 1e199), but the
+    # curvature products overflow: one line naming the first sorted point and
+    # the curvature array, no report (so no bare NaN) and no numpy warning
+    problem = with_fields(coframe=[["1e-100", "0"], ["0", "1e-100"]], lattice=None,
+                          points=[[0.3, 0.1], [0.1, 0.2]], deriv_mode=deriv_mode)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(capsys, [command, "--input", write_problem(tmp_path, problem)])
+    assert code == EXIT_NUMERIC
+    assert out.out == ""
+    (line,) = out.err.strip().splitlines()
+    assert line == f"numeric failure: curvature is not finite at point (0.1, 0.2) ({array})"
+
+
 @pytest.mark.parametrize("command", ["curvature", "gauge-check"])
 @pytest.mark.parametrize("block,entry,source", [
     ("coframe", (0, 0), "1+sqrt(x1)"),
@@ -834,6 +854,71 @@ def run_python(args):
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable] + args, env=env, capture_output=True,
                           text=True, timeout=300)
+
+
+def loaded_kkgeom_modules(code, argv=()):
+    """The kkgeom submodules loaded by a fresh interpreter running ``code``."""
+    proc = run_python(["-c", code + "\nimport sys\nprint(' '.join(sorted("
+                             "m for m in sys.modules if m.startswith('kkgeom.'))))",
+                       *argv])
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_package_import_loads_no_submodule():
+    assert loaded_kkgeom_modules("import kkgeom") == set()
+    assert loaded_kkgeom_modules("from kkgeom import wedge") == {"kkgeom.exterior",
+                                                                 "kkgeom.errors"}
+
+
+def test_cli_import_loads_only_errors():
+    assert loaded_kkgeom_modules("import kkgeom.cli") == {"kkgeom.cli", "kkgeom.errors"}
+
+
+# the kkgeom modules each subcommand loads besides cli and errors: the ones it
+# imports when it is dispatched and theirs; so validate and identities load
+# none of basegeo, bundle, kkcurv or fieldexpr, and curvature neither bundle
+# nor exterior
+FOOTPRINTS = {
+    "validate": {"liealg"},
+    "identities": {"exterior"},
+    "lift": {"bundle", "fieldexpr", "basegeo", "kkcurv", "liealg"},
+    "curvature": {"basegeo", "kkcurv", "fieldexpr", "liealg"},
+    "gauge-check": {"basegeo", "bundle", "kkcurv", "fieldexpr", "liealg"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(FOOTPRINTS))
+def test_each_command_loads_only_its_modules(tmp_path, command):
+    argv = [command, "--out", str(tmp_path / "report.json")]
+    argv += (["--n", "4", "--trials", "3"] if command == "identities"
+             else ["--input", write_problem(tmp_path, SU2_PROBLEM)])
+    loaded = loaded_kkgeom_modules("import sys\nfrom kkgeom.cli import main\n"
+                                   "assert main(sys.argv[1:]) == 0", argv)
+    assert loaded == {f"kkgeom.{name}" for name in FOOTPRINTS[command] | {"cli", "errors"}}
+
+
+def test_every_exported_name_is_defined_by_its_module():
+    exported = [name for names in kkgeom._EXPORTS.values() for name in names]
+    assert kkgeom.__all__ == sorted(exported)
+    assert len(set(exported)) == len(exported)
+    assert set(kkgeom.__all__) <= set(dir(kkgeom))
+    for module_name, names in kkgeom._EXPORTS.items():
+        module = importlib.import_module(f"kkgeom.{module_name}")
+        for name in names:
+            value = getattr(kkgeom, name)
+            assert vars(module)[name] is value
+            if callable(value):  # a class or function, not a constant
+                assert value.__module__ == module.__name__, name
+
+
+def test_unknown_package_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'expm'"):
+        kkgeom.expm  # defined in kkgeom.bundle, but not exported
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        getattr(kkgeom, "no_such_name")
+    with pytest.raises(ImportError):
+        from kkgeom import no_such_name  # noqa: F401
 
 
 def test_cli_import_loads_no_scipy():

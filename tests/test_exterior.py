@@ -20,20 +20,12 @@ def random_form(rng, N, degree):
     return AlternatingForm(N, degree, coeffs)
 
 
-def dense(form):
-    """Full antisymmetric coefficient tensor, the brute-force representation."""
-    out = np.zeros((form.N,) * form.degree)
-    for idx in itertools.product(range(form.N), repeat=form.degree):
-        out[idx] = form.get(idx)
-    return out
-
-
 def wedge_dense(a, b):
     """Brute-force wedge: for each increasing multi-index, sum over all
-    (p, q)-shuffles of the factors with the shuffle sign."""
+    (p, q)-shuffles of the factors with the shuffle sign.  Every factor
+    index is increasing, so the coefficients are read with ``get``."""
     N = a.N
     p, q = a.degree, b.degree
-    da, db = dense(a), dense(b)
     out = {}
     for idx in itertools.combinations(range(N), p + q):
         total = 0.0
@@ -42,7 +34,7 @@ def wedge_dense(a, b):
             sign = _shuffle_sign(chosen, restc)
             ia = tuple(idx[k] for k in chosen)
             ib = tuple(idx[k] for k in restc)
-            total = total + sign * da[ia] * db[ib]
+            total = total + sign * a.get(ia) * b.get(ib)
         out[idx] = total
     return out
 
@@ -275,6 +267,25 @@ def integer_forms(draw, N, degree):
         value = float(rng.integers(-3, 4))
         coeffs[idx] = value * (rng.random() < density)
     return AlternatingForm(N, degree, coeffs)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_wedge_matches_dense_oracle_for_every_degree_pair(data):
+    # one form of each degree, each wedged on both sides of every other: the
+    # merge table of the wedge is keyed by the ordered pair of multi-indices
+    # and outlives the call, so a key that forgot the order (or the entry of
+    # another pair) would flip or lose a sign here or in a later example
+    N = data.draw(st.integers(1, 7))
+    forms = [data.draw(integer_forms(N, p)) for p in range(N + 1)]
+    for a, b in itertools.product(forms, repeat=2):
+        got = wedge(a, b)
+        if a.degree + b.degree > N:
+            assert got.degree == N and got.is_zero()
+        else:
+            assert got.degree == a.degree + b.degree
+        for idx, want in wedge_dense(a, b).items():
+            assert got.get(idx) == want
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
