@@ -69,6 +69,6 @@ gauge = GaugeField(chart, [["0.3*x2", "0.1*x1"],
                            ["0.1*x2^2", "0"]])
 geom = geometry_at_point(coframe, gauge, spec, np.array([0.4, -0.3]))
 g = rep.exp(np.array([0.2, 0.5, -0.1]))
-print("\nstructure-equation residual:", verify_deextra(geom, g))
+print("\nstructure-equation residual:", verify_deextra(geom))
 print("gauge covariance residual:  ",
       verify_gauge_covariance(geom, g))

@@ -20,8 +20,11 @@ with V the right-trivialized derivative of the exponential.  Like
 ``basegeo`` and ``kkcurv``, they take one point or a batch alike: the
 geometry, the group elements and the fiber points carry the same leading
 batch axes, the fiber stencils of every point are extra rows of one array,
-and the residuals hold one value per point.  The fiber differences use the
-fourth-order stencil of ``basegeo`` with step ``_FD_STEP``.
+and the residuals hold one value per point.  Two quantities are differenced
+along the fiber, V in ``verify_deextra`` and the gauge-transformed
+connection in ``verify_gauge_covariance``, on the fourth-order stencil of
+``basegeo`` with step ``_FD_STEP``; the gauge map itself is differentiated
+exactly, through the Maurer-Cartan form.
 
 Path lifting is batched over its steps.  A path velocity maps an array of
 times ``(T,)`` to velocities ``(T, r)`` and is sampled once at every RK4
@@ -426,22 +429,24 @@ def _coordinate_gauge_data(geom):
     return geom.A @ E, _frame_2form(geom.F, E), dAc
 
 
-def verify_deextra(geom, g: GroupElement, s=None):
+def verify_deextra(geom, s=None):
     """Residual of de^alpha - (1/2)[e/\\e]^alpha + [A/\\e]^alpha = F^alpha.
 
     Both sides are evaluated as coordinate 2-forms on the (x, s) chart at
     the frozen base points of ``geom`` and fiber points ``s`` (default 0;
     shape ``(..., r)`` with the geometry's batch axes, or one r-vector for
     all), one residual per point.  The identity is invariant under right
-    translation, so ``g`` enters only through its on-manifold precondition.
+    translation, so it holds for every g0 and takes none.  Its fiber block
+    is the Maurer-Cartan equation of V itself, so dV is differenced: derived
+    from that equation, the check would hold by construction.
     """
     spec = geom.spec
-    if g.rep.spec.r != spec.r:
-        raise StructuralError("rep and algebra have different fiber dimensions")
     n, r = spec.n, spec.r
     cf = spec.fiber_c()
     batch = geom.point.shape[:-1]
     s = np.zeros(r) if s is None else np.asarray(s, dtype=float)
+    if s.shape[-1:] != (r,):
+        raise StructuralError(f"fiber points need {r} coordinates, got shape {s.shape}")
 
     Ac, Fc, dAc = _coordinate_gauge_data(geom)
     # V at s and at its 4r stencil neighbours, one series for all of them
@@ -469,23 +474,23 @@ def verify_deextra(geom, g: GroupElement, s=None):
     return np.abs(de - half_ee + a_wedge_e - f_full).max(axis=(-3, -2, -1))
 
 
-def verify_gauge_covariance(geom, g: GroupElement, vary: bool = True):
+def verify_gauge_covariance(geom, g: GroupElement):
     """Max residual of Omega = S Phi S^{-1} over all coordinate 2-planes,
     one value per point of ``geom`` (``g`` carries the same batch axes, or
     none for one element at every point).
 
     The connection is pushed to the (x, s) chart, gauge-transformed by
-    S(s) = Ad_{exp(u(s)) g0} (or the constant Ad_{g0} when ``vary`` is
-    false), its curvature Phi = d phi + (1/2)[phi /\\ phi] is assembled with
-    exact base derivatives and 4th-order fiber differences, and the result
-    is conjugated back and compared against the structure-equation
-    curvature.  The fiber difference of phi nests the fiber difference of
-    S, so S is needed at every sum of two stencil offsets: those (1 + 4r)^2
-    fiber points are rows of one array, and their exponentials one stack.
+    S(s) = Ad_{exp(u(s)) g0}, its curvature Phi = d phi + (1/2)[phi /\\ phi]
+    is assembled with exact base derivatives and 4th-order fiber differences
+    of phi, and the result is conjugated back and compared against the
+    structure-equation curvature.  S is needed at the 1 + 4r points of the
+    fiber stencil only: its fiber derivative is exact, d_delta S =
+    ad(V_delta) S, from the right Maurer-Cartan form dg g^-1 = V ds of
+    g(s) = exp(u(s)) g0, with V the fiber block of the chart coframe.
 
     Every contraction is a batched matmul, and the forms on the chart are
     laid out planes first, ``[..., k, I, a, b]``: phi[k, I] is the N x N
-    matrix of the dy^I component at outer stencil point k, dphi[delta, I]
+    matrix of the dy^I component at fiber stencil point k, dphi[delta, I]
     its fiber derivative d_delta phi_I, and the (I, J) components of
     d omega and Phi are stacked the same way, so S acts on the trailing
     matrix axes.  Only the upper planes I < J are compared: Omega is
@@ -509,35 +514,28 @@ def verify_gauge_covariance(geom, g: GroupElement, vary: bool = True):
     check_finite(geom.point, {"Omega": Omega}, "curvature")
     E = geom.E
     Ac, _, dAc = _coordinate_gauge_data(geom)
-    adj0 = _fiber_adjoint(g)
     stencil = _fd_stencil(r, _FD_STEP)
+    ad_u = _fiber_ad(spec, stencil)
+    V = _dexp_right(ad_u)  # [k], columns V_delta
 
-    # The fiber block of S = diag(1, fiber) at every outer stencil point (phi
-    # is differenced there) and, if it varies, its fiber derivative from the
-    # inner stencil around each; dS has no base block.
-    if vary:
-        s_all = stencil[:, None, :] + stencil[None, :, :]  # [outer, inner]
-        X = expm(_fiber_ad(spec, s_all))
-        fiber_all = (X.reshape(-1, r) @ adj0[..., None, :, :]).reshape(adj0.shape[:-2] + X.shape)
-        fiber = fiber_all[..., 0, :, :]
-        dfiber = np.moveaxis(_fd_gradient(fiber_all, -3, _FD_STEP), -1, -3)  # [k, delta]
-    else:
-        fiber = adj0[..., None, :, :]  # one S for every outer point
+    # the fiber block of S = diag(1, fiber) at every stencil point (phi is
+    # differenced there) and its exact fiber derivative; dS has no base block
+    fiber = expm(ad_u) @ _fiber_adjoint(g)[..., None, :, :]
+    dfiber = _fiber_ad(spec, np.swapaxes(V, -2, -1)) @ fiber[..., :, None, :, :]  # [k, delta]
     fiber_inv = np.linalg.inv(fiber)
     S, Sinv = _identity_padded(fiber, n), _identity_padded(fiber_inv, n)
 
-    # M[C, I]: e^C = M[C, I] dy^I on the (x, s) chart, at each outer point
+    # M[C, I]: e^C = M[C, I] dy^I on the (x, s) chart, at each stencil point
     M = np.zeros(batch + (len(stencil), N, m))
     M[..., :n, :n] = E[..., None, :, :]
     M[..., n:, :n] = Ac[..., None, :, :]
-    M[..., n:, n:] = _dexp_right(_fiber_ad(spec, stencil))
+    M[..., n:, n:] = V
     # phi_I = S^-1 omega_I S with omega_I = M[C, I] W[:, :, C]: S^-1 W[:, :, C]
     # for every C in one matmul, contracted with M, then times S
     SW = Sinv @ W.reshape(batch + (1, N, P))
     om = np.swapaxes(M, -2, -1) @ np.swapaxes(SW.reshape(SW.shape[:-2] + (P, N)), -2, -1)
     phi = (om.reshape(om.shape[:-2] + (m * N, N)) @ S).reshape(om.shape[:-1] + (N, N))
-    if vary:
-        phi[..., n:, n:, n:] += fiber_inv[..., None, :, :] @ dfiber
+    phi[..., n:, n:, n:] += fiber_inv[..., None, :, :] @ dfiber
     phi0 = phi[..., 0, :, :, :]
     dphi = np.moveaxis(_fd_gradient(phi, -4, _FD_STEP), -1, -4)
 

@@ -149,7 +149,7 @@ def _options(problem, args):
     if not isinstance(opts, dict):
         raise _UsageError("'options' must be an object")
     opts = dict(opts)
-    for name in ("tol", "fd_step", "trials", "seed"):
+    for name in ("tol", "fd_step", "seed"):
         val = getattr(args, name, None)
         if val is not None:
             opts[name] = val
@@ -432,11 +432,10 @@ def _gauge_rows(coframe, gauge, spec, rep, points, draws, deriv_mode, fd_step):
 
     geom = basegeo.geometry_at_point(coframe, gauge, spec, points,
                                      deriv_mode=deriv_mode, fd_step=fd_step)
-    g = rep.exp(draws[:, 0])
     return _rows({
         "point": points,
-        "deextra_residual": bundle.verify_deextra(geom, g, s=0.25 * draws[:, 1]),
-        "gauge_covariance_residual": bundle.verify_gauge_covariance(geom, g),
+        "deextra_residual": bundle.verify_deextra(geom, s=0.25 * draws[:, 1]),
+        "gauge_covariance_residual": bundle.verify_gauge_covariance(geom, rep.exp(draws[:, 0])),
     })
 
 

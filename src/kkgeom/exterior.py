@@ -65,9 +65,10 @@ class AlternatingForm:
                 raise StructuralError(f"bad multi-index {idx} for degree {degree}, N={N}")
             if list(idx) != sorted(idx) or len(set(idx)) != degree:
                 raise StructuralError(f"multi-index {idx} is not strictly increasing")
-            value = np.asarray(value, dtype=float)
-            if value.shape != ():
-                raise StructuralError(f"coefficient shape {value.shape} is not scalar")
+            shape = np.shape(value)
+            if shape != ():
+                raise StructuralError(f"coefficient shape {shape} is not scalar")
+            value = float(value)
             if value != 0.0:
                 self.coeffs[idx] = value
 
@@ -86,12 +87,10 @@ class AlternatingForm:
         return sign * value
 
     def is_zero(self, tol=0.0) -> bool:
-        return all(np.all(np.abs(v) <= tol) for v in self.coeffs.values())
+        return all(abs(v) <= tol for v in self.coeffs.values())
 
     def max_abs(self) -> float:
-        if not self.coeffs:
-            return 0.0
-        return max(float(np.abs(v).max()) for v in self.coeffs.values())
+        return max((abs(v) for v in self.coeffs.values()), default=0.0)
 
     def __add__(self, other):
         self._check_compatible(other)
@@ -109,6 +108,7 @@ class AlternatingForm:
     def __mul__(self, scalar):
         if not isinstance(scalar, numbers.Real):
             return NotImplemented
+        scalar = float(scalar)
         return _form(self.N, self.degree, {idx: scalar * v for idx, v in self.coeffs.items()})
 
     __rmul__ = __mul__
@@ -129,7 +129,7 @@ class AlternatingForm:
         lines = []
         for idx in sorted(self.coeffs):
             head = " ".join(str(i + 1) for i in idx)
-            lines.append(f"{head} : {float(self.coeffs[idx])!r}")
+            lines.append(f"{head} : {self.coeffs[idx]!r}")
         return "\n".join(lines)
 
     def __repr__(self):
@@ -198,6 +198,7 @@ def interior(v, alpha: AlternatingForm) -> AlternatingForm:
     v = np.asarray(v, dtype=float)
     if v.shape != (alpha.N,):
         raise StructuralError(f"vector must have length {alpha.N}")
+    v = v.tolist()
     if alpha.degree == 0:
         raise DegreeError("interior product needs degree >= 1")
     out = {}

@@ -211,6 +211,12 @@ def test_form_validation():
         AlternatingForm(3, 4, {})
 
 
+def test_coefficients_are_stored_as_python_floats():
+    form = AlternatingForm(3, 1, {(0,): np.float64(2.0), (1,): np.asarray(-1.5), (2,): 3})
+    assert form.coeffs == {(0,): 2.0, (1,): -1.5, (2,): 3.0}
+    assert all(type(v) is float for v in form.coeffs.values())
+
+
 def test_get_applies_permutation_sign():
     form = AlternatingForm(4, 2, {(1, 3): 2.5})
     assert form.get((3, 1)) == -2.5
@@ -227,11 +233,12 @@ def test_dump_is_one_based():
 
 
 def same(x, y):
-    """Exactly equal forms: same frame, degree, terms and scalar values."""
+    """Exactly equal forms: same frame, degree, terms and values, all of
+    them Python floats."""
     return ((x.N, x.degree) == (y.N, y.degree)
             and x.coeffs.keys() == y.coeffs.keys()
-            and all(np.shape(x.coeffs[k]) == ()
-                    and np.array_equal(x.coeffs[k], y.coeffs[k]) for k in x.coeffs))
+            and all(type(x.coeffs[k]) is float and type(y.coeffs[k]) is float
+                    and x.coeffs[k] == y.coeffs[k] for k in x.coeffs))
 
 
 def revalidated(form):

@@ -27,11 +27,12 @@ REPS = [("u1_as_so2", {"builtin": "abelian", "r": 1}),
 TERMS = ["sin({u})", "cos({u})", "{u}*{v}", "{u}^2", "exp(0.3*{u})"]
 LADDER = {"analytic": 1e-6, "fd": 1e-3}
 TOL_GAUGE = 1e-5
-# The gauge-covariance residual nests two h = 1e-4 fiber differences, so a
-# rounding-level change in the group element moves it by up to ~1e-8 (README
-# "Conventions"); 1e-7 is ten times the largest such move measured, between
-# the scipy and the numpy matrix exponential on the benchmark problems.
-GAUGE_ROUNDING = 1e-7
+# The gauge-covariance residual takes one h = 1e-4 fiber difference, of phi,
+# and sits at a rounding floor of ~3e-12 (README "Conventions"): the largest
+# residual over 40 examples of these problems was 3.0e-12, and block and
+# batch-of-one values agreed bit for bit, so any rounding-level move stays
+# more than 10 times below 1e-10.
+GAUGE_ROUNDING = 1e-10
 SETTINGS = settings(max_examples=12, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
@@ -135,6 +136,6 @@ def test_block_gauge_check_matches_batch_of_one(problem):
         assert row["gauge_covariance_residual"] <= TOL_GAUGE
         geom = geometry_at_point(coframe, gauge, spec, point)
         g = rep.exp(xi)
-        assert abs(row["deextra_residual"] - verify_deextra(geom, g, s=0.25 * s)) <= 1e-12
+        assert abs(row["deextra_residual"] - verify_deextra(geom, s=0.25 * s)) <= 1e-12
         assert (abs(row["gauge_covariance_residual"] - verify_gauge_covariance(geom, g))
                 <= GAUGE_ROUNDING)
