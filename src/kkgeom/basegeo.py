@@ -501,23 +501,30 @@ class BaseCurvature:
     einstein: np.ndarray  # (..., n, n)
 
 
-def riemann_from_geometry(geom: GeometryAtPoint) -> np.ndarray:
-    """Curvature components R[a, c, d, e] of the 2-form d gamma + gamma /\\ gamma."""
-    g, dg, C = geom.gamma, geom.dgamma, geom.C
-    return (
-        np.swapaxes(dg, -2, -1)
-        - dg
-        + np.einsum("...acf,...fde->...acde", g, C)
-        + np.einsum("...afd,...fce->...acde", g, g)
-        - np.einsum("...afe,...fcd->...acde", g, g)
-    )
-
-
 def base_curvature_from_geometry(geom: GeometryAtPoint) -> BaseCurvature:
-    R = riemann_from_geometry(geom)
-    ric = np.einsum("...acde,ce->...ad", R, geom.spec.b_inv())
+    """Ricci, scalar and Einstein tensors of the base, from the curvature
+    2-form d gamma + gamma /\\ gamma with b^-1 contracted into each of its
+    five terms (the two d gamma terms, gamma C and the two gamma gamma
+    terms) as matmuls, so that the Riemann tensor is never formed."""
+    g, dg, C = geom.gamma, geom.dgamma, geom.C
+    n = geom.n
+    lead = g.shape[:-3]
+    b_inv = geom.spec.b_inv()
+    b_flat = b_inv.reshape(n * n)
+    g_flat = g.reshape(lead + (n, n * n))  # gamma[a, (f, e)]
+    M = np.swapaxes(g, -2, -1) @ b_inv  # M[a, f, e] = gamma[a, c, f] b^ce
+    trace_g = g_flat @ b_flat  # gamma[f, c, e] b^ce
+    ric = (
+        b_flat @ dg.reshape(lead + (n, n * n, n))  # dgamma[a, c, e, d] b^ce
+        - np.swapaxes(dg, -3, -2).reshape(lead + (n, n, n * n)) @ b_flat  # dgamma[a, c, d, e] b^ce
+        # M[a, f, e] C[f, d, e]
+        + M.reshape(lead + (n, n * n)) @ np.swapaxes(C, -2, -1).reshape(lead + (n * n, n))
+        + (trace_g[..., None, None, :] @ g)[..., 0, :]  # gamma[a, f, d] gamma[f, c, e] b^ce
+        # gamma[a, f, e] gamma[f, c, d] b^ce = gamma[a, f, e] M[f, d, e]
+        - g_flat @ np.swapaxes(M, -2, -1).reshape(lead + (n * n, n))
+    )
     scalar = np.trace(ric, axis1=-2, axis2=-1)
-    ein = ric - 0.5 * scalar[..., None, None] * np.eye(geom.n)
+    ein = ric - 0.5 * scalar[..., None, None] * np.eye(n)
     return BaseCurvature(ricci=ric, scalar=scalar, einstein=ein)
 
 

@@ -28,7 +28,10 @@ Each subcommand imports the kkgeom modules it runs on when it is dispatched:
 ``validate`` loads ``liealg``, ``identities`` ``exterior``, ``lift``
 ``bundle`` and ``fieldexpr``, ``curvature`` ``basegeo`` and ``kkcurv``, and
 ``gauge-check`` ``basegeo`` and ``bundle`` (with what they import), so a
-cold process compiles and runs only those.
+cold process compiles and runs only those.  numpy is imported the same way,
+by the commands that compute on arrays: ``identities`` runs on the standard
+library alone (its ``--seed`` seeds Python's ``random``), so a cold identity
+check loads no numpy.
 """
 
 from __future__ import annotations
@@ -39,8 +42,6 @@ import json
 import math
 import sys
 import time
-
-import numpy as np
 
 from .errors import (DegenerateCoframeError, DegenerateMetricError,
                      DegreeError, EvalDomainError, ExprSyntaxError,
@@ -250,6 +251,8 @@ _BLOCK = 32
 
 def _curvature_rows(coframe, gauge, spec, points, deriv_mode, fd_step):
     """Report rows for a (count, n) block of points, one pipeline pass."""
+    import numpy as np
+
     from . import basegeo, kkcurv
 
     geom = basegeo.geometry_at_point(coframe, gauge, spec, points,
@@ -278,6 +281,8 @@ def _curvature_rows(coframe, gauge, spec, points, deriv_mode, fd_step):
 
 def _rows(columns):
     """Report rows (dicts of Python values) from per-point column arrays."""
+    import numpy as np
+
     values = [np.asarray(v).tolist() for v in columns.values()]
     return [dict(zip(columns, row)) for row in zip(*values)]
 
@@ -286,7 +291,7 @@ def _worst_violation(rows, limits):
     """(excess, name, limit, row) of the row invariant furthest past its
     tolerance, or None when every row holds; NaN counts as infinitely far.
     ``limits`` holds (column name, tolerance) pairs."""
-    bad = [(np.inf if np.isnan(row[name]) else row[name] / limit, name, limit, row)
+    bad = [(math.inf if math.isnan(row[name]) else row[name] / limit, name, limit, row)
            for row in rows for name, limit in limits if not row[name] <= limit]
     return max(bad, key=lambda v: v[0], default=None)
 
@@ -334,6 +339,8 @@ def cmd_curvature(args):
 
 
 def _float_array(data, where):
+    import numpy as np
+
     try:
         return np.array(data, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -343,6 +350,8 @@ def _float_array(data, where):
 def _expression_velocity(sources):
     """v(t) for a list of expressions in x1: one batched evaluation per
     component over all the times."""
+    import numpy as np
+
     from .fieldexpr import FieldProvider
 
     provs = [FieldProvider(s, n=1) for s in sources]
@@ -398,6 +407,8 @@ def _path_specs(problem, rep):
 
 
 def cmd_lift(args):
+    import numpy as np
+
     from . import bundle
 
     problem = _load_problem(args.input)
@@ -440,6 +451,8 @@ def _gauge_rows(coframe, gauge, spec, rep, points, draws, deriv_mode, fd_step):
 
 
 def cmd_gauge_check(args):
+    import numpy as np
+
     from . import basegeo, bundle
 
     problem = _load_problem(args.input)
@@ -539,7 +552,7 @@ def main(argv=None):
     except KKGeomError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    except (ValueError, np.linalg.LinAlgError) as exc:
+    except ValueError as exc:  # numpy's LinAlgError among them
         print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

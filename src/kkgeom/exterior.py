@@ -10,15 +10,21 @@ produce valid coefficients by construction, so they build their results
 through a private constructor that only drops zero coefficients, and each
 result is built once (``d_substitute`` accumulates all of its Leibniz terms
 into one map).
+
+A coefficient, or an entry of an ``interior`` vector, is a real number: a
+Python int or float, a numpy real scalar or a 0-d array of one.  It is
+stored as a Python float; anything else raises :class:`StructuralError`.
+The module runs on the standard library alone, so a process that only
+checks identities (``kkgeom identities``) never imports numpy.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+import operator
+import random
+from collections import namedtuple
 from itertools import combinations, product
-
-import numpy as np
 
 from .errors import DegreeError, StructuralError
 
@@ -33,6 +39,16 @@ __all__ = [
     "IdentityReport",
     "check_identities",
 ]
+
+
+def _real(value, what):
+    """``value`` as a Python float if it is a real number (a numpy scalar or
+    0-d array is unwrapped first); StructuralError naming ``what`` otherwise."""
+    if not isinstance(value, numbers.Real) and getattr(value, "shape", None) == ():
+        value = value.item()
+    if not isinstance(value, numbers.Real):
+        raise StructuralError(f"{what} must be a real number, got {value!r}")
+    return float(value)
 
 
 def _perm_sign_sorting(seq):
@@ -65,10 +81,7 @@ class AlternatingForm:
                 raise StructuralError(f"bad multi-index {idx} for degree {degree}, N={N}")
             if list(idx) != sorted(idx) or len(set(idx)) != degree:
                 raise StructuralError(f"multi-index {idx} is not strictly increasing")
-            shape = np.shape(value)
-            if shape != ():
-                raise StructuralError(f"coefficient shape {shape} is not scalar")
-            value = float(value)
+            value = _real(value, f"coefficient at {idx}")
             if value != 0.0:
                 self.coeffs[idx] = value
 
@@ -194,11 +207,15 @@ def _wedge_into(out, a_coeffs, b_coeffs):
 
 
 def interior(v, alpha: AlternatingForm) -> AlternatingForm:
-    """Interior product of a frame vector (length-N array) with ``alpha``."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (alpha.N,):
-        raise StructuralError(f"vector must have length {alpha.N}")
-    v = v.tolist()
+    """Interior product of a frame vector (a length-N sequence of real
+    numbers, such as a list or a 1-d array) with ``alpha``."""
+    try:
+        entries = list(v)
+    except TypeError:
+        entries = None  # a scalar, or a 0-d array
+    if entries is None or len(entries) != alpha.N:
+        raise StructuralError(f"vector must have length {alpha.N}, got {v!r}")
+    v = [_real(x, "vector entry") for x in entries]
     if alpha.degree == 0:
         raise DegreeError("interior product needs degree >= 1")
     out = {}
@@ -254,11 +271,11 @@ def d_substitute(alpha: AlternatingForm, dtheta) -> AlternatingForm:
     return _form(N, alpha.degree + 1, out)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    N: int
-    trials: int
-    residuals: dict  # identity name -> max residual
+class IdentityReport(namedtuple("IdentityReport", "N trials residuals")):
+    """The suite's outcome: ``residuals`` maps each identity's name to its
+    largest residual over the checked cases."""
+
+    __slots__ = ()
 
     @property
     def max_residual(self) -> float:
@@ -267,6 +284,8 @@ class IdentityReport:
 
 # largest N whose index-choice identities are checked on every index tuple
 _EXHAUSTIVE_LIMIT = 5
+# the values a coefficient of a random 2-form in the Leibniz checks is drawn from
+_LEIBNIZ_COEFFS = (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0)
 
 
 def check_identities(N, trials=200, seed=0) -> IdentityReport:
@@ -276,13 +295,15 @@ def check_identities(N, trials=200, seed=0) -> IdentityReport:
     ``_EXHAUSTIVE_LIMIT`` and on random draws above it; the two derivative
     identities substitute random integer-coefficient 2-forms for each
     ``d theta^B``.  ``trials``, a positive integer, is the number of random
-    draws per identity.  In exact arithmetic all residuals are zero.
+    draws per identity, and ``seed`` seeds the :class:`random.Random` they
+    come from.  The coefficients are small integers and the signs +-1, so
+    every residual is computed exactly: it is zero whatever the draws.
     """
     if N < 3:
         raise DegreeError("identity suite needs N >= 3")
     if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
         raise StructuralError(f"trials must be a positive integer, got {trials!r}")
-    rng = np.random.default_rng(seed)
+    rng = random.Random(None if seed is None else operator.index(seed))  # numpy ints too
     vol = top_form(N)
     th = [basis_one_form(N, A) for A in range(N)]
     zero = {k: AlternatingForm.zero(N, k) for k in (N - 2, N - 1, N)}
@@ -308,10 +329,12 @@ def check_identities(N, trials=200, seed=0) -> IdentityReport:
         pairs = list(product(range(N), repeat=3))
         triples = list(product(range(N), repeat=4))
     else:
-        # one call per family draws the same stream as one call per trial
-        singles = rng.integers(0, N, (trials, 2)).tolist()
-        pairs = rng.integers(0, N, (trials, 3)).tolist()
-        triples = rng.integers(0, N, (trials, 4)).tolist()
+        def draw(width):
+            """``trials`` index tuples of ``width`` entries, in one draw."""
+            flat = rng.choices(range(N), k=trials * width)
+            return [flat[i:i + width] for i in range(0, len(flat), width)]
+
+        singles, pairs, triples = draw(2), draw(3), draw(4)
 
     for A, Ap in singles:
         lhs = wedge(th[A], eps(Ap))
@@ -346,13 +369,14 @@ def check_identities(N, trials=200, seed=0) -> IdentityReport:
 
     # Leibniz identities, with integer random 2-forms standing in for d theta^B
     planes = list(combinations(range(N), 2))
+    P = len(planes)
     for _ in range(trials):
-        # row B holds the coefficients of beta^B, drawn plane by plane
-        draws = rng.integers(-3, 4, (N, len(planes))).astype(float).tolist()
-        beta = [_form(N, 2, dict(zip(planes, row))) for row in draws]
+        # the coefficients of beta^0, then beta^1, ..., each drawn plane by plane
+        draws = rng.choices(_LEIBNIZ_COEFFS, k=N * P)
+        beta = [_form(N, 2, dict(zip(planes, draws[B * P:(B + 1) * P]))) for B in range(N)]
 
         # each right-hand side sum_B beta^B /\ eps(..., B) is one coefficient map
-        A = int(rng.integers(0, N))
+        A = rng.randrange(N)
         lhs = d_substitute(eps(A), beta)
         rhs = {}
         for B in range(N):
@@ -360,7 +384,7 @@ def check_identities(N, trials=200, seed=0) -> IdentityReport:
         res["d theta^(N-1) Leibniz"] = max(res["d theta^(N-1) Leibniz"],
                                            (lhs - _form(N, N, rhs)).max_abs())
 
-        A, B = rng.integers(0, N, 2).tolist()
+        A, B = rng.choices(range(N), k=2)
         lhs = d_substitute(eps(A, B), beta)
         rhs = {}
         for C in range(N):

@@ -196,6 +196,46 @@ def test_product_flat_times_sphere():
     assert np.allclose(np.diag(curv.ricci), [0, 0, 1, 1], atol=1e-10)
 
 
+def riemann_oracle(geom):
+    """Base curvature components R[a, c, d, e] of the 2-form
+    d gamma + gamma /\\ gamma, term by term as in the definition."""
+    g, dg, C = geom.gamma, geom.dgamma, geom.C
+    return (
+        np.swapaxes(dg, -2, -1)
+        - dg
+        + np.einsum("...acf,...fde->...acde", g, C)
+        + np.einsum("...afd,...fce->...acde", g, g)
+        - np.einsum("...afe,...fcd->...acde", g, g)
+    )
+
+
+# a non-diagonal base metric on each chart dimension, positive definite
+NON_DIAGONAL_B = {2: [[1.5, 0.3], [0.3, 0.8]],
+                  3: [[1.2, 0.2, -0.1], [0.2, 0.9, 0.3], [-0.1, 0.3, 1.4]],
+                  4: [[1.3, 0.2, 0.0, -0.2], [0.2, 1.0, 0.1, 0.0],
+                      [0.0, 0.1, 0.7, 0.25], [-0.2, 0.0, 0.25, 1.1]]}
+
+
+@pytest.mark.parametrize("deriv_mode", ["analytic", "fd"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_base_curvature_matches_the_riemann_oracle(n, deriv_mode):
+    # b^-1 is contracted into each term without forming R; the oracle forms
+    # R and then contracts it, over a batch of points with a non-diagonal b
+    rng = np.random.default_rng(10 + n)
+    cof = random_coframe(rng, n)
+    spec = abelian_algebra(n, 0, b=np.array(NON_DIAGONAL_B[n]))
+    points = rng.uniform(-0.4, 0.4, size=(3, n))
+    geom = geometry_at_point(cof, GaugeField.zero(cof.chart, 0), spec, points,
+                             deriv_mode=deriv_mode)
+    curv = base_curvature_from_geometry(geom)
+    ric = np.einsum("...acde,ce->...ad", riemann_oracle(geom), spec.b_inv())
+    scalar = np.trace(ric, axis1=-2, axis2=-1)
+    assert curv.ricci.shape == (3, n, n)
+    assert np.abs(curv.ricci - ric).max() <= 1e-14
+    assert np.abs(curv.scalar - scalar).max() <= 1e-14
+    assert np.abs(curv.einstein - (ric - 0.5 * scalar[:, None, None] * np.eye(n))).max() <= 1e-14
+
+
 def test_analytic_and_fd_modes_agree():
     rng = np.random.default_rng(3)
     cof = random_coframe(rng, 3)

@@ -843,9 +843,11 @@ def test_report_embeds_config_digest(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# runtime dependencies: numpy only, scipy is a test oracle
+# runtime dependencies: numpy only, scipy is a test oracle, and the identity
+# suite runs on the standard library alone
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+WITHOUT = ROOT / "tests" / "without.py"  # runs a script with one package blocked
 
 
 def run_python(args):
@@ -931,7 +933,7 @@ def test_cli_import_loads_no_scipy():
 @pytest.mark.parametrize("command", ["curvature", "gauge-check", "lift"])
 def test_commands_run_without_scipy(tmp_path, command):
     path = write_problem(tmp_path, SU2_PROBLEM)
-    proc = run_python([str(ROOT / "tests" / "no_scipy.py"), "-m", "kkgeom.cli", command,
+    proc = run_python([str(WITHOUT), "scipy", "-m", "kkgeom.cli", command,
                        "--input", path, "--out", str(tmp_path / "report.json")])
     assert proc.returncode == EXIT_OK, proc.stderr
 
@@ -939,6 +941,40 @@ def test_commands_run_without_scipy(tmp_path, command):
 def test_scipy_blocker_blocks_scipy(tmp_path):
     script = tmp_path / "uses_scipy.py"
     script.write_text("import scipy.linalg\n")
-    proc = run_python([str(ROOT / "tests" / "no_scipy.py"), str(script)])
+    proc = run_python([str(WITHOUT), "scipy", str(script)])
     assert proc.returncode != 0
     assert "scipy is blocked" in proc.stderr
+
+
+@pytest.mark.parametrize("code", [
+    "import kkgeom.cli",
+    "from kkgeom import check_identities",
+    "import os, kkgeom.cli\n"
+    "assert kkgeom.cli.main(['identities', '--n', '6', '--out', os.devnull]) == 0",
+])
+def test_identity_path_loads_no_numpy_or_dataclasses(code):
+    proc = run_python(["-c", code + "\nimport sys\nprint(sorted(m for m in sys.modules "
+                             "if m.partition('.')[0] in ('numpy', 'dataclasses')))"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_identities_run_without_numpy(tmp_path):
+    reports = {}
+    for blocked in ("numpy", None):
+        out = tmp_path / f"without_{blocked}.json"
+        args = ["-m", "kkgeom.cli", "identities", "--n", "6", "--out", str(out)]
+        proc = run_python([str(WITHOUT), blocked, *args] if blocked else args)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        reports[blocked] = json.loads(out.read_text())
+        reports[blocked].pop("wall_time_s")
+    assert reports["numpy"] == reports[None]
+    assert reports[None]["passed"] and reports[None]["config"]["n"] == 6
+
+
+def test_numpy_blocker_blocks_numpy(tmp_path):
+    script = tmp_path / "uses_numpy.py"
+    script.write_text("import numpy\n")
+    proc = run_python([str(WITHOUT), "numpy", str(script)])
+    assert proc.returncode != 0
+    assert "numpy is blocked: numpy" in proc.stderr

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-NO_SCIPY = ROOT / "tests" / "no_scipy.py"
+WITHOUT = ROOT / "tests" / "without.py"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
@@ -18,8 +18,8 @@ def run_without_scipy(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, str(NO_SCIPY), *map(str, args)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, str(WITHOUT), "scipy", *map(str, args)], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=300)
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])

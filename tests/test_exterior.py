@@ -174,6 +174,23 @@ def test_identity_suite_random_large_n():
     assert report.max_residual == 0.0
 
 
+def test_identity_suite_takes_integer_seeds(monkeypatch):
+    # a numpy integer seeds the same stream as the Python int: the same
+    # forms are differentiated with the same random 2-forms
+    original = exterior.d_substitute
+    runs = []
+
+    def recording(alpha, dtheta):
+        runs[-1].append((alpha.coeffs, [beta.coeffs for beta in dtheta]))
+        return original(alpha, dtheta)
+
+    monkeypatch.setattr(exterior, "d_substitute", recording)
+    for seed in (3, np.int64(3), np.uint8(3)):
+        runs.append([])
+        assert check_identities(6, trials=5, seed=seed).max_residual == 0.0
+    assert runs[0] and runs[1] == runs[0] and runs[2] == runs[0]
+
+
 def test_identity_suite_rejects_small_n():
     with pytest.raises(DegreeError):
         check_identities(2)
@@ -215,6 +232,56 @@ def test_coefficients_are_stored_as_python_floats():
     form = AlternatingForm(3, 1, {(0,): np.float64(2.0), (1,): np.asarray(-1.5), (2,): 3})
     assert form.coeffs == {(0,): 2.0, (1,): -1.5, (2,): 3.0}
     assert all(type(v) is float for v in form.coeffs.values())
+
+
+# the input contract: a coefficient or a vector entry is a real number (a
+# Python or numpy scalar, or a 0-d array); a vector is a flat length-N sequence
+
+REAL_SCALARS = [3, -1.5, np.float64(2.0), np.float32(0.5), np.int64(-2), np.asarray(-1.5),
+                np.array(4, dtype=np.int32)]
+
+
+@pytest.mark.parametrize("value", REAL_SCALARS, ids=repr)
+def test_real_scalars_are_coefficients(value):
+    form = AlternatingForm(3, 1, {(1,): value})
+    assert form.coeffs == {(1,): float(value)}
+    assert type(form.coeffs[(1,)]) is float
+
+
+@pytest.mark.parametrize("value", [np.array([1.0]), [1.0], [1.0, 2.0], np.ones((1, 1))],
+                         ids=repr)
+def test_non_scalar_coefficients_are_rejected(value):
+    with pytest.raises(StructuralError):
+        AlternatingForm(3, 1, {(1,): value})
+
+
+@pytest.mark.parametrize("v", [[0, 2, 0], (0.0, 2.0, 0.0), np.array([0.0, 2.0, 0.0]),
+                               [np.float64(0), np.int64(2), np.asarray(0.0)]], ids=repr)
+def test_real_vectors_are_interior_arguments(v):
+    got = interior(v, basis_one_form(3, 1))
+    assert got.coeffs == {(): 2.0} and type(got.coeffs[()]) is float
+
+
+@pytest.mark.parametrize("v", [[1.0, 0.0], [1, 0, 0, 0], np.zeros(2), [[1, 0, 0]],
+                               [[1], [0], [0]], np.eye(3), np.zeros((1, 3)), 1.0,
+                               np.asarray(1.0)], ids=repr)
+def test_vectors_of_the_wrong_length_or_nesting_are_rejected(v):
+    with pytest.raises(StructuralError):
+        interior(v, basis_one_form(3, 1))
+
+
+@pytest.mark.parametrize("value", [None, 1 + 2j, "x", "1.5", np.complex128(1 + 2j),
+                                   np.asarray("1.5")], ids=repr)
+def test_non_numeric_coefficients_are_rejected(value):
+    with pytest.raises(StructuralError, match="real number"):
+        AlternatingForm(3, 1, {(1,): value})
+
+
+@pytest.mark.parametrize("v", [[0, None, 0], [0, 1j, 0], "abc", [0, "1", 0],
+                               [[1, 0], 0, 0]], ids=repr)
+def test_non_numeric_vector_entries_are_rejected(v):
+    with pytest.raises(StructuralError):
+        interior(v, basis_one_form(3, 1))
 
 
 def test_get_applies_permutation_sign():
