@@ -32,8 +32,8 @@ _EXPORTS = {
     "basegeo": ("BaseCurvature", "ChartSpec", "CoframeField", "GaugeField",
                 "GeometryAtPoint", "base_curvature_from_geometry", "geometry_at_point",
                 "load_fields"),
-    "bundle": ("GroupElement", "MatrixRep", "PathSpec", "adjoint_of", "builtin_rep",
-               "lift_path", "verify_deextra", "verify_gauge_covariance"),
+    "bundle": ("GroupElement", "MatrixRep", "PathSpec", "adjoint_of", "algebra_rep",
+               "builtin_rep", "lift_path", "verify_deextra", "verify_gauge_covariance"),
     "errors": ("DegenerateCoframeError", "DegenerateMetricError", "DegreeError",
                "EvalDomainError", "ExprSyntaxError", "KKGeomError", "NonFiniteGeometryError",
                "StructuralError", "UnknownIdentifierError"),

@@ -1,8 +1,9 @@
 r"""Matrix realization of the fiber group: adjoint gauge maps and path lifting.
 
 The fiber Lie algebra acts through a faithful matrix representation.  This
-module builds the built-in compact representations, computes the adjoint
-gauge map of a group element, lifts fiber-direction path specifications
+module derives an orthogonal one from the structure constants and the
+metric k of a compact fiber algebra, computes the adjoint gauge map of a
+group element, lifts fiber-direction path specifications
 ``g' = g * v(t)`` with a classical 4th-order integrator plus manifold
 projection, and numerically verifies two structural identities of the
 coframe construction: the exterior-derivative identity
@@ -48,12 +49,13 @@ import numpy as np
 from .basegeo import _fd_gradient, _fd_stencil, _frame_2form, _quadratic, check_finite
 from .errors import StructuralError
 from .kkcurv import assemble_omega, riemann_direct
-from .liealg import EPSILON3, LieAlgebraSpec, builtin_algebra
+from .liealg import LieAlgebraSpec, builtin_algebra
 
 __all__ = [
     "MatrixRep",
     "GroupElement",
     "PathSpec",
+    "algebra_rep",
     "builtin_rep",
     "adjoint_of",
     "expm",
@@ -119,7 +121,6 @@ class MatrixRep:
 
     spec: LieAlgebraSpec
     T: np.ndarray  # (r, d, d)
-    name: str = "custom"
 
     def __post_init__(self):
         T = np.asarray(self.T, dtype=float)
@@ -168,8 +169,8 @@ class GroupElement:
     """A group element realized as a matrix of its representation, or a
     batch of them (leading axes in front of the d x d matrix).
 
-    The built-in reps are compact, so "on the group manifold" is checked as
-    orthogonality of the matrix, within ``_MANIFOLD_TOL``.
+    The reps of compact algebras are orthogonal, so "on the group manifold"
+    is checked as orthogonality of the matrix, within ``_MANIFOLD_TOL``.
     """
 
     rep: MatrixRep
@@ -245,27 +246,37 @@ class PathSpec:
         return PathSpec(rep, v, g0)
 
 
-def builtin_rep(name: str) -> MatrixRep:
-    """Built-in compact representations paired with the built-in algebras.
+def algebra_rep(spec: LieAlgebraSpec) -> MatrixRep:
+    """The orthogonal rep of a compact fiber algebra: an so(2) block per
+    central direction, then k^{1/2} ad k^{-1/2} on [g, g] (the range of
+    sum_beta T_beta T_beta^T).  Raises StructuralError unless r > 0 and k
+    is positive definite and Ad-invariant."""
+    w, v = np.linalg.eigh(spec.k)
+    if not (spec.r and w.min() > 0 and np.abs(spec.k - spec.k.T).max() <= 1e-10):
+        raise StructuralError(f"no orthogonal rep: r = {spec.r}, or k is not positive definite")
+    root = (v * np.sqrt(w)) @ v.T
+    ad = root @ _fiber_ad(spec, np.eye(spec.r)) @ ((v / np.sqrt(w)) @ v.T)  # [beta]
+    res = np.abs(ad + np.swapaxes(ad, -2, -1)).max()
+    if not res <= 1e-10:
+        raise StructuralError(f"no orthogonal rep: k is not Ad-invariant (residual {res:.3e})")
+    w, v = np.linalg.eigh((ad @ np.swapaxes(ad, -2, -1)).sum(axis=0))
+    derived = w > 1e-10 * w.max()
+    centre = root @ v[:, ~derived]  # [beta, j]: component of generator beta along j
+    j, m = np.arange(centre.shape[1]), 2 * centre.shape[1]
+    T = np.zeros((spec.r, m + derived.sum(), m + derived.sum()))
+    T[:, 2 * j + 1, 2 * j], T[:, 2 * j, 2 * j + 1] = centre, -centre
+    # -B^T = B; for su(2) at k = I this is -eps bit for bit, signed zeros included
+    T[:, m:, m:] = -np.swapaxes(v[:, derived].T @ ad @ v[:, derived], -2, -1)
+    return MatrixRep(spec, T)
 
-    ``su2_as_so3``: the three rotation generators (T_alpha)_ij = -eps_{alpha i j}.
-    ``u1_as_so2``: the single 2x2 rotation generator.
-    ``product``: block-diagonal combination for the u(1) + su(2) fiber.
-    The base dimension of the attached algebra spec is fixed at 2; reps only
-    ever see the fiber block, so any chart size works with them.
-    """
-    so3 = -EPSILON3  # (T_alpha)_ij = -eps_{alpha i j}
-    so2 = np.array([[[0.0, -1.0], [1.0, 0.0]]])
-    if name == "su2_as_so3":
-        return MatrixRep(builtin_algebra("su2", 2), so3, name=name)
-    if name == "u1_as_so2":
-        return MatrixRep(builtin_algebra("abelian", 2, r=1), so2, name=name)
-    if name == "product":
-        T = np.zeros((4, 5, 5))
-        T[:1, :2, :2] = so2
-        T[1:, 2:, 2:] = so3
-        return MatrixRep(builtin_algebra("u1_su2", 2), T, name=name)
-    raise StructuralError(f"unknown builtin rep {name!r}")
+
+def builtin_rep(name: str) -> MatrixRep:
+    """:func:`algebra_rep` of the built-in algebra (at n = 2) that ``name``
+    stands for: ``su2_as_so3``, ``u1_as_so2`` or ``product``."""
+    aliases = {"su2_as_so3": ("su2", 2), "u1_as_so2": ("abelian", 2, 1), "product": ("u1_su2", 2)}
+    if not isinstance(name, str) or name not in aliases:
+        raise StructuralError(f"unknown builtin rep {name!r}; choose from {sorted(aliases)}")
+    return algebra_rep(builtin_algebra(*aliases[name]))
 
 
 def _identity_padded(fiber: np.ndarray, n: int) -> np.ndarray:
@@ -315,9 +326,8 @@ def _stage_times(steps):
     return 0.5 * (1.0 / steps) * np.arange(2 * steps + 1)
 
 
-# Steps per pass of lift_path: the step operators, their polar factors and
-# the temporaries of one pass take a few MB for the built-in reps (d <= 5),
-# however many steps the path has.
+# Steps per pass of lift_path: a pass holds a few (2048, d, d) arrays, however
+# many steps the path has.
 _LIFT_CHUNK = 2048
 
 

@@ -9,20 +9,21 @@ Subcommands::
     kkgeom gauge-check --input problem.json            gauge covariance checks
 
 All commands read a problem JSON (``{"algebra": …, "fields": …, "rep": …,
-"paths": …, "options": …}``), write a JSON or CSV report to --out (default
-stdout), and exit with 0 on success, 2 on an invariant violation, 64 on a
-usage or input error (including malformed algebras, fields and points, and
-field expressions that leave their real domain), and 70 on an internal
-numeric failure.  A curvature sweep or a gauge check runs in one process:
-its points are sorted and evaluated in fixed-size blocks, each block one
-vectorised pass through the pipeline, so a report depends only on the
-problem file.  ``gauge-check`` draws its random group element and fiber
-point for each sorted point from the ``seed`` option, in point order.
-Both commands exit 2 with one stderr line naming the worst point and
-residual when a residual exceeds its rung of the tolerance ladder or is NaN,
-and 70 with one line naming the first point where the frame geometry or the
-curvature overflows.  JSON reports are compact: one line, keys sorted, no
-indentation.
+"paths": …, "options": …}``; ``lift`` and ``gauge-check`` derive the fiber
+rep from the algebra unless ``rep`` names a built-in one), write a JSON or
+CSV report to --out (default stdout), and exit with 0 on success, 2 on an
+invariant violation, 64 on a usage or input error (including malformed
+algebras, fields and points, and field expressions that leave their real
+domain), and 70 on an internal numeric failure.  A curvature sweep or a
+gauge check runs in one process: its points are sorted and evaluated in
+fixed-size blocks, each block one vectorised pass through the pipeline, so a
+report depends only on the problem file.  ``gauge-check`` draws its random
+group element and fiber point for each sorted point from the ``seed``
+option, in point order.  Both commands exit 2 with one stderr line naming
+the worst point and residual when a residual exceeds its rung of the
+tolerance ladder or is NaN, and 70 with one line naming the first point
+where the frame geometry or the curvature overflows.  JSON reports are
+compact: one line, keys sorted, no indentation.
 
 Each subcommand imports the kkgeom modules it runs on when it is dispatched:
 ``validate`` loads ``liealg``, ``identities`` ``exterior``, ``lift``
@@ -406,6 +407,22 @@ def _path_specs(problem, rep):
     return out
 
 
+def _rep_from(problem, spec):
+    """The built-in rep the problem names, closed on ``spec``, or algebra_rep(spec)."""
+    from . import bundle
+
+    name = problem.get("rep")
+    if name is None:
+        if spec is None:
+            raise _UsageError("problem JSON needs an 'algebra' or a 'rep' entry")
+        return bundle.algebra_rep(spec)
+    rep = bundle.builtin_rep(name)
+    try:  # the generators must close on this problem's fiber constants
+        return rep if spec is None else bundle.MatrixRep(spec, rep.T)
+    except StructuralError as exc:
+        raise _UsageError(f"rep {name!r} does not represent the algebra: {exc}") from exc
+
+
 def cmd_lift(args):
     import numpy as np
 
@@ -413,10 +430,7 @@ def cmd_lift(args):
 
     problem = _load_problem(args.input)
     opts = _options(problem, args)
-    rep_name = problem.get("rep")
-    if rep_name is None:
-        raise _UsageError("problem JSON has no 'rep' entry")
-    rep = bundle.builtin_rep(rep_name)
+    rep = _rep_from(problem, _algebra_from(problem) if "algebra" in problem else None)
     results = []
     for path, steps in _path_specs(problem, rep):
         coarse, fine = bundle.lift_and_halve(path, steps)
@@ -427,7 +441,9 @@ def cmd_lift(args):
             "drift": coarse[-1].manifold_residual(),
             "step_halving_error": err,
         })
-    config = {"rep": rep_name, "paths": problem.get("paths"), "options": opts}
+    config = {"rep": problem.get("rep"), "paths": problem.get("paths"), "options": opts}
+    if config["rep"] is None:  # the rep is derived from the algebra
+        config["algebra"] = problem["algebra"]
     _emit(_report("lift", config, {"paths": results}), args)
     return EXIT_OK
 
@@ -453,19 +469,12 @@ def _gauge_rows(coframe, gauge, spec, rep, points, draws, deriv_mode, fd_step):
 def cmd_gauge_check(args):
     import numpy as np
 
-    from . import basegeo, bundle
+    from . import basegeo
 
     problem = _load_problem(args.input)
     opts = _options(problem, args)
     spec = _algebra_from(problem)
-    rep_name = problem.get("rep")
-    if rep_name is None:
-        raise _UsageError("problem JSON has no 'rep' entry")
-    generators = bundle.builtin_rep(rep_name).T
-    try:  # the generators must close on this problem's fiber constants
-        rep = bundle.MatrixRep(spec, generators, rep_name)
-    except StructuralError as exc:
-        raise _UsageError(f"rep {rep_name!r} does not represent the algebra: {exc}") from exc
+    rep = _rep_from(problem, spec)
     fields = problem.get("fields", {})
     _, coframe, gauge, points = basegeo.load_fields(fields, spec)
     deriv_mode = fields.get("deriv_mode", "analytic")
@@ -481,7 +490,7 @@ def cmd_gauge_check(args):
     limits = (("deextra_residual", tol), ("gauge_covariance_residual", tol))
     worst = _worst_violation(rows, limits)
     config = {"algebra": problem.get("algebra"), "fields": problem.get("fields"),
-              "rep": rep_name, "options": opts}
+              "rep": problem.get("rep"), "options": opts}
     residuals = np.array([[row[name] for name, _ in limits] for row in rows])
     body = {"passed": worst is None, "tolerance": tol,
             "max_residual": float(residuals.max(initial=0.0)),  # NaN propagates

@@ -420,7 +420,7 @@ def _pretty(node, parent_prec):
     if isinstance(node, Call):
         return f"{node.func}({_pretty(node.arg, 0)})"
     if isinstance(node, Neg):
-        inner = _pretty(node.arg, _PREC["neg"])
+        inner = _pretty(node.arg, _PREC["^"] + 1)  # '-' binds tighter than '^'
         text = f"-{inner}"
         return f"({text})" if parent_prec > _PREC["neg"] else text
     if isinstance(node, BinOp):

@@ -25,7 +25,6 @@ __all__ = [
     "bracket",
     "killing_form",
     "cosmological_constant",
-    "adjoint_matrix",
     "builtin_algebra",
     "abelian_algebra",
     "su2_algebra",
@@ -240,14 +239,6 @@ def cosmological_constant(spec: LieAlgebraSpec) -> float:
     """``LAMBDA_PREFACTOR`` times the pairing of the Killing form with ``k``-inverse."""
     K = killing_form(spec)
     return LAMBDA_PREFACTOR * float(np.einsum("ge,ge->", K, spec.k_inv()))
-
-
-def adjoint_matrix(spec: LieAlgebraSpec, xi) -> np.ndarray:
-    """Matrix of ``ad_xi``: ``out[A, C] = c[A, B, C] xi[B]``."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (spec.N,):
-        raise StructuralError(f"vector must have length {spec.N}")
-    return np.einsum("abc,b->ac", spec.c, xi)
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,13 @@ from scipy.linalg import expm
 from kkgeom import bundle
 from kkgeom.basegeo import (ChartSpec, CoframeField, GaugeField, _fd_gradient, _fd_stencil,
                             geometry_at_point)
-from kkgeom.bundle import (GroupElement, MatrixRep, PathSpec, adjoint_of,
+from kkgeom.bundle import (GroupElement, MatrixRep, PathSpec, adjoint_of, algebra_rep,
                            builtin_rep, lift_path, verify_deextra,
                            verify_gauge_covariance)
 from kkgeom.errors import StructuralError
 from kkgeom.kkcurv import assemble_omega, riemann_direct
-from kkgeom.liealg import su2_algebra, u1_su2_algebra
+from kkgeom.liealg import (EPSILON3, LieAlgebraSpec, abelian_algebra, su2_algebra,
+                           u1_su2_algebra)
 from test_kkcurv import oracle_geometry
 
 
@@ -37,6 +38,73 @@ def test_builtin_reps_close_on_structure_constants():
     for name in ("su2_as_so3", "u1_as_so2", "product"):
         rep = builtin_rep(name)
         assert rep.closure_residual() < 1e-12
+
+
+# the generator tables of the three named reps, written out: (T_a)_ij =
+# -eps_aij on su(2), the 2x2 rotation on u(1), and their 5x5 block sum
+SO3_TABLE = np.array([[[0, 0, 0], [0, 0, -1], [0, 1, 0]],
+                      [[0, 0, 1], [0, 0, 0], [-1, 0, 0]],
+                      [[0, -1, 0], [1, 0, 0], [0, 0, 0]]], dtype=float)
+SO2_TABLE = np.array([[[0, -1], [1, 0]]], dtype=float)
+PRODUCT_TABLE = np.zeros((4, 5, 5))
+PRODUCT_TABLE[0, :2, :2] = SO2_TABLE[0]
+PRODUCT_TABLE[1:, 2:, 2:] = SO3_TABLE
+
+
+@pytest.mark.parametrize("name,table", [("su2_as_so3", SO3_TABLE), ("u1_as_so2", SO2_TABLE),
+                                        ("product", PRODUCT_TABLE)])
+def test_builtin_reps_are_the_rotation_tables(name, table):
+    # bit for bit: the algebra-derived rep at k = I is the hand-written table
+    assert np.array_equal(builtin_rep(name).T, table)
+
+
+def test_algebra_rep_puts_an_so2_block_on_each_central_direction():
+    # abelian r = 2 with a non-diagonal k: the centre is all of the fiber,
+    # and each generator turns the two so(2) blocks by its k^{1/2} components
+    k = np.array([[2.0, 0.5], [0.5, 1.0]])
+    rep = algebra_rep(abelian_algebra(2, 2, k=k))
+    assert rep.T.shape == (2, 4, 4)
+    assert np.abs(rep.T + np.swapaxes(rep.T, 1, 2)).max() == 0.0
+    # the so(2) rotation speeds of sum xi^a T_a have squares summing to k(xi, xi)
+    xi = np.array([0.3, -1.2])
+    X = rep.algebra_element(xi)
+    assert abs(np.sum(X[1::2, ::2] ** 2) - xi @ k @ xi) < 1e-14
+    assert np.abs(rep.exp(xi).matrix - expm(X)).max() < 1e-14
+
+
+def test_algebra_rep_of_a_scaled_sum():
+    # su(2) + u(1) + su(2): constants 1 and 0.7, k = 1.5, 3 and 0.4 on the
+    # blocks; the centre sits in the middle of the basis
+    c = np.zeros((9, 9, 9))
+    c[2:5, 2:5, 2:5] = EPSILON3
+    c[6:, 6:, 6:] = 0.7 * c[2:5, 2:5, 2:5]
+    spec = LieAlgebraSpec(2, 7, c, np.eye(2), np.diag([1.5] * 3 + [3.0] + [0.4] * 3))
+    rep = algebra_rep(spec)
+    assert rep.T.shape == (7, 8, 8)  # one so(2) block and the 6-dim adjoint
+    assert rep.closure_residual() < 1e-14
+    assert np.abs(rep.T + np.swapaxes(rep.T, 1, 2)).max() < 1e-15
+    assert np.abs(rep.T[3, :2, :2] - np.sqrt(3.0) * SO2_TABLE[0]).max() < 1e-15
+    assert np.abs(np.delete(rep.T, 3, axis=0)[:, :2, :2]).max() < 1e-15
+
+
+@pytest.mark.parametrize("spec,message", [
+    (su2_algebra(2, k=np.diag([1.0, 2.0, 3.0])), "not Ad-invariant"),
+    (su2_algebra(2, k=-np.eye(3)), "not positive definite"),
+    (su2_algebra(2, k=np.diag([1.0, 0.0, 1.0])), "not positive definite"),
+    (abelian_algebra(2, 2, k=[[1.0, 0.5], [0.0, 1.0]]), "not positive definite"),
+    (abelian_algebra(2, 0), "r = 0"),
+], ids=["su2-diag123", "negative-k", "singular-k", "asymmetric-k", "no-fiber"])
+def test_algebra_rep_needs_a_positive_ad_invariant_metric(spec, message):
+    with pytest.raises(StructuralError, match=message):
+        algebra_rep(spec)
+
+
+def test_algebra_rep_rejects_a_non_compact_algebra():
+    # [e1, e2] = e2 has no positive definite Ad-invariant metric
+    c = np.zeros((4, 4, 4))
+    c[3, 2, 3], c[3, 3, 2] = 1.0, -1.0
+    with pytest.raises(StructuralError, match="not Ad-invariant"):
+        algebra_rep(LieAlgebraSpec(2, 2, c, np.eye(2), np.eye(2)))
 
 
 def test_su2_rep_bracket_example():

@@ -16,7 +16,8 @@ import kkgeom
 from kkgeom import basegeo, bundle, kkcurv
 from kkgeom.bundle import builtin_rep
 from kkgeom.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
-from kkgeom.liealg import su2_algebra
+from kkgeom.liealg import EPSILON3, load_spec, su2_algebra
+from test_properties import inline_algebra, su3_constants
 
 
 SU2_PROBLEM = {
@@ -631,6 +632,105 @@ def test_gauge_check_accepts_rep_of_an_equal_inline_algebra(tmp_path, capsys):
     code, out = run(capsys, ["gauge-check", "--input", write_problem(tmp_path, problem)])
     assert code == EXIT_OK
     assert json.loads(out.out)["passed"] is True
+
+
+SU2_K123 = dict(scaled_su2_algebra(1.0), h_k=np.diag([1.0, 2.0, 3.0]).tolist())
+
+
+def su2_sum_algebra(n):
+    """su(2) + su(2) with constants scaled 1 and 0.7, k = diag(1.5 I, 0.4 I)."""
+    c = np.zeros((6, 6, 6))
+    c[:3, :3, :3], c[3:, 3:, 3:] = EPSILON3, 0.7 * EPSILON3
+    return inline_algebra(c, n, np.diag([1.5] * 3 + [0.4] * 3))
+
+
+def noncompact_algebra(n):
+    """[e1, e2] = e2: no positive definite k is Ad-invariant."""
+    c = np.zeros((2, 2, 2))
+    c[1, 0, 1], c[1, 1, 0] = 1.0, -1.0
+    return inline_algebra(c, n)
+
+
+def problem_without_rep(algebra):
+    """A problem on ``algebra`` with no 'rep': fields, two points and two paths."""
+    n, r = algebra["n"], load_spec(algebra).r
+    problem = su2_problem(n)
+    del problem["rep"]
+    problem["algebra"] = algebra
+    problem["fields"]["gauge"] = [[f"0.{(al + mu) % 9 + 1}*x{(al + mu) % n + 1}"
+                                   for mu in range(n)] for al in range(r)]
+    problem["paths"] = [{"v": [f"sin({a + 1}*x1)" for a in range(r)], "steps": 50},
+                        {"v": [[0.0] + [0.3] * r, [1.0] + [-0.2] * r], "steps": 50}]
+    return problem
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("algebra", [
+    lambda n: {"builtin": "abelian", "n": n, "r": 2},
+    su2_sum_algebra,
+    lambda n: inline_algebra(su3_constants(), n),
+    lambda n: {"builtin": "u1_su2", "n": n},
+], ids=["abelian-r2", "su2+su2", "su3", "u1+su2"])
+def test_every_command_derives_the_rep_from_the_algebra(tmp_path, capsys, algebra, n):
+    path = write_problem(tmp_path, problem_without_rep(algebra(n)))
+    for command in ("validate", "curvature", "lift", "gauge-check"):
+        code, out = run(capsys, [command, "--input", path])
+        assert code == EXIT_OK, (command, out.err)
+    gauge = json.loads(out.out)
+    assert gauge["config"]["rep"] is None
+    assert gauge["passed"] is True
+    assert gauge["max_residual"] <= 1e-10
+
+
+@pytest.mark.parametrize("command", ["lift", "gauge-check"])
+def test_a_named_rep_and_the_derived_rep_give_one_report(tmp_path, capsys, command):
+    # su2_as_so3 is the rep derived from su(2) at k = I: only the config differs
+    reports = []
+    for problem in (SU2_PROBLEM, {key: v for key, v in SU2_PROBLEM.items() if key != "rep"}):
+        code, out = run(capsys, [command, "--input", write_problem(tmp_path, problem)])
+        assert code == EXIT_OK
+        reports.append(json.loads(out.out))
+    named, derived = reports
+    assert named["config"]["rep"] == "su2_as_so3" and derived["config"]["rep"] is None
+    if command == "lift":  # the config holds the algebra when the rep comes from it
+        assert "algebra" not in named["config"]
+        assert derived["config"]["algebra"] == SU2_PROBLEM["algebra"]
+    for report in reports:
+        for key in ("config", "config_digest", "wall_time_s"):
+            del report[key]
+    assert named == derived
+
+
+@pytest.mark.parametrize("command,problem,message", [
+    ("lift", {"paths": SU2_PROBLEM["paths"]}, "needs an 'algebra' or a 'rep'"),
+    ("lift", dict(SU2_PROBLEM, algebra=scaled_su2_algebra(2.0)),
+     "'su2_as_so3' does not represent the algebra: generators do not close"),
+    ("lift", dict(SU2_PROBLEM, rep="u1_as_so2"), "'u1_as_so2' does not represent the algebra"),
+    ("gauge-check", {k: v for k, v in dict(SU2_PROBLEM, algebra=SU2_K123).items() if k != "rep"},
+     "k is not Ad-invariant"),
+    ("gauge-check", problem_without_rep(noncompact_algebra(2)), "k is not Ad-invariant"),
+    ("gauge-check", problem_without_rep({"builtin": "abelian", "n": 2, "r": 0}), "r = 0"),
+    ("gauge-check", dict(SU2_PROBLEM, rep={"generators": [[[0.0]]]}), "unknown builtin rep"),
+    ("lift", dict(SU2_PROBLEM, rep="so5"), "unknown builtin rep 'so5'"),
+], ids=["lift-neither", "lift-rep-does-not-close", "lift-rep-of-other-r", "k-not-ad-invariant",
+        "non-compact", "no-fiber", "inline-generators", "unknown-name"])
+def test_rep_input_errors_exit_64(tmp_path, capsys, command, problem, message):
+    code, out = run(capsys, [command, "--input", write_problem(tmp_path, problem)])
+    assert code == EXIT_USAGE
+    assert out.out == ""
+    (line,) = out.err.strip().splitlines()
+    assert line.startswith("error:")
+    assert message in line
+
+
+def test_a_named_rep_needs_no_ad_invariant_k(tmp_path, capsys):
+    # the named generators close on su(2) whatever k is, so gauge-check runs
+    problem = dict(SU2_PROBLEM, algebra=SU2_K123)
+    code, out = run(capsys, ["gauge-check", "--input", write_problem(tmp_path, problem)])
+    assert code == EXIT_OK
+    report = json.loads(out.out)
+    assert report["passed"] is True
+    assert report["max_residual"] <= 1e-10
 
 
 @pytest.mark.parametrize("tol", [0, -1e-5, "1e-5"])

@@ -3,9 +3,11 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from kkgeom.errors import EvalDomainError, ExprSyntaxError, UnknownIdentifierError
-from kkgeom.fieldexpr import (BinOp, Call, FieldProvider, Neg, Num, Param,
+from kkgeom.fieldexpr import (FUNCTIONS, BinOp, Call, FieldProvider, Neg, Num, Param,
                               Var, diff, evaluate, parse, pretty)
 
 from grammar_corpus import CASES, INVALID, PARAM_VALUES, VALID
@@ -165,3 +167,50 @@ def test_ast_nodes_are_hashable_and_frozen():
     assert hash(node) == hash(BinOp("+", Var(0), Param("c")))
     with pytest.raises(Exception):
         node.op = "-"
+
+
+# ---------------------------------------------------------------------------
+# generated trees (derandomised hypothesis)
+
+TREE_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None,
+                         suppress_health_check=[HealthCheck.filter_too_much,
+                                                HealthCheck.too_slow])
+PARAMS = {"c": 1.3, "alpha_1": 0.7, "x0": 2.0, "sin": 0.4}
+
+
+def trees(numbers):
+    """Expression trees as the parser builds them: literals from ``numbers``
+    (never negative, as '-' parses to Neg), x1..x3, the parameters of
+    PARAMS, negation, every function and every binary operator."""
+    leaves = st.one_of(numbers.map(Num), st.integers(0, 2).map(Var),
+                       st.sampled_from(sorted(PARAMS)).map(Param))
+
+    def extend(sub):
+        return st.one_of(sub.map(Neg),
+                         st.builds(Call, st.sampled_from(sorted(FUNCTIONS)), sub),
+                         st.builds(BinOp, st.sampled_from("+-*/^"), sub, sub))
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+@TREE_SETTINGS
+@given(trees(st.one_of(st.integers(0, 10**6).map(float),
+                       st.floats(0.0, 1e300, allow_nan=False, allow_infinity=False))))
+def test_pretty_round_trip_on_generated_trees(node):
+    assert parse(pretty(node)) == node
+
+
+@TREE_SETTINGS
+@given(trees(st.sampled_from([0.5, 1.0, 2.0, 3.0, 0.25])),
+       st.lists(st.floats(0.5, 1.5), min_size=3, max_size=3), st.integers(0, 2))
+def test_diff_matches_central_differences_on_generated_trees(node, point, i):
+    # checked where the tree is defined and smooth on the stencil: central
+    # differences at steps h and 2h must agree to the bound themselves
+    point = np.array(point)
+    try:
+        fd = [_fd(node, point, i, PARAMS, h) for h in (1e-4, 2e-4)]
+        got = evaluate(diff(node, i), point, PARAMS)
+    except EvalDomainError:
+        assume(False)
+    assume(np.isfinite(fd).all() and abs(fd[0] - fd[1]) <= 1e-7 * (1.0 + abs(fd[0])))
+    assert abs(got - fd[0]) <= 1e-6 * (1.0 + abs(got))

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from kkgeom.errors import DegenerateMetricError, StructuralError
-from kkgeom.liealg import (LAMBDA_PREFACTOR, LieAlgebraSpec, abelian_algebra,
-                           adjoint_matrix, bracket, builtin_algebra,
-                           cosmological_constant, killing_form, load_spec,
+from kkgeom.liealg import (LAMBDA_PREFACTOR, LieAlgebraSpec, abelian_algebra, bracket,
+                           builtin_algebra, cosmological_constant, killing_form, load_spec,
                            su2_algebra, u1_su2_algebra, validate_spec)
 
 
@@ -132,15 +131,6 @@ def test_bracket_matches_structure_constants():
     # bracket with a central element vanishes
     central = np.array([1.0, -2.0, 0, 0, 0])
     assert np.abs(bracket(spec, central, y)).max() < 1e-14
-
-
-def test_adjoint_matrix_is_h_antisymmetric():
-    spec = su2_algebra(2)
-    rng = np.random.default_rng(2)
-    xi = rng.normal(size=5)
-    ad = adjoint_matrix(spec, xi)
-    m = spec.h @ ad
-    assert np.abs(m + m.T).max() < 1e-12
 
 
 def test_killing_form_su2():

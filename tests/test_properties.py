@@ -1,27 +1,33 @@
 """Property tests: a multi-block sweep agrees, row by row, with the same
-pipeline run on each point alone (a batch of one), for random fields over
-the built-in algebras and chart dimensions 2..5.  ``curvature`` is drawn in
-both derivative modes; ``gauge-check`` over every built-in representation.
+pipeline run on each point alone (a batch of one), for random fields and
+chart dimensions 2..5.  ``curvature`` is drawn over the built-in algebras in
+both derivative modes.  ``gauge-check`` and ``lift`` are drawn over
+generated compact algebras with no ``rep`` entry, so they act through the
+rep that ``algebra_rep`` derives: direct sums of su(2) blocks (scaled
+constants, scaled k) and u(1)s, in a drawn basis order, and su(3).
 """
 
+import itertools
 import json
 import os
 import tempfile
 
 import numpy as np
+import pytest
+import scipy.linalg
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kkgeom import kkcurv, liealg
 from kkgeom.basegeo import geometry_at_point, load_fields
-from kkgeom.bundle import builtin_rep, verify_deextra, verify_gauge_covariance
+from kkgeom.bundle import algebra_rep, verify_deextra, verify_gauge_covariance
 from kkgeom.cli import EXIT_OK, main
 
 ALGEBRAS = [{"builtin": "abelian", "r": 1}, {"builtin": "abelian", "r": 2},
             {"builtin": "su2"}, {"builtin": "u1_su2"}]
-REPS = [("u1_as_so2", {"builtin": "abelian", "r": 1}),
-        ("su2_as_so3", {"builtin": "su2"}),
-        ("product", {"builtin": "u1_su2"})]
+# totally antisymmetric su(3) constants f_abc of the Gell-Mann basis (1-based)
+SU3_F = {(1, 2, 3): 1.0, (1, 4, 7): 0.5, (1, 5, 6): -0.5, (2, 4, 6): 0.5, (2, 5, 7): 0.5,
+         (3, 4, 5): 0.5, (3, 6, 7): -0.5, (4, 5, 8): 3 ** 0.5 / 2, (6, 7, 8): 3 ** 0.5 / 2}
 # |term| <= 1.2 on the sampled box, so with amplitudes <= 0.15 a coframe
 # with unit diagonal stays diagonally dominant (invertible) up to n = 5
 TERMS = ["sin({u})", "cos({u})", "{u}*{v}", "{u}^2", "exp(0.3*{u})"]
@@ -29,9 +35,9 @@ LADDER = {"analytic": 1e-6, "fd": 1e-3}
 TOL_GAUGE = 1e-5
 # The gauge-covariance residual takes one h = 1e-4 fiber difference, of phi,
 # and sits at a rounding floor of ~3e-12 (README "Conventions"): the largest
-# residual over 40 examples of these problems was 3.0e-12, and block and
-# batch-of-one values agreed bit for bit, so any rounding-level move stays
-# more than 10 times below 1e-10.
+# residual over the 16 examples of the generated algebras was 5.6e-12 (3.0e-12
+# over 40 examples of the built-in reps), and block and batch-of-one values
+# agreed bit for bit, so any rounding-level move stays well below 1e-10.
 GAUGE_ROUNDING = 1e-10
 SETTINGS = settings(max_examples=12, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -68,17 +74,67 @@ def sweeps(draw):
     return {"algebra": algebra, "fields": fields}
 
 
+def su3_constants():
+    """The (8, 8, 8) fiber constants c^c_ab = f_abc of su(3)."""
+    c = np.zeros((8, 8, 8))
+    for abc, f in SU3_F.items():
+        for perm in itertools.permutations(range(3)):
+            a, b, cc = (abc[i] - 1 for i in perm)
+            c[cc, a, b] = f * np.linalg.det(np.eye(3)[list(perm)])
+    return c
+
+
+# fiber shapes of the generated algebras: su(3), or direct sums of su(2)
+# blocks (3) and u(1)s (1)
+FIBERS = [[1, 1], [3, 3], "su3", [1, 3], [3], [1], [3, 1, 1], [3, 3, 1]]
+FIBER_IDS = [f if f == "su3" else "+".join("su2" if b == 3 else "u1" for b in f)
+             for f in FIBERS]
+
+
+@st.composite
+def compact_algebras(draw, n, blocks=None):
+    """An inline compact algebra over an n-dimensional chart, with an
+    Ad-invariant k, of the fiber shape ``blocks`` (drawn from FIBERS if
+    None): su(3) with k = I, or a direct sum of su(2) blocks and u(1)s,
+    each su(2) with its constants and k scaled, each u(1) with its k scaled,
+    the fiber basis in a drawn order."""
+    if blocks is None:
+        blocks = draw(st.sampled_from(FIBERS))
+    if blocks == "su3":
+        c, k = su3_constants(), np.eye(8)
+    else:
+        r = sum(blocks)
+        c, k, start = np.zeros((r, r, r)), np.zeros((r, r)), 0
+        for size in blocks:
+            fiber = slice(start, start + size)
+            if size == 3:
+                c[fiber, fiber, fiber] = draw(st.floats(0.3, 2.0)) * liealg.EPSILON3
+            k[fiber, fiber] = draw(st.floats(0.3, 3.0)) * np.eye(size)
+            start += size
+        order = draw(st.permutations(range(r)))
+        c, k = c[np.ix_(order, order, order)], k[np.ix_(order, order)]
+    return inline_algebra(c, n, k)
+
+
+def inline_algebra(c, n, k=None):
+    """The wire format of the algebra with fiber constants ``c`` (r, r, r)
+    over an n-dimensional chart, with fiber metric ``k`` (default I)."""
+    triplets = [[n + int(A), n + int(B), n + int(C), float(c[A, B, C])]
+                for A, B, C in zip(*np.nonzero(c))]
+    return {"n": n, "r": len(c), "c": triplets,
+            **({} if k is None else {"h_k": np.asarray(k).tolist()})}
+
+
 @st.composite
 def gauge_checks(draw):
     n = draw(st.integers(2, 5))
-    rep, algebra = draw(st.sampled_from(REPS))
-    algebra = dict(algebra, n=n)
-    return {"algebra": algebra, "fields": draw_fields(draw, algebra), "rep": rep,
+    algebra = draw(compact_algebras(n))
+    return {"algebra": algebra, "fields": draw_fields(draw, algebra),
             "options": {"seed": draw(st.integers(0, 2**16 - 1))}}
 
 
-def report_rows(command, problem):
-    """The per-point rows of ``kkgeom COMMAND`` on ``problem``, which must pass."""
+def report(command, problem):
+    """The report of ``kkgeom COMMAND`` on ``problem``, which must pass."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "problem.json")
         out = os.path.join(tmp, "report.json")
@@ -86,7 +142,7 @@ def report_rows(command, problem):
             json.dump(problem, f)
         assert main([command, "--input", path, "--out", out]) == EXIT_OK
         with open(out) as f:
-            return json.load(f)["per_point"]
+            return json.load(f)
 
 
 def batch_of_one(coframe, gauge, spec, point, deriv_mode):
@@ -109,7 +165,7 @@ def batch_of_one(coframe, gauge, spec, point, deriv_mode):
 @SETTINGS
 @given(sweeps())
 def test_block_sweep_matches_batch_of_one(problem):
-    rows = report_rows("curvature", problem)
+    rows = report("curvature", problem)["per_point"]
     spec = liealg.load_spec(problem["algebra"])
     _, coframe, gauge, points = load_fields(problem["fields"], spec)
     deriv_mode = problem["fields"]["deriv_mode"]
@@ -120,12 +176,12 @@ def test_block_sweep_matches_batch_of_one(problem):
             assert np.abs(np.array(row[key]) - want).max() <= 1e-12, key
 
 
-@SETTINGS
+@settings(SETTINGS, max_examples=16)
 @given(gauge_checks())
 def test_block_gauge_check_matches_batch_of_one(problem):
-    rows = report_rows("gauge-check", problem)
+    rows = report("gauge-check", problem)["per_point"]
     spec = liealg.load_spec(problem["algebra"])
-    rep = builtin_rep(problem["rep"])
+    rep = algebra_rep(spec)
     _, coframe, gauge, points = load_fields(problem["fields"], spec)
     # per sorted point, in order: r normals for the group element, r for s
     draws = np.random.default_rng(problem["options"]["seed"]).normal(
@@ -139,3 +195,31 @@ def test_block_gauge_check_matches_batch_of_one(problem):
         assert abs(row["deextra_residual"] - verify_deextra(geom, s=0.25 * s)) <= 1e-12
         assert (abs(row["gauge_covariance_residual"] - verify_gauge_covariance(geom, g))
                 <= GAUGE_ROUNDING)
+
+
+@pytest.mark.parametrize("fiber", FIBERS, ids=FIBER_IDS)
+@settings(SETTINGS, max_examples=6)
+@given(data=st.data())
+def test_algebra_rep_is_orthogonal_on_generated_algebras(fiber, data):
+    # k is Ad-invariant, so every generator is antisymmetric and exp is orthogonal
+    spec = liealg.load_spec(data.draw(compact_algebras(data.draw(st.integers(2, 5)), fiber)))
+    rep = algebra_rep(spec)
+    assert np.abs(rep.T + np.swapaxes(rep.T, 1, 2)).max() <= 1e-14
+    assert rep.closure_residual() <= 1e-12
+    xi = np.random.default_rng(spec.r).normal(size=(4, spec.r))
+    assert rep.exp(xi).manifold_residual() <= 1e-13
+
+
+@pytest.mark.parametrize("fiber", FIBERS, ids=FIBER_IDS)
+@settings(SETTINGS, max_examples=3)
+@given(data=st.data())
+def test_constant_velocity_lift_matches_the_exponential(fiber, data):
+    algebra = data.draw(compact_algebras(data.draw(st.integers(2, 5)), fiber))
+    xi = data.draw(st.lists(st.floats(-1.5, 1.5), min_size=algebra["r"],
+                            max_size=algebra["r"]))
+    problem = {"algebra": algebra, "paths": [{"v": [[0.0] + xi, [1.0] + xi], "steps": 200}]}
+    (row,) = report("lift", problem)["paths"]
+    rep = algebra_rep(liealg.load_spec(algebra))
+    want = scipy.linalg.expm(rep.algebra_element(np.array(xi)))
+    assert np.abs(np.array(row["final"]) - want).max() < 1e-8
+    assert row["drift"] < 1e-8
