@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields
+from collections import namedtuple
 
 import numpy as np
 
@@ -59,15 +59,15 @@ __all__ = [
 _DEGENERACY_FACTOR = 1e-12  # threshold of |det(e / max|e|)|, that is of |det e| / max|e|^n
 
 
-@dataclass(frozen=True)
-class ChartSpec:
+class ChartSpec(namedtuple("ChartSpec", "n")):
     """Chart dimension; field expressions name the coordinates x1..xn."""
 
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 2:
+    def __new__(cls, n):
+        if n < 2:
             raise StructuralError("chart dimension must be at least 2")
+        return super().__new__(cls, n)
 
 
 class _ProviderMatrix:
@@ -268,9 +268,16 @@ def _quadratic(c, X, Y):
     return (c.reshape(r, r * r) @ flat).reshape(P.shape[:-4] + (r, m, n))
 
 
-@dataclass(frozen=True)
-class GeometryAtPoint:
+class GeometryAtPoint(namedtuple("GeometryAtPoint",
+                                 "point spec E E_inv C dC gamma dgamma A dA F dF")):
     """All frame-level data needed by the total-space curvature formulas.
+
+    The fields: ``point`` (n,); ``spec``, the LieAlgebraSpec; ``E`` (n, n),
+    e^a_mu; ``E_inv`` (n, n), indexed [mu, a]; the anholonomy ``C``
+    (n, n, n) and its frame derivative ``dC`` (n, n, n, n); ``gamma``
+    (n, n, n) and ``dgamma`` (n, n, n, n); the frame components ``A``
+    (r, n) and ``dA`` (r, n, n); the frame components F^alpha_bc ``F``
+    (r, n, n) and ``dF`` (r, n, n, n).
 
     Index conventions: ``gamma[a, b, c]`` is the ``e^c`` coefficient of the
     connection 1-form entry (a, b); trailing index of each ``d*`` array is
@@ -279,18 +286,7 @@ class GeometryAtPoint:
     in front of the shapes listed.
     """
 
-    point: np.ndarray  # (n,)
-    spec: LieAlgebraSpec
-    E: np.ndarray  # (n, n)  e^a_mu
-    E_inv: np.ndarray  # (n, n)  indexed [mu, a]
-    C: np.ndarray  # (n, n, n) anholonomy
-    dC: np.ndarray  # (n, n, n, n) frame derivative
-    gamma: np.ndarray  # (n, n, n)
-    dgamma: np.ndarray  # (n, n, n, n)
-    A: np.ndarray  # (r, n) frame components
-    dA: np.ndarray  # (r, n, n)
-    F: np.ndarray  # (r, n, n) frame components F^alpha_bc
-    dF: np.ndarray  # (r, n, n, n)
+    __slots__ = ()
 
     @property
     def n(self):
@@ -474,8 +470,8 @@ def geometry_at_point(
             geom = _geometry_analytic(coframe, gauge, spec, point)
         else:
             geom = _geometry_fd(coframe, gauge, spec, point, fd_step)
-    check_finite(geom.point, {field.name: getattr(geom, field.name) for field in fields(geom)
-                              if field.name not in ("point", "spec")})
+    check_finite(geom.point, {name: getattr(geom, name) for name in geom._fields
+                              if name not in ("point", "spec")})
     return geom
 
 
@@ -494,11 +490,11 @@ def check_finite(point, arrays, what="frame geometry"):
                                      what)
 
 
-@dataclass(frozen=True)
-class BaseCurvature:
-    ricci: np.ndarray  # (..., n, n) mixed components Ric^a_d
-    scalar: np.ndarray  # (...)
-    einstein: np.ndarray  # (..., n, n)
+class BaseCurvature(namedtuple("BaseCurvature", "ricci scalar einstein")):
+    """Mixed components Ric^a_d (..., n, n), scalar (...) and Einstein
+    tensor (..., n, n) of the base."""
+
+    __slots__ = ()
 
 
 def base_curvature_from_geometry(geom: GeometryAtPoint) -> BaseCurvature:

@@ -42,7 +42,8 @@ matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from functools import cached_property
 
 import numpy as np
 
@@ -114,29 +115,28 @@ def polar(m) -> np.ndarray:
     return u @ vh
 
 
-@dataclass(frozen=True)
-class MatrixRep:
-    """A set of d x d generator matrices T[alpha] closing on the fiber
-    structure constants of the associated algebra spec."""
+class MatrixRep(namedtuple("MatrixRep", "spec T")):
+    """A set of d x d generator matrices T[alpha], shape ``(r, d, d)``,
+    closing on the fiber structure constants of the associated algebra spec.
+    No ``__slots__``: the instance dict caches the arrays that depend on the
+    rep alone (``_coords``, ``_fiber_chart``) and nothing else."""
 
-    spec: LieAlgebraSpec
-    T: np.ndarray  # (r, d, d)
-
-    def __post_init__(self):
-        T = np.asarray(self.T, dtype=float)
+    def __new__(cls, spec, T):
+        T = np.asarray(T, dtype=float)
         T.setflags(write=False)
-        object.__setattr__(self, "T", T)
-        if T.ndim != 3 or T.shape[0] != self.spec.r or T.shape[1] != T.shape[2]:
-            raise StructuralError(
-                f"rep needs {self.spec.r} square generators, got shape {T.shape}"
-            )
+        self = super().__new__(cls, spec, T)
+        if T.ndim != 3 or T.shape[0] != spec.r or T.shape[1] != T.shape[2]:
+            raise StructuralError(f"rep needs {spec.r} square generators, got shape {T.shape}")
         res = self.closure_residual()
         if res > 1e-10:
             raise StructuralError(f"generators do not close on the structure constants "
                                   f"(residual {res:.3e})")
-        flat = T.reshape(self.spec.r, -1)
-        if np.linalg.matrix_rank(flat, tol=1e-10) < self.spec.r:
+        if np.linalg.matrix_rank(T.reshape(spec.r, -1), tol=1e-10) < spec.r:
             raise StructuralError("generators are linearly dependent")
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: MatrixRep is immutable")
 
     @property
     def dim(self):
@@ -163,30 +163,52 @@ class MatrixRep:
     def exp(self, xi) -> "GroupElement":
         return GroupElement(self, expm(self.algebra_element(xi)))
 
+    @cached_property
+    def _coords(self) -> np.ndarray:
+        """Least-squares coordinates on vec(T): the pseudo-inverse of the
+        (d^2, r) matrix of the vectorized generators."""
+        return np.linalg.pinv(self.T.reshape(self.spec.r, -1).T)
 
-@dataclass(frozen=True)
-class GroupElement:
+    @cached_property
+    def _fiber_chart(self):
+        """What :func:`verify_gauge_covariance` needs at the 1 + 4r points u
+        of the fiber stencil around s = 0, whatever the base point: V =
+        dexp_u (columns V_delta), the fiber block exp(ad_u) of Ad_exp(u), and
+        ad(V_delta), each ``(1 + 4r, ...)``."""
+        ad_u = _fiber_ad(self.spec, _fd_stencil(self.spec.r, _FD_STEP))
+        V = _dexp_right(ad_u)
+        return V, expm(ad_u), _fiber_ad(self.spec, np.swapaxes(V, -2, -1))
+
+
+class GroupElement(namedtuple("GroupElement", "rep matrix")):
     """A group element realized as a matrix of its representation, or a
     batch of them (leading axes in front of the d x d matrix).
 
     The reps of compact algebras are orthogonal, so "on the group manifold"
     is checked as orthogonality of the matrix, within ``_MANIFOLD_TOL``.
+    Length, indexing and iteration run over the batch, not over the fields.
     """
 
-    rep: MatrixRep
-    matrix: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+    def __new__(cls, rep, matrix):
+        m = np.asarray(matrix, dtype=float)
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        if m.shape[-2:] != (self.rep.dim, self.rep.dim):
+        if m.shape[-2:] != (rep.dim, rep.dim):
             raise StructuralError(f"element shape {m.shape} does not match rep "
-                                  f"dimension {self.rep.dim}")
+                                  f"dimension {rep.dim}")
+        self = super().__new__(cls, rep, m)
         res = self.manifold_residual()
         if not res <= _MANIFOLD_TOL:  # NaN and infinite matrices fail too
             raise StructuralError(f"matrix is off the group manifold "
                                   f"(orthogonality residual {res:.3e})")
+        return self
+
+    def __getnewargs__(self):
+        return self.rep, self.matrix
+
+    def _replace(self, **changes):
+        return GroupElement(**{"rep": self.rep, "matrix": self.matrix, **changes})
 
     def manifold_residual(self) -> float:
         """Max entry of |g^T g - 1| over the batch; NaN for a non-finite matrix."""
@@ -206,22 +228,22 @@ class GroupElement:
             raise TypeError("a single group element cannot be indexed")
         return GroupElement(self.rep, self.matrix[index])
 
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         if other.rep is not self.rep:
             raise StructuralError("cannot multiply elements of different reps")
         return GroupElement(self.rep, self.matrix @ other.matrix)
 
 
-@dataclass(frozen=True)
-class PathSpec:
-    """A fiber-direction path: v maps an array of times in [0, 1], shape
-    ``(T,)``, to the algebra coordinates at those times, shape ``(T, r)``
-    (one time is a batch of one); the lift solves
-    g' = g * (sum v^alpha(t) T_alpha) from g0."""
+class PathSpec(namedtuple("PathSpec", "rep v g0")):
+    """A fiber-direction path: the callable v maps an array of times in
+    [0, 1], shape ``(T,)``, to the algebra coordinates at those times, shape
+    ``(T, r)`` (one time is a batch of one); the lift solves
+    g' = g * (sum v^alpha(t) T_alpha) from the GroupElement g0."""
 
-    rep: MatrixRep
-    v: object  # callable: times (T,) -> velocities (T, r)
-    g0: GroupElement
+    __slots__ = ()
 
     @staticmethod
     def sampled(rep, times, values, g0) -> "PathSpec":
@@ -294,8 +316,7 @@ def _fiber_adjoint(g: GroupElement) -> np.ndarray:
     rep = g.rep
     gm = g.matrix[..., None, :, :]
     conj = (gm @ rep.T @ np.swapaxes(gm, -2, -1)).reshape(gm.shape[:-3] + (rep.spec.r, -1))
-    coords = np.linalg.pinv(rep.T.reshape(rep.spec.r, -1).T)  # least squares on vec(T)
-    return coords @ np.swapaxes(conj, -2, -1)
+    return rep._coords @ np.swapaxes(conj, -2, -1)
 
 
 def adjoint_of(g: GroupElement, n: int) -> np.ndarray:
@@ -510,8 +531,8 @@ def verify_gauge_covariance(geom, g: GroupElement):
     Raises NonFiniteGeometryError at the first point where Omega overflows.
     """
     spec = geom.spec
-    if g.rep.spec.r != spec.r:
-        raise StructuralError("rep and algebra have different fiber dimensions")
+    if not np.array_equal(g.rep.spec.fiber_c(), spec.fiber_c()):
+        raise StructuralError("rep and algebra have different fiber structure constants")
     n, r, N = spec.n, spec.r, spec.N
     m, P = n + r, N * N  # chart dimension; entries of one N x N matrix
     batch = geom.point.shape[:-1]
@@ -524,19 +545,17 @@ def verify_gauge_covariance(geom, g: GroupElement):
     check_finite(geom.point, {"Omega": Omega}, "curvature")
     E = geom.E
     Ac, _, dAc = _coordinate_gauge_data(geom)
-    stencil = _fd_stencil(r, _FD_STEP)
-    ad_u = _fiber_ad(spec, stencil)
-    V = _dexp_right(ad_u)  # [k], columns V_delta
+    V, exp_ad_u, ad_V = g.rep._fiber_chart  # [k], [k], [k, delta]
 
     # the fiber block of S = diag(1, fiber) at every stencil point (phi is
     # differenced there) and its exact fiber derivative; dS has no base block
-    fiber = expm(ad_u) @ _fiber_adjoint(g)[..., None, :, :]
-    dfiber = _fiber_ad(spec, np.swapaxes(V, -2, -1)) @ fiber[..., :, None, :, :]  # [k, delta]
+    fiber = exp_ad_u @ _fiber_adjoint(g)[..., None, :, :]
+    dfiber = ad_V @ fiber[..., :, None, :, :]  # [k, delta]
     fiber_inv = np.linalg.inv(fiber)
     S, Sinv = _identity_padded(fiber, n), _identity_padded(fiber_inv, n)
 
     # M[C, I]: e^C = M[C, I] dy^I on the (x, s) chart, at each stencil point
-    M = np.zeros(batch + (len(stencil), N, m))
+    M = np.zeros(batch + (len(V), N, m))
     M[..., :n, :n] = E[..., None, :, :]
     M[..., n:, :n] = Ac[..., None, :, :]
     M[..., n:, n:] = V

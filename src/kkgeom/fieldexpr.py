@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -46,40 +46,47 @@ __all__ = [
 
 
 class Expr:
+    """Base of the AST nodes: immutable records that compare and hash by
+    node type and fields, so that ``Var(0) != Num(0.0)``."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash((type(self), tuple.__hash__(self)))
+
+
+class Num(Expr, namedtuple("Num", "value")):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Num(Expr):
-    value: float
+class Var(Expr, namedtuple("Var", "index")):
+    """Chart variable x{index+1}; ``index`` is zero-based."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Var(Expr):
-    index: int  # zero-based; pretty-prints as x{index+1}
+class Param(Expr, namedtuple("Param", "name")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Param(Expr):
-    name: str
+class Neg(Expr, namedtuple("Neg", "arg")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Neg(Expr):
-    arg: Expr
+class BinOp(Expr, namedtuple("BinOp", "op left right")):
+    """``op`` is one of + - * / ^."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class BinOp(Expr):
-    op: str  # one of + - * / ^
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True, slots=True)
-class Call(Expr):
-    func: str
-    arg: Expr
+class Call(Expr, namedtuple("Call", "func arg")):
+    __slots__ = ()
 
 
 FUNCTIONS = {

@@ -23,7 +23,7 @@ residual norms hold one value per point.  The algebra is ``geom.spec``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -43,16 +43,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class KKConnection:
-    """Connection coefficients W[A, B, C] with omega^A_B = W[A,B,C] e^C,
-    plus the structure coefficients K[A, B, C] of de^A = (1/2) K e^B /\\ e^C
-    and the frame derivatives dW[A, B, C, d] along base directions."""
+class KKConnection(namedtuple("KKConnection", "geom W K dW")):
+    """Connection coefficients W[A, B, C], (N, N, N), with omega^A_B =
+    W[A,B,C] e^C, plus the structure coefficients K[A, B, C], (N, N, N), of
+    de^A = (1/2) K e^B /\\ e^C and the frame derivatives dW[A, B, C, d],
+    (N, N, N, n), along base directions, at the points of ``geom``."""
 
-    geom: GeometryAtPoint
-    W: np.ndarray  # (N, N, N)
-    K: np.ndarray  # (N, N, N)
-    dW: np.ndarray  # (N, N, N, n)
+    __slots__ = ()
 
     def antisymmetry_residual(self):
         """Max violation of omega^{AB} + omega^{BA} = 0 after raising with h."""
@@ -64,28 +61,26 @@ class KKConnection:
         return _max_abs(self.K - (self.W - np.swapaxes(self.W, -2, -1)), 3)
 
 
-@dataclass(frozen=True)
-class KKCurvature:
-    ricci: np.ndarray  # (N, N)
-    scalar: np.ndarray  # ()
-    einstein: np.ndarray  # (N, N)
+class KKCurvature(namedtuple("KKCurvature", "ricci scalar einstein")):
+    """Ricci (N, N), scalar () and Einstein (N, N) tensors of the total space."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ClosedFormCurvature:
-    """The five closed-form curvature blocks of the total-space connection."""
+class ClosedFormCurvature(namedtuple("ClosedFormCurvature",
+                                     "ric_base ric_mixed ric_fiber scalar ein_base")):
+    """The five closed-form curvature blocks of the total-space connection:
+    Ric^a_d (n, n), Ric^a_delta (n, r), Ric^alpha_delta (r, r), the scalar
+    () and the base Einstein block (n, n); the mixed Einstein block is
+    ``ric_mixed``."""
 
-    ric_base: np.ndarray  # (n, n)   Ric^a_d
-    ric_mixed: np.ndarray  # (n, r)  Ric^a_delta
-    ric_fiber: np.ndarray  # (r, r)  Ric^alpha_delta
-    scalar: np.ndarray  # ()
-    ein_base: np.ndarray  # (n, n); the mixed Einstein block is ric_mixed
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EYMResidual:
-    einstein_block: np.ndarray  # (n, n)
-    ym_block: np.ndarray  # (r, n)
+class EYMResidual(namedtuple("EYMResidual", "einstein_block ym_block")):
+    """The Einstein block (n, n) and Yang-Mills block (r, n) of the residual."""
+
+    __slots__ = ()
 
     @property
     def einstein_norm(self):

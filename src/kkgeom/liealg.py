@@ -11,7 +11,7 @@ indices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
@@ -49,31 +49,32 @@ for _i, _j, _k, _s in [(0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
     EPSILON3[_i, _j, _k] = _s
 
 
-@dataclass(frozen=True)
-class LieAlgebraSpec:
+class LieAlgebraSpec(namedtuple("LieAlgebraSpec", "n r c b k")):
     """Structure constants and block metric of the split algebra.
 
-    Immutable after construction; all arrays are copied and frozen.
+    Immutable after construction; all arrays are copied and frozen, and
+    every entry must be finite.  ``c`` is ``(N, N, N)``, ``b`` ``(n, n)``
+    and ``k`` ``(r, r)``.  No ``__slots__``: the instance dict holds the
+    cached inverses and nothing else.
     """
 
-    n: int
-    r: int
-    c: np.ndarray  # (N, N, N)
-    b: np.ndarray  # (n, n)
-    k: np.ndarray  # (r, r)
-
-    def __post_init__(self):
-        n, r = self.n, self.r
-        for name, shape in (("c", (n + r,) * 3), ("b", (n, n)), ("k", (r, r))):
+    def __new__(cls, n, r, c, b, k):
+        arrays = []
+        for name, value, shape in (("c", c, (n + r,) * 3), ("b", b, (n, n)), ("k", k, (r, r))):
             try:
-                arr = np.array(getattr(self, name), dtype=float)
+                arr = np.array(value, dtype=float)
             except (TypeError, ValueError):
                 raise StructuralError(f"{name} is not an array of numbers") from None
             if arr.shape != shape:
                 raise StructuralError(f"{name} has shape {arr.shape}, expected {shape}")
+            if not np.isfinite(arr).all():
+                raise StructuralError(f"{name} has an entry that is not a finite number")
             arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "_inverses", {})  # h_inv, b_inv and k_inv, once computed
+            arrays.append(arr)
+        return super().__new__(cls, n, r, *arrays)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: LieAlgebraSpec is immutable")
 
     @property
     def N(self) -> int:
@@ -101,14 +102,14 @@ class LieAlgebraSpec:
         return self._inverse("k", lambda: self.k, "fiber metric k is singular")
 
     def _inverse(self, name, matrix, singular):
-        inv = self._inverses.get(name)
+        inv = self.__dict__.get(f"_{name}_inv")
         if inv is None:
             m = matrix()  # det of the empty k (r = 0) is 1
             if abs(np.linalg.det(m)) <= _SINGULAR_TOL:
                 raise DegenerateMetricError(singular)
             inv = np.linalg.inv(m)
             inv.flags.writeable = False
-            self._inverses[name] = inv
+            self.__dict__[f"_{name}_inv"] = inv
         return inv
 
     def fiber_c(self) -> np.ndarray:
@@ -117,22 +118,19 @@ class LieAlgebraSpec:
         return self.c[n:, n:, n:]
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    max_violation: float
-    worst_indices: tuple | None = None  # 1-based
+class CheckResult(namedtuple("CheckResult", "name passed max_violation worst_indices",
+                             defaults=(None,))):
+    """One hypothesis check; ``worst_indices`` is 1-based, or None."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple
-    unimodular: bool
-    unimodular_violation: float
-    b_signature: tuple  # (num positive, num negative eigenvalues)
-    k_signature: tuple
-    det_h: float
+class ValidationReport(namedtuple("ValidationReport", "checks unimodular unimodular_violation "
+                                  "b_signature k_signature det_h")):
+    """Every check of :func:`validate_spec`; a signature is (number positive,
+    number negative) of the block's eigenvalues."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

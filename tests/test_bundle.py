@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -133,6 +136,23 @@ def test_group_element_must_be_orthogonal():
     rep = builtin_rep("su2_as_so3")
     with pytest.raises(StructuralError):
         GroupElement(rep, 1.5 * np.eye(3))
+
+
+def test_group_element_batch_is_a_record_and_a_sequence():
+    # len, indexing and iteration run over the batch; the record helpers
+    # (_replace, copy, pickle) still see the two fields and re-run the checks
+    rep = builtin_rep("su2_as_so3")
+    gs = rep.exp(np.array([[0.1, 0.2, 0.3], [0.3, -0.2, 0.1]]))
+    assert len(gs) == 2 and [g.matrix.shape for g in gs] == [(3, 3)] * 2
+    assert np.array_equal(gs[1].matrix, list(gs)[1].matrix)
+    flipped = gs._replace(matrix=gs.matrix[::-1])
+    assert flipped.rep is rep and np.array_equal(flipped.matrix, gs.matrix[::-1])
+    with pytest.raises(StructuralError, match="off the group manifold"):
+        gs._replace(matrix=2 * gs.matrix)
+    for copied in (copy.copy(gs), pickle.loads(pickle.dumps(gs))):
+        assert np.array_equal(copied.matrix, gs.matrix) and len(copied) == 2
+    with pytest.raises(AttributeError):
+        gs.matrix = gs.matrix
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -546,6 +566,18 @@ def test_gauge_covariance_product_rep():
     geom = geometry_at_point(cof, gauge, spec, np.array([0.3, 0.6]))
     g = rep.exp(np.array([0.4, 0.1, -0.3, 0.2]))
     assert verify_gauge_covariance(geom, g) < 1e-5
+
+
+def test_gauge_covariance_needs_a_rep_of_the_geometry_algebra():
+    # the fiber stencil arrays are computed once per rep, from the rep's
+    # algebra, so the rep must close on the geometry's fiber constants
+    rep, _, geom = su2_setup()
+    for other in (algebra_rep(abelian_algebra(2, 3)), builtin_rep("u1_as_so2")):
+        with pytest.raises(StructuralError, match="different fiber structure constants"):
+            verify_gauge_covariance(geom, other.identity_element())
+    first = verify_gauge_covariance(geom, rep.identity_element())
+    assert rep._fiber_chart is rep._fiber_chart
+    assert verify_gauge_covariance(geom, rep.identity_element()) == first
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import json
 import math
@@ -263,7 +262,7 @@ def test_curvature_exits_2_on_cross_check_violation(tmp_path, capsys, monkeypatc
 
     def off_by_error(geom):
         closed = exact(geom)
-        return dataclasses.replace(closed, ric_base=closed.ric_base + error)
+        return closed._replace(ric_base=closed.ric_base + error)
 
     monkeypatch.setattr(kkcurv, "ricci_closed_form", off_by_error)
     problem = json.loads(json.dumps(SU2_PROBLEM))
@@ -290,7 +289,7 @@ def test_curvature_exits_2_on_torsion_violation(tmp_path, capsys, monkeypatch):
         conn = exact(geom)
         K = conn.K.copy()
         K[..., 0, 0, 1] += 1e-9
-        return dataclasses.replace(conn, K=K)
+        return conn._replace(K=K)
 
     monkeypatch.setattr(kkcurv, "assemble_omega", skewed)
     path = write_problem(tmp_path, SU2_PROBLEM)
@@ -394,6 +393,27 @@ def test_values_of_the_wrong_type_exit_64(tmp_path, capsys, problem):
         (line,) = out.err.strip().splitlines()
         assert line.startswith("error: ")
         assert "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("builtin", [True, False], ids=["builtin", "inline"])
+@pytest.mark.parametrize("block", ["h_b", "h_k"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_non_finite_metric_entry_exits_64(tmp_path, capsys, builtin, block, value):
+    # a NaN or Infinity in a metric block is refused where the spec's arrays
+    # are coerced: one line, no report and no numpy warning, never exit 2 or 70
+    algebra = ({"builtin": "su2", "n": 2} if builtin
+               else inline_algebra(su2_algebra(2).fiber_c(), 2))
+    metric = np.eye(2 if block == "h_b" else 3)
+    metric[1, 1] = value
+    problem = with_algebra({**algebra, block: metric.tolist()})
+    for command in ("validate", "curvature"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(capsys, [command, "--input", write_problem(tmp_path, problem)])
+        assert code == EXIT_USAGE
+        assert out.out == ""
+        (line,) = out.err.strip().splitlines()
+        assert line == (f"error: {block[-1]} has an entry that is not a finite number")
 
 
 def test_curvature_without_fiber(tmp_path, capsys):
@@ -530,7 +550,7 @@ def test_lift_samples_velocity_and_projects_once_per_lift(tmp_path, capsys, monk
         def counted(t):
             times.append(len(t))
             return v(t)
-        return lift_and_halve(dataclasses.replace(path, v=counted), steps)
+        return lift_and_halve(path._replace(v=counted), steps)
 
     def counting_lift(path, steps, xi):
         lifts.append(steps)
@@ -809,8 +829,9 @@ def test_gauge_check_sweeps_in_blocks_of_32_points(tmp_path, capsys, monkeypatch
     assert code == EXIT_OK
     assert len(json.loads(out.out)["per_point"]) == 33
     assert geometry == {"geometry_at_point": 2}
-    # per block: one exp for the drawn group elements, one for all fiber stencil points
-    assert calls == {"assemble_omega": 2, "riemann_direct": 2, "expm": 4}
+    # one exp per block for the drawn group elements, and one per rep for
+    # all fiber stencil points, which do not depend on the base point
+    assert calls == {"assemble_omega": 2, "riemann_direct": 2, "expm": 3}
 
 
 def test_gauge_check_report_ignores_point_order(tmp_path, capsys):
@@ -1070,6 +1091,33 @@ def test_identities_run_without_numpy(tmp_path):
         reports[blocked].pop("wall_time_s")
     assert reports["numpy"] == reports[None]
     assert reports[None]["passed"] and reports[None]["config"]["n"] == 6
+
+
+def test_computing_commands_run_without_dataclasses(tmp_path):
+    # the records are namedtuples: no command imports dataclasses, and every
+    # report is the same with the module blocked
+    path = write_problem(tmp_path, {**SU2_PROBLEM, "rep": "su2_as_so3", "paths": [
+        {"g0": "identity", "v": ["sin(3*x1)", "x1", "cos(2*x1)"], "steps": 50}]})
+    fd = write_problem(tmp_path, with_fields(deriv_mode="fd"), "fd.json")
+    for argv in (["validate", "--input", path], ["curvature", "--input", path],
+                 ["curvature", "--input", fd], ["lift", "--input", path],
+                 ["gauge-check", "--input", path]):
+        reports = {}
+        for blocked in ("dataclasses", None):
+            out = tmp_path / f"without_{blocked}.json"
+            args = ["-m", "kkgeom.cli", *argv, "--out", str(out)]
+            proc = run_python([str(WITHOUT), blocked, *args] if blocked else args)
+            assert proc.returncode == EXIT_OK, (argv, proc.stderr)
+            reports[blocked] = normalized(out.read_text())
+        assert reports["dataclasses"] == reports[None], argv
+    script = tmp_path / "exports.py"
+    script.write_text("import sys\nimport kkgeom\n"
+                      "names = [n for names in kkgeom._EXPORTS.values() for n in names]\n"
+                      "for name in names:\n    getattr(kkgeom, name)\n"
+                      "print(len(names), 'dataclasses' in sys.modules)\n")
+    proc = run_python([str(WITHOUT), "dataclasses", str(script)])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(sum(map(len, kkgeom._EXPORTS.values()))), "False"]
 
 
 def test_numpy_blocker_blocks_numpy(tmp_path):

@@ -169,6 +169,17 @@ def test_ast_nodes_are_hashable_and_frozen():
         node.op = "-"
 
 
+def test_ast_nodes_compare_and_hash_by_type():
+    # nodes are tuples underneath: equal fields of different node types differ
+    assert Var(0) != Num(0.0)
+    assert not Var(0) == Num(0.0)
+    assert Param("x1") != ("x1",) and ("x1",) != Param("x1")
+    assert len({Var(0), Num(0.0), Param("x1")}) == 3
+    assert parse("sin(x1) * -c") == parse("sin( x1 )*-c")
+    assert hash(parse("sin(x1) * -c")) == hash(parse("sin( x1 )*-c"))
+    assert parse("x1 + 0") != parse("x1 + x1")  # equal as plain nested tuples
+
+
 # ---------------------------------------------------------------------------
 # generated trees (derandomised hypothesis)
 
