@@ -19,11 +19,13 @@ routes dgamma = gamma(dC), since gamma is linear in C.
 
 A block costs a few numpy calls per tensor, not one per component: each
 provider matrix is filled in one pass per derivative order, and every
-contraction is a batched matmul (E^-T X E^-1 for a frame 2-form, one
-(r^2, r) matmul for each c A A-type quadratic, the coordinate derivative
-direction rho moved in front in the chain-rule half).  The matmuls
-re-associate the einsum contractions of the definitions and use no symmetry
-that those do not, so an inline ``c`` need not be antisymmetric.
+contraction is a batched matmul, with no einsum and no outer product:
+E^-T X E^-1 for a frame 2-form; c Y as an (r^2, r) matmul, then X^T (c Y),
+for a c X Y quadratic; and in the chain-rule half each coordinate
+derivative is made a frame derivative on its trailing axis before the
+product rule runs.  The matmuls re-associate the einsum contractions of the
+definitions and use no symmetry that those do not, so an inline ``c`` need
+not be antisymmetric.
 
 :func:`geometry_at_point` is the one route to the frame geometry and the one
 place where the algebra spec comes in; its result carries the spec, and every
@@ -243,29 +245,29 @@ def _frame_matrix(E, point, fd_step=None):
     return np.linalg.inv(E)
 
 
-def _gamma_from_C(C, b, binv):
+def _gamma_from_C(C, b, binv, tail=0):
+    """gamma[..., a, b, c] from C[..., a, b, c]; ``tail`` trailing axes ride along."""
     # unique coefficients with gamma antisymmetric after lowering and zero torsion
-    Cl = _on_first(b, C)
+    Cl = _on_first(b, C, tail)
     # gl[a,b,c] = (Cl[a,b,c] + Cl[b,c,a] - Cl[c,a,b]) / 2
-    gl = 0.5 * (Cl + np.moveaxis(Cl, -1, -3) - np.moveaxis(Cl, -3, -1))
-    return _on_first(binv, gl)
+    a, c = -3 - tail, -1 - tail
+    gl = 0.5 * (Cl + np.moveaxis(Cl, c, a) - np.moveaxis(Cl, a, c))
+    return _on_first(binv, gl, tail)
 
 
-def _on_first(M, X):
-    """out[..., a, b, c] = M[a, d] X[..., d, b, c], as one matmul."""
-    n = X.shape[-3]
-    flat = X.reshape(X.shape[:-3] + (n, X.shape[-2] * X.shape[-1]))
+def _on_first(M, X, tail=0):
+    """out[..., a, b, c] = M[a, d] X[..., d, b, c], one matmul; ``tail`` axes ride along."""
+    n = X.shape[-3 - tail]
+    flat = X.reshape(X.shape[:-3 - tail] + (n, math.prod(X.shape[-2 - tail:])))
     return (M @ flat).reshape(X.shape)
 
 
 def _quadratic(c, X, Y):
-    """out[..., a, m, n] = c[a, b, g] X[..., b, m] Y[..., g, n], as one
-    (r, r^2) matmul on the outer products; X and Y broadcast."""
+    """out[..., a, m, n] = c[a, b, g] X[..., b, m] Y[..., g, n]: c Y with c an
+    (r^2, r) matrix, then X^T (c Y)_a for each a; X and Y broadcast."""
     r = c.shape[0]
-    P = X[..., :, None, :, None] * Y[..., None, :, None, :]  # [..., b, g, m, n]
-    m, n = P.shape[-2:]
-    flat = P.reshape(P.shape[:-4] + (r * r, m * n))
-    return (c.reshape(r, r * r) @ flat).reshape(P.shape[:-4] + (r, m, n))
+    CY = (c.reshape(r * r, r) @ Y).reshape(Y.shape[:-2] + (r, r, Y.shape[-1]))  # [..., a, b, n]
+    return np.swapaxes(X, -2, -1)[..., None, :, :] @ CY
 
 
 class GeometryAtPoint(namedtuple("GeometryAtPoint",
@@ -298,14 +300,14 @@ class GeometryAtPoint(namedtuple("GeometryAtPoint",
         return np.abs(self.C - (g - np.swapaxes(g, -2, -1))).max(axis=(-3, -2, -1))
 
     def metricity_residual(self):
-        low = np.einsum("ad,...dbc->...abc", self.spec.b, self.gamma)
+        low = _on_first(self.spec.b, self.gamma)
         return np.abs(low + np.swapaxes(low, -3, -2)).max(axis=(-3, -2, -1))
 
 
 def _frame_values(coframe, gauge, spec, point, fd_step=None):
     """The value half of the geometry: E, E^-1, C, gamma, A and F from the
     value and first-partial fills, as keyword arguments of GeometryAtPoint,
-    and the coordinate arrays (dE, T, A_mu, d_nu A_mu, F_mu nu) that
+    and the coordinate arrays (d_nu e^a_mu, A_mu, d_nu A_mu) that
     :func:`_frame_derivatives` reuses.  ``fd_step`` marks ``point`` as fd
     stencil rows (see :meth:`_ProviderMatrix._fill`)."""
     E = coframe._fill(point, 0, fd_step)
@@ -324,46 +326,42 @@ def _frame_values(coframe, gauge, spec, point, fd_step=None):
     values = dict(point=point, spec=spec, E=E, E_inv=Einv, C=C,
                   gamma=_gamma_from_C(C, spec.b, spec.b_inv()), A=Am @ Einv,
                   F=_frame_2form(Fc, Einv))
-    return values, (dE, T, Am, dAm, Fc)
+    return values, (dE, Am, dAm)
 
 
 def _frame_derivatives(coframe, gauge, spec, values, coord):
     """The chain-rule half: frame derivatives dC, dA and dF from the
     second-partial fills and the coordinate arrays of :func:`_frame_values`.
-    The coordinate derivative direction rho rides in front of each tensor's
-    own axes (arrays named ``*_r``), so every term is a batched matmul."""
-    dE, T, Am, dAm, Fc = coord
+    Each coordinate derivative becomes a frame derivative D_d = (E^-1)[rho, d]
+    d_rho on its trailing axis first; the product rule then runs on those,
+    D_d E^-1 = -E^-1 (D_d E) E^-1 entering through G_d = (D_d E) E^-1."""
+    dE, Am, dAm = coord
     point, Einv = values["point"], values["E_inv"]
-    d2E_r = np.moveaxis(coframe.d2_matrix(point), -1, -4)  # [rho, a, mu, nu]
-    d2Am_r = np.moveaxis(gauge.d2_matrix(point), -1, -4)
-    dAm_r = np.moveaxis(dAm, -1, -3)  # [rho, al, mu] = d_rho A^al_mu
-    cf = spec.fiber_c()
-
-    # dEinv_r[rho, mu, a] = d_rho (E^-1)[mu, a] = -(E^-1 (d_rho E) E^-1)[mu, a]
-    Einv_1 = Einv[..., None, :, :]
-    dEinv_r = -(Einv_1 @ np.moveaxis(dE, -1, -3) @ Einv_1)
-    # dT_r[rho, a, mu, nu] = d_rho T[a, mu, nu]
-    dT_r = np.swapaxes(d2E_r, -2, -1) - d2E_r
-    dC_r = _d_frame_2form(T, dT_r, Einv, dEinv_r)
-
-    dA_r = dAm_r @ Einv_1 + Am[..., None, :, :] @ dEinv_r
-    # d_rho F^al_{mu nu}
-    dFc_r = (np.swapaxes(d2Am_r, -2, -1) - d2Am_r
-             + _quadratic(cf, dAm_r, Am[..., None, :, :])
-             + _quadratic(cf, Am[..., None, :, :], dAm_r))
-    dF_r = _d_frame_2form(Fc, dFc_r, Einv, dEinv_r)
-    rho = Einv.ndim - 2  # the first axis behind the batch axes
-    return {name: _to_frame(np.moveaxis(coord_r, rho, -1), Einv)
-            for name, coord_r in (("dC", dC_r), ("dA", dA_r), ("dF", dF_r))}
+    n, cf = Am.shape[-1], spec.fiber_c()
+    D2E = _to_frame(coframe.d2_matrix(point), Einv)  # [a, mu, nu, d] = D_d d_nu e^a_mu
+    DAm = _to_frame(dAm, Einv)  # [al, mu, d] = D_d A^al_mu
+    D2Am = _to_frame(gauge.d2_matrix(point), Einv)
+    G = _frame_second(_to_frame(dE, Einv), Einv)  # G[a, b, d] = (D_d E E^-1)[a, b]
+    # D_d T[a, mu, nu] = D_d (d_mu e^a_nu - d_nu e^a_mu)
+    dC = _d_frame_2form(values["C"], np.swapaxes(D2E, -3, -2) - D2E, Einv, G)
+    dA = _frame_second(DAm, Einv) - (values["A"] @ G.reshape(G.shape[:-3] + (n, n * n))
+                                     ).reshape(DAm.shape)
+    # D_d F^al_{mu nu}; the c A A term with D_d on either factor, the
+    # pair (mu, d) or (nu, d) riding along as one column index
+    DAm_flat = DAm.reshape(DAm.shape[:-2] + (n * n,))
+    DFc = (np.swapaxes(D2Am, -3, -2) - D2Am
+           + np.swapaxes(_quadratic(cf, DAm_flat, Am).reshape(D2Am.shape), -2, -1)
+           + _quadratic(cf, Am, DAm_flat).reshape(D2Am.shape))
+    return {"dC": dC, "dA": dA, "dF": _d_frame_2form(values["F"], DFc, Einv, G)}
 
 
 def _geometry(values, derivs):
     """GeometryAtPoint from the value half and the frame derivatives dC, dA
     and dF of either route.  dgamma = gamma(dC): gamma is linear in C and b
-    is constant, so the derivative direction rides along as a batch axis."""
-    dC_first = np.moveaxis(derivs["dC"], -1, 0)
-    dgamma = np.moveaxis(_gamma_from_C(dC_first, values["spec"].b, values["spec"].b_inv()), 0, -1)
-    return GeometryAtPoint(**values, **derivs, dgamma=dgamma)
+    is constant, so the derivative direction rides along behind c."""
+    spec = values["spec"]
+    return GeometryAtPoint(**values, **derivs,
+                           dgamma=_gamma_from_C(derivs["dC"], spec.b, spec.b_inv(), tail=1))
 
 
 def _geometry_analytic(coframe, gauge, spec, point):
@@ -378,17 +376,26 @@ def _frame_2form(X, Einv):
     return np.swapaxes(Einv_1, -2, -1) @ X @ Einv_1
 
 
-def _d_frame_2form(X, dX_r, Einv, dEinv_r):
-    """Coordinate derivatives [rho, a, b, c] of :func:`_frame_2form` from
-    dX_r = d_rho X[a, mu, nu] and dEinv_r = d_rho E^-1, rho in front: one
-    matmul chain per term of the product rule."""
-    Einv_2 = Einv[..., None, None, :, :]
-    EinvT_2 = np.swapaxes(Einv_2, -2, -1)
-    dEinv_2 = dEinv_r[..., :, None, :, :]
-    X_1 = X[..., None, :, :, :]
-    return (EinvT_2 @ dX_r @ Einv_2
-            + np.swapaxes(dEinv_2, -2, -1) @ X_1 @ Einv_2
-            + EinvT_2 @ X_1 @ dEinv_2)
+def _d_frame_2form(Y, DX, Einv, G):
+    """Frame derivatives [..., a, b, c, d] of the frame 2-forms Y = E^-T X E^-1
+    from DX[..., a, mu, nu, d] = D_d X and G[..., x, c, d] = (D_d E E^-1)[x, c]:
+    E^-T (D_d X_a) E^-1 - G_d^T Y_a - Y_a G_d, one matmul per factor."""
+    lead, (k, n) = Einv.shape[:-2], Y.shape[-3:-1]
+    first = _frame_second(_frame_second(DX, Einv).reshape(lead + (k * n, n, n)), Einv)
+    G_flat = G.reshape(lead + (n, n * n))  # [x, (c, d)]
+    GY = np.swapaxes(Y, -2, -1) @ G_flat[..., None, :, :]  # G[x, b, d] Y[a, x, c], [a, c, b, d]
+    YG = Y.reshape(lead + (k * n, n)) @ G_flat
+    return (first.reshape(DX.shape) - np.swapaxes(GY.reshape(DX.shape), -3, -2)
+            - YG.reshape(DX.shape))
+
+
+def _frame_second(X, Einv):
+    """out[..., k, b, *rest] = (E^-1)[mu, b] X[..., k, mu, *rest], one batched matmul."""
+    lead = Einv.shape[:-2]
+    k, n = X.shape[len(lead):len(lead) + 2]
+    cols = math.prod(X.shape[len(lead) + 2:])  # given, not inferred: X may be empty
+    return (np.swapaxes(Einv, -2, -1)[..., None, :, :] @ X.reshape(lead + (k, n, cols))
+            ).reshape(X.shape)
 
 
 def _to_frame(coord, Einv):

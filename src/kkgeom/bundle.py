@@ -210,6 +210,9 @@ class GroupElement(namedtuple("GroupElement", "rep matrix")):
     def _replace(self, **changes):
         return GroupElement(**{"rep": self.rep, "matrix": self.matrix, **changes})
 
+    def _asdict(self):
+        return dict(zip(self._fields, tuple.__iter__(self)))
+
     def manifold_residual(self) -> float:
         """Max entry of |g^T g - 1| over the batch; NaN for a non-finite matrix."""
         m = self.matrix

@@ -12,6 +12,12 @@ builds Omega from the same expansion for the gauge-covariance check alone.
 The Einstein-Yang-Mills residuals are the closed-form Einstein block and the
 gauge-covariant divergence of the field strength.
 
+Every kernel is a batched matmul on flat views of the blocks, with no einsum
+and no outer product: the c A terms of W and K are one (r^2, r) matmul, the
+two d omega terms of the direct route one matmul with a constant matrix of
+h^-1 entries.  The closed form reads the geometry and ``spec.fiber_cc()``
+only, never an array of the direct route.
+
 Total-space index convention: ``A < n`` is a base index, ``A >= n`` a fiber
 index; all coefficients are functions of the chart point only (they are
 constant along the fibers), so frame derivatives in fiber directions vanish.
@@ -53,8 +59,9 @@ class KKConnection(namedtuple("KKConnection", "geom W K dW")):
 
     def antisymmetry_residual(self):
         """Max violation of omega^{AB} + omega^{BA} = 0 after raising with h."""
-        up = np.einsum("...axc,xb->...abc", self.W, self.geom.spec.h_inv())
-        return _max_abs(up + np.swapaxes(up, -3, -2), 3)
+        # U[A, C, B] = W[A, X, C] h^{XB}; the pair (A, B) is the outer pair of U
+        U = np.swapaxes(self.W, -2, -1) @ self.geom.spec.h_inv()
+        return _max_abs(U + np.swapaxes(U, -3, -1), 3)
 
     def torsion_residual(self):
         """Max violation of de^A + omega^A_C /\\ e^C = 0 against K."""
@@ -105,14 +112,16 @@ def assemble_omega(geom: GeometryAtPoint) -> KKConnection:
     gauge potential.
     """
     spec = geom.spec
-    n, N = spec.n, spec.N
+    n, N, r = spec.n, spec.N, spec.r
     batch = geom.point.shape[:-1]
     cf = spec.fiber_c()
+    c_ag = np.swapaxes(cf, -2, -1).reshape(r * r, r)  # c^al_{beta gamma} as [(al, gamma), beta]
+    cA = (c_ag @ geom.A).reshape(batch + (r, r, n))  # [al, gamma, c]: c^al_{beta gamma} A^beta_c
     W = np.zeros(batch + (N, N, N))
     dW = np.zeros(batch + (N, N, N, n))
 
     # F_gamma^a_c: fiber index lowered with k, first base index raised with b^-1
-    binvT, r = spec.b_inv().T, spec.r
+    binvT = spec.b_inv().T
     Fm = binvT @ (spec.k @ geom.F.reshape(batch + (r, n * n))).reshape(geom.F.shape)
     kdF = (spec.k @ geom.dF.reshape(batch + (r, n**3))).reshape(batch + (r, n, n * n))
     dFm = (binvT @ kdF).reshape(geom.dF.shape)
@@ -122,22 +131,21 @@ def assemble_omega(geom: GeometryAtPoint) -> KKConnection:
     W[..., :n, n:, :n] = np.swapaxes(W[..., :n, :n, n:], -2, -1)
     W[..., n:, :n, :n] = -0.5 * np.swapaxes(geom.F, -2, -1)  # omega^al_c = -(1/2) F^al_{bc} e^b
     W[..., n:, n:, n:] = -0.5 * np.swapaxes(cf, -2, -1)  # -(1/2) c^al_{beta gamma} e^beta
-    # + c^al_{beta gamma} A^beta_c e^c
-    W[..., n:, n:, :n] = np.einsum("abg,...bc->...agc", cf, geom.A)
+    W[..., n:, n:, :n] = cA  # + c^al_{beta gamma} A^beta_c e^c
 
     dW[..., :n, :n, :n, :] = geom.dgamma
     dW[..., :n, :n, n:, :] = -0.5 * np.moveaxis(dFm, -4, -2)
     dW[..., :n, n:, :n, :] = np.swapaxes(dW[..., :n, :n, n:, :], -3, -2)
     dW[..., n:, :n, :n, :] = -0.5 * np.swapaxes(geom.dF, -3, -2)
-    dW[..., n:, n:, :n, :] = np.einsum("abg,...bcd->...agcd", cf, geom.dA)
+    dW[..., n:, n:, :n, :] = (c_ag @ geom.dA.reshape(batch + (r, n * n))).reshape(
+        batch + (r, r, n, n))
 
     K = np.zeros(batch + (N, N, N))
     K[..., :n, :n, :n] = geom.C
     K[..., n:, :n, :n] = geom.F
     K[..., n:, n:, n:] = cf
-    mixed = -np.einsum("abg,...bc->...acg", cf, geom.A)  # coefficient of e^c /\ e^gamma
-    K[..., n:, :n, n:] = mixed
-    K[..., n:, n:, :n] = -np.swapaxes(mixed, -2, -1)
+    K[..., n:, :n, n:] = -np.swapaxes(cA, -2, -1)  # coefficient of e^c /\ e^gamma
+    K[..., n:, n:, :n] = cA
 
     return KKConnection(geom=geom, W=W, K=K, dW=dW)
 
@@ -149,11 +157,8 @@ def curvature_direct(conn: KKConnection) -> KKCurvature:
     :func:`riemann_direct`, but h^-1 is contracted into each term of the
     expansion before the terms are summed, so Omega itself is never formed.
     """
-    W, K, dW = conn.W, conn.K, conn.dW
-    spec = conn.geom.spec
-    n, N = spec.n, spec.N
-    lead = W.shape[:-3]
-    hinv = spec.h_inv()
+    W, K, dW, spec = conn.W, conn.K, conn.dW, conn.geom.spec
+    n, N, lead, hinv = spec.n, spec.N, W.shape[:-3], spec.h_inv()
 
     # W K[A,X,C,B] h^{XB} = T[A,Y,B] K[Y,C,B] with T[A,Y,B] = W[A,X,Y] h^{XB}
     T = np.swapaxes(W, -2, -1) @ hinv
@@ -162,10 +167,13 @@ def curvature_direct(conn: KKConnection) -> KKCurvature:
     v = _flat(W, 1) @ hinv.reshape(-1)
     ricci += (np.swapaxes(W, -2, -1) @ v[..., None, :, None])[..., 0]
     # -WW[A,X,B,C] h^{XB} = -U[A,Y,X] W[Y,X,C] with U[A,Y,X] = W[A,Y,B] h^{XB}
-    ricci -= _flat(W @ hinv.T, 1) @ _flat(W, 2)
-    # the d omega terms: + d_C W[A,X,B] h^{XB} for base C, - d_b W[A,X,C] h^{Xb}
-    ricci[..., :n] += hinv.reshape(-1) @ dW.reshape(lead + (N, N * N, n))
-    ricci -= _flat(np.moveaxis(dW, -3, -2), 1) @ hinv[:, :n].reshape(-1)
+    W_2 = _flat(W, 2)
+    ricci -= (W_2 @ hinv.T.copy()).reshape(lead + (N, N * N)) @ W_2  # a C-ordered h^-T is faster
+    # the d omega terms, + d_C W[A,X,B] h^{XB} for base C and - d_b W[A,X,C] h^{Xb},
+    # as one matmul with D[(X, B, c), C] = h^{XB} delta_cC - h^{Xc} delta_BC
+    e = np.eye(N)
+    D = hinv[:, :, None, None] * e[:n] - hinv[:, None, :n, None] * e[:, None, :]
+    ricci += dW.reshape(lead + (N, N * N * n)) @ D.reshape(N * N * n, N)
 
     scalar = np.trace(ricci, axis1=-2, axis2=-1)
     einstein = ricci - 0.5 * scalar[..., None, None] * np.eye(N)
@@ -179,10 +187,8 @@ def riemann_direct(conn: KKConnection) -> np.ndarray:
     Coefficient derivatives act along base frame directions only; the
     ``d e^A`` contributions enter through the structure coefficients K.
     """
-    W, K, dW = conn.W, conn.K, conn.dW
-    spec = conn.geom.spec
+    W, K, dW, spec = conn.W, conn.K, conn.dW, conn.geom.spec
     n, N = spec.n, spec.N
-
     dterm = np.zeros(W.shape[:-3] + (N, N, N, N))
     dterm[..., :n, :] += np.swapaxes(dW, -2, -1)  # d_D W[A,C,E]
     dterm[..., :n] -= dW  # - d_E W[A,C,D]
@@ -208,50 +214,34 @@ def _contract(X, Y):
 
 def ricci_closed_form(geom: GeometryAtPoint) -> ClosedFormCurvature:
     """The closed-form Ricci blocks, scalar curvature and Einstein blocks."""
-    spec = geom.spec
-    n = spec.n
-    cf = spec.fiber_c()
-    kinv = spec.k_inv()
+    spec, F, g = geom.spec, geom.F, geom.gamma
+    n, r, lead, binv = spec.n, spec.r, F.shape[:-3], spec.b_inv()
     base = base_curvature_from_geometry(geom)
-
-    F, binv = geom.F, spec.b_inv()
-    lead, r = F.shape[:-3], spec.r
     # F_beta^{ac}: fiber index lowered with k, both base indices raised with b^-1
     Fup = binv.T @ (spec.k @ F.reshape(lead + (r, n * n))).reshape(F.shape) @ binv
     # the divergence dF_beta^{ac}_{,c} of the same raising, contracted as it is raised
     div = (spec.k @ (geom.dF.reshape(lead + (r, n, n * n)) @ binv.reshape(-1))) @ binv
-    g = geom.gamma
-
-    FF = np.einsum("...bac,...bdc->...ad", Fup, F)
+    Fup_1, F_1 = _flat(Fup, 1), _flat(F, 1)  # [beta, (a, c)]
+    # FF[a, d] = F_beta^{ac} F^beta_{dc}, each factor with a moved in front of beta
+    FF = _flat(np.swapaxes(Fup, -3, -2), 1) @ _flat(np.swapaxes(F, -2, -1), 2)
     ric_base = base.ricci - 0.5 * FF
-
-    t2 = np.einsum("...abc,...dbc->...da", g, Fup)
-    t3 = np.einsum("...cbc,...dab->...da", g, Fup)
+    t2 = Fup_1 @ np.swapaxes(_flat(g, 1), -2, -1)  # gamma[a, b, c] F_delta^{bc}
+    # gamma[c, b, c] F_delta^{ab}, from the trace of gamma over its outer pair
+    t3 = (Fup @ np.trace(g, axis1=-3, axis2=-1)[..., None, :, None])[..., 0]
     # t4[delta, a] = c^g_{al delta} A^al_c F_g^{ac}, from P[g, a, al] = F_g^{ac} A^al_c
     P = Fup @ np.swapaxes(geom.A, -2, -1)[..., None, :, :]
-    t4 = np.swapaxes(np.swapaxes(P, -3, -2).reshape(lead + (n, r * r)) @ cf.reshape(r * r, r),
-                     -2, -1)
+    t4 = np.swapaxes(np.swapaxes(P, -3, -2).reshape(lead + (n, r * r))
+                     @ spec.fiber_c().reshape(r * r, r), -2, -1)
     ric_mixed = 0.5 * np.swapaxes(div + t2 + t3 - t4, -2, -1)  # (n, r): rows a, columns delta
 
-    cc = np.einsum("abg,bde,ge->ad", cf, cf, kinv)  # c^al_{beta gamma} c^beta_{delta eps} k^{gamma eps}
-    ric_fiber = 0.25 * np.einsum("...dbc,...abc->...ad", Fup, F) - 0.25 * cc
-
-    ff = np.einsum("...abc,...abc->...", Fup, F)
+    cc = spec.fiber_cc()
+    ric_fiber = 0.25 * (F_1 @ np.swapaxes(Fup_1, -2, -1)) - 0.25 * cc
+    ff = np.trace(FF, axis1=-2, axis2=-1)
     cck = float(np.trace(cc))
     scalar = base.scalar - 0.25 * ff - 0.25 * cck
-
-    ein_base = (
-        base.einstein
-        - 0.5 * (FF - 0.25 * ff[..., None, None] * np.eye(n))
-        + 0.125 * cck * np.eye(n)
-    )
-    return ClosedFormCurvature(
-        ric_base=ric_base,
-        ric_mixed=ric_mixed,
-        ric_fiber=ric_fiber,
-        scalar=scalar,
-        ein_base=ein_base,
-    )
+    ein_base = (base.einstein - 0.5 * (FF - 0.25 * ff[..., None, None] * np.eye(n))
+                + 0.125 * cck * np.eye(n))
+    return ClosedFormCurvature(ric_base, ric_mixed, ric_fiber, scalar, ein_base)
 
 
 def eym_residuals(closed: ClosedFormCurvature) -> EYMResidual:
@@ -260,10 +250,7 @@ def eym_residuals(closed: ClosedFormCurvature) -> EYMResidual:
     For exact solutions both blocks vanish; otherwise they quantify how far
     the configuration is from solving the system (they are data, not errors).
     """
-    return EYMResidual(
-        einstein_block=closed.ein_base,
-        ym_block=2.0 * np.swapaxes(closed.ric_mixed, -2, -1),
-    )
+    return EYMResidual(closed.ein_base, 2.0 * np.swapaxes(closed.ric_mixed, -2, -1))
 
 
 def cross_check(direct: KKCurvature, closed: ClosedFormCurvature) -> dict:

@@ -55,7 +55,7 @@ class LieAlgebraSpec(namedtuple("LieAlgebraSpec", "n r c b k")):
     Immutable after construction; all arrays are copied and frozen, and
     every entry must be finite.  ``c`` is ``(N, N, N)``, ``b`` ``(n, n)``
     and ``k`` ``(r, r)``.  No ``__slots__``: the instance dict holds the
-    cached inverses and nothing else.
+    cached inverses and :meth:`fiber_cc`, and nothing else.
     """
 
     def __new__(cls, n, r, c, b, k):
@@ -116,6 +116,15 @@ class LieAlgebraSpec(namedtuple("LieAlgebraSpec", "n r c b k")):
         """The (r, r, r) block of structure constants on the subalgebra."""
         n = self.n
         return self.c[n:, n:, n:]
+
+    def fiber_cc(self) -> np.ndarray:
+        """cc[al, de] = c^al_{be ga} c^be_{de ep} k^{ga ep}, read-only and computed once."""
+        if "_cc" not in self.__dict__:
+            cf, r = self.fiber_c(), self.r
+            ck = np.swapaxes(cf @ self.k_inv().T, -2, -1)  # c^be_{de ep} k^{ga ep} as [be, ga, de]
+            self.__dict__["_cc"] = cf.reshape(r, r * r) @ ck.reshape(r * r, r)
+            self.__dict__["_cc"].flags.writeable = False
+        return self.__dict__["_cc"]
 
 
 class CheckResult(namedtuple("CheckResult", "name passed max_violation worst_indices",

@@ -531,18 +531,22 @@ def test_matmul_kernels_match_einsum(n, r):
         dEinv = rng.normal(size=batch + (n, n, n))  # [mu, a, rho]
         A = rng.normal(size=batch + (r, n))
         dA = rng.normal(size=batch + (r, n, n))  # [al, mu, rho]
+        # G[x, c, rho] = (d_rho E E^-1)[x, c] = -(E d_rho E^-1)[x, c]
+        G = -np.einsum("...xm,...mcr->...xcr", np.linalg.inv(Einv), dEinv)
         for X in (rng.normal(size=batch + (n, n, n)), rng.normal(size=batch + (r, n, n))):
             dX = rng.normal(size=X.shape + (n,))
-            assert np.abs(_frame_2form(X, Einv) - einsum_frame_2form(X, Einv)).max(
-                initial=0.0) < 1e-13
-            got = np.moveaxis(_d_frame_2form(X, np.moveaxis(dX, -1, -4), Einv,
-                                             np.moveaxis(dEinv, -1, -3)), -4, -1)
+            Y = _frame_2form(X, Einv)
+            assert np.abs(Y - einsum_frame_2form(X, Einv)).max(initial=0.0) < 1e-13
+            got = _d_frame_2form(Y, dX, Einv, G)
             assert got.shape == dX.shape
             assert np.abs(got - einsum_d_frame_2form(X, dX, Einv, dEinv)).max(
                 initial=0.0) < 1e-13
         C = rng.normal(size=batch + (n, n, n))
         assert np.abs(_gamma_from_C(C, b, binv) - einsum_gamma_from_C(C, b, binv)).max(
             initial=0.0) < 1e-13
+        dC = rng.normal(size=batch + (n, n, n, n))  # a derivative direction riding along
+        want = np.moveaxis(einsum_gamma_from_C(np.moveaxis(dC, -1, 0), b, binv), 0, -1)
+        assert np.abs(_gamma_from_C(dC, b, binv, tail=1) - want).max(initial=0.0) < 1e-13
         quad = _quadratic(c, A, A)
         assert quad.shape == batch + (r, n, n)
         assert np.abs(quad - np.einsum("abg,...bm,...gn->...amn", c, A, A)).max(
@@ -553,6 +557,22 @@ def test_matmul_kernels_match_einsum(n, r):
                           (_quadratic(c, A[..., None, :, :], dA_r),
                            np.einsum("abg,...bm,...gnr->...amnr", c, A, dA))):
             assert np.abs(np.moveaxis(got, -4, -1) - want).max(initial=0.0) < 1e-13
+
+
+@pytest.mark.parametrize("r", [0, 1, 3, 4])
+def test_quadratic_matches_einsum_under_broadcasting(r):
+    # c is random, so not antisymmetric in its lower pair; the batch of X
+    # broadcasts against that of Y and the other way round, and the column
+    # counts of X and Y differ
+    rng = np.random.default_rng(20 + r)
+    c = rng.normal(size=(r, r, r))
+    for x_batch, y_batch in (((5, 4), (5, 1)), ((5, 1), (5, 4)), ((), (3,)), ((3,), ())):
+        X = rng.normal(size=x_batch + (r, 2))
+        Y = rng.normal(size=y_batch + (r, 3))
+        got = _quadratic(c, X, Y)
+        want = np.einsum("abg,...bm,...gn->...amn", c, X, Y)
+        assert got.shape == want.shape == np.broadcast_shapes(x_batch, y_batch) + (r, 2, 3)
+        assert np.abs(got - want).max(initial=0.0) < 1e-13
 
 
 def random_gauge(rng, spec, chart):

@@ -140,7 +140,8 @@ def test_group_element_must_be_orthogonal():
 
 def test_group_element_batch_is_a_record_and_a_sequence():
     # len, indexing and iteration run over the batch; the record helpers
-    # (_replace, copy, pickle) still see the two fields and re-run the checks
+    # (_replace, _asdict, copy, pickle) still see the two fields, and
+    # _replace re-runs the checks
     rep = builtin_rep("su2_as_so3")
     gs = rep.exp(np.array([[0.1, 0.2, 0.3], [0.3, -0.2, 0.1]]))
     assert len(gs) == 2 and [g.matrix.shape for g in gs] == [(3, 3)] * 2
@@ -151,6 +152,10 @@ def test_group_element_batch_is_a_record_and_a_sequence():
         gs._replace(matrix=2 * gs.matrix)
     for copied in (copy.copy(gs), pickle.loads(pickle.dumps(gs))):
         assert np.array_equal(copied.matrix, gs.matrix) and len(copied) == 2
+    for g in (gs, gs[0]):  # a batch of two, and a single element with no length
+        fields = g._asdict()
+        assert list(fields) == ["rep", "matrix"]
+        assert fields["rep"] is rep and fields["matrix"] is g.matrix
     with pytest.raises(AttributeError):
         gs.matrix = gs.matrix
 

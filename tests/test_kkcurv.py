@@ -266,3 +266,93 @@ def test_closed_form_matches_the_einsum_oracle(builder, n, b, k, deriv_mode):
     cc = np.einsum("abg,bde,ge->ad", cf, cf, spec.k_inv())
     want = 0.25 * np.einsum("...dbc,...abc->...ad", Fup, geom.F) - 0.25 * cc
     assert np.abs(closed.ric_fiber - want).max() <= 1e-14
+    # ff and the scalar: ff is the trace of FF; cc is cached, read-only, on the spec
+    ff = np.einsum("...abc,...abc->...", Fup, geom.F)
+    assert np.abs(closed.scalar - (base.scalar - 0.25 * ff - 0.25 * np.trace(cc))).max() <= 1e-14
+    assert np.abs(spec.fiber_cc() - cc).max(initial=0.0) <= 1e-15
+    assert spec.fiber_cc() is spec.fiber_cc() and not spec.fiber_cc().flags.writeable
+
+
+def connection_oracle(geom):
+    """W, K and dW of the block connection, each block an einsum (or a copy)
+    of its definition; every other block is zero."""
+    spec = geom.spec
+    n, N = spec.n, spec.N
+    cf, binv, k = spec.fiber_c(), spec.b_inv(), spec.k
+    batch = geom.point.shape[:-1]
+    W, K = np.zeros(batch + (N, N, N)), np.zeros(batch + (N, N, N))
+    dW = np.zeros(batch + (N, N, N, n))
+    W[..., :n, :n, :n] = geom.gamma
+    # the e^gamma coefficient -(1/2) F_gamma^a_b, fiber index lowered with k and
+    # first base index raised with b^-1, and omega^a_gamma, its e^b coefficient
+    W[..., :n, :n, n:] = -0.5 * np.einsum("xa,gd,...dxb->...abg", binv, k, geom.F)
+    W[..., :n, n:, :n] = np.einsum("...abg->...agb", W[..., :n, :n, n:])
+    W[..., n:, :n, :n] = -0.5 * np.einsum("...acb->...abc", geom.F)
+    W[..., n:, n:, n:] = -0.5 * np.einsum("agb->abg", cf)
+    W[..., n:, n:, :n] = np.einsum("abg,...bc->...agc", cf, geom.A)
+    dW[..., :n, :n, :n, :] = geom.dgamma
+    dW[..., :n, :n, n:, :] = -0.5 * np.einsum("xa,gd,...dxbe->...abge", binv, k, geom.dF)
+    dW[..., :n, n:, :n, :] = np.einsum("...abge->...agbe", dW[..., :n, :n, n:, :])
+    dW[..., n:, :n, :n, :] = -0.5 * np.einsum("...acbe->...abce", geom.dF)
+    dW[..., n:, n:, :n, :] = np.einsum("abg,...bce->...agce", cf, geom.dA)
+    K[..., :n, :n, :n] = geom.C
+    K[..., n:, :n, :n] = geom.F
+    K[..., n:, n:, n:] = cf
+    K[..., n:, :n, n:] = -np.einsum("abg,...bc->...acg", cf, geom.A)
+    K[..., n:, n:, :n] = np.einsum("abg,...bc->...agc", cf, geom.A)
+    return W, K, dW
+
+
+def antisymmetry_oracle(W, hinv):
+    up = np.einsum("...axc,xb->...abc", W, hinv)
+    return np.abs(up + np.einsum("...abc->...bac", up)).max(axis=(-3, -2, -1))
+
+
+@pytest.mark.parametrize("deriv_mode", ["analytic", "fd"])
+@ORACLE_CASES
+def test_connection_matches_the_einsum_oracle(builder, n, b, k, deriv_mode):
+    # the matmul assembly of W, K and dW, and the antisymmetry residual,
+    # against einsum forms of their definitions
+    geom = oracle_geometry(builder, n, b, k, deriv_mode)
+    conn = assemble_omega(geom)
+    for name, want in zip(("W", "K", "dW"), connection_oracle(geom)):
+        got = getattr(conn, name)
+        assert got.shape == want.shape, name
+        assert np.abs(got - want).max() <= 1e-14, name
+    hinv = geom.spec.h_inv()
+    assert np.abs(conn.antisymmetry_residual() - antisymmetry_oracle(conn.W, hinv)).max() <= 1e-14
+    # a W that is far from antisymmetric after raising, so the residual is O(1)
+    bent = conn._replace(W=conn.W + np.random.default_rng(3).normal(size=conn.W.shape))
+    want = antisymmetry_oracle(bent.W, hinv)
+    assert want.min() > 0.1
+    assert np.abs(bent.antisymmetry_residual() - want).max() <= 1e-14
+
+
+@pytest.mark.parametrize("deriv_mode", ["analytic", "fd"])
+def test_curvature_command_runs_without_einsum(tmp_path, monkeypatch, deriv_mode):
+    # the curvature pipeline (geometry, assembly, both routes, residuals) is
+    # matmuls only: the command succeeds with numpy.einsum unavailable
+    import json
+
+    from kkgeom.cli import EXIT_OK, main
+
+    def no_einsum(*args, **kwargs):
+        raise AssertionError("numpy.einsum called on the curvature path")
+
+    problem = {
+        "algebra": {"builtin": "u1_su2", "n": 3},
+        "fields": {
+            "chart": {"n": 3},
+            "coframe": [["1 + 0.1*x2^2", "0.1*x1", "0"], ["0", "1 + 0.2*sin(x1)", "0"],
+                        ["0.1*x3", "0", "exp(0.1*x1)"]],
+            "gauge": [["0.3*x2", "0.1*x1", "0"], ["0.1*x1*x2", "0.2*sin(x2)", "0.1*x3"],
+                      ["0.1*x2^2", "0", "0.2*x1"], ["0", "0.1*cos(x3)", "0.3*x2"]],
+            "lattice": {"min": [-0.5, -0.5, -0.5], "max": [0.5, 0.5, 0.5], "steps": [2, 2, 3]},
+            "deriv_mode": deriv_mode,
+        },
+    }
+    path, out = tmp_path / "problem.json", tmp_path / "report.json"
+    path.write_text(json.dumps(problem))
+    monkeypatch.setattr(np, "einsum", no_einsum)
+    assert main(["curvature", "--input", str(path), "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["summary"]["points"] == 12
