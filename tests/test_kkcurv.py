@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from kkgeom.basegeo import (ChartSpec, CoframeField, GaugeField,
                             base_curvature_from_geometry, geometry_at_point)
+from kkgeom.cli import EXIT_OK, main
 from kkgeom.kkcurv import (assemble_omega, cross_check, curvature_direct,
                            eym_residuals, ricci_closed_form, riemann_direct)
 from kkgeom.liealg import (abelian_algebra, cosmological_constant,
@@ -332,10 +335,6 @@ def test_connection_matches_the_einsum_oracle(builder, n, b, k, deriv_mode):
 def test_curvature_command_runs_without_einsum(tmp_path, monkeypatch, deriv_mode):
     # the curvature pipeline (geometry, assembly, both routes, residuals) is
     # matmuls only: the command succeeds with numpy.einsum unavailable
-    import json
-
-    from kkgeom.cli import EXIT_OK, main
-
     def no_einsum(*args, **kwargs):
         raise AssertionError("numpy.einsum called on the curvature path")
 
