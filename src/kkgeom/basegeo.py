@@ -7,15 +7,16 @@ and gauge entries are :class:`~kkgeom.fieldexpr.FieldProvider` objects, so
 first and second coordinate derivatives are exact.
 
 The geometry comes in two halves.  The value half computes E, E^-1, the
-anholonomy C, the connection coefficients gamma, and the frame components of
-A and F from the value and first-partial fills.  The frame derivatives dC,
-dA and dF come either from the chain-rule half, on the exact second
-partials (``deriv_mode="analytic"``), or from fourth-order central
-differences of the values (``deriv_mode="fd"``): one value pass over each
-point and its 4n stencil rows, with no second partials.  That stencil (the
-origin first, then four rows per axis) is the one finite-difference stencil
-of the package; ``bundle`` uses it for its fiber differences too.  In both
-routes dgamma = gamma(dC), since gamma is linear in C.
+anholonomy C and the frame components of A and F from the value and
+first-partial fills.  The frame derivatives dC, dA and dF come either from
+the chain-rule half, on the exact second partials (``deriv_mode="analytic"``),
+or from fourth-order central differences of the values
+(``deriv_mode="fd"``): one value pass over each point and its 4n stencil
+rows, with no second partials.  That stencil (the origin first, then four
+rows per axis) is the one finite-difference stencil of the package;
+``bundle`` uses it for its fiber differences too.  Both routes then take the
+connection coefficients gamma from C at the points alone, and dgamma =
+gamma(dC), since gamma is linear in C.
 
 A block costs a few numpy calls per tensor, not one per component: each
 provider matrix is filled in one pass per derivative order, and every
@@ -305,7 +306,7 @@ class GeometryAtPoint(namedtuple("GeometryAtPoint",
 
 
 def _frame_values(coframe, gauge, spec, point, fd_step=None):
-    """The value half of the geometry: E, E^-1, C, gamma, A and F from the
+    """The value half of the geometry: E, E^-1, C, A and F from the
     value and first-partial fills, as keyword arguments of GeometryAtPoint,
     and the coordinate arrays (d_nu e^a_mu, A_mu, d_nu A_mu) that
     :func:`_frame_derivatives` reuses.  ``fd_step`` marks ``point`` as fd
@@ -323,8 +324,7 @@ def _frame_values(coframe, gauge, spec, point, fd_step=None):
     # F^al_{mu nu} = d_mu A^al_nu - d_nu A^al_mu + c^al_bg A^b_mu A^g_nu
     # (the quadratic term is antisymmetric in mu, nu when c is in its lower pair)
     Fc = np.swapaxes(dAm, -2, -1) - dAm + _quadratic(spec.fiber_c(), Am, Am)
-    values = dict(point=point, spec=spec, E=E, E_inv=Einv, C=C,
-                  gamma=_gamma_from_C(C, spec.b, spec.b_inv()), A=Am @ Einv,
+    values = dict(point=point, spec=spec, E=E, E_inv=Einv, C=C, A=Am @ Einv,
                   F=_frame_2form(Fc, Einv))
     return values, (dE, Am, dAm)
 
@@ -357,11 +357,12 @@ def _frame_derivatives(coframe, gauge, spec, values, coord):
 
 def _geometry(values, derivs):
     """GeometryAtPoint from the value half and the frame derivatives dC, dA
-    and dF of either route.  dgamma = gamma(dC): gamma is linear in C and b
-    is constant, so the derivative direction rides along behind c."""
-    spec = values["spec"]
-    return GeometryAtPoint(**values, **derivs,
-                           dgamma=_gamma_from_C(derivs["dC"], spec.b, spec.b_inv(), tail=1))
+    and dF of either route, with gamma from C.  dgamma = gamma(dC): gamma is
+    linear in C and b is constant, so the derivative direction rides along
+    behind c."""
+    b, binv = values["spec"].b, values["spec"].b_inv()
+    return GeometryAtPoint(**values, **derivs, gamma=_gamma_from_C(values["C"], b, binv),
+                           dgamma=_gamma_from_C(derivs["dC"], b, binv, tail=1))
 
 
 def _geometry_analytic(coframe, gauge, spec, point):
@@ -440,7 +441,7 @@ def _geometry_fd(coframe, gauge, spec, point, h):
     point = np.asarray(point, dtype=float)
     axis = point.ndim - 1  # the stencil-row axis, behind the batch axes
     rows, _ = _frame_values(coframe, gauge, spec, point[..., None, :] + _fd_stencil(spec.n, h), h)
-    at = {name: np.take(rows[name], 0, axis) for name in ("E", "E_inv", "C", "gamma", "A", "F")}
+    at = {name: np.take(rows[name], 0, axis) for name in ("E", "E_inv", "C", "A", "F")}
     derivs = {"d" + name: _to_frame(_fd_gradient(rows[name], axis, h), at["E_inv"])
               for name in ("C", "A", "F")}
     return _geometry(dict(point=point, spec=spec, **at), derivs)

@@ -308,6 +308,8 @@ def _exit_code(worst):
 
 
 def cmd_curvature(args):
+    import numpy as np
+
     from . import basegeo
 
     problem = _load_problem(args.input)
@@ -321,11 +323,14 @@ def cmd_curvature(args):
         rows += _curvature_rows(coframe, gauge, spec, points[start:start + _BLOCK],
                                 deriv_mode, opts["fd_step"])
 
+    def worst(name):
+        return float(np.max([r[name] for r in rows], initial=0.0))  # NaN propagates
+
     summary = {
         "points": len(rows),
-        "max_einstein_residual": max((r["einstein_residual_norm"] for r in rows), default=0.0),
-        "max_yang_mills_residual": max((r["yang_mills_residual_norm"] for r in rows), default=0.0),
-        "max_cross_check": max((r["cross_check_max"] for r in rows), default=0.0),
+        "max_einstein_residual": worst("einstein_residual_norm"),
+        "max_yang_mills_residual": worst("yang_mills_residual_norm"),
+        "max_cross_check": worst("cross_check_max"),
     }
     config = {"algebra": problem.get("algebra"), "fields": problem.get("fields"),
               "options": opts}

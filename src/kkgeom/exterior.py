@@ -11,6 +11,13 @@ through a private constructor that only drops zero coefficients, and each
 result is built once (``d_substitute`` accumulates all of its Leibniz terms
 into one map).
 
+:func:`check_identities` checks two families of identities of the epsilon
+forms eps(F) = ``epsilon_form(N, F)``, with eps() the volume form: the
+index choices theta^A /\\ eps(F_1..F_k) = sum_i (-1)^(k-i) delta^A_(F_i)
+eps(F without F_i) for k = 1, 2, 3, and the Leibniz rule d eps(F_1..F_k) =
+sum_B d theta^B /\\ eps(F_1..F_k, B) for k = 1, 2.  Each family is one loop
+over k, its right-hand side one coefficient map.
+
 A coefficient, or an entry of an ``interior`` vector, is a real number: a
 Python int or float, a numpy real scalar or a 0-d array of one.  It is
 stored as a Python float; anything else raises :class:`StructuralError`.
@@ -138,7 +145,7 @@ class AlternatingForm:
         return (self - other).is_zero(tol)
 
     def dump(self) -> str:
-        """One line per multi-index: "A1 A2 ... Ap : v" (1-based)."""
+        """One line per multi-index: "i1 i2 ... ip : v" (1-based)."""
         lines = []
         for idx in sorted(self.coeffs):
             head = " ".join(str(i + 1) for i in idx)
@@ -291,23 +298,24 @@ _LEIBNIZ_COEFFS = (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0)
 def check_identities(N, trials=200, seed=0) -> IdentityReport:
     """Verify the five structural identities tying the epsilon-built forms.
 
-    Index-choice identities are checked exhaustively for ``N`` up to
-    ``_EXHAUSTIVE_LIMIT`` and on random draws above it; the two derivative
-    identities substitute random integer-coefficient 2-forms for each
-    ``d theta^B``.  ``trials``, a positive integer, is the number of random
-    draws per identity, and ``seed`` seeds the :class:`random.Random` they
-    come from.  The coefficients are small integers and the signs +-1, so
-    every residual is computed exactly: it is zero whatever the draws.
+    With eps(F) = epsilon_form(N, F) and eps() the volume form, they are
+    theta^A /\\ eps(F_1..F_k) = sum_i (-1)^(k-i) delta^A_(F_i) eps(F without F_i)
+    for k = 1, 2, 3, on every index tuple for ``N`` up to ``_EXHAUSTIVE_LIMIT``
+    and on random draws above it, and d eps(F_1..F_k) = sum_B beta^B /\\
+    eps(F_1..F_k, B) for k = 1, 2, with random integer-coefficient 2-forms
+    beta^B substituted for each ``d theta^B``.  ``trials``, a positive
+    integer, is the number of random draws per identity, and ``seed`` seeds
+    the :class:`random.Random` they come from.  The coefficients are small
+    integers and the signs +-1, so every residual is computed exactly: it is
+    zero whatever the draws.
     """
     if N < 3:
         raise DegreeError("identity suite needs N >= 3")
     if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
         raise StructuralError(f"trials must be a positive integer, got {trials!r}")
     rng = random.Random(None if seed is None else operator.index(seed))  # numpy ints too
-    vol = top_form(N)
     th = [basis_one_form(N, A) for A in range(N)]
-    zero = {k: AlternatingForm.zero(N, k) for k in (N - 2, N - 1, N)}
-    epsilons = {}
+    epsilons = {(): top_form(N)}
 
     def eps(*fixed):
         """epsilon_form(N, fixed), built once per index tuple."""
@@ -316,80 +324,38 @@ def check_identities(N, trials=200, seed=0) -> IdentityReport:
             form = epsilons[fixed] = epsilon_form(N, fixed)
         return form
 
-    res = {name: 0.0 for name in (
-        "theta^A /\\ theta^(N-1)",
-        "theta^A /\\ theta^(N-2)",
-        "theta^A /\\ theta^(N-3)",
-        "d theta^(N-1) Leibniz",
-        "d theta^(N-2) Leibniz",
-    )}
+    def gap(lhs, rhs):
+        """max |lhs - rhs| for a right-hand side given as a coefficient map."""
+        return (lhs - _form(N, lhs.degree, rhs)).max_abs()
 
-    if N <= _EXHAUSTIVE_LIMIT:
-        singles = list(product(range(N), repeat=2))
-        pairs = list(product(range(N), repeat=3))
-        triples = list(product(range(N), repeat=4))
-    else:
-        def draw(width):
-            """``trials`` index tuples of ``width`` entries, in one draw."""
-            flat = rng.choices(range(N), k=trials * width)
-            return [flat[i:i + width] for i in range(0, len(flat), width)]
-
-        singles, pairs, triples = draw(2), draw(3), draw(4)
-
-    for A, Ap in singles:
-        lhs = wedge(th[A], eps(Ap))
-        rhs = vol if A == Ap else zero[N]
-        res["theta^A /\\ theta^(N-1)"] = max(
-            res["theta^A /\\ theta^(N-1)"], (lhs - rhs).max_abs()
-        )
-
-    for A, Ap, Bp in pairs:
-        lhs = wedge(th[A], eps(Ap, Bp))
-        rhs = zero[N - 1]
-        if A == Bp:
-            rhs = rhs + eps(Ap)
-        if A == Ap:
-            rhs = rhs - eps(Bp)
-        res["theta^A /\\ theta^(N-2)"] = max(
-            res["theta^A /\\ theta^(N-2)"], (lhs - rhs).max_abs()
-        )
-
-    for A, Ap, Bp, Cp in triples:
-        lhs = wedge(th[A], eps(Ap, Bp, Cp))
-        rhs = zero[N - 2]
-        if A == Cp:
-            rhs = rhs + eps(Ap, Bp)
-        if A == Bp:
-            rhs = rhs + eps(Cp, Ap)
-        if A == Ap:
-            rhs = rhs + eps(Bp, Cp)
-        res["theta^A /\\ theta^(N-3)"] = max(
-            res["theta^A /\\ theta^(N-3)"], (lhs - rhs).max_abs()
-        )
+    res = {}
+    for k in (1, 2, 3):
+        if N <= _EXHAUSTIVE_LIMIT:
+            cases = product(range(N), repeat=k + 1)
+        else:  # ``trials`` tuples (A, F_1, ..., F_k) in one draw
+            flat = rng.choices(range(N), k=trials * (k + 1))
+            cases = (flat[i:i + k + 1] for i in range(0, len(flat), k + 1))
+        worst = 0.0
+        for A, *F in cases:
+            rhs = {}
+            for i, Fi in enumerate(F):
+                if A == Fi:
+                    _wedge_into(rhs, {(): (-1.0) ** (k - 1 - i)}, eps(*F[:i], *F[i + 1:]).coeffs)
+            worst = max(worst, gap(wedge(th[A], eps(*F)), rhs))
+        res[f"theta^A /\\ theta^(N-{k})"] = worst
 
     # Leibniz identities, with integer random 2-forms standing in for d theta^B
+    leibniz = {1: 0.0, 2: 0.0}
     planes = list(combinations(range(N), 2))
     P = len(planes)
     for _ in range(trials):
         # the coefficients of beta^0, then beta^1, ..., each drawn plane by plane
         draws = rng.choices(_LEIBNIZ_COEFFS, k=N * P)
         beta = [_form(N, 2, dict(zip(planes, draws[B * P:(B + 1) * P]))) for B in range(N)]
-
-        # each right-hand side sum_B beta^B /\ eps(..., B) is one coefficient map
-        A = rng.randrange(N)
-        lhs = d_substitute(eps(A), beta)
-        rhs = {}
-        for B in range(N):
-            _wedge_into(rhs, beta[B].coeffs, eps(A, B).coeffs)
-        res["d theta^(N-1) Leibniz"] = max(res["d theta^(N-1) Leibniz"],
-                                           (lhs - _form(N, N, rhs)).max_abs())
-
-        A, B = rng.choices(range(N), k=2)
-        lhs = d_substitute(eps(A, B), beta)
-        rhs = {}
-        for C in range(N):
-            _wedge_into(rhs, beta[C].coeffs, eps(A, B, C).coeffs)
-        res["d theta^(N-2) Leibniz"] = max(res["d theta^(N-2) Leibniz"],
-                                           (lhs - _form(N, N - 1, rhs)).max_abs())
-
+        for F in ((rng.randrange(N),), tuple(rng.choices(range(N), k=2))):
+            rhs = {}
+            for B in range(N):
+                _wedge_into(rhs, beta[B].coeffs, eps(*F, B).coeffs)
+            leibniz[len(F)] = max(leibniz[len(F)], gap(d_substitute(eps(*F), beta), rhs))
+    res.update((f"d theta^(N-{k}) Leibniz", v) for k, v in leibniz.items())
     return IdentityReport(N=N, trials=trials, residuals=res)

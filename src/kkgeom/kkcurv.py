@@ -34,6 +34,7 @@ from collections import namedtuple
 import numpy as np
 
 from .basegeo import GeometryAtPoint, base_curvature_from_geometry
+from .liealg import LAMBDA_PREFACTOR
 
 __all__ = [
     "KKConnection",
@@ -238,9 +239,10 @@ def ricci_closed_form(geom: GeometryAtPoint) -> ClosedFormCurvature:
     ric_fiber = 0.25 * (F_1 @ np.swapaxes(Fup_1, -2, -1)) - 0.25 * cc
     ff = np.trace(FF, axis1=-2, axis2=-1)
     cck = float(np.trace(cc))
-    scalar = base.scalar - 0.25 * ff - 0.25 * cck
+    # the cosmological terms -cck/4 and +cck/8, written exactly through the prefactor
+    scalar = base.scalar - 0.25 * ff + 2.0 * LAMBDA_PREFACTOR * cck
     ein_base = (base.einstein - 0.5 * (FF - 0.25 * ff[..., None, None] * np.eye(n))
-                + 0.125 * cck * np.eye(n))
+                - LAMBDA_PREFACTOR * cck * np.eye(n))
     return ClosedFormCurvature(ric_base, ric_mixed, ric_fiber, scalar, ein_base)
 
 

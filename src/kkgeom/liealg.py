@@ -173,45 +173,26 @@ def validate_spec(spec: LieAlgebraSpec, tol: float = 1e-10) -> ValidationReport:
     report as failed; unimodularity is reported as a warning only.  A singular
     ``h`` raises :class:`DegenerateMetricError`.
     """
-    c, h = spec.c, spec.h
-    n = spec.n
-
+    c, h, n = spec.c, spec.h, spec.n
     det_h = float(np.linalg.det(h))
     if abs(det_h) <= tol:
         raise DegenerateMetricError(f"|det h| = {abs(det_h):.3e} <= tolerance {tol:.3e}")
 
-    checks = []
-
-    anti = c + np.swapaxes(c, 1, 2)
-    v, w = _worst(anti)
-    checks.append(CheckResult("bracket antisymmetry", v <= tol, v, w))
-
-    jac = (
-        np.einsum("eda,dbc->eabc", c, c)
-        + np.einsum("edb,dca->eabc", c, c)
-        + np.einsum("edc,dab->eabc", c, c)
-    )
-    v, w = _worst(jac)
-    checks.append(CheckResult("Jacobi identity", v <= tol, v, w))
-
-    # central block: c vanishes unless all three indices sit in the
-    # subalgebra block
-    mask = np.ones_like(c, dtype=bool)
-    mask[n:, n:, n:] = False
-    blocked = np.where(mask, c, 0.0)
-    v, w = _worst(blocked)
-    checks.append(CheckResult("central-block structure", v <= tol, v, w))
-
-    adinv = np.einsum("dab,dc->abc", c, h) + np.einsum("dac,bd->abc", c, h)
-    v, w = _worst(adinv)
-    checks.append(CheckResult("ad-invariance of h", v <= tol, v, w))
-
-    # block orthogonality of h (structural given the b/k storage, but
-    # reported so that the report lists every hypothesis)
-    off = h[:n, n:]
-    v, w = _worst(off)
-    checks.append(CheckResult("block orthogonality of h", v <= tol, v, w))
-
+    # central block: c vanishes unless all three indices sit in the subalgebra block
+    blocked = c.copy()
+    blocked[n:, n:, n:] = 0.0
+    residuals = {
+        "bracket antisymmetry": c + np.swapaxes(c, 1, 2),
+        "Jacobi identity": (np.einsum("eda,dbc->eabc", c, c) + np.einsum("edb,dca->eabc", c, c)
+                            + np.einsum("edc,dab->eabc", c, c)),
+        "central-block structure": blocked,
+        "ad-invariance of h": np.einsum("dab,dc->abc", c, h) + np.einsum("dac,bd->abc", c, h),
+        # structural given the b/k storage, but reported so that the report
+        # lists every hypothesis
+        "block orthogonality of h": h[:n, n:],
+    }
+    checks = [CheckResult(name, v <= tol, v, w)
+              for name, residual in residuals.items() for v, w in [_worst(residual)]]
     checks.append(CheckResult("nondegeneracy of h", abs(det_h) > tol, 0.0))
 
     trace = np.einsum("aba->b", c)

@@ -282,6 +282,33 @@ def test_curvature_exits_2_on_cross_check_violation(tmp_path, capsys, monkeypatc
         assert out.err == ""
 
 
+def test_curvature_summary_keeps_a_nan_past_the_first_row(tmp_path, capsys, monkeypatch):
+    exact = kkcurv.ricci_closed_form
+
+    def nan_after_first(geom):
+        closed = exact(geom)
+        ric_base = closed.ric_base.copy()
+        ric_base[1:] = np.nan
+        return closed._replace(ric_base=ric_base)
+
+    monkeypatch.setattr(kkcurv, "ricci_closed_form", nan_after_first)
+    code, out = run(capsys, ["curvature", "--input", write_problem(tmp_path, SU2_PROBLEM)])
+    assert code == EXIT_VIOLATION
+    report = json.loads(out.out)
+    assert [math.isnan(r["cross_check_max"]) for r in report["per_point"]] == [
+        False, True, True, True]
+    assert math.isnan(report["summary"]["max_cross_check"])
+
+
+def test_curvature_closed_form_follows_the_lambda_prefactor(tmp_path, capsys, monkeypatch):
+    # the closed form's cosmological terms are written through the prefactor:
+    # flipping its sign takes them off the direct route
+    monkeypatch.setattr(kkcurv, "LAMBDA_PREFACTOR", -kkcurv.LAMBDA_PREFACTOR)
+    code, out = run(capsys, ["curvature", "--input", write_problem(tmp_path, SU2_PROBLEM)])
+    assert code == EXIT_VIOLATION
+    assert json.loads(out.out)["summary"]["max_cross_check"] > 1e-6
+
+
 def test_curvature_exits_2_on_torsion_violation(tmp_path, capsys, monkeypatch):
     exact = kkcurv.assemble_omega
 

@@ -191,6 +191,24 @@ def test_identity_suite_takes_integer_seeds(monkeypatch):
     assert runs[0] and runs[1] == runs[0] and runs[2] == runs[0]
 
 
+def test_identity_suite_reads_a_wrong_epsilon_form(monkeypatch):
+    # every residual is an exact zero while the forms are right; a form
+    # negated on one fixed-index tuple must show in each family under some
+    # mutant (N = 4 checks every index tuple)
+    original = exterior.epsilon_form
+    readings = {}
+    for bad in [(0, 1), (2,), (0, 1, 2)]:
+        def negated(N, fixed, bad=bad):
+            form = original(N, fixed)
+            return -form if tuple(fixed) == bad else form
+
+        monkeypatch.setattr(exterior, "epsilon_form", negated)
+        readings[bad] = list(check_identities(4, trials=200, seed=0).residuals.values())
+    assert readings == {(0, 1): [0, 2, 2, 6, 12], (2,): [2, 2, 0, 16, 0],
+                        (0, 1, 2): [0, 0, 2, 0, 6]}
+    assert all(max(family) >= 1 for family in zip(*readings.values()))
+
+
 def test_identity_suite_rejects_small_n():
     with pytest.raises(DegreeError):
         check_identities(2)
