@@ -14,15 +14,16 @@ rep from the algebra unless ``rep`` names a built-in one), write a JSON or
 CSV report to --out (default stdout), and exit with 0 on success, 2 on an
 invariant violation, 64 on a usage or input error (including malformed
 algebras, fields and points, and field expressions that leave their real
-domain), and 70 on an internal numeric failure.  A curvature sweep or a
-gauge check runs in one process: its points are sorted and evaluated in
-fixed-size blocks, each block one vectorised pass through the pipeline, so a
-report depends only on the problem file.  ``gauge-check`` draws its random
-group element and fiber point for each sorted point from the ``seed``
-option, in point order.  Both commands exit 2 with one stderr line naming
-the worst point and residual when a residual exceeds its rung of the
-tolerance ladder or is NaN, and 70 with one line naming the first point
-where the frame geometry or the curvature overflows.  JSON reports are
+domain), and 70 on an internal numeric failure, a failed allocation among
+them.  ``curvature`` and ``gauge-check`` run one sweep driver, ``_sweep``:
+it loads the fields, sorts the points and cuts them into fixed-size blocks,
+each block one geometry pass and one vectorised pass of the command's
+columns, so a report depends only on the problem file.  ``gauge-check``
+draws its random group element and fiber point for each sorted point from
+the ``seed`` option, in point order.  Both commands exit 2 with one stderr
+line naming the worst point and residual when a residual exceeds its rung
+of the tolerance ladder or is NaN, and 70 with one line naming the first
+point where the frame geometry or the curvature overflows.  JSON reports are
 compact: one line, keys sorted, no indentation.
 
 Each subcommand imports the kkgeom modules it runs on when it is dispatched:
@@ -241,51 +242,43 @@ def cmd_identities(args):
 
 
 # ---------------------------------------------------------------------------
-# curvature
+# the sweep driver, and curvature
 
 # Points per vectorised block of curvature and gauge-check: enough to amortise
 # each stage's numpy call overhead, few enough that the block's arrays (4n fd
-# stencil rows per point, and in gauge-check N^4 curvature numbers and
-# (1 + 4r)^2 fiber stencil gauge maps) stay a few MB and peak memory stays flat.
+# stencil rows per point, and in gauge-check N^4 curvature numbers and 1 + 4r
+# fiber stencil gauge maps) stay a few MB and peak memory stays flat.
 _BLOCK = 32
 
 
-def _curvature_rows(coframe, gauge, spec, points, deriv_mode, fd_step):
-    """Report rows for a (count, n) block of points, one pipeline pass."""
+def _sweep(problem, spec, opts, block_columns):
+    """Report rows of the problem's fields on ``spec``: the sorted points in
+    blocks of ``_BLOCK``, one geometry pass per block in the fields'
+    ``deriv_mode`` at ``fd_step``, and per block the columns "point" and
+    ``block_columns(geom)`` (a dict of per-point arrays)."""
     import numpy as np
 
-    from . import basegeo, kkcurv
+    from . import basegeo
 
-    geom = basegeo.geometry_at_point(coframe, gauge, spec, points,
-                                     deriv_mode=deriv_mode, fd_step=fd_step)
-    # a finite geometry can still overflow the curvature products (a tiny
-    # frame makes F huge): that is caught as a non-finite Ricci, not warned about
-    with np.errstate(over="ignore", invalid="ignore"):
-        conn = kkcurv.assemble_omega(geom)
-        direct = kkcurv.curvature_direct(conn)
-        basegeo.check_finite(points, {"ricci": direct.ricci}, "curvature")
-        closed = kkcurv.ricci_closed_form(geom)
-        res = kkcurv.eym_residuals(closed)
-        cross = kkcurv.cross_check(direct, closed)
-        columns = {
-            "point": points,
-            "scalar_curvature": direct.scalar,
-            "ricci": direct.ricci,
-            "einstein_residual_norm": res.einstein_norm,
-            "yang_mills_residual_norm": res.ym_norm,
-            "cross_check_max": np.max(list(cross.values()), axis=0),
-            "connection_antisymmetry": conn.antisymmetry_residual(),
-            "connection_torsion": conn.torsion_residual(),
-        }
-    return _rows(columns)
+    fields = problem.get("fields", {})
+    _, coframe, gauge, points = basegeo.load_fields(fields, spec)
+    deriv_mode = fields.get("deriv_mode", "analytic")  # fields is an object by now
+    rows = []
+    for start in range(0, len(points), _BLOCK):
+        block = points[start:start + _BLOCK]
+        geom = basegeo.geometry_at_point(coframe, gauge, spec, block,
+                                         deriv_mode=deriv_mode, fd_step=opts["fd_step"])
+        columns = {"point": block, **block_columns(geom)}
+        values = [np.asarray(v).tolist() for v in columns.values()]
+        rows += [dict(zip(columns, row)) for row in zip(*values)]
+    return rows
 
 
-def _rows(columns):
-    """Report rows (dicts of Python values) from per-point column arrays."""
+def _max(rows, *names):
+    """The largest of the named row values, 0.0 over no rows; NaN propagates."""
     import numpy as np
 
-    values = [np.asarray(v).tolist() for v in columns.values()]
-    return [dict(zip(columns, row)) for row in zip(*values)]
+    return float(np.max([[row[name] for name in names] for row in rows], initial=0.0))
 
 
 def _worst_violation(rows, limits):
@@ -307,35 +300,47 @@ def _exit_code(worst):
     return EXIT_VIOLATION
 
 
-def cmd_curvature(args):
+def _curvature_columns(geom):
+    """Curvature report columns at the points of ``geom``, one pipeline pass."""
     import numpy as np
 
-    from . import basegeo
+    from . import basegeo, kkcurv
 
+    # a finite geometry can still overflow the curvature products (a tiny
+    # frame makes F huge): that is caught as a non-finite Ricci, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        conn = kkcurv.assemble_omega(geom)
+        direct = kkcurv.curvature_direct(conn)
+        basegeo.check_finite(geom.point, {"ricci": direct.ricci}, "curvature")
+        closed = kkcurv.ricci_closed_form(geom)
+        res = kkcurv.eym_residuals(closed)
+        cross = kkcurv.cross_check(direct, closed)
+        return {
+            "scalar_curvature": direct.scalar,
+            "ricci": direct.ricci,
+            "einstein_residual_norm": res.einstein_norm,
+            "yang_mills_residual_norm": res.ym_norm,
+            "cross_check_max": np.max(list(cross.values()), axis=0),
+            "connection_antisymmetry": conn.antisymmetry_residual(),
+            "connection_torsion": conn.torsion_residual(),
+        }
+
+
+def cmd_curvature(args):
     problem = _load_problem(args.input)
     opts = _options(problem, args)
-    spec = _algebra_from(problem)
-    fields = problem.get("fields", {})
-    _, coframe, gauge, points = basegeo.load_fields(fields, spec)
-    deriv_mode = fields.get("deriv_mode", "analytic")
-    rows = []
-    for start in range(0, len(points), _BLOCK):
-        rows += _curvature_rows(coframe, gauge, spec, points[start:start + _BLOCK],
-                                deriv_mode, opts["fd_step"])
-
-    def worst(name):
-        return float(np.max([r[name] for r in rows], initial=0.0))  # NaN propagates
-
+    rows = _sweep(problem, _algebra_from(problem), opts, _curvature_columns)
     summary = {
         "points": len(rows),
-        "max_einstein_residual": worst("einstein_residual_norm"),
-        "max_yang_mills_residual": worst("yang_mills_residual_norm"),
-        "max_cross_check": worst("cross_check_max"),
+        "max_einstein_residual": _max(rows, "einstein_residual_norm"),
+        "max_yang_mills_residual": _max(rows, "yang_mills_residual_norm"),
+        "max_cross_check": _max(rows, "cross_check_max"),
     }
     config = {"algebra": problem.get("algebra"), "fields": problem.get("fields"),
               "options": opts}
     _emit(_report("curvature", config, {"per_point": rows, "summary": summary}), args)
-    limits = (("cross_check_max", _TOL_FD if deriv_mode == "fd" else _TOL_ANALYTIC),
+    fd = problem["fields"].get("deriv_mode") == "fd"
+    limits = (("cross_check_max", _TOL_FD if fd else _TOL_ANALYTIC),
               ("connection_torsion", _TOL_EXACT), ("connection_antisymmetry", _TOL_EXACT))
     return _exit_code(_worst_violation(rows, limits))
 
@@ -457,49 +462,32 @@ def cmd_lift(args):
 # gauge-check
 
 
-def _gauge_rows(coframe, gauge, spec, rep, points, draws, deriv_mode, fd_step):
-    """Report rows for a (count, n) block of points, one pass of each check;
-    ``draws[i]`` holds the group-element and fiber-point normals of point i."""
-    from . import basegeo, bundle
-
-    geom = basegeo.geometry_at_point(coframe, gauge, spec, points,
-                                     deriv_mode=deriv_mode, fd_step=fd_step)
-    return _rows({
-        "point": points,
-        "deextra_residual": bundle.verify_deextra(geom, s=0.25 * draws[:, 1]),
-        "gauge_covariance_residual": bundle.verify_gauge_covariance(geom, rep.exp(draws[:, 0])),
-    })
-
-
 def cmd_gauge_check(args):
     import numpy as np
 
-    from . import basegeo
+    from . import bundle
 
     problem = _load_problem(args.input)
     opts = _options(problem, args)
     spec = _algebra_from(problem)
     rep = _rep_from(problem, spec)
-    fields = problem.get("fields", {})
-    _, coframe, gauge, points = basegeo.load_fields(fields, spec)
-    deriv_mode = fields.get("deriv_mode", "analytic")
     rng = np.random.default_rng(opts["seed"])
     tol = opts.get("gauge_tol", 1e-5)
-    rows = []
-    for start in range(0, len(points), _BLOCK):
-        block = points[start:start + _BLOCK]
+
+    def columns(geom):
         # the stream order of a per-point loop: g's normals, then s's, point by point
-        draws = rng.normal(size=(len(block), 2, rep.spec.r))
-        rows += _gauge_rows(coframe, gauge, spec, rep, block, draws, deriv_mode,
-                            opts["fd_step"])
+        draws = rng.normal(size=(len(geom.point), 2, rep.spec.r))
+        s, g = 0.25 * draws[:, 1], rep.exp(draws[:, 0])
+        return {"deextra_residual": bundle.verify_deextra(geom, s=s),
+                "gauge_covariance_residual": bundle.verify_gauge_covariance(geom, g)}
+
+    rows = _sweep(problem, spec, opts, columns)
     limits = (("deextra_residual", tol), ("gauge_covariance_residual", tol))
     worst = _worst_violation(rows, limits)
     config = {"algebra": problem.get("algebra"), "fields": problem.get("fields"),
               "rep": problem.get("rep"), "options": opts}
-    residuals = np.array([[row[name] for name, _ in limits] for row in rows])
     body = {"passed": worst is None, "tolerance": tol,
-            "max_residual": float(residuals.max(initial=0.0)),  # NaN propagates
-            "per_point": rows}
+            "max_residual": _max(rows, *(name for name, _ in limits)), "per_point": rows}
     _emit(_report("gauge-check", config, body), args)
     return _exit_code(worst)
 
@@ -568,6 +556,9 @@ def main(argv=None):
         return EXIT_VIOLATION
     except ValueError as exc:  # numpy's LinAlgError among them
         print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as exc:  # numpy's _ArrayMemoryError among them
+        print(f"numeric failure: MemoryError: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

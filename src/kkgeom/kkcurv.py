@@ -15,8 +15,8 @@ gauge-covariant divergence of the field strength.
 Every kernel is a batched matmul on flat views of the blocks, with no einsum
 and no outer product: the c A terms of W and K are one (r^2, r) matmul, the
 two d omega terms of the direct route one matmul with a constant matrix of
-h^-1 entries.  The closed form reads the geometry and ``spec.fiber_cc()``
-only, never an array of the direct route.
+h^-1 entries.  The closed form reads the geometry, ``spec.fiber_cc()`` and
+the cosmological constant only, never an array of the direct route.
 
 Total-space index convention: ``A < n`` is a base index, ``A >= n`` a fiber
 index; all coefficients are functions of the chart point only (they are
@@ -34,7 +34,7 @@ from collections import namedtuple
 import numpy as np
 
 from .basegeo import GeometryAtPoint, base_curvature_from_geometry
-from .liealg import LAMBDA_PREFACTOR
+from .liealg import cosmological_constant
 
 __all__ = [
     "KKConnection",
@@ -238,11 +238,10 @@ def ricci_closed_form(geom: GeometryAtPoint) -> ClosedFormCurvature:
     cc = spec.fiber_cc()
     ric_fiber = 0.25 * (F_1 @ np.swapaxes(Fup_1, -2, -1)) - 0.25 * cc
     ff = np.trace(FF, axis1=-2, axis2=-1)
-    cck = float(np.trace(cc))
-    # the cosmological terms -cck/4 and +cck/8, written exactly through the prefactor
-    scalar = base.scalar - 0.25 * ff + 2.0 * LAMBDA_PREFACTOR * cck
+    lam = cosmological_constant(spec)  # the cosmological terms are +2 lam and -lam I
+    scalar = base.scalar - 0.25 * ff + 2.0 * lam
     ein_base = (base.einstein - 0.5 * (FF - 0.25 * ff[..., None, None] * np.eye(n))
-                - LAMBDA_PREFACTOR * cck * np.eye(n))
+                - lam * np.eye(n))
     return ClosedFormCurvature(ric_base, ric_mixed, ric_fiber, scalar, ein_base)
 
 

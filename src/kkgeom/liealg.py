@@ -224,9 +224,9 @@ def killing_form(spec: LieAlgebraSpec) -> np.ndarray:
 
 
 def cosmological_constant(spec: LieAlgebraSpec) -> float:
-    """``LAMBDA_PREFACTOR`` times the pairing of the Killing form with ``k``-inverse."""
-    K = killing_form(spec)
-    return LAMBDA_PREFACTOR * float(np.einsum("ge,ge->", K, spec.k_inv()))
+    """``LAMBDA_PREFACTOR`` times the pairing of the Killing form with
+    ``k``-inverse, which is the trace of :meth:`LieAlgebraSpec.fiber_cc`."""
+    return LAMBDA_PREFACTOR * float(np.trace(spec.fiber_cc()))
 
 
 # ---------------------------------------------------------------------------

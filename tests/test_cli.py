@@ -12,7 +12,7 @@ import pytest
 from scipy.linalg import expm
 
 import kkgeom
-from kkgeom import basegeo, bundle, kkcurv
+from kkgeom import basegeo, bundle, kkcurv, liealg
 from kkgeom.bundle import builtin_rep
 from kkgeom.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 from kkgeom.liealg import EPSILON3, load_spec, su2_algebra
@@ -303,7 +303,7 @@ def test_curvature_summary_keeps_a_nan_past_the_first_row(tmp_path, capsys, monk
 def test_curvature_closed_form_follows_the_lambda_prefactor(tmp_path, capsys, monkeypatch):
     # the closed form's cosmological terms are written through the prefactor:
     # flipping its sign takes them off the direct route
-    monkeypatch.setattr(kkcurv, "LAMBDA_PREFACTOR", -kkcurv.LAMBDA_PREFACTOR)
+    monkeypatch.setattr(liealg, "LAMBDA_PREFACTOR", -liealg.LAMBDA_PREFACTOR)
     code, out = run(capsys, ["curvature", "--input", write_problem(tmp_path, SU2_PROBLEM)])
     assert code == EXIT_VIOLATION
     assert json.loads(out.out)["summary"]["max_cross_check"] > 1e-6
@@ -338,6 +338,29 @@ def test_stray_numeric_error_exits_70(tmp_path, capsys, monkeypatch, exc):
     (line,) = out.err.strip().splitlines()
     assert line.startswith("numeric failure:")
     assert str(exc) in line
+
+
+@pytest.mark.parametrize("command,module,function", [
+    ("curvature", basegeo, "load_fields"),
+    ("gauge-check", basegeo, "load_fields"),
+    ("lift", bundle, "lift_and_halve"),
+])
+def test_out_of_memory_exits_70_in_one_line(tmp_path, capsys, monkeypatch, command, module,
+                                            function):
+    # a huge lattice or path step count fails in numpy's allocator; raised
+    # here, since whether a real huge allocation fails at once depends on
+    # the host's overcommit policy
+    message = "Unable to allocate 74.5 GiB for an array with shape (10000000000,)"
+
+    def fail(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(module, function, fail)
+    code, out = run(capsys, [command, "--input", write_problem(tmp_path, SU2_PROBLEM)])
+    assert code == EXIT_NUMERIC
+    assert out.out == ""
+    (line,) = out.err.strip().splitlines()
+    assert line == f"numeric failure: MemoryError: {message}"
 
 
 def with_fields(**changes):
@@ -859,6 +882,34 @@ def test_gauge_check_sweeps_in_blocks_of_32_points(tmp_path, capsys, monkeypatch
     # one exp per block for the drawn group elements, and one per rep for
     # all fiber stencil points, which do not depend on the base point
     assert calls == {"assemble_omega": 2, "riemann_direct": 2, "expm": 3}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("fields", [
+    {"lattice": None, "points": []},
+    {"lattice": {"min": [-0.5, -0.5], "max": [0.5, 0.5], "steps": [0, 2]}},
+], ids=["no-points", "empty-lattice"])
+@pytest.mark.parametrize("command", ["curvature", "gauge-check"])
+def test_an_empty_sweep_reports_no_rows(tmp_path, capsys, command, fields, fmt):
+    path = write_problem(tmp_path, with_fields(**fields))
+    code, out = run(capsys, [command, "--input", path, "--format", fmt])
+    assert code == EXIT_OK
+    assert out.err == ""
+    if command == "curvature":
+        want = {"summary": {"points": 0, "max_einstein_residual": 0.0,
+                            "max_yang_mills_residual": 0.0, "max_cross_check": 0.0}}
+    else:
+        want = {"passed": True, "max_residual": 0.0}
+    if fmt == "json":
+        report = json.loads(out.out)
+        assert report["per_point"] == []
+        assert {key: report[key] for key in want} == want
+    else:  # CSV flattens the empty row list away
+        lines = out.out.splitlines()
+        assert not any(line.startswith("per_point") for line in lines)
+        flat = ([f"summary.{key},{value}" for key, value in want["summary"].items()]
+                if command == "curvature" else [f"{key},{value}" for key, value in want.items()])
+        assert set(flat) <= set(lines)
 
 
 def test_gauge_check_report_ignores_point_order(tmp_path, capsys):

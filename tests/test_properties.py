@@ -223,3 +223,21 @@ def test_constant_velocity_lift_matches_the_exponential(fiber, data):
     want = scipy.linalg.expm(rep.algebra_element(np.array(xi)))
     assert np.abs(np.array(row["final"]) - want).max() < 1e-8
     assert row["drift"] < 1e-8
+
+
+@pytest.mark.parametrize("fiber", FIBERS, ids=FIBER_IDS)
+@settings(SETTINGS, max_examples=3)
+@given(data=st.data())
+def test_closed_form_lambda_terms_are_the_cosmological_constant(fiber, data):
+    # on a flat base with no field the closed form holds its cosmological
+    # terms alone: scalar 2 Lambda and Einstein block -Lambda I
+    n = data.draw(st.integers(2, 5))
+    spec = liealg.load_spec(data.draw(compact_algebras(n, fiber)))
+    _, coframe, gauge, points = load_fields({"chart": {"n": n}, "points": [[0.1] * n]}, spec)
+    closed = kkcurv.ricci_closed_form(geometry_at_point(coframe, gauge, spec, points))
+    lam = liealg.cosmological_constant(spec)
+    assert closed.scalar.tolist() == [2 * lam]
+    assert np.array_equal(closed.ein_base, -lam * np.eye(n)[None])
+    # and Lambda is -1/8 of the Killing form paired with k^-1
+    killing = np.einsum("abg,bae->ge", spec.fiber_c(), spec.fiber_c())
+    assert abs(lam + 0.125 * np.sum(killing * spec.k_inv())) <= 1e-14 * max(1.0, abs(lam))
