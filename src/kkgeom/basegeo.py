@@ -469,8 +469,7 @@ def geometry_at_point(
     if len(gauge.entries) != spec.r:
         raise StructuralError(f"gauge potential has {len(gauge.entries)} rows, the "
                               f"algebra's fiber dimension is {spec.r}")
-    if deriv_mode not in ("analytic", "fd"):
-        raise StructuralError(f"unknown derivative mode {deriv_mode!r}")
+    _check_deriv_mode(deriv_mode)
     # a finite but tiny or huge frame can overflow its products (E^-T X E^-1);
     # that is caught as a non-finite geometry below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
@@ -481,6 +480,11 @@ def geometry_at_point(
     check_finite(geom.point, {name: getattr(geom, name) for name in geom._fields
                               if name not in ("point", "spec")})
     return geom
+
+
+def _check_deriv_mode(deriv_mode):
+    if deriv_mode not in ("analytic", "fd"):
+        raise StructuralError(f"unknown derivative mode {deriv_mode!r}")
 
 
 def check_finite(point, arrays, what="frame geometry"):
@@ -541,14 +545,16 @@ def load_fields(data: dict, spec: LieAlgebraSpec):
 
     ``{"chart":{"n":…}, "coframe":[["expr",…],…],
     "gauge":[["expr",…],…], "params":{…}, "points":[[…]] or
-    "lattice":{"min":[…],"max":[…],"steps":[…]}}``
+    "lattice":{"min":[…],"max":[…],"steps":[…]}, "deriv_mode":"analytic" or "fd"}``
 
     The points come back as one ``(count, n)`` array in lexicographic order.
-    A value of the wrong type or shape raises :class:`StructuralError`.
+    A value of the wrong type or shape, or an unknown ``deriv_mode``, raises
+    :class:`StructuralError`, even where there are no points.
     """
     if not isinstance(data, dict) or not all(isinstance(data.get(key, {}), dict)
                                              for key in ("chart", "params", "lattice")):
         raise StructuralError("fields, and their chart, params and lattice, must be objects")
+    _check_deriv_mode(data.get("deriv_mode", "analytic"))
     n = _number(data.get("chart", {}).get("n", spec.n), "chart n", True)
     chart = ChartSpec(n)
     params = {name: _number(v, f"params {name!r}") for name, v in data.get("params", {}).items()}

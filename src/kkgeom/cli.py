@@ -24,7 +24,13 @@ the ``seed`` option, in point order.  Both commands exit 2 with one stderr
 line naming the worst point and residual when a residual exceeds its rung
 of the tolerance ladder or is NaN, and 70 with one line naming the first
 point where the frame geometry or the curvature overflows.  JSON reports are
-compact: one line, keys sorted, no indentation.
+compact: one line, keys sorted, separators without spaces.  The reports of
+``curvature`` and ``gauge-check``, which grow with the lattice, are written
+by orjson, which spells some numbers differently from ``json.dumps`` (``1e-5``
+for ``1e-05``) but writes the same values bit for bit; a report orjson cannot
+write faithfully (a NaN or infinity, which it would write as null, non-ASCII
+text or an int beyond 64 bits) goes through ``json.dumps``, as every other
+report does.
 
 Each subcommand imports the kkgeom modules it runs on when it is dispatched:
 ``validate`` loads ``liealg``, ``identities`` ``exterior``, ``lift``
@@ -33,7 +39,7 @@ Each subcommand imports the kkgeom modules it runs on when it is dispatched:
 cold process compiles and runs only those.  numpy is imported the same way,
 by the commands that compute on arrays: ``identities`` runs on the standard
 library alone (its ``--seed`` seeds Python's ``random``), so a cold identity
-check loads no numpy.
+check loads no numpy; and only ``curvature`` and ``gauge-check`` load orjson.
 """
 
 from __future__ import annotations
@@ -110,12 +116,17 @@ def _report(command, config, body):
     }
 
 
+# the commands whose reports grow with the lattice: orjson writes them, and
+# only them, since its import (datetime, uuid, platform, zoneinfo) would cost
+# the small reports more than it saves
+_SWEEP_COMMANDS = ("curvature", "gauge-check")
+
+
 def _emit(report, args):
     if args.format == "csv":
         text = _to_csv(report)
     else:
-        # no indent: indent would force json's pure-Python encoder
-        text = json.dumps(report, sort_keys=True) + "\n"
+        text = _to_json(report, args.command in _SWEEP_COMMANDS) + "\n"
     if args.out:
         with open(args.out, "w") as f:
             f.write(text)
@@ -123,11 +134,33 @@ def _emit(report, args):
         sys.stdout.write(text)
 
 
+def _to_json(report, large):
+    """``report`` as compact JSON, keys sorted; a ``large`` one through orjson
+    where that writes what ``json.dumps`` would: orjson writes NaN and
+    ±Infinity as null, keeps non-ASCII text unescaped and refuses an int
+    beyond 64 bits, so a report with a null, a non-ASCII byte or such an int
+    goes through ``json.dumps``."""
+    if large:
+        import orjson
+
+        try:
+            data = orjson.dumps(report, option=orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY)
+        except orjson.JSONEncodeError:
+            pass
+        else:
+            if b"null" not in data and data.isascii():
+                return data.decode()
+    # no indent: indent would force json's pure-Python encoder
+    return json.dumps(report, sort_keys=True, separators=(",", ":"))
+
+
 def _csv_rows(prefix, value, rows):
-    if isinstance(value, dict):
+    """(key, leaf) pairs of ``value`` flattened under ``prefix``; an empty
+    list or object is a leaf, so an empty row list still shows its key."""
+    if isinstance(value, dict) and value:
         for key in sorted(value):
             _csv_rows(f"{prefix}.{key}" if prefix else str(key), value[key], rows)
-    elif isinstance(value, (list, tuple)):
+    elif isinstance(value, (list, tuple)) and value:
         for i, item in enumerate(value):
             _csv_rows(f"{prefix}[{i}]", item, rows)
     else:

@@ -12,7 +12,7 @@ import pytest
 from scipy.linalg import expm
 
 import kkgeom
-from kkgeom import basegeo, bundle, kkcurv, liealg
+from kkgeom import basegeo, bundle, cli, kkcurv, liealg
 from kkgeom.bundle import builtin_rep
 from kkgeom.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 from kkgeom.liealg import EPSILON3, load_spec, su2_algebra
@@ -396,10 +396,12 @@ def with_algebra(algebra):
     (with_algebra({"n": 2, "r": -3}), [], "algebra r must be a non-negative integer, got -3"),
     (with_algebra({"builtin": "su2", "n": -2}), [], "algebra n must be a non-negative"),
     (with_fields(chart={"n": -2}), [], "chart n must be a non-negative integer, got -2"),
+    (with_fields(lattice=None, points=[], deriv_mode="bogus"), [],
+     "unknown derivative mode 'bogus'"),
 ], ids=["syntax", "no-points", "log-domain", "overflow", "short-point",
         "short-point-unread", "short-lattice", "short-triplet", "jobs-option",
         "negative-steps", "negative-algebra-n", "negative-algebra-r", "negative-builtin-n",
-        "negative-chart-n"])
+        "negative-chart-n", "bad-deriv-mode-no-points"])
 def test_curvature_input_errors_exit_64(tmp_path, capsys, problem, argv, message):
     path = write_problem(tmp_path, problem)
     code, out = run(capsys, ["curvature", "--input", path] + argv)
@@ -904,9 +906,9 @@ def test_an_empty_sweep_reports_no_rows(tmp_path, capsys, command, fields, fmt):
         report = json.loads(out.out)
         assert report["per_point"] == []
         assert {key: report[key] for key in want} == want
-    else:  # CSV flattens the empty row list away
+    else:  # the empty row list is a leaf of its own
         lines = out.out.splitlines()
-        assert not any(line.startswith("per_point") for line in lines)
+        assert [line for line in lines if line.startswith("per_point")] == ["per_point,[]"]
         flat = ([f"summary.{key},{value}" for key, value in want["summary"].items()]
                 if command == "curvature" else [f"{key},{value}" for key, value in want.items()])
         assert set(flat) <= set(lines)
@@ -1029,6 +1031,45 @@ def test_fd_degenerate_frame_names_the_input_point(tmp_path, capsys, command):
 
 
 # ---------------------------------------------------------------------------
+# report encoding
+
+
+def test_sweep_report_parses_to_what_the_standard_encoder_writes(tmp_path, capsys,
+                                                                  monkeypatch):
+    # orjson spells some numbers differently (1e-5 for 1e-05), but each value
+    # must come back bit for bit: compare the reprs of the parsed values
+    reports = []
+    emit = cli._emit
+
+    def recorded(report, args):
+        reports.append(report)
+        emit(report, args)
+
+    monkeypatch.setattr(cli, "_emit", recorded)
+    points = [[1e-5, -2e-5], [3e-5, 4e-6], [0.25, -0.125]]
+    code, out = run(capsys, ["curvature", "--input",
+                             write_problem(tmp_path, with_fields(lattice=None, points=points))])
+    assert code == EXIT_OK
+    (report,) = reports
+    stdlib = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    assert "e-05" in stdlib and out.out != stdlib + "\n"  # orjson wrote it
+    assert json.dumps(json.loads(out.out), sort_keys=True) == json.dumps(report, sort_keys=True)
+
+
+@pytest.mark.parametrize("options", [{"seed": 2**70}, {"seed": 1, "label": "Λ-vacuum"}],
+                         ids=["int-beyond-64-bits", "non-ascii"])
+def test_a_report_orjson_cannot_write_goes_through_json(tmp_path, capsys, options):
+    # orjson refuses an int beyond 64 bits and leaves non-ASCII text unescaped
+    problem = {**SU2_PROBLEM, "options": options}
+    code, out = run(capsys, ["gauge-check", "--input", write_problem(tmp_path, problem)])
+    assert code == EXIT_OK
+    assert out.out.isascii()
+    report = json.loads(out.out)
+    assert report["passed"] is True
+    assert {key: report["config"]["options"][key] for key in options} == options
+
+
+# ---------------------------------------------------------------------------
 # report metadata
 
 
@@ -1089,14 +1130,30 @@ FOOTPRINTS = {
 }
 
 
+RUN_MAIN = "import sys\nfrom kkgeom.cli import main\nassert main(sys.argv[1:]) == 0"
+
+
+def command_argv(tmp_path, command):
+    argv = [command, "--out", str(tmp_path / "report.json")]
+    return argv + (["--n", "4", "--trials", "3"] if command == "identities"
+                   else ["--input", write_problem(tmp_path, SU2_PROBLEM)])
+
+
 @pytest.mark.parametrize("command", sorted(FOOTPRINTS))
 def test_each_command_loads_only_its_modules(tmp_path, command):
-    argv = [command, "--out", str(tmp_path / "report.json")]
-    argv += (["--n", "4", "--trials", "3"] if command == "identities"
-             else ["--input", write_problem(tmp_path, SU2_PROBLEM)])
-    loaded = loaded_kkgeom_modules("import sys\nfrom kkgeom.cli import main\n"
-                                   "assert main(sys.argv[1:]) == 0", argv)
+    loaded = loaded_kkgeom_modules(RUN_MAIN, command_argv(tmp_path, command))
     assert loaded == {f"kkgeom.{name}" for name in FOOTPRINTS[command] | {"cli", "errors"}}
+
+
+@pytest.mark.parametrize("command", [None, *sorted(FOOTPRINTS)])
+def test_only_the_sweep_commands_load_orjson(tmp_path, command):
+    # orjson's import (datetime, uuid, platform, zoneinfo) is paid only where
+    # the report grows with the lattice; the bare import loads it nowhere
+    code, argv = ((RUN_MAIN, command_argv(tmp_path, command)) if command
+                  else ("import sys, kkgeom.cli", []))
+    proc = run_python(["-c", code + "\nprint('orjson' in sys.modules)", *argv])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(command in ("curvature", "gauge-check"))]
 
 
 def test_every_exported_name_is_defined_by_its_module():
