@@ -18,9 +18,12 @@ domain), and 70 on an internal numeric failure, a failed allocation among
 them.  ``curvature`` and ``gauge-check`` run one sweep driver, ``_sweep``:
 it loads the fields, sorts the points and cuts them into fixed-size blocks,
 each block one geometry pass and one vectorised pass of the command's
-columns, so a report depends only on the problem file.  ``gauge-check``
-draws its random group element and fiber point for each sorted point from
-the ``seed`` option, in point order.  Both commands exit 2 with one stderr
+columns, so a report depends only on the problem file.  The driver returns
+one array per column, point axis first, joined over the blocks: the summary
+maxima and the worst violation are taken from those arrays, and the report
+rows are built from them once.  ``gauge-check`` draws its random group
+element and fiber point for each sorted point from the ``seed`` option, in
+point order.  Both commands exit 2 with one stderr
 line naming the worst point and residual when a residual exceeds its rung
 of the tolerance ladder or is NaN, and 70 with one line naming the first
 point where the frame geometry or the curvature overflows.  JSON reports are
@@ -28,9 +31,13 @@ compact: one line, keys sorted, separators without spaces.  The reports of
 ``curvature`` and ``gauge-check``, which grow with the lattice, are written
 by orjson, which spells some numbers differently from ``json.dumps`` (``1e-5``
 for ``1e-05``) but writes the same values bit for bit; a report orjson cannot
-write faithfully (a NaN or infinity, which it would write as null, non-ASCII
-text or an int beyond 64 bits) goes through ``json.dumps``, as every other
-report does.
+write faithfully (a NaN or infinity, which it would write as null, found by
+``np.isfinite`` over the columns and a walk of the rest; non-ASCII text; or an
+int beyond 64 bits) goes through ``json.dumps``, as every other report does.
+A CSV report has one ``key,value`` line per leaf of the flattened report; the
+per-point lines of a sweep are written from the columns, their numbers
+spelled as the JSON report spells them, or by ``str()`` (``nan``, ``inf``)
+when a column holds a NaN or an infinity.
 
 Each subcommand imports the kkgeom modules it runs on when it is dispatched:
 ``validate`` loads ``liealg``, ``identities`` ``exterior``, ``lift``
@@ -134,13 +141,43 @@ def _emit(report, args):
         sys.stdout.write(text)
 
 
+class _Rows(list):
+    """Report rows, one dict per point, that keep the per-point ``columns``
+    they were built from (arrays with the point axis first), so the writers
+    can check and write the numbers as arrays."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns):
+        values = [column.tolist() for column in columns.values()]
+        super().__init__(dict(zip(columns, row)) for row in zip(*values))
+        self.columns = columns
+
+    def finite(self):
+        import numpy as np
+
+        return all(np.isfinite(column).all() for column in self.columns.values())
+
+
+def _finite(value):
+    """False when ``value`` holds a NaN or an infinity: report rows are
+    checked through their columns, the rest of the report walked."""
+    if isinstance(value, _Rows):
+        return value.finite()
+    if isinstance(value, dict):
+        return all(_finite(item) for item in value.values())
+    if isinstance(value, (list, tuple)):
+        return all(_finite(item) for item in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 def _to_json(report, large):
     """``report`` as compact JSON, keys sorted; a ``large`` one through orjson
     where that writes what ``json.dumps`` would: orjson writes NaN and
     ±Infinity as null, keeps non-ASCII text unescaped and refuses an int
-    beyond 64 bits, so a report with a null, a non-ASCII byte or such an int
-    goes through ``json.dumps``."""
-    if large:
+    beyond 64 bits, so a report with a non-finite float, a non-ASCII byte or
+    such an int goes through ``json.dumps``."""
+    if large and _finite(report):
         import orjson
 
         try:
@@ -148,34 +185,59 @@ def _to_json(report, large):
         except orjson.JSONEncodeError:
             pass
         else:
-            if b"null" not in data and data.isascii():
+            if data.isascii():
                 return data.decode()
     # no indent: indent would force json's pure-Python encoder
     return json.dumps(report, sort_keys=True, separators=(",", ":"))
 
 
-def _csv_rows(prefix, value, rows):
-    """(key, leaf) pairs of ``value`` flattened under ``prefix``; an empty
-    list or object is a leaf, so an empty row list still shows its key."""
-    if isinstance(value, dict) and value:
+def _csv_lines(prefix, value, lines):
+    """The CSV lines of ``value`` flattened under ``prefix``, one per leaf; an
+    empty list or object is a leaf, so an empty row list still shows its key.
+    Report rows with finite numbers are written from their columns."""
+    if isinstance(value, _Rows) and value and value.finite():
+        lines.append(_csv_columns(prefix, value))
+    elif isinstance(value, dict) and value:
         for key in sorted(value):
-            _csv_rows(f"{prefix}.{key}" if prefix else str(key), value[key], rows)
+            _csv_lines(f"{prefix}.{key}" if prefix else str(key), value[key], lines)
     elif isinstance(value, (list, tuple)) and value:
         for i, item in enumerate(value):
-            _csv_rows(f"{prefix}[{i}]", item, rows)
+            _csv_lines(f"{prefix}[{i}]", item, lines)
     else:
-        rows.append((prefix, value))
-
-
-def _to_csv(report):
-    rows = []
-    _csv_rows("", report, rows)
-    lines = ["key,value"]
-    for key, value in rows:
         text = str(value)
         if "," in text or '"' in text:
             text = '"' + text.replace('"', '""') + '"'
-        lines.append(f"{key},{text}")
+        lines.append(f"{prefix},{text}")
+
+
+def _csv_columns(prefix, rows):
+    """The CSV lines of ``rows`` under ``prefix``, written from their finite
+    columns: the keys and order that flattening the rows gives, and each
+    number as the JSON report spells it, from one orjson pass per column (so
+    an integer column keeps its integer spelling)."""
+    import numpy as np
+    import orjson
+
+    suffixes, cells = [], []
+    for name in sorted(rows.columns):  # the order of the rows' sorted keys
+        column = rows.columns[name]
+        suffixes += [f".{name}" + "".join(f"[{i}]" for i in index)
+                     for index in np.ndindex(column.shape[1:])]
+        text = orjson.dumps(column.reshape(len(rows), -1),
+                            option=orjson.OPT_SERIALIZE_NUMPY).decode()
+        cells.append(text[2:-2].split("],["))  # "[[a,b],[c,d]]": "a,b" and "c,d"
+    template = "\n".join(f"{prefix}[%s]{suffix},%s" for suffix in suffixes)
+    lines = []
+    for i, row in enumerate(zip(*cells)):
+        args = [str(i)] * (2 * len(suffixes))  # the row index before each number
+        args[1::2] = ",".join(row).split(",")
+        lines.append(template % tuple(args))
+    return "\n".join(lines)
+
+
+def _to_csv(report):
+    lines = ["key,value"]
+    _csv_lines("", report, lines)
     return "\n".join(lines) + "\n"
 
 
@@ -285,10 +347,11 @@ _BLOCK = 32
 
 
 def _sweep(problem, spec, opts, block_columns):
-    """Report rows of the problem's fields on ``spec``: the sorted points in
-    blocks of ``_BLOCK``, one geometry pass per block in the fields'
-    ``deriv_mode`` at ``fd_step``, and per block the columns "point" and
-    ``block_columns(geom)`` (a dict of per-point arrays)."""
+    """Per-point columns of the problem's fields on ``spec``, each an array
+    with the point axis first: the sorted points in blocks of ``_BLOCK``, one
+    geometry pass per block in the fields' ``deriv_mode`` at ``fd_step``, and
+    per block the columns "point" and ``block_columns(geom)`` (a dict of
+    per-point arrays), joined over the blocks; no columns over no points."""
     import numpy as np
 
     from . import basegeo
@@ -296,40 +359,50 @@ def _sweep(problem, spec, opts, block_columns):
     fields = problem.get("fields", {})
     _, coframe, gauge, points = basegeo.load_fields(fields, spec)
     deriv_mode = fields.get("deriv_mode", "analytic")  # fields is an object by now
-    rows = []
+    blocks = []
     for start in range(0, len(points), _BLOCK):
         block = points[start:start + _BLOCK]
         geom = basegeo.geometry_at_point(coframe, gauge, spec, block,
                                          deriv_mode=deriv_mode, fd_step=opts["fd_step"])
-        columns = {"point": block, **block_columns(geom)}
-        values = [np.asarray(v).tolist() for v in columns.values()]
-        rows += [dict(zip(columns, row)) for row in zip(*values)]
-    return rows
+        blocks.append({"point": block, **block_columns(geom)})
+    names = blocks[0] if blocks else ()
+    return {name: np.concatenate([block[name] for block in blocks]) for name in names}
 
 
-def _max(rows, *names):
-    """The largest of the named row values, 0.0 over no rows; NaN propagates."""
+def _max(columns, *names):
+    """The largest value of the named columns, 0.0 over no points; NaN propagates."""
     import numpy as np
 
-    return float(np.max([[row[name] for name in names] for row in rows], initial=0.0))
+    return float(np.max([columns[name] for name in names], initial=0.0)) if columns else 0.0
 
 
-def _worst_violation(rows, limits):
-    """(excess, name, limit, row) of the row invariant furthest past its
-    tolerance, or None when every row holds; NaN counts as infinitely far.
-    ``limits`` holds (column name, tolerance) pairs."""
-    bad = [(math.inf if math.isnan(row[name]) else row[name] / limit, name, limit, row)
-           for row in rows for name, limit in limits if not row[name] <= limit]
-    return max(bad, key=lambda v: v[0], default=None)
+def _worst_violation(columns, limits):
+    """(name, limit, value, point) of the per-point invariant furthest past its
+    tolerance, the first point's and then the first name's on a tie, or None
+    when every point holds; NaN counts as infinitely far.  ``limits`` holds
+    (column name, tolerance) pairs."""
+    import numpy as np
+
+    if not columns:
+        return None
+    values = np.stack([columns[name] for name, _ in limits], axis=1)
+    tols = np.array([limit for _, limit in limits])
+    bad = ~(values <= tols)
+    if not bad.any():
+        return None
+    excess = np.where(bad, np.where(np.isnan(values), np.inf, values / tols), -np.inf)
+    i, j = np.unravel_index(np.argmax(excess), excess.shape)  # row-major: first on a tie
+    name, limit = limits[j]
+    return name, limit, float(values[i, j]), columns["point"][i].tolist()
 
 
 def _exit_code(worst):
     """EXIT_OK, or one stderr line naming the worst violation and EXIT_VIOLATION."""
     if worst is None:
         return EXIT_OK
-    _, name, limit, row = worst
-    print(f"invariant violation: {name} = {row[name]:.3e} exceeds {limit:.0e} "
-          f"at point {row['point']}", file=sys.stderr)
+    name, limit, value, point = worst
+    print(f"invariant violation: {name} = {value:.3e} exceeds {limit:.0e} "
+          f"at point {point}", file=sys.stderr)
     return EXIT_VIOLATION
 
 
@@ -362,12 +435,13 @@ def _curvature_columns(geom):
 def cmd_curvature(args):
     problem = _load_problem(args.input)
     opts = _options(problem, args)
-    rows = _sweep(problem, _algebra_from(problem), opts, _curvature_columns)
+    columns = _sweep(problem, _algebra_from(problem), opts, _curvature_columns)
+    rows = _Rows(columns)
     summary = {
         "points": len(rows),
-        "max_einstein_residual": _max(rows, "einstein_residual_norm"),
-        "max_yang_mills_residual": _max(rows, "yang_mills_residual_norm"),
-        "max_cross_check": _max(rows, "cross_check_max"),
+        "max_einstein_residual": _max(columns, "einstein_residual_norm"),
+        "max_yang_mills_residual": _max(columns, "yang_mills_residual_norm"),
+        "max_cross_check": _max(columns, "cross_check_max"),
     }
     config = {"algebra": problem.get("algebra"), "fields": problem.get("fields"),
               "options": opts}
@@ -375,7 +449,7 @@ def cmd_curvature(args):
     fd = problem["fields"].get("deriv_mode") == "fd"
     limits = (("cross_check_max", _TOL_FD if fd else _TOL_ANALYTIC),
               ("connection_torsion", _TOL_EXACT), ("connection_antisymmetry", _TOL_EXACT))
-    return _exit_code(_worst_violation(rows, limits))
+    return _exit_code(_worst_violation(columns, limits))
 
 
 # ---------------------------------------------------------------------------
@@ -507,20 +581,21 @@ def cmd_gauge_check(args):
     rng = np.random.default_rng(opts["seed"])
     tol = opts.get("gauge_tol", 1e-5)
 
-    def columns(geom):
+    def gauge_columns(geom):
         # the stream order of a per-point loop: g's normals, then s's, point by point
         draws = rng.normal(size=(len(geom.point), 2, rep.spec.r))
         s, g = 0.25 * draws[:, 1], rep.exp(draws[:, 0])
         return {"deextra_residual": bundle.verify_deextra(geom, s=s),
                 "gauge_covariance_residual": bundle.verify_gauge_covariance(geom, g)}
 
-    rows = _sweep(problem, spec, opts, columns)
+    columns = _sweep(problem, spec, opts, gauge_columns)
     limits = (("deextra_residual", tol), ("gauge_covariance_residual", tol))
-    worst = _worst_violation(rows, limits)
+    worst = _worst_violation(columns, limits)
     config = {"algebra": problem.get("algebra"), "fields": problem.get("fields"),
               "rep": problem.get("rep"), "options": opts}
     body = {"passed": worst is None, "tolerance": tol,
-            "max_residual": _max(rows, *(name for name, _ in limits)), "per_point": rows}
+            "max_residual": _max(columns, *(name for name, _ in limits)),
+            "per_point": _Rows(columns)}
     _emit(_report("gauge-check", config, body), args)
     return _exit_code(worst)
 

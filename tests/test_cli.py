@@ -1069,6 +1069,89 @@ def test_a_report_orjson_cannot_write_goes_through_json(tmp_path, capsys, option
     assert {key: report["config"]["options"][key] for key in options} == options
 
 
+def test_a_gauge_check_without_a_named_rep_is_written_by_orjson(tmp_path, capsys):
+    # its config holds "rep": null, which orjson writes as json.dumps does;
+    # only a NaN or an infinity sends a report to json.dumps
+    points = [[1e-5, -2e-5], [3e-5, 4e-6]]
+    problem = with_fields(lattice=None, points=points)
+    del problem["rep"]
+    code, out = run(capsys, ["gauge-check", "--input", write_problem(tmp_path, problem)])
+    assert code == EXIT_OK
+    report = json.loads(out.out)
+    assert report["config"]["rep"] is None and report["passed"] is True
+    stdlib = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    assert "e-05" in stdlib and "e-05" not in out.out  # orjson wrote it
+
+
+def csv_lines(text, prefix):
+    """The (key, value) pairs of the lines of a CSV report under ``prefix``."""
+    return [line.split(",", 1) for line in text.splitlines() if line.startswith(prefix)]
+
+
+def nan_at_second_point(monkeypatch, command):
+    """Make the second point's cross-check (curvature) or gauge residual NaN."""
+    if command == "curvature":
+        exact = kkcurv.ricci_closed_form
+
+        def patched(geom):
+            closed = exact(geom)
+            ric_base = closed.ric_base.copy()
+            ric_base[1] = np.nan
+            return closed._replace(ric_base=ric_base)
+
+        monkeypatch.setattr(kkcurv, "ricci_closed_form", patched)
+    else:
+        exact = bundle.verify_gauge_covariance
+
+        def patched(geom, g):
+            residual = exact(geom, g).copy()
+            residual[1] = np.nan
+            return residual
+
+        monkeypatch.setattr(bundle, "verify_gauge_covariance", patched)
+
+
+@pytest.mark.parametrize("rows", ["finite", "nan-row", "empty"])
+@pytest.mark.parametrize("command, deriv_mode", [
+    ("curvature", "analytic"), ("curvature", "fd"), ("gauge-check", "analytic"),
+], ids=["curvature", "curvature-fd", "gauge-check"])
+def test_the_csv_rows_are_the_json_rows(tmp_path, capsys, monkeypatch, command, deriv_mode,
+                                        rows):
+    # the CSV writes its rows from the sweep's columns: it must give the keys
+    # and order of flattening the JSON rows, each value bit for bit, spelled
+    # as the JSON report spells it, and str()'s nan where a row holds a NaN
+    import orjson
+
+    points = [] if rows == "empty" else [[1e-5, -2e-5], [3e-5, 4e-6], [0.25, -0.125]]
+    if rows == "nan-row":
+        nan_at_second_point(monkeypatch, command)
+    path = write_problem(tmp_path, with_fields(lattice=None, points=points,
+                                               deriv_mode=deriv_mode))
+    want_code = EXIT_VIOLATION if rows == "nan-row" else EXIT_OK
+    code, out = run(capsys, [command, "--input", path])
+    assert code == want_code
+    flat = []
+    cli._csv_lines("per_point", json.loads(out.out)["per_point"], flat)
+    want = [line.split(",", 1) for line in flat]
+    code, out = run(capsys, [command, "--input", path, "--format", "csv"])
+    assert code == want_code
+    got = csv_lines(out.out, "per_point")
+    assert [key for key, _ in got] == [key for key, _ in want]
+    if rows == "finite":
+        assert [float(value).hex() for _, value in got] == [
+            float(value).hex() for _, value in want]
+        assert [value for _, value in got] == [
+            orjson.dumps(float(value)).decode() for _, value in want]
+        assert any("e-05" in value for _, value in want)  # str() spells it otherwise
+    else:  # the flattener's own spelling: nan, and [] for no rows
+        assert got == want
+    if rows == "nan-row":
+        name = "cross_check_max" if command == "curvature" else "gauge_covariance_residual"
+        assert [f"per_point[1].{name}", "nan"] in got
+    if rows == "empty":
+        assert got == [["per_point", "[]"]]
+
+
 # ---------------------------------------------------------------------------
 # report metadata
 
@@ -1145,15 +1228,18 @@ def test_each_command_loads_only_its_modules(tmp_path, command):
     assert loaded == {f"kkgeom.{name}" for name in FOOTPRINTS[command] | {"cli", "errors"}}
 
 
-@pytest.mark.parametrize("command", [None, *sorted(FOOTPRINTS)])
+@pytest.mark.parametrize("command", [None, *sorted(FOOTPRINTS), *(
+    f"{name} --format csv" for name in ("curvature", "lift", "validate"))])
 def test_only_the_sweep_commands_load_orjson(tmp_path, command):
     # orjson's import (datetime, uuid, platform, zoneinfo) is paid only where
-    # the report grows with the lattice; the bare import loads it nowhere
-    code, argv = ((RUN_MAIN, command_argv(tmp_path, command)) if command
+    # the report grows with the lattice, in JSON and in CSV; the bare import
+    # loads it nowhere
+    name, *flags = command.split() if command else [None]
+    code, argv = ((RUN_MAIN, command_argv(tmp_path, name) + flags) if command
                   else ("import sys, kkgeom.cli", []))
     proc = run_python(["-c", code + "\nprint('orjson' in sys.modules)", *argv])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [str(command in ("curvature", "gauge-check"))]
+    assert proc.stdout.split() == [str(name in ("curvature", "gauge-check"))]
 
 
 def test_every_exported_name_is_defined_by_its_module():
