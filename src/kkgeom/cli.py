@@ -22,22 +22,25 @@ columns, so a report depends only on the problem file.  The driver returns
 one array per column, point axis first, joined over the blocks: the summary
 maxima and the worst violation are taken from those arrays, and the report
 rows are built from them once.  ``gauge-check`` draws its random group
-element and fiber point for each sorted point from the ``seed`` option, in
-point order.  Both commands exit 2 with one stderr
-line naming the worst point and residual when a residual exceeds its rung
-of the tolerance ladder or is NaN, and 70 with one line naming the first
-point where the frame geometry or the curvature overflows.  JSON reports are
-compact: one line, keys sorted, separators without spaces.  The reports of
-``curvature`` and ``gauge-check``, which grow with the lattice, are written
+element and fiber point for each sorted point, in point order, from
+Python's ``random.Random`` seeded with the ``seed`` option: r normals for
+the group element, then r for the fiber point.  Both commands exit 2 with
+one stderr line naming the worst point and residual when a residual exceeds
+its rung of the tolerance ladder or is NaN, and 70 with one line naming the
+first point where the frame geometry or the curvature overflows.  JSON
+reports are compact: one line, keys sorted, separators without spaces.  The
+``curvature`` report, whose rows carry N^2 + 6 numbers per point, is written
 by orjson, which spells some numbers differently from ``json.dumps`` (``1e-5``
 for ``1e-05``) but writes the same values bit for bit; a report orjson cannot
 write faithfully (a NaN or infinity, which it would write as null, found by
 ``np.isfinite`` over the columns and a walk of the rest; non-ASCII text; or an
-int beyond 64 bits) goes through ``json.dumps``, as every other report does.
-A CSV report has one ``key,value`` line per leaf of the flattened report; the
-per-point lines of a sweep are written from the columns, their numbers
-spelled as the JSON report spells them, or by ``str()`` (``nan``, ``inf``)
-when a column holds a NaN or an infinity.
+int beyond 64 bits) goes through ``json.dumps``, as every other report does,
+``gauge-check``'s among them (4 numbers a row do not pay for orjson's import).
+A CSV report has one ``key,value`` line per leaf of the flattened report,
+a key or value holding a comma, a quote or a line break quoted as RFC 4180
+asks; the per-point lines of a ``curvature`` sweep are written from the
+columns, their numbers spelled as the JSON report spells them, or by
+``str()`` (``nan``, ``inf``) when a column holds a NaN or an infinity.
 
 Each subcommand imports the kkgeom modules it runs on when it is dispatched:
 ``validate`` loads ``liealg``, ``identities`` ``exterior``, ``lift``
@@ -46,7 +49,8 @@ Each subcommand imports the kkgeom modules it runs on when it is dispatched:
 cold process compiles and runs only those.  numpy is imported the same way,
 by the commands that compute on arrays: ``identities`` runs on the standard
 library alone (its ``--seed`` seeds Python's ``random``), so a cold identity
-check loads no numpy; and only ``curvature`` and ``gauge-check`` load orjson.
+check loads no numpy; no command loads ``numpy.random``; and only
+``curvature`` loads orjson.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ import argparse
 import hashlib
 import json
 import math
+import random
 import sys
 import time
 
@@ -123,17 +128,18 @@ def _report(command, config, body):
     }
 
 
-# the commands whose reports grow with the lattice: orjson writes them, and
-# only them, since its import (datetime, uuid, platform, zoneinfo) would cost
-# the small reports more than it saves
-_SWEEP_COMMANDS = ("curvature", "gauge-check")
+# the commands whose reports orjson writes: a curvature row carries N^2 + 6
+# numbers per point, which pays for orjson's import (datetime, uuid, platform,
+# zoneinfo); a gauge-check row carries 4, and the small reports fewer still
+_ORJSON_COMMANDS = ("curvature",)
 
 
 def _emit(report, args):
+    fast = args.command in _ORJSON_COMMANDS
     if args.format == "csv":
-        text = _to_csv(report)
+        text = _to_csv(report, fast)
     else:
-        text = _to_json(report, args.command in _SWEEP_COMMANDS) + "\n"
+        text = _to_json(report, fast) + "\n"
     if args.out:
         with open(args.out, "w") as f:
             f.write(text)
@@ -171,13 +177,13 @@ def _finite(value):
     return not isinstance(value, float) or math.isfinite(value)
 
 
-def _to_json(report, large):
-    """``report`` as compact JSON, keys sorted; a ``large`` one through orjson
+def _to_json(report, fast):
+    """``report`` as compact JSON, keys sorted; with ``fast``, through orjson
     where that writes what ``json.dumps`` would: orjson writes NaN and
     ±Infinity as null, keeps non-ASCII text unescaped and refuses an int
     beyond 64 bits, so a report with a non-finite float, a non-ASCII byte or
     such an int goes through ``json.dumps``."""
-    if large and _finite(report):
+    if fast and _finite(report):
         import orjson
 
         try:
@@ -191,23 +197,29 @@ def _to_json(report, large):
     return json.dumps(report, sort_keys=True, separators=(",", ":"))
 
 
-def _csv_lines(prefix, value, lines):
+def _csv_field(text):
+    """``text`` as one CSV field (RFC 4180): quoted, its quotes doubled, when
+    it holds a comma, a quote or a line break."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_lines(prefix, value, lines, columns=False):
     """The CSV lines of ``value`` flattened under ``prefix``, one per leaf; an
     empty list or object is a leaf, so an empty row list still shows its key.
-    Report rows with finite numbers are written from their columns."""
-    if isinstance(value, _Rows) and value and value.finite():
+    With ``columns``, report rows with finite numbers are written from their
+    columns."""
+    if columns and isinstance(value, _Rows) and value and value.finite():
         lines.append(_csv_columns(prefix, value))
     elif isinstance(value, dict) and value:
         for key in sorted(value):
-            _csv_lines(f"{prefix}.{key}" if prefix else str(key), value[key], lines)
+            _csv_lines(f"{prefix}.{key}" if prefix else str(key), value[key], lines, columns)
     elif isinstance(value, (list, tuple)) and value:
         for i, item in enumerate(value):
-            _csv_lines(f"{prefix}[{i}]", item, lines)
+            _csv_lines(f"{prefix}[{i}]", item, lines, columns)
     else:
-        text = str(value)
-        if "," in text or '"' in text:
-            text = '"' + text.replace('"', '""') + '"'
-        lines.append(f"{prefix},{text}")
+        lines.append(f"{_csv_field(prefix)},{_csv_field(str(value))}")
 
 
 def _csv_columns(prefix, rows):
@@ -235,9 +247,9 @@ def _csv_columns(prefix, rows):
     return "\n".join(lines)
 
 
-def _to_csv(report):
+def _to_csv(report, columns):
     lines = ["key,value"]
-    _csv_lines("", report, lines)
+    _csv_lines("", report, lines, columns)
     return "\n".join(lines) + "\n"
 
 
@@ -578,12 +590,13 @@ def cmd_gauge_check(args):
     opts = _options(problem, args)
     spec = _algebra_from(problem)
     rep = _rep_from(problem, spec)
-    rng = np.random.default_rng(opts["seed"])
+    rng = random.Random(opts["seed"])
     tol = opts.get("gauge_tol", 1e-5)
 
     def gauge_columns(geom):
         # the stream order of a per-point loop: g's normals, then s's, point by point
-        draws = rng.normal(size=(len(geom.point), 2, rep.spec.r))
+        shape = (len(geom.point), 2, rep.spec.r)
+        draws = np.reshape([rng.gauss(0.0, 1.0) for _ in range(math.prod(shape))], shape)
         s, g = 0.25 * draws[:, 1], rep.exp(draws[:, 0])
         return {"deextra_residual": bundle.verify_deextra(geom, s=s),
                 "gauge_covariance_residual": bundle.verify_gauge_covariance(geom, g)}

@@ -1,4 +1,6 @@
+import csv
 import importlib
+import io
 import json
 import math
 import os
@@ -1061,26 +1063,53 @@ def test_sweep_report_parses_to_what_the_standard_encoder_writes(tmp_path, capsy
 def test_a_report_orjson_cannot_write_goes_through_json(tmp_path, capsys, options):
     # orjson refuses an int beyond 64 bits and leaves non-ASCII text unescaped
     problem = {**SU2_PROBLEM, "options": options}
-    code, out = run(capsys, ["gauge-check", "--input", write_problem(tmp_path, problem)])
+    code, out = run(capsys, ["curvature", "--input", write_problem(tmp_path, problem)])
     assert code == EXIT_OK
     assert out.out.isascii()
     report = json.loads(out.out)
-    assert report["passed"] is True
+    assert report["summary"]["points"] == len(report["per_point"]) == 4
     assert {key: report["config"]["options"][key] for key in options} == options
 
 
 def test_a_gauge_check_without_a_named_rep_is_written_by_orjson(tmp_path, capsys):
-    # its config holds "rep": null, which orjson writes as json.dumps does;
-    # only a NaN or an infinity sends a report to json.dumps
+    # a curvature report whose config holds a null option: orjson writes a
+    # null as json.dumps does, so only a NaN or an infinity sends a report to
+    # json.dumps (gauge-check reports are always written by json.dumps)
     points = [[1e-5, -2e-5], [3e-5, 4e-6]]
     problem = with_fields(lattice=None, points=points)
-    del problem["rep"]
-    code, out = run(capsys, ["gauge-check", "--input", write_problem(tmp_path, problem)])
+    problem["options"]["label"] = None
+    code, out = run(capsys, ["curvature", "--input", write_problem(tmp_path, problem)])
     assert code == EXIT_OK
     report = json.loads(out.out)
-    assert report["config"]["rep"] is None and report["passed"] is True
+    assert report["config"]["options"]["label"] is None
     stdlib = json.dumps(report, sort_keys=True, separators=(",", ":"))
     assert "e-05" in stdlib and "e-05" not in out.out  # orjson wrote it
+
+
+def test_a_gauge_check_report_is_written_by_json(tmp_path, capsys):
+    # a gauge-check row carries 4 numbers, too few to pay for orjson's import
+    path = write_problem(tmp_path, with_fields(lattice=None, points=[[1e-5, -2e-5]]))
+    code, out = run(capsys, ["gauge-check", "--input", path])
+    assert code == EXIT_OK
+    report = json.loads(out.out)
+    assert out.out == json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+    assert "e-05" in out.out
+
+
+def test_csv_quotes_keys_and_values_that_need_it(tmp_path, capsys):
+    # RFC 4180: a field holding a comma, a quote or a line break is quoted
+    # and its quotes doubled, so csv.reader gives back every key and value
+    options = {"x,y": 2, "note": "a\nb", 'say "hi"': "c\r\nd", "plain": "e"}
+    problem = {"algebra": {"builtin": "su2", "n": 2}, "options": options}
+    code, out = run(capsys, ["validate", "--input", write_problem(tmp_path, problem),
+                             "--format", "csv"])
+    assert code == EXIT_OK
+    rows = list(csv.reader(io.StringIO(out.out, newline="")))
+    assert all(len(row) == 2 for row in rows)
+    got = {key: value for key, value in rows}
+    for key, value in options.items():
+        assert got[f"config.options.{key}"] == str(value)
+    assert "config.options.plain,e\n" in out.out  # plain fields stay bare
 
 
 def csv_lines(text, prefix):
@@ -1117,9 +1146,10 @@ def nan_at_second_point(monkeypatch, command):
 ], ids=["curvature", "curvature-fd", "gauge-check"])
 def test_the_csv_rows_are_the_json_rows(tmp_path, capsys, monkeypatch, command, deriv_mode,
                                         rows):
-    # the CSV writes its rows from the sweep's columns: it must give the keys
-    # and order of flattening the JSON rows, each value bit for bit, spelled
-    # as the JSON report spells it, and str()'s nan where a row holds a NaN
+    # curvature writes its CSV rows from the sweep's columns: it must give the
+    # keys and order of flattening the JSON rows, each value bit for bit,
+    # spelled as the JSON report spells it, and str()'s nan where a row holds
+    # a NaN; gauge-check's CSV is the flattener's own
     import orjson
 
     points = [] if rows == "empty" else [[1e-5, -2e-5], [3e-5, 4e-6], [0.25, -0.125]]
@@ -1137,13 +1167,13 @@ def test_the_csv_rows_are_the_json_rows(tmp_path, capsys, monkeypatch, command, 
     assert code == want_code
     got = csv_lines(out.out, "per_point")
     assert [key for key, _ in got] == [key for key, _ in want]
-    if rows == "finite":
+    if rows == "finite" and command == "curvature":
         assert [float(value).hex() for _, value in got] == [
             float(value).hex() for _, value in want]
         assert [value for _, value in got] == [
             orjson.dumps(float(value)).decode() for _, value in want]
         assert any("e-05" in value for _, value in want)  # str() spells it otherwise
-    else:  # the flattener's own spelling: nan, and [] for no rows
+    else:  # the flattener's own spelling: str(), nan, and [] for no rows
         assert got == want
     if rows == "nan-row":
         name = "cross_check_max" if command == "curvature" else "gauge_covariance_residual"
@@ -1229,17 +1259,32 @@ def test_each_command_loads_only_its_modules(tmp_path, command):
 
 
 @pytest.mark.parametrize("command", [None, *sorted(FOOTPRINTS), *(
-    f"{name} --format csv" for name in ("curvature", "lift", "validate"))])
+    f"{name} --format csv" for name in ("curvature", "gauge-check", "lift", "validate"))])
 def test_only_the_sweep_commands_load_orjson(tmp_path, command):
-    # orjson's import (datetime, uuid, platform, zoneinfo) is paid only where
-    # the report grows with the lattice, in JSON and in CSV; the bare import
-    # loads it nowhere
+    # orjson's import (datetime, uuid, platform, zoneinfo) is paid only by
+    # curvature, whose rows carry N^2 + 6 numbers per point, in JSON and in
+    # CSV; gauge-check's 4 numbers a row do not pay for it, and the bare
+    # import loads it nowhere
     name, *flags = command.split() if command else [None]
     code, argv = ((RUN_MAIN, command_argv(tmp_path, name) + flags) if command
                   else ("import sys, kkgeom.cli", []))
     proc = run_python(["-c", code + "\nprint('orjson' in sys.modules)", *argv])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [str(name in ("curvature", "gauge-check"))]
+    assert proc.stdout.split() == [str(name == "curvature")]
+
+
+def test_no_command_loads_numpy_random(tmp_path):
+    # gauge-check draws from Python's random, already loaded; numpy.random
+    # would cost a cold command about 8 ms: run every command in both formats
+    # in one process, then look
+    runs = [command_argv(tmp_path, name) + ["--format", fmt]
+            for name in sorted(FOOTPRINTS) for fmt in ("json", "csv")]
+    code = ("import json, sys\nfrom kkgeom.cli import main\n"
+            "print([main(argv) for argv in json.loads(sys.argv[1])],\n"
+            "      sorted(m for m in sys.modules if m.startswith('numpy.random')))")
+    proc = run_python(["-c", code, json.dumps(runs)])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == f"{[EXIT_OK] * len(runs)} []"
 
 
 def test_every_exported_name_is_defined_by_its_module():
