@@ -463,12 +463,7 @@ def geometry_at_point(
     that the frame arrays overflow: that raises NonFiniteGeometryError at
     the first such point.
     """
-    if coframe.n != spec.n:
-        raise StructuralError(f"chart dimension {coframe.n} does not match the "
-                              f"algebra's base dimension {spec.n}")
-    if len(gauge.entries) != spec.r:
-        raise StructuralError(f"gauge potential has {len(gauge.entries)} rows, the "
-                              f"algebra's fiber dimension is {spec.r}")
+    _check_dimensions(coframe, gauge, spec)
     _check_deriv_mode(deriv_mode)
     # a finite but tiny or huge frame can overflow its products (E^-T X E^-1);
     # that is caught as a non-finite geometry below, not warned about
@@ -480,6 +475,15 @@ def geometry_at_point(
     check_finite(geom.point, {name: getattr(geom, name) for name in geom._fields
                               if name not in ("point", "spec")})
     return geom
+
+
+def _check_dimensions(coframe, gauge, spec):
+    if coframe.n != spec.n:
+        raise StructuralError(f"chart dimension {coframe.n} does not match the "
+                              f"algebra's base dimension {spec.n}")
+    if len(gauge.entries) != spec.r:
+        raise StructuralError(f"gauge potential has {len(gauge.entries)} rows, the "
+                              f"algebra's fiber dimension is {spec.r}")
 
 
 def _check_deriv_mode(deriv_mode):
@@ -548,8 +552,9 @@ def load_fields(data: dict, spec: LieAlgebraSpec):
     "lattice":{"min":[…],"max":[…],"steps":[…]}, "deriv_mode":"analytic" or "fd"}``
 
     The points come back as one ``(count, n)`` array in lexicographic order.
-    A value of the wrong type or shape, or an unknown ``deriv_mode``, raises
-    :class:`StructuralError`, even where there are no points.
+    A value of the wrong type or shape, an unknown ``deriv_mode``, or a chart
+    or gauge that does not fit ``spec`` raises :class:`StructuralError`, even
+    where there are no points.
     """
     if not isinstance(data, dict) or not all(isinstance(data.get(key, {}), dict)
                                              for key in ("chart", "params", "lattice")):
@@ -587,6 +592,7 @@ def load_fields(data: dict, spec: LieAlgebraSpec):
         points = np.stack([m.ravel() for m in mesh], axis=-1)
     else:
         raise StructuralError("field file needs either 'points' or 'lattice'")
+    _check_dimensions(coframe, gauge, spec)
     return chart, coframe, gauge, points[np.lexsort(points.T[::-1])]
 
 

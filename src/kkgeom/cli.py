@@ -8,17 +8,23 @@ Subcommands::
     kkgeom lift        --input problem.json            fiber path lifting
     kkgeom gauge-check --input problem.json            gauge covariance checks
 
-All commands read a problem JSON (``{"algebra": …, "fields": …, "rep": …,
-"paths": …, "options": …}``; ``lift`` and ``gauge-check`` derive the fiber
-rep from the algebra unless ``rep`` names a built-in one), write a JSON or
-CSV report to --out (default stdout), and exit with 0 on success, 2 on an
-invariant violation, 64 on a usage or input error (including malformed
-algebras, fields and points, and field expressions that leave their real
-domain), and 70 on an internal numeric failure, a failed allocation among
-them.  ``curvature`` and ``gauge-check`` run one sweep driver, ``_sweep``:
-it loads the fields, sorts the points and cuts them into fixed-size blocks,
-each block one geometry pass and one vectorised pass of the command's
-columns, so a report depends only on the problem file.  The driver returns
+All commands but ``identities`` read a problem JSON (``{"algebra": …,
+"fields": …, "rep": …, "paths": …, "options": …}``; ``lift`` and
+``gauge-check`` derive the fiber rep from the algebra unless ``rep`` names a
+built-in one), write a JSON or CSV report to --out (default stdout), and
+exit with 0 on success, 2 on an invariant violation, 64 on a usage or input
+error (including malformed algebras, fields and points, and field
+expressions that leave their real domain), and 70 on an internal numeric
+failure, a failed allocation among them.  One reader, ``_read``, loads the
+file and checks the options, then loads each section the command reads
+(listed in ``_COMMANDS``) through that section's own loader, in the order
+algebra, rep, fields, paths, and builds the report's ``config`` from the
+same sections; every command reads the one record it returns.  So every
+input error exits 64 before any compute, whether or not a sweep has points.
+``curvature`` and ``gauge-check`` run one sweep driver, ``_sweep``: it cuts
+the loaded fields' sorted points into fixed-size blocks, each block one
+geometry pass and one vectorised pass of the command's columns, so a report
+depends only on the problem file.  The driver returns
 one array per column, point axis first, joined over the blocks: the summary
 maxima and the worst violation are taken from those arrays, and the report
 rows are built from them once.  ``gauge-check`` draws its random group
@@ -62,6 +68,7 @@ import math
 import random
 import sys
 import time
+import types
 
 from .errors import (DegenerateCoframeError, DegenerateMetricError,
                      DegreeError, EvalDomainError, ExprSyntaxError,
@@ -85,44 +92,16 @@ class _UsageError(Exception):
     pass
 
 
-def _load_problem(path):
-    if path is None:
-        raise _UsageError("--input is required for this command")
-    try:
-        with open(path) as f:
-            problem = json.load(f)
-    except OSError as exc:
-        raise _UsageError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise _UsageError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(problem, dict):
-        raise _UsageError(f"{path} must hold a JSON object, got {type(problem).__name__}")
-    return problem
-
-
-def _algebra_from(problem):
-    from . import liealg
-
-    data = problem.get("algebra")
-    if not isinstance(data, dict):
-        raise _UsageError(f"problem JSON needs an 'algebra' object, got {data!r}")
-    return liealg.load_spec(data)
-
-
-def _digest(config) -> str:
-    blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
 _START = None  # set by main() so reports can embed the wall time
 
 
 def _report(command, config, body):
     wall = 0.0 if _START is None else time.monotonic() - _START
+    blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return {
         "command": command,
         "config": config,
-        "config_digest": _digest(config),
+        "config_digest": hashlib.sha256(blob.encode()).hexdigest()[:16],
         "wall_time_s": wall,
         **body,
     }
@@ -253,32 +232,86 @@ def _to_csv(report, columns):
     return "\n".join(lines) + "\n"
 
 
+def _read(args, sections):
+    """The problem of ``args.command``, read and checked once, before any
+    compute: a namespace of the checked ``options``, the report's ``config``
+    and what the loader of each of the ``sections`` the command reads built
+    (``spec``, ``rep``, ``fields`` with their ``deriv_mode``, ``paths``).
+    ``identities`` reads the command line alone, and its options are its
+    config."""
+    if args.command == "identities":
+        opts = _options({}, args)
+        return types.SimpleNamespace(options=opts, config=opts)
+    if args.input is None:
+        raise _UsageError("--input is required for this command")
+    try:
+        with open(args.input) as f:
+            problem = json.load(f)
+    except OSError as exc:
+        raise _UsageError(f"cannot read {args.input}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise _UsageError(f"{args.input} is not valid JSON: {exc}") from exc
+    if not isinstance(problem, dict):
+        raise _UsageError(f"{args.input} must hold a JSON object, got {type(problem).__name__}")
+    read = types.SimpleNamespace(options=_options(problem, args), spec=None)
+    if "algebra" in sections or "rep" in sections and "algebra" in problem:
+        from . import liealg
+
+        read.spec = liealg.load_spec(problem.get("algebra"))
+    if "rep" in sections:
+        from . import bundle
+
+        name = problem.get("rep")
+        if name is None and read.spec is None:
+            raise _UsageError("problem JSON needs an 'algebra' or a 'rep' entry")
+        read.rep = bundle.algebra_rep(read.spec) if name is None else bundle.builtin_rep(name)
+        if name is not None and read.spec is not None:
+            try:  # the named generators must close on this problem's fiber constants
+                read.rep = bundle.MatrixRep(read.spec, read.rep.T)
+            except StructuralError as exc:
+                raise _UsageError(f"rep {name!r} does not represent the algebra: {exc}") from exc
+    if "fields" in sections:
+        from . import basegeo
+
+        fields = problem.get("fields", {})
+        read.fields = basegeo.load_fields(fields, read.spec)
+        read.deriv_mode = fields.get("deriv_mode", "analytic")  # fields is an object by now
+    if "paths" in sections:
+        read.paths = _path_specs(problem, read.rep)
+    read.config = {**{name: problem.get(name) for name in sections}, "options": read.options}
+    if "rep" in sections and problem.get("rep") is None:  # derived from the algebra
+        read.config["algebra"] = problem["algebra"]
+    return read
+
+
 def _options(problem, args):
-    """Merge problem-file options with command-line overrides, checked."""
+    """Problem-file options with the command-line overrides and defaults, once
+    ``tol``, ``fd_step`` and ``gauge_tol`` are known to be positive finite
+    numbers (``identities`` also takes ``tol`` 0) and ``seed`` a non-negative
+    integer, where given."""
     opts = problem.get("options", {})
     if not isinstance(opts, dict):
         raise _UsageError("'options' must be an object")
     opts = dict(opts)
-    for name in ("tol", "fd_step", "seed"):
+    for name in ("n", "trials", "tol", "fd_step", "seed"):
         val = getattr(args, name, None)
         if val is not None:
             opts[name] = val
-    opts.setdefault("tol", 1e-10)
-    opts.setdefault("fd_step", 1e-3)
-    opts.setdefault("seed", 0)
-    return _checked(opts)
-
-
-def _checked(opts):
-    """``opts``, once ``tol``, ``fd_step`` and ``gauge_tol`` are known to be
-    positive finite numbers and ``seed`` a non-negative integer, where given."""
+    identities = args.command == "identities"
+    if identities and "n" not in opts:
+        raise _UsageError("identities needs --n")
+    defaults = ({"trials": 200, "seed": 0, "tol": 1e-12} if identities
+                else {"tol": 1e-10, "fd_step": 1e-3, "seed": 0})
+    opts = {**defaults, **opts}
     for name in ("tol", "fd_step", "gauge_tol"):
         val = opts.get(name, 1.0)
-        if isinstance(val, bool) or not isinstance(val, (int, float)) or not 0 < val < math.inf:
-            raise _UsageError(f"option {name} must be a positive finite number, got {val!r}")
-    seed = opts.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise _UsageError(f"option seed must be a non-negative integer, got {seed!r}")
+        zero = identities and name == "tol"  # tol 0 asks for exact identities
+        if (isinstance(val, bool) or not isinstance(val, (int, float))
+                or not 0 <= val < math.inf or val == 0 and not zero):
+            raise _UsageError(f"option {name} must be a {'non-negative' if zero else 'positive'} "
+                              f"finite number, got {val!r}")
+    if isinstance(opts["seed"], bool) or not isinstance(opts["seed"], int) or opts["seed"] < 0:
+        raise _UsageError(f"option seed must be a non-negative integer, got {opts['seed']!r}")
     return opts
 
 
@@ -286,13 +319,10 @@ def _checked(opts):
 # validate
 
 
-def cmd_validate(args):
+def cmd_validate(args, problem):
     from . import liealg
 
-    problem = _load_problem(args.input)
-    opts = _options(problem, args)
-    spec = _algebra_from(problem)
-    report_obj = liealg.validate_spec(spec, tol=opts["tol"])
+    report_obj = liealg.validate_spec(problem.spec, tol=problem.options["tol"])
     checks = [
         {
             "name": c.name,
@@ -310,10 +340,9 @@ def cmd_validate(args):
         "b_signature": list(report_obj.b_signature),
         "k_signature": list(report_obj.k_signature),
         "det_h": report_obj.det_h,
-        "cosmological_constant": liealg.cosmological_constant(spec),
+        "cosmological_constant": liealg.cosmological_constant(problem.spec),
     }
-    config = {"algebra": problem.get("algebra"), "options": opts}
-    _emit(_report("validate", config, body), args)
+    _emit(_report("validate", problem.config, body), args)
     return EXIT_OK if report_obj.passed else EXIT_VIOLATION
 
 
@@ -321,30 +350,18 @@ def cmd_validate(args):
 # identities
 
 
-def cmd_identities(args):
+def cmd_identities(args, problem):
     from . import exterior
 
-    n = args.n
-    if n is None:
-        raise _UsageError("identities needs --n")
-    trials = args.trials if args.trials is not None else 200
-    seed = args.seed if args.seed is not None else 0
-    tol = args.tol if args.tol is not None else 1e-12
-    if not 0 <= tol < math.inf:  # 0 asks for exact identities
-        raise _UsageError(f"option tol must be a non-negative finite number, got {tol!r}")
-    _checked({"seed": seed})
-    try:
-        rep = exterior.check_identities(n, trials=trials, seed=seed)
-    except DegreeError as exc:
-        raise _UsageError(str(exc)) from exc
-    passed = rep.max_residual <= tol
-    config = {"n": n, "trials": trials, "seed": seed, "tol": tol}
+    opts = problem.options
+    rep = exterior.check_identities(opts["n"], trials=opts["trials"], seed=opts["seed"])
+    passed = rep.max_residual <= opts["tol"]
     body = {
         "passed": bool(passed),
         "residuals": {k: float(v) for k, v in sorted(rep.residuals.items())},
         "max_residual": float(rep.max_residual),
     }
-    _emit(_report("identities", config, body), args)
+    _emit(_report("identities", problem.config, body), args)
     return EXIT_OK if passed else EXIT_VIOLATION
 
 
@@ -358,8 +375,8 @@ def cmd_identities(args):
 _BLOCK = 32
 
 
-def _sweep(problem, spec, opts, block_columns):
-    """Per-point columns of the problem's fields on ``spec``, each an array
+def _sweep(problem, block_columns):
+    """Per-point columns of the problem's fields on its ``spec``, each an array
     with the point axis first: the sorted points in blocks of ``_BLOCK``, one
     geometry pass per block in the fields' ``deriv_mode`` at ``fd_step``, and
     per block the columns "point" and ``block_columns(geom)`` (a dict of
@@ -368,14 +385,13 @@ def _sweep(problem, spec, opts, block_columns):
 
     from . import basegeo
 
-    fields = problem.get("fields", {})
-    _, coframe, gauge, points = basegeo.load_fields(fields, spec)
-    deriv_mode = fields.get("deriv_mode", "analytic")  # fields is an object by now
+    _, coframe, gauge, points = problem.fields
     blocks = []
     for start in range(0, len(points), _BLOCK):
         block = points[start:start + _BLOCK]
-        geom = basegeo.geometry_at_point(coframe, gauge, spec, block,
-                                         deriv_mode=deriv_mode, fd_step=opts["fd_step"])
+        geom = basegeo.geometry_at_point(coframe, gauge, problem.spec, block,
+                                         deriv_mode=problem.deriv_mode,
+                                         fd_step=problem.options["fd_step"])
         blocks.append({"point": block, **block_columns(geom)})
     names = blocks[0] if blocks else ()
     return {name: np.concatenate([block[name] for block in blocks]) for name in names}
@@ -444,10 +460,8 @@ def _curvature_columns(geom):
         }
 
 
-def cmd_curvature(args):
-    problem = _load_problem(args.input)
-    opts = _options(problem, args)
-    columns = _sweep(problem, _algebra_from(problem), opts, _curvature_columns)
+def cmd_curvature(args, problem):
+    columns = _sweep(problem, _curvature_columns)
     rows = _Rows(columns)
     summary = {
         "points": len(rows),
@@ -455,10 +469,8 @@ def cmd_curvature(args):
         "max_yang_mills_residual": _max(columns, "yang_mills_residual_norm"),
         "max_cross_check": _max(columns, "cross_check_max"),
     }
-    config = {"algebra": problem.get("algebra"), "fields": problem.get("fields"),
-              "options": opts}
-    _emit(_report("curvature", config, {"per_point": rows, "summary": summary}), args)
-    fd = problem["fields"].get("deriv_mode") == "fd"
+    _emit(_report("curvature", problem.config, {"per_point": rows, "summary": summary}), args)
+    fd = problem.deriv_mode == "fd"
     limits = (("cross_check_max", _TOL_FD if fd else _TOL_ANALYTIC),
               ("connection_torsion", _TOL_EXACT), ("connection_antisymmetry", _TOL_EXACT))
     return _exit_code(_worst_violation(columns, limits))
@@ -536,32 +548,13 @@ def _path_specs(problem, rep):
     return out
 
 
-def _rep_from(problem, spec):
-    """The built-in rep the problem names, closed on ``spec``, or algebra_rep(spec)."""
-    from . import bundle
-
-    name = problem.get("rep")
-    if name is None:
-        if spec is None:
-            raise _UsageError("problem JSON needs an 'algebra' or a 'rep' entry")
-        return bundle.algebra_rep(spec)
-    rep = bundle.builtin_rep(name)
-    try:  # the generators must close on this problem's fiber constants
-        return rep if spec is None else bundle.MatrixRep(spec, rep.T)
-    except StructuralError as exc:
-        raise _UsageError(f"rep {name!r} does not represent the algebra: {exc}") from exc
-
-
-def cmd_lift(args):
+def cmd_lift(args, problem):
     import numpy as np
 
     from . import bundle
 
-    problem = _load_problem(args.input)
-    opts = _options(problem, args)
-    rep = _rep_from(problem, _algebra_from(problem) if "algebra" in problem else None)
     results = []
-    for path, steps in _path_specs(problem, rep):
+    for path, steps in problem.paths:
         coarse, fine = bundle.lift_and_halve(path, steps)
         err = float(np.abs(coarse[-1].matrix - fine[-1].matrix).max())
         results.append({
@@ -570,10 +563,7 @@ def cmd_lift(args):
             "drift": coarse[-1].manifold_residual(),
             "step_halving_error": err,
         })
-    config = {"rep": problem.get("rep"), "paths": problem.get("paths"), "options": opts}
-    if config["rep"] is None:  # the rep is derived from the algebra
-        config["algebra"] = problem["algebra"]
-    _emit(_report("lift", config, {"paths": results}), args)
+    _emit(_report("lift", problem.config, {"paths": results}), args)
     return EXIT_OK
 
 
@@ -581,35 +571,29 @@ def cmd_lift(args):
 # gauge-check
 
 
-def cmd_gauge_check(args):
+def cmd_gauge_check(args, problem):
     import numpy as np
 
     from . import bundle
 
-    problem = _load_problem(args.input)
-    opts = _options(problem, args)
-    spec = _algebra_from(problem)
-    rep = _rep_from(problem, spec)
-    rng = random.Random(opts["seed"])
-    tol = opts.get("gauge_tol", 1e-5)
+    rng = random.Random(problem.options["seed"])
+    tol = problem.options.get("gauge_tol", 1e-5)
 
     def gauge_columns(geom):
         # the stream order of a per-point loop: g's normals, then s's, point by point
-        shape = (len(geom.point), 2, rep.spec.r)
+        shape = (len(geom.point), 2, problem.rep.spec.r)
         draws = np.reshape([rng.gauss(0.0, 1.0) for _ in range(math.prod(shape))], shape)
-        s, g = 0.25 * draws[:, 1], rep.exp(draws[:, 0])
+        s, g = 0.25 * draws[:, 1], problem.rep.exp(draws[:, 0])
         return {"deextra_residual": bundle.verify_deextra(geom, s=s),
                 "gauge_covariance_residual": bundle.verify_gauge_covariance(geom, g)}
 
-    columns = _sweep(problem, spec, opts, gauge_columns)
+    columns = _sweep(problem, gauge_columns)
     limits = (("deextra_residual", tol), ("gauge_covariance_residual", tol))
     worst = _worst_violation(columns, limits)
-    config = {"algebra": problem.get("algebra"), "fields": problem.get("fields"),
-              "rep": problem.get("rep"), "options": opts}
     body = {"passed": worst is None, "tolerance": tol,
             "max_residual": _max(columns, *(name for name, _ in limits)),
             "per_point": _Rows(columns)}
-    _emit(_report("gauge-check", config, body), args)
+    _emit(_report("gauge-check", problem.config, body), args)
     return _exit_code(worst)
 
 
@@ -646,12 +630,17 @@ def _build_parser():
     return parser
 
 
+# each command, and the problem sections it reads, in the order they are
+# loaded and checked; the report's config holds each as written, and the
+# options.  A command that reads the rep reads the algebra too where the
+# problem gives one, and its config holds the algebra where the rep is
+# derived from it.
 _COMMANDS = {
-    "validate": cmd_validate,
-    "identities": cmd_identities,
-    "curvature": cmd_curvature,
-    "lift": cmd_lift,
-    "gauge-check": cmd_gauge_check,
+    "validate": (cmd_validate, ("algebra",)),
+    "identities": (cmd_identities, ()),
+    "curvature": (cmd_curvature, ("algebra", "fields")),
+    "lift": (cmd_lift, ("rep", "paths")),
+    "gauge-check": (cmd_gauge_check, ("algebra", "rep", "fields")),
 }
 
 
@@ -664,8 +653,9 @@ def main(argv=None):
     global _START
     _START = time.monotonic()
     try:
-        code = _COMMANDS[args.command](args)
-    except (_UsageError, StructuralError, ExprSyntaxError, UnknownIdentifierError,
+        run, sections = _COMMANDS[args.command]
+        code = run(args, _read(args, sections))
+    except (_UsageError, StructuralError, DegreeError, ExprSyntaxError, UnknownIdentifierError,
             EvalDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

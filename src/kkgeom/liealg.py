@@ -267,7 +267,7 @@ _BUILTINS = {
 
 
 def builtin_algebra(name, n, r=None, b=None, k=None) -> LieAlgebraSpec:
-    if name not in _BUILTINS:
+    if not isinstance(name, str) or name not in _BUILTINS:
         raise StructuralError(f"unknown builtin algebra {name!r}; choose from {sorted(_BUILTINS)}")
     if name == "abelian":
         if r is None:
@@ -280,9 +280,11 @@ def load_spec(data: dict) -> LieAlgebraSpec:
     """Build a spec from the JSON wire format.
 
     ``{"n":…, "r":…, "c":[[A,B,C,value],…], "h_b":[[…]], "h_k":[[…]]}``
-    with zero-based sparse triplet indices.  A value of the wrong type
-    raises :class:`StructuralError`.
+    with zero-based sparse triplet indices.  A value of the wrong type, the
+    whole ``data`` among them, raises :class:`StructuralError`.
     """
+    if not isinstance(data, dict):
+        raise StructuralError(f"problem JSON needs an 'algebra' object, got {data!r}")
     if "builtin" in data:
         r = data.get("r")
         return builtin_algebra(data["builtin"], _number(data.get("n", 0), "algebra n", True),
@@ -294,6 +296,8 @@ def load_spec(data: dict) -> LieAlgebraSpec:
         raise StructuralError(f"algebra JSON is missing field {exc}") from None
     N = n + r
     c = np.zeros((N, N, N))
+    if not isinstance(data.get("c", []), list):
+        raise StructuralError(f"algebra c must be a list of entries, got {data['c']!r}")
     for entry in data.get("c", []):
         if not isinstance(entry, (list, tuple)) or len(entry) != 4:
             raise StructuralError(f"structure-constant entry {entry} is not [A, B, C, value]")

@@ -400,10 +400,15 @@ def with_algebra(algebra):
     (with_fields(chart={"n": -2}), [], "chart n must be a non-negative integer, got -2"),
     (with_fields(lattice=None, points=[], deriv_mode="bogus"), [],
      "unknown derivative mode 'bogus'"),
+    (with_fields(lattice=None, points=[], gauge=SU2_PROBLEM["fields"]["gauge"][:2]), [],
+     "gauge potential has 2 rows, the algebra's fiber dimension is 3"),
+    ({**with_fields(lattice=None, points=[]), "algebra": {"builtin": "su2"}}, [],
+     "chart dimension 2 does not match the algebra's base dimension 0"),
 ], ids=["syntax", "no-points", "log-domain", "overflow", "short-point",
         "short-point-unread", "short-lattice", "short-triplet", "jobs-option",
         "negative-steps", "negative-algebra-n", "negative-algebra-r", "negative-builtin-n",
-        "negative-chart-n", "bad-deriv-mode-no-points"])
+        "negative-chart-n", "bad-deriv-mode-no-points", "gauge-rows-no-points",
+        "chart-n-no-points"])
 def test_curvature_input_errors_exit_64(tmp_path, capsys, problem, argv, message):
     path = write_problem(tmp_path, problem)
     code, out = run(capsys, ["curvature", "--input", path] + argv)
@@ -431,12 +436,16 @@ INLINE_SU2 = {"n": 2, "r": 3, "c": [[2, 3, 4, 1.0], [3, 4, 2, 1.0], [4, 2, 3, 1.
     with_algebra({**INLINE_SU2, "r": "x"}),
     with_algebra({**INLINE_SU2, "h_b": [["a", 0], [0, 1]]}),
     with_algebra({**INLINE_SU2, "c": [[2, 3, 4, "v"]]}),
+    with_algebra({**INLINE_SU2, "c": True}),
+    with_algebra({**INLINE_SU2, "c": {}}),
     with_algebra([1]),
+    with_algebra({"builtin": []}),
+    with_algebra({"builtin": {}}),
     [1],
 ], ids=["coframe-null", "coframe-list", "coframe-object", "coframe-true", "coframe-nan",
         "params-list", "fields-list", "point-string", "point-null", "steps-string",
-        "chart-n-string", "algebra-r-string", "h_b-string", "c-value-string", "algebra-list",
-        "problem-list"])
+        "chart-n-string", "algebra-r-string", "h_b-string", "c-value-string", "c-true",
+        "c-object", "algebra-list", "builtin-list", "builtin-object", "problem-list"])
 def test_values_of_the_wrong_type_exit_64(tmp_path, capsys, problem):
     # JSON values of the wrong type are input errors, never a traceback, a
     # numeric failure or a value silently read as 1.0 or NaN
