@@ -15,7 +15,9 @@ Subpackages by topic:
 - :mod:`kkgeom.kkcurv` — the block connection on the total space, its
   curvature by two independent routes, Einstein-Yang-Mills residuals.
 - :mod:`kkgeom.bundle` — matrix group representations, adjoint gauge maps,
-  path lifting, gauge-covariance verification.
+  path lifting; the fiber group alone, no base geometry.
+- :mod:`kkgeom.gauge` — the structure-equation and gauge-covariance checks
+  on a fiber chart, on top of ``bundle``, ``basegeo`` and ``kkcurv``.
 - :mod:`kkgeom.cli` — the batch front end (``kkgeom`` console script).
 
 Importing the package loads none of them.  Each public name below is
@@ -33,13 +35,14 @@ _EXPORTS = {
                 "GeometryAtPoint", "base_curvature_from_geometry", "geometry_at_point",
                 "load_fields"),
     "bundle": ("GroupElement", "MatrixRep", "PathSpec", "adjoint_of", "algebra_rep",
-               "builtin_rep", "lift_path", "verify_deextra", "verify_gauge_covariance"),
+               "builtin_rep", "lift_path"),
     "errors": ("DegenerateCoframeError", "DegenerateMetricError", "DegreeError",
                "EvalDomainError", "ExprSyntaxError", "KKGeomError", "NonFiniteGeometryError",
                "StructuralError", "UnknownIdentifierError"),
     "exterior": ("AlternatingForm", "basis_one_form", "check_identities", "d_substitute",
                  "epsilon_form", "interior", "top_form", "wedge"),
     "fieldexpr": ("FieldProvider", "diff", "evaluate", "parse", "pretty"),
+    "gauge": ("verify_deextra", "verify_gauge_covariance"),
     "kkcurv": ("EYMResidual", "KKConnection", "KKCurvature", "assemble_omega",
                "cross_check", "curvature_direct", "eym_residuals", "ricci_closed_form",
                "riemann_direct"),

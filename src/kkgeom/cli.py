@@ -51,12 +51,13 @@ columns, their numbers spelled as the JSON report spells them, or by
 Each subcommand imports the kkgeom modules it runs on when it is dispatched:
 ``validate`` loads ``liealg``, ``identities`` ``exterior``, ``lift``
 ``bundle`` and ``fieldexpr``, ``curvature`` ``basegeo`` and ``kkcurv``, and
-``gauge-check`` ``basegeo`` and ``bundle`` (with what they import), so a
-cold process compiles and runs only those.  numpy is imported the same way,
-by the commands that compute on arrays: ``identities`` runs on the standard
-library alone (its ``--seed`` seeds Python's ``random``), so a cold identity
-check loads no numpy; no command loads ``numpy.random``; and only
-``curvature`` loads orjson.
+``gauge-check`` ``basegeo``, ``bundle`` and ``gauge`` (with what they
+import; ``bundle`` imports ``liealg`` alone, so ``lift`` loads no base
+geometry), so a cold process compiles and runs only those.  numpy is
+imported the same way, by the commands that compute on arrays:
+``identities`` runs on the standard library alone (its ``--seed`` seeds
+Python's ``random``), so a cold identity check loads no numpy; no command
+loads ``numpy.random``; and only ``curvature`` loads orjson.
 """
 
 from __future__ import annotations
@@ -86,10 +87,6 @@ EXIT_NUMERIC = 70
 _TOL_EXACT = 1e-12
 _TOL_ANALYTIC = 1e-6
 _TOL_FD = 1e-3
-
-
-class _UsageError(Exception):
-    pass
 
 
 _START = None  # set by main() so reports can embed the wall time
@@ -243,16 +240,16 @@ def _read(args, sections):
         opts = _options({}, args)
         return types.SimpleNamespace(options=opts, config=opts)
     if args.input is None:
-        raise _UsageError("--input is required for this command")
+        raise StructuralError("--input is required for this command")
     try:
         with open(args.input) as f:
             problem = json.load(f)
     except OSError as exc:
-        raise _UsageError(f"cannot read {args.input}: {exc}") from exc
+        raise StructuralError(f"cannot read {args.input}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise _UsageError(f"{args.input} is not valid JSON: {exc}") from exc
+        raise StructuralError(f"{args.input} is not valid JSON: {exc}") from exc
     if not isinstance(problem, dict):
-        raise _UsageError(f"{args.input} must hold a JSON object, got {type(problem).__name__}")
+        raise StructuralError(f"{args.input} must hold a JSON object, got {type(problem).__name__}")
     read = types.SimpleNamespace(options=_options(problem, args), spec=None)
     if "algebra" in sections or "rep" in sections and "algebra" in problem:
         from . import liealg
@@ -263,13 +260,14 @@ def _read(args, sections):
 
         name = problem.get("rep")
         if name is None and read.spec is None:
-            raise _UsageError("problem JSON needs an 'algebra' or a 'rep' entry")
+            raise StructuralError("problem JSON needs an 'algebra' or a 'rep' entry")
         read.rep = bundle.algebra_rep(read.spec) if name is None else bundle.builtin_rep(name)
         if name is not None and read.spec is not None:
             try:  # the named generators must close on this problem's fiber constants
                 read.rep = bundle.MatrixRep(read.spec, read.rep.T)
             except StructuralError as exc:
-                raise _UsageError(f"rep {name!r} does not represent the algebra: {exc}") from exc
+                raise StructuralError(f"rep {name!r} does not represent the algebra: "
+                                      f"{exc}") from exc
     if "fields" in sections:
         from . import basegeo
 
@@ -291,7 +289,7 @@ def _options(problem, args):
     integer, where given."""
     opts = problem.get("options", {})
     if not isinstance(opts, dict):
-        raise _UsageError("'options' must be an object")
+        raise StructuralError("'options' must be an object")
     opts = dict(opts)
     for name in ("n", "trials", "tol", "fd_step", "seed"):
         val = getattr(args, name, None)
@@ -299,7 +297,7 @@ def _options(problem, args):
             opts[name] = val
     identities = args.command == "identities"
     if identities and "n" not in opts:
-        raise _UsageError("identities needs --n")
+        raise StructuralError("identities needs --n")
     defaults = ({"trials": 200, "seed": 0, "tol": 1e-12} if identities
                 else {"tol": 1e-10, "fd_step": 1e-3, "seed": 0})
     opts = {**defaults, **opts}
@@ -308,10 +306,11 @@ def _options(problem, args):
         zero = identities and name == "tol"  # tol 0 asks for exact identities
         if (isinstance(val, bool) or not isinstance(val, (int, float))
                 or not 0 <= val < math.inf or val == 0 and not zero):
-            raise _UsageError(f"option {name} must be a {'non-negative' if zero else 'positive'} "
-                              f"finite number, got {val!r}")
+            raise StructuralError(f"option {name} must be a "
+                                  f"{'non-negative' if zero else 'positive'} "
+                                  f"finite number, got {val!r}")
     if isinstance(opts["seed"], bool) or not isinstance(opts["seed"], int) or opts["seed"] < 0:
-        raise _UsageError(f"option seed must be a non-negative integer, got {opts['seed']!r}")
+        raise StructuralError(f"option seed must be a non-negative integer, got {opts['seed']!r}")
     return opts
 
 
@@ -380,12 +379,13 @@ def _sweep(problem, block_columns):
     with the point axis first: the sorted points in blocks of ``_BLOCK``, one
     geometry pass per block in the fields' ``deriv_mode`` at ``fd_step``, and
     per block the columns "point" and ``block_columns(geom)`` (a dict of
-    per-point arrays), joined over the blocks; no columns over no points."""
+    per-point arrays), joined over the blocks; no columns over no points.
+    The fields leave the record, so they are freed before the report is written."""
     import numpy as np
 
     from . import basegeo
 
-    _, coframe, gauge, points = problem.fields
+    _, coframe, gauge, points = vars(problem).pop("fields")
     blocks = []
     for start in range(0, len(points), _BLOCK):
         block = points[start:start + _BLOCK]
@@ -486,7 +486,7 @@ def _float_array(data, where):
     try:
         return np.array(data, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise _UsageError(f"{where} must be a rectangular array of numbers") from exc
+        raise StructuralError(f"{where} must be a rectangular array of numbers") from exc
 
 
 def _expression_velocity(sources):
@@ -505,45 +505,47 @@ def _expression_velocity(sources):
     return v
 
 
+def _at(where, build, *args):
+    """``build(*args)``, with ``where`` in front of a StructuralError it raises."""
+    try:
+        return build(*args)
+    except StructuralError as exc:
+        raise StructuralError(f"{where}: {exc}") from exc
+
+
 def _path_specs(problem, rep):
     """(PathSpec, steps) for each entry of the problem's 'paths' list."""
     from . import bundle
 
     entries = problem.get("paths")
     if not entries:
-        raise _UsageError("problem JSON has no 'paths' section")
+        raise StructuralError("problem JSON has no 'paths' section")
     if not isinstance(entries, list):
-        raise _UsageError("'paths' must be a list of path objects")
+        raise StructuralError("'paths' must be a list of path objects")
     r = rep.spec.r
     out = []
     for i, entry in enumerate(entries):
         where = f"paths[{i}]"
         if not isinstance(entry, dict):
-            raise _UsageError(f"{where} must be an object")
+            raise StructuralError(f"{where} must be an object")
         v_data = entry.get("v")
         if not isinstance(v_data, list) or not v_data:
-            raise _UsageError(f"{where} needs a non-empty 'v' list")
+            raise StructuralError(f"{where} needs a non-empty 'v' list")
         steps = entry.get("steps", 100)
         if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
-            raise _UsageError(f"{where}.steps must be a positive integer, got {steps!r}")
+            raise StructuralError(f"{where}.steps must be a positive integer, got {steps!r}")
         g0_data = entry.get("g0", "identity")
-        try:
-            if g0_data == "identity":
-                g0 = rep.identity_element()
-            else:
-                g0 = bundle.GroupElement(rep, _float_array(g0_data, f"{where}.g0"))
-            if all(isinstance(e, str) for e in v_data):
-                if len(v_data) != r:
-                    raise _UsageError(f"{where} needs {r} velocity expressions, "
-                                      f"got {len(v_data)}")
-                path = bundle.PathSpec(rep, _expression_velocity(v_data), g0)
-            else:
-                samples = _float_array(v_data, f"{where}.v")
-                if samples.ndim != 2 or samples.shape[1] != r + 1:
-                    raise _UsageError(f"{where}.v rows must be [t, v1, ..., v{r}]")
-                path = bundle.PathSpec.sampled(rep, samples[:, 0], samples[:, 1:], g0)
-        except StructuralError as exc:
-            raise _UsageError(f"{where}: {exc}") from exc
+        g0 = (rep.identity_element() if g0_data == "identity"
+              else _at(where, bundle.GroupElement, rep, _float_array(g0_data, f"{where}.g0")))
+        if all(isinstance(e, str) for e in v_data):
+            if len(v_data) != r:
+                raise StructuralError(f"{where} needs {r} velocity expressions, got {len(v_data)}")
+            path = bundle.PathSpec(rep, _expression_velocity(v_data), g0)
+        else:
+            samples = _float_array(v_data, f"{where}.v")
+            if samples.ndim != 2 or samples.shape[1] != r + 1:
+                raise StructuralError(f"{where}.v rows must be [t, v1, ..., v{r}]")
+            path = _at(where, bundle.PathSpec.sampled, rep, samples[:, 0], samples[:, 1:], g0)
         out.append((path, steps))
     return out
 
@@ -574,7 +576,7 @@ def cmd_lift(args, problem):
 def cmd_gauge_check(args, problem):
     import numpy as np
 
-    from . import bundle
+    from . import gauge
 
     rng = random.Random(problem.options["seed"])
     tol = problem.options.get("gauge_tol", 1e-5)
@@ -584,8 +586,8 @@ def cmd_gauge_check(args, problem):
         shape = (len(geom.point), 2, problem.rep.spec.r)
         draws = np.reshape([rng.gauss(0.0, 1.0) for _ in range(math.prod(shape))], shape)
         s, g = 0.25 * draws[:, 1], problem.rep.exp(draws[:, 0])
-        return {"deextra_residual": bundle.verify_deextra(geom, s=s),
-                "gauge_covariance_residual": bundle.verify_gauge_covariance(geom, g)}
+        return {"deextra_residual": gauge.verify_deextra(geom, s=s),
+                "gauge_covariance_residual": gauge.verify_gauge_covariance(geom, g)}
 
     columns = _sweep(problem, gauge_columns)
     limits = (("deextra_residual", tol), ("gauge_covariance_residual", tol))
@@ -655,7 +657,7 @@ def main(argv=None):
     try:
         run, sections = _COMMANDS[args.command]
         code = run(args, _read(args, sections))
-    except (_UsageError, StructuralError, DegreeError, ExprSyntaxError, UnknownIdentifierError,
+    except (StructuralError, DegreeError, ExprSyntaxError, UnknownIdentifierError,
             EvalDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

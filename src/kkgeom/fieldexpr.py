@@ -26,19 +26,8 @@ import numpy as np
 
 from .errors import EvalDomainError, ExprSyntaxError, UnknownIdentifierError
 
-__all__ = [
-    "Expr",
-    "Num",
-    "Var",
-    "Param",
-    "Neg",
-    "BinOp",
-    "Call",
-    "parse",
-    "diff",
-    "pretty",
-    "FieldProvider",
-]
+__all__ = ["Expr", "Num", "Var", "Param", "Neg", "BinOp", "Call", "parse", "evaluate", "diff",
+           "pretty", "FieldProvider"]
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,12 @@ from scipy.linalg import expm
 from grammar_corpus import CASES, INVALID, PARAM_VALUES, VALID
 from kkgeom.basegeo import (ChartSpec, CoframeField, GaugeField,
                             base_curvature_from_geometry, geometry_at_point)
-from kkgeom.bundle import (PathSpec, adjoint_of, builtin_rep, lift_path,
-                           verify_gauge_covariance)
+from kkgeom.bundle import PathSpec, adjoint_of, builtin_rep, lift_path
 from kkgeom.cli import main as cli_main
 from kkgeom.errors import ExprSyntaxError, UnknownIdentifierError
 from kkgeom.exterior import check_identities
 from kkgeom.fieldexpr import diff, evaluate, parse
+from kkgeom.gauge import verify_gauge_covariance
 from kkgeom.kkcurv import (assemble_omega, cross_check, curvature_direct,
                            eym_residuals, ricci_closed_form)
 from kkgeom.liealg import (LieAlgebraSpec, abelian_algebra,

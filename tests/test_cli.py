@@ -14,7 +14,7 @@ import pytest
 from scipy.linalg import expm
 
 import kkgeom
-from kkgeom import basegeo, bundle, cli, kkcurv, liealg
+from kkgeom import basegeo, bundle, cli, gauge, kkcurv, liealg
 from kkgeom.bundle import builtin_rep
 from kkgeom.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 from kkgeom.liealg import EPSILON3, load_spec, su2_algebra
@@ -885,16 +885,18 @@ def test_identities_accepts_an_exact_tolerance(capsys):
 
 def test_gauge_check_sweeps_in_blocks_of_32_points(tmp_path, capsys, monkeypatch):
     geometry = count_calls(monkeypatch, basegeo, ["geometry_at_point"])
-    calls = count_calls(monkeypatch, bundle, ["assemble_omega", "riemann_direct", "expm"])
+    calls = count_calls(monkeypatch, gauge, ["assemble_omega", "riemann_direct", "expm"])
+    group = count_calls(monkeypatch, bundle, ["expm"])
     problem = json.loads(json.dumps(SU2_PROBLEM))
     problem["fields"]["lattice"]["steps"] = [3, 11]
     code, out = run(capsys, ["gauge-check", "--input", write_problem(tmp_path, problem)])
     assert code == EXIT_OK
     assert len(json.loads(out.out)["per_point"]) == 33
     assert geometry == {"geometry_at_point": 2}
-    # one exp per block for the drawn group elements, and one per rep for
+    # one exp per block for the drawn group elements, and one per block for
     # all fiber stencil points, which do not depend on the base point
-    assert calls == {"assemble_omega": 2, "riemann_direct": 2, "expm": 3}
+    assert calls == {"assemble_omega": 2, "riemann_direct": 2, "expm": 2}
+    assert group == {"expm": 2}
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -939,14 +941,14 @@ def test_gauge_check_report_ignores_point_order(tmp_path, capsys):
 
 
 def test_gauge_check_nan_residual_is_a_violation(tmp_path, capsys, monkeypatch):
-    exact = bundle.verify_gauge_covariance
+    exact = gauge.verify_gauge_covariance
     second = [-0.5, 0.5]  # the second of the four sorted lattice points
 
     def nan_at_second_point(geom, g):
         at = np.all(geom.point == second, axis=-1)
         return np.where(at, np.nan, exact(geom, g))
 
-    monkeypatch.setattr(bundle, "verify_gauge_covariance", nan_at_second_point)
+    monkeypatch.setattr(gauge, "verify_gauge_covariance", nan_at_second_point)
     code, out = run(capsys, ["gauge-check", "--input", write_problem(tmp_path, SU2_PROBLEM)])
     assert code == EXIT_VIOLATION
     report = json.loads(out.out)
@@ -1139,14 +1141,14 @@ def nan_at_second_point(monkeypatch, command):
 
         monkeypatch.setattr(kkcurv, "ricci_closed_form", patched)
     else:
-        exact = bundle.verify_gauge_covariance
+        exact = gauge.verify_gauge_covariance
 
         def patched(geom, g):
             residual = exact(geom, g).copy()
             residual[1] = np.nan
             return residual
 
-        monkeypatch.setattr(bundle, "verify_gauge_covariance", patched)
+        monkeypatch.setattr(gauge, "verify_gauge_covariance", patched)
 
 
 @pytest.mark.parametrize("rows", ["finite", "nan-row", "empty"])
@@ -1239,16 +1241,23 @@ def test_cli_import_loads_only_errors():
     assert loaded_kkgeom_modules("import kkgeom.cli") == {"kkgeom.cli", "kkgeom.errors"}
 
 
+def test_bundle_import_loads_no_base_geometry():
+    # the fiber group needs the algebra alone; the fiber-chart checks that
+    # need basegeo and kkcurv too live in gauge
+    assert loaded_kkgeom_modules("import kkgeom.bundle") == {"kkgeom.bundle", "kkgeom.errors",
+                                                             "kkgeom.liealg"}
+
+
 # the kkgeom modules each subcommand loads besides cli and errors: the ones it
 # imports when it is dispatched and theirs; so validate and identities load
-# none of basegeo, bundle, kkcurv or fieldexpr, and curvature neither bundle
-# nor exterior
+# none of basegeo, bundle, kkcurv or fieldexpr, curvature neither bundle nor
+# exterior, and lift neither basegeo nor kkcurv
 FOOTPRINTS = {
     "validate": {"liealg"},
     "identities": {"exterior"},
-    "lift": {"bundle", "fieldexpr", "basegeo", "kkcurv", "liealg"},
+    "lift": {"bundle", "fieldexpr", "liealg"},
     "curvature": {"basegeo", "kkcurv", "fieldexpr", "liealg"},
-    "gauge-check": {"basegeo", "bundle", "kkcurv", "fieldexpr", "liealg"},
+    "gauge-check": {"basegeo", "bundle", "gauge", "kkcurv", "fieldexpr", "liealg"},
 }
 
 
@@ -1303,6 +1312,8 @@ def test_every_exported_name_is_defined_by_its_module():
     assert set(kkgeom.__all__) <= set(dir(kkgeom))
     for module_name, names in kkgeom._EXPORTS.items():
         module = importlib.import_module(f"kkgeom.{module_name}")
+        # a module's own public list holds every name the package exports from it
+        assert set(names) <= set(getattr(module, "__all__", names)), module_name
         for name in names:
             value = getattr(kkgeom, name)
             assert vars(module)[name] is value

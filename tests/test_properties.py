@@ -21,8 +21,9 @@ from hypothesis import strategies as st
 
 from kkgeom import kkcurv, liealg
 from kkgeom.basegeo import geometry_at_point, load_fields
-from kkgeom.bundle import algebra_rep, verify_deextra, verify_gauge_covariance
+from kkgeom.bundle import algebra_rep
 from kkgeom.cli import EXIT_OK, main
+from kkgeom.gauge import verify_deextra, verify_gauge_covariance
 
 ALGEBRAS = [{"builtin": "abelian", "r": 1}, {"builtin": "abelian", "r": 2},
             {"builtin": "su2"}, {"builtin": "u1_su2"}]
