@@ -37,8 +37,8 @@ _EXPORTS = {
     "bundle": ("GroupElement", "MatrixRep", "PathSpec", "adjoint_of", "algebra_rep",
                "builtin_rep", "lift_path"),
     "errors": ("DegenerateCoframeError", "DegenerateMetricError", "DegreeError",
-               "EvalDomainError", "ExprSyntaxError", "KKGeomError", "NonFiniteGeometryError",
-               "StructuralError", "UnknownIdentifierError"),
+               "EvalDomainError", "ExprSyntaxError", "KKGeomError", "NonFiniteAlgebraError",
+               "NonFiniteGeometryError", "StructuralError", "UnknownIdentifierError"),
     "exterior": ("AlternatingForm", "basis_one_form", "check_identities", "d_substitute",
                  "epsilon_form", "interior", "top_form", "wedge"),
     "fieldexpr": ("FieldProvider", "diff", "evaluate", "parse", "pretty"),

@@ -55,9 +55,12 @@ Each subcommand imports the kkgeom modules it runs on when it is dispatched:
 import; ``bundle`` imports ``liealg`` alone, so ``lift`` loads no base
 geometry), so a cold process compiles and runs only those.  numpy is
 imported the same way, by the commands that compute on arrays:
-``identities`` runs on the standard library alone (its ``--seed`` seeds
-Python's ``random``), so a cold identity check loads no numpy; no command
-loads ``numpy.random``; and only ``curvature`` loads orjson.
+``identities`` (its ``--seed`` seeds Python's ``random``) and ``validate``
+(the algebra checks and the cosmological constant run on the spec's Python
+data) run on the standard library alone, so neither loads numpy; no
+command loads ``numpy.random``; and only ``curvature`` loads orjson.
+``validate`` exits 70 with one line naming det h, the residual or the
+cosmological constant that overflows to an infinity or a NaN.
 """
 
 from __future__ import annotations
@@ -73,8 +76,8 @@ import types
 
 from .errors import (DegenerateCoframeError, DegenerateMetricError,
                      DegreeError, EvalDomainError, ExprSyntaxError,
-                     KKGeomError, NonFiniteGeometryError, StructuralError,
-                     UnknownIdentifierError)
+                     KKGeomError, NonFiniteAlgebraError, NonFiniteGeometryError,
+                     StructuralError, UnknownIdentifierError)
 
 __all__ = ["main"]
 
@@ -661,7 +664,8 @@ def main(argv=None):
             EvalDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DegenerateCoframeError, DegenerateMetricError, NonFiniteGeometryError) as exc:
+    except (DegenerateCoframeError, DegenerateMetricError, NonFiniteAlgebraError,
+            NonFiniteGeometryError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except KKGeomError as exc:

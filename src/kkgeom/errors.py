@@ -37,6 +37,11 @@ class NonFiniteGeometryError(KKGeomError):
                          f"({', '.join(self.fields)})")
 
 
+class NonFiniteAlgebraError(KKGeomError):
+    """A quantity computed from the algebra alone (det h, a hypothesis
+    residual, the cosmological constant) overflowed to an infinity or a NaN."""
+
+
 class ExprSyntaxError(KKGeomError):
     """Syntax error in a field expression, with the byte offset of the bad token."""
 

@@ -14,9 +14,9 @@ from kkgeom.bundle import (GroupElement, MatrixRep, PathSpec, adjoint_of, algebr
 from kkgeom.errors import StructuralError
 from kkgeom.gauge import verify_deextra, verify_gauge_covariance
 from kkgeom.kkcurv import assemble_omega, riemann_direct
-from kkgeom.liealg import (EPSILON3, LieAlgebraSpec, abelian_algebra, su2_algebra,
-                           u1_su2_algebra)
+from kkgeom.liealg import LieAlgebraSpec, abelian_algebra, su2_algebra, u1_su2_algebra
 from test_kkcurv import oracle_geometry
+from test_properties import EPSILON3
 
 
 def su2_setup(seed=0):

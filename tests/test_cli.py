@@ -17,8 +17,8 @@ import kkgeom
 from kkgeom import basegeo, bundle, cli, gauge, kkcurv, liealg
 from kkgeom.bundle import builtin_rep
 from kkgeom.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
-from kkgeom.liealg import EPSILON3, load_spec, su2_algebra
-from test_properties import inline_algebra, su3_constants
+from kkgeom.liealg import load_spec, su2_algebra
+from test_properties import EPSILON3, inline_algebra, su3_constants
 
 
 SU2_PROBLEM = {
@@ -477,6 +477,41 @@ def test_non_finite_metric_entry_exits_64(tmp_path, capsys, builtin, block, valu
         assert out.out == ""
         (line,) = out.err.strip().splitlines()
         assert line == (f"error: {block[-1]} has an entry that is not a finite number")
+
+
+@pytest.mark.parametrize("algebra, quantity", [
+    ({"builtin": "su2", "n": 2, "h_k": (1e200 * np.eye(3)).tolist()}, "det h"),
+    (inline_algebra(1e200 * EPSILON3, 2), "the Jacobi identity residual"),
+    (inline_algebra(1e154 * EPSILON3, 2), "the cosmological constant"),
+], ids=["det", "residual", "lambda"])
+def test_overflowing_algebra_exits_70(tmp_path, capsys, algebra, quantity):
+    # Python floats overflow silently, as numpy's do: a det h, residual or
+    # cosmological constant that is not finite is a numeric failure, one line
+    # naming it and no report, never a report holding Infinity or NaN
+    path = write_problem(tmp_path, {"algebra": algebra})
+    for fmt in ("json", "csv"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(capsys, ["validate", "--input", path, "--format", fmt])
+        assert code == EXIT_NUMERIC
+        assert out.out == ""
+        (line,) = out.err.strip().splitlines()
+        assert line.startswith(f"numeric failure: {quantity} is not finite")
+
+
+def test_non_symmetric_metric_fails_validate(tmp_path, capsys):
+    # det h is 1 and the symmetric part of b has signature (1, 0), but h is
+    # not symmetric: the check before block orthogonality says so
+    path = write_problem(tmp_path, {"algebra": {"builtin": "su2", "n": 2,
+                                                "h_b": [[1.0, 2.0], [0.0, 1.0]]}})
+    code, out = run(capsys, ["validate", "--input", path])
+    assert code == EXIT_VIOLATION
+    report = json.loads(out.out)
+    names = [c["name"] for c in report["checks"]]
+    assert names.index("symmetry of h") + 1 == names.index("block orthogonality of h")
+    assert [c for c in report["checks"] if not c["passed"]] == [
+        {"name": "symmetry of h", "passed": False, "max_violation": 2.0, "worst_indices": [1, 2]}]
+    assert (report["b_signature"], report["det_h"]) == ([1, 0], 1.0)
 
 
 def test_curvature_without_fiber(tmp_path, capsys):
@@ -1358,12 +1393,37 @@ def test_scipy_blocker_blocks_scipy(tmp_path):
     "from kkgeom import check_identities",
     "import os, kkgeom.cli\n"
     "assert kkgeom.cli.main(['identities', '--n', '6', '--out', os.devnull]) == 0",
+    *(f"import os, sys, kkgeom.cli\nassert kkgeom.cli.main(['validate', '--format', '{fmt}', "
+      "'--input', sys.argv[1], '--out', os.devnull]) == 0" for fmt in ("json", "csv")),
 ])
-def test_identity_path_loads_no_numpy_or_dataclasses(code):
+def test_identity_path_loads_no_numpy_or_dataclasses(tmp_path, code):
+    # identities and validate run on the standard library alone
+    path = write_problem(tmp_path, SU2_PROBLEM)
     proc = run_python(["-c", code + "\nimport sys\nprint(sorted(m for m in sys.modules "
-                             "if m.partition('.')[0] in ('numpy', 'dataclasses')))"])
+                             "if m.partition('.')[0] in ('numpy', 'dataclasses')))", path])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_validate_runs_without_numpy(tmp_path):
+    # every report, passing or failing, in JSON or CSV, is the one written
+    # with numpy importable
+    for algebra, want in (({"builtin": "u1_su2", "n": 2}, EXIT_OK),
+                          (BROKEN_ALGEBRA, EXIT_VIOLATION)):
+        path = write_problem(tmp_path, {"algebra": algebra})
+        for fmt in ("json", "csv"):
+            reports = {}
+            for blocked in ("numpy", None):
+                out = tmp_path / f"without_{blocked}.{fmt}"
+                args = ["-m", "kkgeom.cli", "validate", "--input", path, "--format", fmt,
+                        "--out", str(out)]
+                proc = run_python([str(WITHOUT), blocked, *args] if blocked else args)
+                assert proc.returncode == want, proc.stderr
+                text = out.read_text()
+                reports[blocked] = (normalized(text) if fmt == "json" else
+                                    [ln for ln in text.splitlines()
+                                     if not ln.startswith("wall_time_s,")])
+            assert reports["numpy"] == reports[None], (algebra, fmt)
 
 
 def test_identities_run_without_numpy(tmp_path):

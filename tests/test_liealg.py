@@ -1,10 +1,16 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from kkgeom.errors import DegenerateMetricError, StructuralError
 from kkgeom.liealg import (LAMBDA_PREFACTOR, LieAlgebraSpec, abelian_algebra, bracket,
                            builtin_algebra, cosmological_constant, killing_form, load_spec,
                            su2_algebra, u1_su2_algebra, validate_spec)
+from test_properties import compact_algebras, su3_constants
 
 
 # ---------------------------------------------------------------------------
@@ -243,3 +249,143 @@ def test_central_block_enforced():
     spec = LieAlgebraSpec(1, 2, c, np.eye(1), np.eye(2))
     report = validate_spec(spec)
     assert not report.check("central-block structure").passed
+
+
+# ---------------------------------------------------------------------------
+# the standard-library checks against the dense einsum residuals
+
+
+def dense_worst(residual):
+    """Max |entry| and its 1-based index, the first in row-major order on a tie."""
+    if residual.size == 0:
+        return 0.0, None
+    idx = np.unravel_index(np.argmax(np.abs(residual)), residual.shape)
+    return float(np.abs(residual).max()), tuple(int(i) + 1 for i in idx)
+
+
+def dense_signature(m, tol):
+    eig = np.linalg.eigvalsh(0.5 * (m + m.T)) if m.size else np.zeros(0)
+    return int(np.sum(eig > tol)), int(np.sum(eig < -tol))
+
+
+def dense_checks(spec):
+    """(max violation, worst indices) of each check, in report order, from dense arrays."""
+    c, h, n = spec.c, spec.h, spec.n
+    blocked = c.copy()
+    blocked[n:, n:, n:] = 0.0
+    residuals = {
+        "bracket antisymmetry": c + np.swapaxes(c, 1, 2),
+        "Jacobi identity": (np.einsum("eda,dbc->eabc", c, c) + np.einsum("edb,dca->eabc", c, c)
+                            + np.einsum("edc,dab->eabc", c, c)),
+        "central-block structure": blocked,
+        "ad-invariance of h": np.einsum("dab,dc->abc", c, h) + np.einsum("dac,bd->abc", c, h),
+        "symmetry of h": h - h.T,
+        "block orthogonality of h": h[:n, n:],
+    }
+    return {name: dense_worst(residual) for name, residual in residuals.items()}
+
+
+def exact_det(m):
+    """det of the float matrix ``m``, exactly: elimination over the rationals."""
+    a = [[Fraction(x) for x in row] for row in m.tolist()]
+    det = Fraction(1)
+    for j in range(len(a)):
+        p = next((i for i in range(j, len(a)) if a[i][j]), None)
+        if p is None:
+            return 0.0
+        if p != j:
+            a[j], a[p], det = a[p], a[j], -det
+        det *= a[j][j]
+        for i in range(j + 1, len(a)):
+            f = a[i][j] / a[j][j]
+            a[i] = [x - f * y for x, y in zip(a[i], a[j])]
+    return float(det)
+
+
+def ulps(got, want):
+    return abs(got - want) / math.ulp(max(abs(got), abs(want)))
+
+
+# exactly representable kicks, so that residual entries tie
+KICKS = [0.25, -0.25, 0.5, 1e-3]
+
+
+@st.composite
+def checked_algebras(draw):
+    """(spec, tol): a generated compact algebra (su(3) among them) over n = 1..4
+    with a non-diagonal, often Lorentzian, b, its constants kicked at a few
+    index triples (inside and outside the fiber block, some of the form
+    c^a_ba) and, sometimes, b made non-symmetric."""
+    n = draw(st.integers(1, 4))
+    base = load_spec(draw(compact_algebras(n)))
+    N = base.N
+    c = base.c.copy()
+    for _ in range(draw(st.integers(0, 4))):
+        A, B, C = (draw(st.integers(0, N - 1)) for _ in range(3))
+        c[A, B, A if draw(st.booleans()) else C] += draw(st.sampled_from(KICKS))
+    off = np.triu(np.array(draw(st.lists(st.floats(-0.3, 0.3), min_size=n * n,
+                                         max_size=n * n))).reshape(n, n), 1)
+    b = np.diag([draw(st.sampled_from([-1.0, 0.0, 1.0, 2.5])) for _ in range(n)]) + off + off.T
+    if n > 1 and draw(st.booleans()):
+        b[0, n - 1] += 0.125
+    assume(abs(exact_det(b)) > 1e-3)  # a zero diagonal entry makes elimination swap rows
+    return LieAlgebraSpec(n, base.r, c, b, base.k), draw(st.sampled_from([1e-10, 1e-12]))
+
+
+def kicked_su3():
+    """su(3) over n = 2 with Lorentzian b, kicked so that every check has a
+    non-zero worst: two equal kicks make the antisymmetry worst tie."""
+    c = np.zeros((10, 10, 10))
+    c[2:, 2:, 2:] = su3_constants()
+    c[3, 4, 5] += 0.25
+    c[6, 7, 9] -= 0.25
+    c[4, 0, 4] += 0.5
+    c[0, 3, 4] += 0.25  # outside the fiber block, with b not symmetric
+    b = np.array([[-1.0, 0.25], [0.125, 1.0]])
+    return LieAlgebraSpec(2, 8, c, b, 2.0 * np.eye(8)), 1e-10
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(checked_algebras())
+@example(kicked_su3())
+def test_checks_match_the_dense_einsum_residuals(case):
+    spec, tol = case
+    report = validate_spec(spec, tol)
+    want = dense_checks(spec)
+    assert [c.name for c in report.checks] == [*want, "nondegeneracy of h"]
+    for check in report.checks[:-1]:
+        violation, indices = want[check.name]
+        assert check.worst_indices == indices, check.name
+        assert check.passed == (violation <= tol), check.name
+        assert ulps(check.max_violation, violation) <= 4, check.name
+    trace, _ = dense_worst(np.einsum("aba->b", spec.c))
+    assert report.unimodular == (trace <= tol)
+    assert ulps(report.unimodular_violation, trace) <= 4
+    assert report.b_signature == dense_signature(spec.b, tol)
+    assert report.k_signature == dense_signature(spec.k, tol)
+    assert ulps(report.det_h, exact_det(spec.h)) <= 4
+    lam = LAMBDA_PREFACTOR * float(np.trace(spec.fiber_cc()))
+    assert ulps(cosmological_constant(spec), lam) <= 4
+
+
+def test_kicked_su3_has_a_non_zero_worst_in_every_check_and_a_tie():
+    spec, tol = kicked_su3()
+    report = validate_spec(spec, tol)
+    assert all(c.max_violation > 0 for c in report.checks[:-2])  # block orthogonality is 0
+    assert report.unimodular_violation > 0
+    antisymmetry = spec.c + np.swapaxes(spec.c, 1, 2)
+    assert np.sum(np.abs(antisymmetry) == report.check("bracket antisymmetry").max_violation) > 1
+
+
+def test_det_h_of_widely_scaled_blocks_neither_under_nor_overflows():
+    # the product of the pivots would pass through 1e-400 on the way to 1e20
+    spec = su2_algebra(2, b=1e-200 * np.eye(2), k=1e140 * np.eye(3))
+    assert validate_spec(spec).det_h == pytest.approx(1e20, rel=1e-13)
+
+
+def test_signature_counts_the_eigenvalues_not_the_pivots():
+    # elimination with a row swap would see pivots (1, 1) here
+    report = validate_spec(su2_algebra(2, b=[[0.0, 1.0], [1.0, 0.0]]))
+    assert (report.b_signature, report.det_h) == ((1, 1), -1.0)
+    assert validate_spec(su2_algebra(2, k=-np.eye(3))).k_signature == (0, 3)

@@ -27,6 +27,7 @@ from kkgeom.gauge import verify_deextra, verify_gauge_covariance
 
 ALGEBRAS = [{"builtin": "abelian", "r": 1}, {"builtin": "abelian", "r": 2},
             {"builtin": "su2"}, {"builtin": "u1_su2"}]
+EPSILON3 = liealg.su2_algebra(0).c  # the su(2) constants epsilon_ijk, (3, 3, 3)
 # totally antisymmetric su(3) constants f_abc of the Gell-Mann basis (1-based)
 SU3_F = {(1, 2, 3): 1.0, (1, 4, 7): 0.5, (1, 5, 6): -0.5, (2, 4, 6): 0.5, (2, 5, 7): 0.5,
          (3, 4, 5): 0.5, (3, 6, 7): -0.5, (4, 5, 8): 3 ** 0.5 / 2, (6, 7, 8): 3 ** 0.5 / 2}
@@ -110,7 +111,7 @@ def compact_algebras(draw, n, blocks=None):
         for size in blocks:
             fiber = slice(start, start + size)
             if size == 3:
-                c[fiber, fiber, fiber] = draw(st.floats(0.3, 2.0)) * liealg.EPSILON3
+                c[fiber, fiber, fiber] = draw(st.floats(0.3, 2.0)) * EPSILON3
             k[fiber, fiber] = draw(st.floats(0.3, 3.0)) * np.eye(size)
             start += size
         order = draw(st.permutations(range(r)))

@@ -3,13 +3,14 @@ cannot be imported.
 
 scipy is a test-only dependency: the package, its command-line front end and
 the demos must run on numpy alone.  numpy is a runtime dependency, but
-``kkgeom identities`` runs on the standard library alone.  A meta-path
-finder placed ahead of the import machinery refuses every module of the
-named package.
+``kkgeom identities`` and ``kkgeom validate`` run on the standard library
+alone.  A meta-path finder placed ahead of the import machinery refuses
+every module of the named package.
 
     python tests/without.py scipy -m kkgeom.cli curvature --input problem.json
     python tests/without.py scipy demos/path_lifting.py
     python tests/without.py numpy -m kkgeom.cli identities --n 6
+    python tests/without.py numpy -m kkgeom.cli validate --input problem.json
 """
 
 import importlib.abc
