@@ -45,7 +45,7 @@ import numpy as np
 from .errors import (DegenerateCoframeError, EvalDomainError, NonFiniteGeometryError,
                      StructuralError)
 from .fieldexpr import FieldProvider, Num, pretty, run_into
-from .liealg import LieAlgebraSpec, _number
+from .liealg import LieAlgebraSpec, _number, _numbers
 
 __all__ = [
     "ChartSpec",
@@ -574,20 +574,13 @@ def load_fields(data: dict, spec: LieAlgebraSpec):
     gauge = GaugeField(chart, providers("gauge", [[0.0] * n for _ in range(spec.r)]))
 
     if "points" in data:
-        points = []
-        for i, p in enumerate(_rows(data["points"], "points")):
-            if len(p) != n:
-                raise StructuralError(f"points[{i}] has {len(p)} coordinates, the chart needs {n}")
-            points.append([_number(x, f"points[{i}]") for x in p])
-        points = np.array(points).reshape(-1, n)
+        points = np.reshape(_numbers("points", data["points"], (None, n)), (-1, n))
     elif "lattice" in data:
         lat = data["lattice"]
-        for key in ("min", "max", "steps"):
-            if np.shape(lat.get(key)) != (n,):
-                raise StructuralError(f"lattice '{key}' needs {n} entries")
-        axes = [np.linspace(_number(lo, "lattice min"), _number(hi, "lattice max"),
-                            _number(steps, "lattice steps", True))
-                for lo, hi, steps in zip(lat["min"], lat["max"], lat["steps"])]
+        lo, hi, _ = (_numbers(f"lattice.{key}", lat.get(key), (n,))
+                     for key in ("min", "max", "steps"))
+        axes = [np.linspace(a, b, _number(steps, "lattice steps", True))
+                for a, b, steps in zip(lo, hi, lat["steps"])]
         mesh = np.meshgrid(*axes, indexing="ij")
         points = np.stack([m.ravel() for m in mesh], axis=-1)
     else:

@@ -7,7 +7,7 @@ group element, and lifts fiber-direction path specifications
 ``g' = g * v(t)`` with a classical 4th-order integrator plus manifold
 projection.  It holds the group alone: the checks of the coframe
 construction on a fiber chart, which need the base geometry too, are in
-``gauge``.
+``gauge``.  It loads a problem's ``rep`` and ``paths`` sections.
 
 Path lifting is batched over its steps.  A path velocity maps an array of
 times ``(T,)`` to velocities ``(T, r)`` and is sampled once at every RK4
@@ -30,10 +30,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import StructuralError
-from .liealg import LieAlgebraSpec, builtin_algebra
+from .liealg import LieAlgebraSpec, _numbers, builtin_algebra
 
-__all__ = ["MatrixRep", "GroupElement", "PathSpec", "algebra_rep", "builtin_rep", "adjoint_of",
-           "expm", "polar", "lift_path"]
+__all__ = ["MatrixRep", "GroupElement", "PathSpec", "algebra_rep", "builtin_rep", "load_rep",
+           "load_paths", "adjoint_of", "expm", "polar", "lift_path"]
 
 # largest |g^T g - 1| entry of a group element on the manifold
 _MANIFOLD_TOL = 1e-8
@@ -85,8 +85,9 @@ def polar(m) -> np.ndarray:
 class MatrixRep(namedtuple("MatrixRep", "spec T")):
     """A set of d x d generator matrices T[alpha], shape ``(r, d, d)``,
     closing on the fiber structure constants of the associated algebra spec.
-    No ``__slots__``: the instance dict caches the arrays that depend on the
-    rep alone (``_coords``) and nothing else."""
+    No ``__slots__``: the instance dict caches the read-only arrays that
+    depend on the rep alone (``_coords``) and nothing else; a copy or an
+    unpickled rep is rebuilt from the fields, and builds its own."""
 
     def __new__(cls, spec, T):
         T = np.asarray(T, dtype=float)
@@ -101,6 +102,9 @@ class MatrixRep(namedtuple("MatrixRep", "spec T")):
         if np.linalg.matrix_rank(T.reshape(spec.r, -1), tol=1e-10) < spec.r:
             raise StructuralError("generators are linearly dependent")
         return self
+
+    def __reduce__(self):
+        return type(self), (self.spec, self.T)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {name!r}: MatrixRep is immutable")
@@ -134,7 +138,9 @@ class MatrixRep(namedtuple("MatrixRep", "spec T")):
     def _coords(self) -> np.ndarray:
         """Least-squares coordinates on vec(T): the pseudo-inverse of the
         (d^2, r) matrix of the vectorized generators."""
-        return np.linalg.pinv(self.T.reshape(self.spec.r, -1).T)
+        coords = np.linalg.pinv(self.T.reshape(self.spec.r, -1).T)
+        coords.setflags(write=False)
+        return coords
 
 
 class GroupElement(namedtuple("GroupElement", "rep matrix")):
@@ -386,3 +392,77 @@ def _lift(path, steps, xi):
         m = out[start] @ P
         out[start + 1:stop + 1] = m @ (1.5 * ident - 0.5 * (np.swapaxes(m, -2, -1) @ m))
     return GroupElement(rep, out)
+
+
+# ---------------------------------------------------------------------------
+# JSON problem sections
+
+
+def load_rep(name, spec) -> MatrixRep:
+    """The fiber rep of a problem: :func:`algebra_rep` of its algebra ``spec``
+    when ``name``, its ``rep`` entry, is None; else the built-in rep ``name``,
+    rebound to ``spec`` where there is one, as its generators must close on
+    that algebra's fiber constants."""
+    if name is None:
+        if spec is None:
+            raise StructuralError("problem JSON needs an 'algebra' or a 'rep' entry")
+        return algebra_rep(spec)
+    rep = builtin_rep(name)
+    if spec is None:
+        return rep
+    try:
+        return MatrixRep(spec, rep.T)
+    except StructuralError as exc:
+        raise StructuralError(f"rep {name!r} does not represent the algebra: {exc}") from exc
+
+
+def load_paths(entries, rep: MatrixRep) -> list:
+    """(PathSpec, steps) for each entry ``{"v": [expression in x1, …] or
+    [[t, v1, …, vr], …], "g0": "identity" or [[…]], "steps": 100}`` of a
+    problem's ``paths`` list; a bad value raises :class:`StructuralError`
+    naming its node, such as ``paths[0].g0``."""
+    if not entries:
+        raise StructuralError("problem JSON has no 'paths' section")
+    if not isinstance(entries, list):
+        raise StructuralError("'paths' must be a list of path objects")
+    r, d = rep.spec.r, rep.dim
+    out = []
+    for i, entry in enumerate(entries):
+        where = f"paths[{i}]"
+        if not isinstance(entry, dict):
+            raise StructuralError(f"{where} must be an object")
+        v = entry.get("v")
+        if not isinstance(v, list) or not v:
+            raise StructuralError(f"{where} needs a non-empty 'v' list")
+        steps = entry.get("steps", 100)
+        if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
+            raise StructuralError(f"{where}.steps must be a positive integer, got {steps!r}")
+        g0 = entry.get("g0", "identity")
+        g0 = None if g0 == "identity" else np.reshape(_numbers(f"{where}.g0", g0, (d, d)), (d, d))
+        expressions = all(isinstance(e, str) for e in v)
+        if expressions and len(v) != r:
+            raise StructuralError(f"{where} needs {r} velocity expressions, got {len(v)}")
+        if not expressions:
+            v = np.reshape(_numbers(f"{where}.v", v, (None, r + 1)), (-1, r + 1))
+        try:  # every number is read: what they mean is checked here
+            g0 = rep.identity_element() if g0 is None else GroupElement(rep, g0)
+            path = (PathSpec(rep, _expression_velocity(v), g0) if expressions
+                    else PathSpec.sampled(rep, v[:, 0], v[:, 1:], g0))
+        except StructuralError as exc:
+            raise StructuralError(f"{where}: {exc}") from exc
+        out.append((path, steps))
+    return out
+
+
+def _expression_velocity(sources):
+    """v(t) for a list of expressions in x1: one batched evaluation per
+    component over all the times."""
+    from .fieldexpr import FieldProvider
+
+    provs = [FieldProvider(s, n=1) for s in sources]
+
+    def v(t):
+        t = np.asarray(t, dtype=float)[..., None]
+        return np.stack([p.evaluate(t) for p in provs], axis=-1)
+
+    return v

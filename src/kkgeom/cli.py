@@ -16,12 +16,14 @@ exit with 0 on success, 2 on an invariant violation, 64 on a usage or input
 error (including malformed algebras, fields and points, and field
 expressions that leave their real domain), and 70 on an internal numeric
 failure, a failed allocation among them.  One reader, ``_read``, loads the
-file and checks the options, then loads each section the command reads
-(listed in ``_COMMANDS``) through that section's own loader, in the order
-algebra, rep, fields, paths, and builds the report's ``config`` from the
-same sections; every command reads the one record it returns.  So every
-input error exits 64 before any compute, whether or not a sweep has points.
-``curvature`` and ``gauge-check`` run one sweep driver, ``_sweep``: it cuts
+file, checks the options and hands each section the command reads (listed
+in ``_COMMANDS``) to its owner's loader, in this order: ``liealg.load_spec``,
+``bundle.load_rep``, ``basegeo.load_fields``, ``bundle.load_paths``.  Each
+number goes through ``liealg._number`` (arrays through ``_numbers``), which
+names the node of a bool, a string, a null or a non-finite entry.  The
+report's ``config`` holds the same sections, and each command reads the
+record ``_read`` returns: every input error exits 64 before any compute,
+even on no points.  ``curvature`` and ``gauge-check`` run one sweep driver, ``_sweep``: it cuts
 the loaded fields' sorted points into fixed-size blocks, each block one
 geometry pass and one vectorised pass of the command's columns, so a report
 depends only on the problem file.  The driver returns
@@ -76,7 +78,7 @@ import types
 
 from .errors import (DegenerateCoframeError, DegenerateMetricError,
                      DegreeError, EvalDomainError, ExprSyntaxError,
-                     KKGeomError, NonFiniteAlgebraError, NonFiniteGeometryError,
+                     NonFiniteAlgebraError, NonFiniteGeometryError,
                      StructuralError, UnknownIdentifierError)
 
 __all__ = ["main"]
@@ -261,16 +263,7 @@ def _read(args, sections):
     if "rep" in sections:
         from . import bundle
 
-        name = problem.get("rep")
-        if name is None and read.spec is None:
-            raise StructuralError("problem JSON needs an 'algebra' or a 'rep' entry")
-        read.rep = bundle.algebra_rep(read.spec) if name is None else bundle.builtin_rep(name)
-        if name is not None and read.spec is not None:
-            try:  # the named generators must close on this problem's fiber constants
-                read.rep = bundle.MatrixRep(read.spec, read.rep.T)
-            except StructuralError as exc:
-                raise StructuralError(f"rep {name!r} does not represent the algebra: "
-                                      f"{exc}") from exc
+        read.rep = bundle.load_rep(problem.get("rep"), read.spec)
     if "fields" in sections:
         from . import basegeo
 
@@ -278,7 +271,7 @@ def _read(args, sections):
         read.fields = basegeo.load_fields(fields, read.spec)
         read.deriv_mode = fields.get("deriv_mode", "analytic")  # fields is an object by now
     if "paths" in sections:
-        read.paths = _path_specs(problem, read.rep)
+        read.paths = bundle.load_paths(problem.get("paths"), read.rep)
     read.config = {**{name: problem.get(name) for name in sections}, "options": read.options}
     if "rep" in sections and problem.get("rep") is None:  # derived from the algebra
         read.config["algebra"] = problem["algebra"]
@@ -483,76 +476,6 @@ def cmd_curvature(args, problem):
 # lift
 
 
-def _float_array(data, where):
-    import numpy as np
-
-    try:
-        return np.array(data, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise StructuralError(f"{where} must be a rectangular array of numbers") from exc
-
-
-def _expression_velocity(sources):
-    """v(t) for a list of expressions in x1: one batched evaluation per
-    component over all the times."""
-    import numpy as np
-
-    from .fieldexpr import FieldProvider
-
-    provs = [FieldProvider(s, n=1) for s in sources]
-
-    def v(t):
-        t = np.asarray(t, dtype=float)[..., None]
-        return np.stack([p.evaluate(t) for p in provs], axis=-1)
-
-    return v
-
-
-def _at(where, build, *args):
-    """``build(*args)``, with ``where`` in front of a StructuralError it raises."""
-    try:
-        return build(*args)
-    except StructuralError as exc:
-        raise StructuralError(f"{where}: {exc}") from exc
-
-
-def _path_specs(problem, rep):
-    """(PathSpec, steps) for each entry of the problem's 'paths' list."""
-    from . import bundle
-
-    entries = problem.get("paths")
-    if not entries:
-        raise StructuralError("problem JSON has no 'paths' section")
-    if not isinstance(entries, list):
-        raise StructuralError("'paths' must be a list of path objects")
-    r = rep.spec.r
-    out = []
-    for i, entry in enumerate(entries):
-        where = f"paths[{i}]"
-        if not isinstance(entry, dict):
-            raise StructuralError(f"{where} must be an object")
-        v_data = entry.get("v")
-        if not isinstance(v_data, list) or not v_data:
-            raise StructuralError(f"{where} needs a non-empty 'v' list")
-        steps = entry.get("steps", 100)
-        if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
-            raise StructuralError(f"{where}.steps must be a positive integer, got {steps!r}")
-        g0_data = entry.get("g0", "identity")
-        g0 = (rep.identity_element() if g0_data == "identity"
-              else _at(where, bundle.GroupElement, rep, _float_array(g0_data, f"{where}.g0")))
-        if all(isinstance(e, str) for e in v_data):
-            if len(v_data) != r:
-                raise StructuralError(f"{where} needs {r} velocity expressions, got {len(v_data)}")
-            path = bundle.PathSpec(rep, _expression_velocity(v_data), g0)
-        else:
-            samples = _float_array(v_data, f"{where}.v")
-            if samples.ndim != 2 or samples.shape[1] != r + 1:
-                raise StructuralError(f"{where}.v rows must be [t, v1, ..., v{r}]")
-            path = _at(where, bundle.PathSpec.sampled, rep, samples[:, 0], samples[:, 1:], g0)
-        out.append((path, steps))
-    return out
-
-
 def cmd_lift(args, problem):
     import numpy as np
 
@@ -668,9 +591,6 @@ def main(argv=None):
             NonFiniteGeometryError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except KKGeomError as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
     except ValueError as exc:  # numpy's LinAlgError among them
         print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -30,6 +30,9 @@ __all__ = ["LieAlgebraSpec", "CheckResult", "ValidationReport", "validate_spec",
 # never silently flipped.
 LAMBDA_PREFACTOR = -0.125
 
+# the largest finite float; a JSON int beyond it is no finite number either
+_FLOAT_MAX = 1.7976931348623157e308
+
 # |det| at or below which h_inv, b_inv, k_inv and the cosmological constant
 # call a metric block singular (det from _gauss_jordan)
 _SINGULAR_TOL = 1e-12
@@ -44,18 +47,19 @@ class LieAlgebraSpec(namedtuple("LieAlgebraSpec", "n r c_entries b_rows k_rows")
 
     ``LieAlgebraSpec(n, r, c, b, k)`` takes ``c`` as an (N, N, N) array or
     nested lists, or as a dict of its entries by 0-based index triple, ``b``
-    as (n, n) and ``k`` as (r, r); every entry must be finite.  It keeps
-    ``c_entries``, the non-zero entries in row-major order, and ``b_rows``
-    and ``k_rows``, tuples of rows of floats.  Immutable after construction.
-    No ``__slots__``: the instance dict holds what is built once, on first
-    use, and nothing else: the read-only arrays ``c``, ``b``, ``k``, ``h``,
-    the inverses and :meth:`fiber_cc`, and the cosmological constant.
+    as (n, n) and ``k`` as (r, r); every entry must be a finite number.  It
+    keeps ``c_entries``, the non-zero entries in row-major order, and
+    ``b_rows`` and ``k_rows``, tuples of rows of floats.  Immutable after
+    construction.  No ``__slots__``: the instance dict holds what is built
+    once, on first use, and nothing else: the read-only arrays ``c``, ``b``,
+    ``k``, ``h``, the inverses and :meth:`fiber_cc`, and the cosmological
+    constant; a copy is rebuilt from the fields, without them.
     """
 
     def __new__(cls, n, r, c, b, k):
         N = n + r
         if isinstance(c, dict):
-            if not all(len(key) == 3 and all(isinstance(i, int) and 0 <= i < N for i in key)
+            if not all(len(key) == 3 and all(type(i) is int and 0 <= i < N for i in key)
                        for key in c):
                 raise StructuralError(f"c has an index triple outside 0..{N - 1}")
             keys, values = list(c), _numbers("c", list(c.values()), (len(c),))
@@ -63,6 +67,9 @@ class LieAlgebraSpec(namedtuple("LieAlgebraSpec", "n r c_entries b_rows k_rows")
             keys, values = itertools.product(range(N), repeat=3), _numbers("c", c, (N,) * 3)
         entries = dict(sorted((key, v) for key, v in zip(keys, values) if v))
         return super().__new__(cls, n, r, entries, _rows("b", b, n), _rows("k", k, r))
+
+    def __reduce__(self):
+        return type(self), (self.n, self.r, self.c_entries, self.b_rows, self.k_rows)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {name!r}: LieAlgebraSpec is immutable")
@@ -132,30 +139,28 @@ class LieAlgebraSpec(namedtuple("LieAlgebraSpec", "n r c_entries b_rows k_rows")
         return self._array("_cc", build)
 
 
-def _numbers(name, value, shape):
-    """The entries of ``value``, an array or nested lists of numbers of
-    ``shape`` (an empty list has any shape with no rows), row-major as
-    floats; anything else raises StructuralError."""
-    try:
-        got, flat = _flatten(value.tolist() if hasattr(value, "tolist") else value)
-    except (TypeError, ValueError, OverflowError):
-        raise StructuralError(f"{name} is not an array of numbers") from None
-    if got != shape and not got == shape[:1] == (0,):
-        raise StructuralError(f"{name} has shape {got}, expected {shape}")
-    if not all(map(math.isfinite, flat)):
-        raise StructuralError(f"{name} has an entry that is not a finite number")
+def _numbers(where, value, shape):
+    """The entries of ``value``, nested lists (or an array) of ``shape``,
+    row-major as floats; ``None`` on an axis means any length.  Each entry
+    must be a finite JSON number, as :func:`_number` reads one.  A node that
+    is not a list, a list of the wrong length or a bad entry raises
+    StructuralError naming the first such node by its JSON path from
+    ``where``: ``points[1]``, ``paths[0].g0[2][0]``."""
+    flat = []
+
+    def read(node, where, axes):
+        if not axes:
+            flat.append(_number(node, where))
+        elif not isinstance(node, (list, tuple)):
+            raise StructuralError(f"{where} must be a list, got {node!r}")
+        elif axes[0] is not None and len(node) != axes[0]:
+            raise StructuralError(f"{where} has length {len(node)}, expected {axes[0]}")
+        else:
+            for i, item in enumerate(node):
+                read(item, f"{where}[{i}]", axes[1:])
+
+    read(value.tolist() if hasattr(value, "tolist") else value, where, shape)
     return flat
-
-
-def _flatten(value):
-    """(shape, row-major floats) of nested lists, read as numpy reads them:
-    a ragged list raises ValueError, and None is NaN."""
-    if not isinstance(value, (list, tuple)):
-        return (), [math.nan if value is None else float(value)]
-    parts = [_flatten(item) for item in value]
-    if any(shape != parts[0][0] for shape, _ in parts):
-        raise ValueError("ragged")
-    return (len(parts), *(parts[0][0] if parts else ())), [x for _, flat in parts for x in flat]
 
 
 def _rows(name, value, m):
@@ -470,10 +475,11 @@ def load_spec(data: dict) -> LieAlgebraSpec:
 
 def _number(value, where, integer=False):
     """``value``, a finite JSON number (a non-negative integer value, a count
-    or an index, if ``integer``), as a float (an int); anything else raises
+    or an index, if ``integer``), as a float (an int); anything else, a bool,
+    a string, None or an int beyond the float range among them, raises
     StructuralError naming ``where``."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value) or integer and not (value == int(value) >= 0)):
+            or not abs(value) <= _FLOAT_MAX or integer and not (value == int(value) >= 0)):
         raise StructuralError(f"{where} must be "
                               f"{'a non-negative integer' if integer else 'a finite number'}, "
                               f"got {value!r}")

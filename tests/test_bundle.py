@@ -160,6 +160,18 @@ def test_group_element_batch_is_a_record_and_a_sequence():
         gs.matrix = gs.matrix
 
 
+@pytest.mark.parametrize("copy_of", [copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+                         ids=["deepcopy", "pickle"])
+def test_a_copied_rep_builds_its_own_read_only_caches(copy_of):
+    rep = algebra_rep(su2_algebra(2))
+    coords = rep._coords
+    assert not coords.flags.writeable
+    copied = copy_of(rep)
+    assert "_coords" not in copied.__dict__
+    for got, want in ((copied.T, rep.T), (copied._coords, coords), (copied.spec.c, rep.spec.c)):
+        assert np.array_equal(got, want) and not got.flags.writeable
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_group_element_must_be_finite(bad):
     rep = builtin_rep("su2_as_so3")

@@ -14,7 +14,7 @@ import pytest
 from scipy.linalg import expm
 
 import kkgeom
-from kkgeom import basegeo, bundle, cli, gauge, kkcurv, liealg
+from kkgeom import basegeo, bundle, cli, errors, gauge, kkcurv, liealg
 from kkgeom.bundle import builtin_rep
 from kkgeom.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 from kkgeom.liealg import load_spec, su2_algebra
@@ -365,6 +365,38 @@ def test_out_of_memory_exits_70_in_one_line(tmp_path, capsys, monkeypatch, comma
     assert line == f"numeric failure: MemoryError: {message}"
 
 
+# the arguments of each error class whose constructor takes more than a message
+ERROR_ARGS = {
+    errors.DegenerateCoframeError: ((0.1, 0.2), 0.0),
+    errors.NonFiniteGeometryError: ((0.1, 0.2), ("E",)),
+    errors.ExprSyntaxError: ("unexpected token", 3),
+    errors.UnknownIdentifierError: ("x9",),
+}
+
+
+def error_classes(cls=errors.KKGeomError):
+    """Every subclass of ``cls``, its subclasses' subclasses among them."""
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from error_classes(sub)
+
+
+@pytest.mark.parametrize("error", sorted(error_classes(), key=lambda cls: cls.__name__),
+                         ids=lambda cls: cls.__name__)
+def test_every_error_class_exits_64_or_70_in_one_line(tmp_path, capsys, monkeypatch, error):
+    # an error class that main does not map would escape as a traceback:
+    # each is an input error (64) or a numeric failure (70)
+    def fail(*args):
+        raise error(*ERROR_ARGS.get(error, ("boom",)))
+
+    monkeypatch.setattr(liealg, "load_spec", fail)
+    path = write_problem(tmp_path, {"algebra": {"builtin": "su2", "n": 2}})
+    code, out = run(capsys, ["validate", "--input", path])
+    assert out.out == ""
+    (line,) = out.err.strip().splitlines()
+    assert (code, line.split(":")[0]) in ((EXIT_USAGE, "error"), (EXIT_NUMERIC, "numeric failure"))
+
+
 def with_fields(**changes):
     """SU2_PROBLEM with field entries replaced; a None value drops the entry."""
     problem = json.loads(json.dumps(SU2_PROBLEM))
@@ -435,7 +467,19 @@ INLINE_SU2 = {"n": 2, "r": 3, "c": [[2, 3, 4, 1.0], [3, 4, 2, 1.0], [4, 2, 3, 1.
     with_fields(chart={"n": "two"}),
     with_algebra({**INLINE_SU2, "r": "x"}),
     with_algebra({**INLINE_SU2, "h_b": [["a", 0], [0, 1]]}),
+    with_algebra({**INLINE_SU2, "h_b": [[True, 0], [0, 1]]}),
+    with_algebra({**INLINE_SU2, "h_b": [[1, 0], [0, "1"]]}),
+    with_algebra({**INLINE_SU2, "h_b": [[1, None], [0, 1]]}),
+    with_algebra({**INLINE_SU2, "h_k": [[1, 0, 0], [0, True, 0], [0, 0, 1]]}),
+    with_algebra({**INLINE_SU2, "h_k": [[1, 0, 0], [0, 1, 0], [0, 0, "1"]]}),
+    with_algebra({**INLINE_SU2, "h_k": [[None, 0, 0], [0, 1, 0], [0, 0, 1]]}),
     with_algebra({**INLINE_SU2, "c": [[2, 3, 4, "v"]]}),
+    with_algebra({**INLINE_SU2, "c": [[2, 3, 4, True]]}),
+    with_algebra({**INLINE_SU2, "c": [[2, 3, 4, "1"]]}),
+    with_algebra({**INLINE_SU2, "c": [[2, 3, 4, None]]}),
+    with_algebra({**INLINE_SU2, "r": 10**400}),
+    with_fields(lattice=None, points=[[0.1, True]]),
+    with_fields(lattice={"min": [0, "0"], "max": [1, 1], "steps": [2, 2]}),
     with_algebra({**INLINE_SU2, "c": True}),
     with_algebra({**INLINE_SU2, "c": {}}),
     with_algebra([1]),
@@ -444,8 +488,11 @@ INLINE_SU2 = {"n": 2, "r": 3, "c": [[2, 3, 4, 1.0], [3, 4, 2, 1.0], [4, 2, 3, 1.
     [1],
 ], ids=["coframe-null", "coframe-list", "coframe-object", "coframe-true", "coframe-nan",
         "params-list", "fields-list", "point-string", "point-null", "steps-string",
-        "chart-n-string", "algebra-r-string", "h_b-string", "c-value-string", "c-true",
-        "c-object", "algebra-list", "builtin-list", "builtin-object", "problem-list"])
+        "chart-n-string", "algebra-r-string", "h_b-string", "h_b-true", "h_b-numeric-string",
+        "h_b-null", "h_k-true", "h_k-numeric-string", "h_k-null", "c-value-string",
+        "c-value-true", "c-value-numeric-string", "c-value-null", "algebra-r-huge-int",
+        "point-true", "lattice-numeric-string", "c-true", "c-object", "algebra-list",
+        "builtin-list", "builtin-object", "problem-list"])
 def test_values_of_the_wrong_type_exit_64(tmp_path, capsys, problem):
     # JSON values of the wrong type are input errors, never a traceback, a
     # numeric failure or a value silently read as 1.0 or NaN
@@ -476,7 +523,7 @@ def test_non_finite_metric_entry_exits_64(tmp_path, capsys, builtin, block, valu
         assert code == EXIT_USAGE
         assert out.out == ""
         (line,) = out.err.strip().splitlines()
-        assert line == (f"error: {block[-1]} has an entry that is not a finite number")
+        assert line == f"error: {block[-1]}[1][1] must be a finite number, got {value!r}"
 
 
 @pytest.mark.parametrize("algebra, quantity", [
@@ -615,14 +662,18 @@ NAN = float("nan")
     ([{"v": [[0.0, 0.3, -0.2, 0.5], [1.0, 0.3, -0.2]], "steps": 10}], "paths[0].v"),
     ([{"v": [0.0, 0.3, -0.2, 0.5], "steps": 10}], "paths[0].v"),
     ([{"v": [[0.0, 0.3, -0.2, 0.5], [0.0, 0.1, 0.2, 0.3]], "steps": 10}], "increase"),
-    ([{"v": CONSTANT_V, "g0": [[NAN] * 3] * 3, "steps": 10}], "paths[0]: matrix is off"),
+    ([{"v": CONSTANT_V, "g0": [[NAN] * 3] * 3, "steps": 10}],
+     "paths[0].g0[0][0] must be a finite number, got nan"),
+    ([{"v": CONSTANT_V, "g0": (2 * np.eye(3)).tolist(), "steps": 10}],
+     "paths[0]: matrix is off the group manifold"),
     ([{"v": CONSTANT_V, "g0": [[1.0, 0.0, 0.0], [0.0, 1.0]], "steps": 10}], "paths[0].g0"),
-    ([{"v": CONSTANT_V, "g0": [np.eye(3).tolist()] * 2, "steps": 10}], "g0 must be one"),
+    ([{"v": CONSTANT_V, "g0": [np.eye(3).tolist()] * 2, "steps": 10}],
+     "paths[0].g0 has length 2, expected 3"),
     ([{"v": CONSTANT_V, "steps": 10}, {"v": ["x1", "1", "log(x1 - 2)"]}], "log"),
     ([{"v": [[0.0, 0.3, -0.2, 0.5], [0.5, 0.3, -0.2, 0.5]], "steps": 50}], "cover [0, 1]"),
 ], ids=["no-v", "paths-string", "entry-number", "steps-string", "steps-float",
-        "ragged-samples", "flat-samples", "unordered-times", "nan-g0", "ragged-g0",
-        "batched-g0", "log-domain", "partial-times"])
+        "ragged-samples", "flat-samples", "unordered-times", "nan-g0", "off-manifold-g0",
+        "ragged-g0", "batched-g0", "log-domain", "partial-times"])
 def test_lift_input_errors_exit_64(tmp_path, capsys, paths, message):
     path = write_problem(tmp_path, {"rep": "su2_as_so3", "paths": paths})
     code, out = run(capsys, ["lift", "--input", path])
@@ -631,6 +682,21 @@ def test_lift_input_errors_exit_64(tmp_path, capsys, paths, message):
     (line,) = out.err.strip().splitlines()
     assert line.startswith("error:")
     assert message in line
+
+
+@pytest.mark.parametrize("value", [True, False, "1", None], ids=repr)
+@pytest.mark.parametrize("node", ["v", "g0"])
+def test_lift_values_of_the_wrong_type_exit_64(tmp_path, capsys, node, value):
+    # a sample row or a g0 entry that is not a JSON number is refused, never
+    # read as 1.0, 0.0 or NaN: one line naming the entry
+    entry = {"v": json.loads(json.dumps(CONSTANT_V)), "g0": np.eye(3).tolist(), "steps": 10}
+    entry[node][1][2] = value
+    path = write_problem(tmp_path, {"rep": "su2_as_so3", "paths": [entry]})
+    code, out = run(capsys, ["lift", "--input", path])
+    assert code == EXIT_USAGE
+    assert out.out == ""
+    (line,) = out.err.strip().splitlines()
+    assert line == f"error: paths[0].{node}[1][2] must be a finite number, got {value!r}"
 
 
 @pytest.mark.parametrize("paths", [SU2_PROBLEM["paths"], [{"v": CONSTANT_V, "steps": 40}]],

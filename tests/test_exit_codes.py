@@ -3,7 +3,7 @@
 Seed problems (the README su(2) problem, an n = 3 and an n = 4 problem
 shaped like the benchmark's probes, and an inline algebra) are mutated one
 JSON node at a time: the node is dropped, or replaced by a value of the
-wrong type, a NaN or an infinity, a zero, negative or capped large count, an
+wrong type (a numeric string among them), a NaN or an infinity, a zero, negative or capped large count, an
 empty list, a ragged array or a bad expression.  Every file command runs on
 the mutant, and ``identities`` on drawn flags.  The contract:
 
@@ -24,6 +24,7 @@ import csv
 import io
 import json
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -90,7 +91,7 @@ INLINE = {
 SEEDS = {"readme": README, "probe3": PROBE3, "probe4": PROBE4, "inline": INLINE}
 
 DROP = "<drop>"  # remove the node from its parent
-BAD_VALUES = [DROP, "x", True, None, {}, [], [[1.0, 2.0], [3.0]], float("nan"),
+BAD_VALUES = [DROP, "x", "1", True, None, {}, [], [[1.0, 2.0], [3.0]], float("nan"),
               float("inf"), float("-inf"), 0, -1, 16, 2.5, "sin(", "x9"]
 COMMANDS = ("validate", "curvature", "lift", "gauge-check")
 SWEEPS = ("curvature", "gauge-check")
@@ -180,6 +181,35 @@ def test_every_mutant_keeps_the_exit_code_contract(tmp_path, mutant, fmt):
             code, out, err_empty = run([command, "--input", str(empty_file), "--format", fmt])
             check_contract(command, fmt, code, out, err_empty)
             assert code == EXIT_USAGE, (command, err)
+
+
+# the sections each file command reads from the seeds: every command reads
+# the algebra (lift derives its rep from it, or checks the named rep on it)
+# and the options
+READS = {"algebra": COMMANDS, "options": COMMANDS, "fields": SWEEPS, "paths": ("lift",)}
+
+
+def node(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
+@pytest.mark.parametrize("value", [True, "1"], ids=repr)
+@pytest.mark.parametrize("name", sorted(SEEDS))
+def test_a_number_that_is_not_a_json_number_exits_64(tmp_path, name, value):
+    # every number of a seed, replaced by true or "1", is an input error for
+    # each command that reads its section: never read as 1.0 into a report
+    file = tmp_path / "mutant.json"
+    for path in node_paths(SEEDS[name]):
+        number = node(SEEDS[name], path)
+        if isinstance(number, bool) or not isinstance(number, (int, float)):
+            continue
+        file.write_text(json.dumps(mutated(name, path, value)))
+        for command in READS[path[0]]:
+            code, out, err = run([command, "--input", str(file)])
+            check_contract(command, "json", code, out, err)
+            assert code == EXIT_USAGE, (path, command, code, out[:200])
 
 
 def flag(name, values):

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -210,6 +212,37 @@ def test_structure_constants_frozen():
     spec = su2_algebra(2)
     with pytest.raises(ValueError):
         spec.c[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("value", [True, "1", None], ids=repr)
+def test_a_dense_c_entry_that_is_not_a_number_raises(value):
+    # never read as 1.0 or NaN: the error names the entry
+    c = su2_algebra(2).c.tolist()
+    c[2][3][4] = value
+    with pytest.raises(StructuralError, match=r"^c\[2\]\[3\]\[4\] must be a finite number"):
+        LieAlgebraSpec(2, 3, c, np.eye(2), np.eye(3))
+
+
+def test_a_bool_in_an_index_triple_raises():
+    # numpy would read c[True, 2, 0] as a new axis and fill c[2, 0, :]
+    with pytest.raises(StructuralError, match="index triple"):
+        LieAlgebraSpec(0, 3, {(True, 2, 0): 1.0}, [], np.eye(3))
+
+
+@pytest.mark.parametrize("copy_of", [copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+                         ids=["deepcopy", "pickle"])
+def test_a_copied_spec_builds_its_own_read_only_caches(copy_of):
+    spec = su2_algebra(2, b=[[2.0, 0.3], [0.3, 0.7]], k=2.0 * np.eye(3))
+    cached = {name: getattr(spec, name)() for name in ("h_inv", "b_inv", "k_inv", "fiber_cc")}
+    cached.update((name, getattr(spec, name)) for name in ("c", "b", "k", "h"))
+    lam = cosmological_constant(spec)
+    copied = copy_of(spec)
+    assert copied == spec and copied.__dict__ == {}
+    for name, want in cached.items():
+        got = getattr(copied, name)
+        got = got() if callable(got) else got
+        assert np.array_equal(got, want) and not got.flags.writeable, name
+    assert cosmological_constant(copied) == lam
 
 
 def test_load_spec_wire_format():
