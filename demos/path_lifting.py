@@ -12,7 +12,7 @@ Run with:  python3 demos/path_lifting.py
 
 import numpy as np
 
-from kkgeom import (ChartSpec, CoframeField, GaugeField, PathSpec, adjoint_of,
+from kkgeom import (CoframeField, GaugeField, PathSpec, adjoint_of,
                     builtin_rep, geometry_at_point, lift_path, verify_deextra,
                     verify_gauge_covariance)
 
@@ -61,12 +61,11 @@ print("S^T h S - h max:", np.abs(S.T @ rep.spec.h @ S - rep.spec.h).max())
 # coframe directions satisfy their structure equation, and the curvature
 # transforms covariantly under a fiber-dependent gauge change.
 spec = rep.spec
-chart = ChartSpec(2)
-coframe = CoframeField(chart, [["1 + 0.1*x2^2", "0.1*x1"],
-                               ["0", "1 + 0.2*sin(x1)"]])
-gauge = GaugeField(chart, [["0.3*x2", "0.1*x1"],
-                           ["0.1*x1*x2", "0.2*sin(x2)"],
-                           ["0.1*x2^2", "0"]])
+coframe = CoframeField(2, [["1 + 0.1*x2^2", "0.1*x1"],
+                           ["0", "1 + 0.2*sin(x1)"]])
+gauge = GaugeField(2, [["0.3*x2", "0.1*x1"],
+                       ["0.1*x1*x2", "0.2*sin(x2)"],
+                       ["0.1*x2^2", "0"]])
 geom = geometry_at_point(coframe, gauge, spec, np.array([0.4, -0.3]))
 g = rep.exp(np.array([0.2, 0.5, -0.1]))
 print("\nstructure-equation residual:", verify_deextra(geom))

@@ -11,20 +11,20 @@ Run with:  python3 demos/reduction_cross_check.py
 
 import numpy as np
 
-from kkgeom import (ChartSpec, CoframeField, GaugeField, assemble_omega,
+from kkgeom import (CoframeField, GaugeField, assemble_omega,
                     cosmological_constant, cross_check, curvature_direct,
                     eym_residuals, geometry_at_point, ricci_closed_form,
                     su2_algebra)
 
 np.set_printoptions(precision=5, suppress=True)
 
+# the chart dimension is the algebra's n, the size of its base block b
 spec = su2_algebra(2)
-chart = ChartSpec(2)
-coframe = CoframeField(chart, [["1 + 0.1*x2^2", "0.1*x1"],
-                               ["0", "1 + 0.2*sin(x1)"]])
-gauge = GaugeField(chart, [["0.3*x2", "0.1*x1"],
-                           ["0.1*x1*x2", "0.2*sin(x2)"],
-                           ["0.1*x2^2", "0"]])
+coframe = CoframeField(spec.n, [["1 + 0.1*x2^2", "0.1*x1"],
+                                ["0", "1 + 0.2*sin(x1)"]])
+gauge = GaugeField(spec.n, [["0.3*x2", "0.1*x1"],
+                            ["0.1*x1*x2", "0.2*sin(x2)"],
+                            ["0.1*x2^2", "0"]])
 
 point = np.array([0.4, -0.3])
 geom = geometry_at_point(coframe, gauge, spec, point)
@@ -44,8 +44,8 @@ for name, value in cross_check(direct, closed).items():
 
 # Flat base, zero gauge field: only the fiber bracket curves the space, and
 # the base Einstein block reduces to minus the cosmological constant.
-flat = CoframeField(chart, [["1", "0"], ["0", "1"]])
-geom0 = geometry_at_point(flat, GaugeField.zero(chart, spec.r), spec,
+flat = CoframeField(spec.n, [["1", "0"], ["0", "1"]])
+geom0 = geometry_at_point(flat, GaugeField.zero(spec.n, spec.r), spec,
                           np.zeros(2))
 res = eym_residuals(ricci_closed_form(geom0))
 print("\nflat base, A = 0:")

@@ -2,7 +2,9 @@
 radius scaling, and a flat x sphere product metric.
 
 Coframe entries are strings in the x1, x2, ... chart variables; derivatives
-are taken symbolically by the expression layer.
+are taken symbolically by the expression layer.  A field takes its chart
+dimension first, and that is the algebra's n: here an abelian algebra with
+no fiber over the coframe's chart.
 
 Run with:  python3 demos/sphere_curvature.py
 """
@@ -11,7 +13,7 @@ import math
 
 import numpy as np
 
-from kkgeom import (ChartSpec, CoframeField, GaugeField, base_curvature_from_geometry,
+from kkgeom import (CoframeField, GaugeField, base_curvature_from_geometry,
                     geometry_at_point)
 from kkgeom.liealg import abelian_algebra
 
@@ -21,16 +23,15 @@ np.set_printoptions(precision=5, suppress=True)
 def base_curvature(coframe, point):
     """Curvature of the Euclidean-frame metric: no fiber, b = identity."""
     spec = abelian_algebra(coframe.n, 0)
-    no_gauge = GaugeField.zero(coframe.chart, 0)
+    no_gauge = GaugeField.zero(coframe.n, 0)
     return base_curvature_from_geometry(geometry_at_point(coframe, no_gauge, spec, point))
 
 
 # Unit sphere in polar coordinates: e^1 = dx1, e^2 = sin(x1) dx2.
-chart = ChartSpec(2)
-sphere = CoframeField(chart, [["1", "0"], ["0", "sin(x1)"]])
+sphere = CoframeField(2, [["1", "0"], ["0", "sin(x1)"]])
 
 point = np.array([1.1, 0.4])
-gamma = geometry_at_point(sphere, GaugeField.zero(chart, 0), abelian_algebra(2, 0),
+gamma = geometry_at_point(sphere, GaugeField.zero(2, 0), abelian_algebra(2, 0),
                           point).gamma
 print("connection coefficient gamma^1_{2 2} at x1=1.1:", gamma[0, 1, 1])
 print("analytic -cot(x1):                             ",
@@ -43,17 +44,16 @@ for x1 in np.linspace(0.4, math.pi - 0.4, 5):
     print(f"  x1 = {x1:.3f}   R = {curv.scalar:.12f}")
 
 # Radius r scales the curvature by 1/r^2.
-big = CoframeField(chart, [["3", "0"], ["0", "3*sin(x1)"]])
+big = CoframeField(2, [["3", "0"], ["0", "3*sin(x1)"]])
 print("\nradius-3 sphere: R =", base_curvature(big, point).scalar, " (2/9 =",
       2.0 / 9.0, ")")
 
 # Product manifold R^2 x S^2: the Ricci tensor is supported on the sphere
 # block only, with eigenvalue 1 on each sphere direction.
-chart4 = ChartSpec(4)
-product = CoframeField(chart4, [["1", "0", "0", "0"],
-                                ["0", "1", "0", "0"],
-                                ["0", "0", "1", "0"],
-                                ["0", "0", "0", "sin(x3)"]])
+product = CoframeField(4, [["1", "0", "0", "0"],
+                           ["0", "1", "0", "0"],
+                           ["0", "0", "1", "0"],
+                           ["0", "0", "0", "sin(x3)"]])
 curv = base_curvature(product, np.array([0.2, -0.1, 1.0, 0.5]))
 print("\nflat x sphere Ricci diagonal:", np.diag(curv.ricci))
 print("scalar curvature:", curv.scalar)

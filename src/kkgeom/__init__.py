@@ -31,7 +31,7 @@ from importlib import import_module
 
 # defining module -> the names the package exports from it
 _EXPORTS = {
-    "basegeo": ("BaseCurvature", "ChartSpec", "CoframeField", "GaugeField",
+    "basegeo": ("BaseCurvature", "CoframeField", "GaugeField",
                 "GeometryAtPoint", "base_curvature_from_geometry", "geometry_at_point",
                 "load_fields"),
     "bundle": ("GroupElement", "MatrixRep", "PathSpec", "adjoint_of", "algebra_rep",

@@ -48,7 +48,6 @@ from .fieldexpr import FieldProvider, Num, pretty, run_into
 from .liealg import LieAlgebraSpec, _number, _numbers
 
 __all__ = [
-    "ChartSpec",
     "CoframeField",
     "GaugeField",
     "GeometryAtPoint",
@@ -62,19 +61,9 @@ __all__ = [
 _DEGENERACY_FACTOR = 1e-12  # threshold of |det(e / max|e|)|, that is of |det e| / max|e|^n
 
 
-class ChartSpec(namedtuple("ChartSpec", "n")):
-    """Chart dimension; field expressions name the coordinates x1..xn."""
-
-    __slots__ = ()
-
-    def __new__(cls, n):
-        if n < 2:
-            raise StructuralError("chart dimension must be at least 2")
-        return super().__new__(cls, n)
-
-
 class _ProviderMatrix:
-    """Values and exact partials of a matrix of providers at a batch of points.
+    """Values and exact partials of a matrix of providers at a batch of points
+    of an n-dimensional chart, n >= 2, with coordinates x1..xn.
 
     ``matrix`` is indexed ``[..., row, mu]``; ``d_matrix`` appends the
     derivative direction nu and ``d2_matrix`` the directions nu, rho.
@@ -90,11 +79,13 @@ class _ProviderMatrix:
     names the entry, the partial and the first failing point.
     """
 
-    def __init__(self, chart, entries):
-        if any(len(row) != chart.n for row in entries):
-            raise StructuralError(f"{self.block} rows must have {chart.n} entries")
-        self.chart = chart
-        self.entries = [[_as_provider(p, chart.n) for p in row] for row in entries]
+    def __init__(self, n, entries):
+        if n < 2:
+            raise StructuralError("chart dimension must be at least 2")
+        if any(len(row) != n for row in entries):
+            raise StructuralError(f"{self.block} rows must have {n} entries")
+        self.n = n
+        self.entries = [[_as_provider(p, n) for p in row] for row in entries]
         self._plans = {}
 
     def matrix(self, point) -> np.ndarray:
@@ -115,7 +106,7 @@ class _ProviderMatrix:
         partial."""
         plan = self._plans.get(order)
         if plan is None:
-            n = self.chart.n
+            n = self.n
             multis = _partials(n, order)
             template = np.zeros((len(self.entries), n, len(multis)))
             calls = []
@@ -139,7 +130,7 @@ class _ProviderMatrix:
         rows of each input point, row 0 the point itself; it only changes
         how an evaluation error names its point."""
         point = np.asarray(point, dtype=float)
-        n = self.chart.n
+        n = self.n
         template, calls, spread = self._plan(order)
         batch = point.shape[:-1]
         out = np.empty(batch + template.shape)
@@ -153,8 +144,8 @@ class _ProviderMatrix:
         """The numpy error ``exc`` of slot ``k`` of the ``order`` fill
         located: the entry as written in the field file and the first point
         of the batch at which its partial fails."""
-        multis = _partials(self.chart.n, order)
-        a, mu, j = np.unravel_index(k, (len(self.entries), self.chart.n, len(multis)))
+        multis = _partials(self.n, order)
+        a, mu, j = np.unravel_index(k, (len(self.entries), self.n, len(multis)))
         p = self.entries[a][mu]
         bad = next((i for i in np.ndindex(point.shape[:-1])
                     if _fails(p, multis[j], point[i])), None)
@@ -197,14 +188,10 @@ class CoframeField(_ProviderMatrix):
 
     block = "coframe"  # the field-file key, named in evaluation errors
 
-    def __init__(self, chart: ChartSpec, entries):
-        if len(entries) != chart.n:
-            raise StructuralError(f"coframe must be {chart.n}x{chart.n}")
-        super().__init__(chart, entries)
-
-    @property
-    def n(self):
-        return self.chart.n
+    def __init__(self, n, entries):
+        if len(entries) != n:
+            raise StructuralError(f"coframe must be {n}x{n}")
+        super().__init__(n, entries)
 
 
 class GaugeField(_ProviderMatrix):
@@ -213,9 +200,9 @@ class GaugeField(_ProviderMatrix):
     block = "gauge"
 
     @classmethod
-    def zero(cls, chart, r):
-        """The zero potential with r rows; reuse it, as its fill plans are cached."""
-        return cls(chart, [[0.0] * chart.n for _ in range(r)])
+    def zero(cls, n, r):
+        """The zero potential, r rows of n; reuse it, as its fill plans are cached."""
+        return cls(n, [[0.0] * n for _ in range(r)])
 
 
 def _as_provider(p, n, params=None):
@@ -463,7 +450,7 @@ def geometry_at_point(
     that the frame arrays overflow: that raises NonFiniteGeometryError at
     the first such point.
     """
-    _check_dimensions(coframe, gauge, spec)
+    _check_dimensions(coframe.n, spec, gauge)
     _check_deriv_mode(deriv_mode)
     # a finite but tiny or huge frame can overflow its products (E^-T X E^-1);
     # that is caught as a non-finite geometry below, not warned about
@@ -477,11 +464,13 @@ def geometry_at_point(
     return geom
 
 
-def _check_dimensions(coframe, gauge, spec):
-    if coframe.n != spec.n:
-        raise StructuralError(f"chart dimension {coframe.n} does not match the "
+def _check_dimensions(n, spec, gauge=None):
+    """StructuralError unless the chart dimension ``n`` and the rows of
+    ``gauge``, where given, fit ``spec``."""
+    if n != spec.n:
+        raise StructuralError(f"chart dimension {n} does not match the "
                               f"algebra's base dimension {spec.n}")
-    if len(gauge.entries) != spec.r:
+    if gauge is not None and len(gauge.entries) != spec.r:
         raise StructuralError(f"gauge potential has {len(gauge.entries)} rows, the "
                               f"algebra's fiber dimension is {spec.r}")
 
@@ -544,24 +533,33 @@ def base_curvature_from_geometry(geom: GeometryAtPoint) -> BaseCurvature:
 # JSON field files
 
 
-def load_fields(data: dict, spec: LieAlgebraSpec):
-    """Build chart, coframe, gauge and evaluation points from the JSON format.
+class Fields(namedtuple("Fields", "coframe gauge points deriv_mode")):
+    """A fields section as :func:`load_fields` reads it: coframe and gauge on
+    the algebra's chart, the sorted ``(count, n)`` points, the derivative mode."""
+
+    __slots__ = ()
+
+
+def load_fields(data: dict, spec: LieAlgebraSpec) -> Fields:
+    """Read a fields section in the JSON format into a :class:`Fields` record.
 
     ``{"chart":{"n":…}, "coframe":[["expr",…],…],
     "gauge":[["expr",…],…], "params":{…}, "points":[[…]] or
     "lattice":{"min":[…],"max":[…],"steps":[…]}, "deriv_mode":"analytic" or "fd"}``
 
-    The points come back as one ``(count, n)`` array in lexicographic order.
-    A value of the wrong type or shape, an unknown ``deriv_mode``, or a chart
-    or gauge that does not fit ``spec`` raises :class:`StructuralError`, even
-    where there are no points.
+    The chart dimension is the algebra's ``spec.n``; ``chart``, optional, is
+    only checked against it.  The points are sorted in lexicographic order,
+    and ``deriv_mode`` defaults to "analytic".  A value of the wrong type or
+    shape, an unknown ``deriv_mode``, or a chart or gauge that does not fit
+    ``spec`` raises :class:`StructuralError`, even where there are no points.
     """
     if not isinstance(data, dict) or not all(isinstance(data.get(key, {}), dict)
                                              for key in ("chart", "params", "lattice")):
         raise StructuralError("fields, and their chart, params and lattice, must be objects")
-    _check_deriv_mode(data.get("deriv_mode", "analytic"))
-    n = _number(data.get("chart", {}).get("n", spec.n), "chart n", True)
-    chart = ChartSpec(n)
+    deriv_mode = data.get("deriv_mode", "analytic")
+    _check_deriv_mode(deriv_mode)
+    n = spec.n
+    _check_dimensions(_number(data.get("chart", {}).get("n", n), "chart n", True), spec)
     params = {name: _number(v, f"params {name!r}") for name, v in data.get("params", {}).items()}
 
     def providers(block, default):
@@ -569,9 +567,9 @@ def load_fields(data: dict, spec: LieAlgebraSpec):
         return [[_as_provider(x, n, params) for x in row]
                 for row in _rows(default if rows is None else rows, block)]
 
-    coframe = CoframeField(chart, providers(
+    coframe = CoframeField(n, providers(
         "coframe", [["1" if a == mu else "0" for mu in range(n)] for a in range(n)]))
-    gauge = GaugeField(chart, providers("gauge", [[0.0] * n for _ in range(spec.r)]))
+    gauge = GaugeField(n, providers("gauge", [[0.0] * n for _ in range(spec.r)]))
 
     if "points" in data:
         points = np.reshape(_numbers("points", data["points"], (None, n)), (-1, n))
@@ -585,8 +583,8 @@ def load_fields(data: dict, spec: LieAlgebraSpec):
         points = np.stack([m.ravel() for m in mesh], axis=-1)
     else:
         raise StructuralError("field file needs either 'points' or 'lattice'")
-    _check_dimensions(coframe, gauge, spec)
-    return chart, coframe, gauge, points[np.lexsort(points.T[::-1])]
+    _check_dimensions(n, spec, gauge)
+    return Fields(coframe, gauge, points[np.lexsort(points.T[::-1])], deriv_mode)
 
 
 def _rows(value, where):

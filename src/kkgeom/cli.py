@@ -18,18 +18,19 @@ expressions that leave their real domain), and 70 on an internal numeric
 failure, a failed allocation among them.  One reader, ``_read``, loads the
 file, checks the options and hands each section the command reads (listed
 in ``_COMMANDS``) to its owner's loader, in this order: ``liealg.load_spec``,
-``bundle.load_rep``, ``basegeo.load_fields``, ``bundle.load_paths``.  Each
-number goes through ``liealg._number`` (arrays through ``_numbers``), which
-names the node of a bool, a string, a null or a non-finite entry.  The
-report's ``config`` holds the same sections, and each command reads the
-record ``_read`` returns: every input error exits 64 before any compute,
-even on no points.  ``curvature`` and ``gauge-check`` run one sweep driver, ``_sweep``: it cuts
-the loaded fields' sorted points into fixed-size blocks, each block one
-geometry pass and one vectorised pass of the command's columns, so a report
-depends only on the problem file.  The driver returns
-one array per column, point axis first, joined over the blocks: the summary
-maxima and the worst violation are taken from those arrays, and the report
-rows are built from them once.  ``gauge-check`` draws its random group
+``bundle.load_rep``, ``basegeo.load_fields`` (the fields' record, with their
+derivative mode), ``bundle.load_paths``; it reads no key of a section itself.
+Each number goes through ``liealg._number`` (arrays through ``_numbers``),
+which names a bool, a string, a null or a non-finite entry by its JSON path.
+The report's ``config`` holds the same sections, and each command reads the
+record ``_read`` returns: every input error exits 64 before any compute, even
+on no points.  ``curvature`` and ``gauge-check`` run one sweep driver,
+``_sweep``: it cuts the loaded fields' sorted points into fixed-size blocks,
+each block one geometry pass and one vectorised pass of the command's columns,
+so a report depends only on the problem file.  The driver returns one array
+per column, point axis first, joined over the blocks: the summary maxima and
+the worst violation are taken from those arrays, and the report rows are built
+from them once.  ``gauge-check`` draws its random group
 element and fiber point for each sorted point, in point order, from
 Python's ``random.Random`` seeded with the ``seed`` option: r normals for
 the group element, then r for the fiber point.  Both commands exit 2 with
@@ -238,7 +239,7 @@ def _read(args, sections):
     """The problem of ``args.command``, read and checked once, before any
     compute: a namespace of the checked ``options``, the report's ``config``
     and what the loader of each of the ``sections`` the command reads built
-    (``spec``, ``rep``, ``fields`` with their ``deriv_mode``, ``paths``).
+    (``spec``, ``rep``, ``fields``, ``paths``).
     ``identities`` reads the command line alone, and its options are its
     config."""
     if args.command == "identities":
@@ -267,9 +268,7 @@ def _read(args, sections):
     if "fields" in sections:
         from . import basegeo
 
-        fields = problem.get("fields", {})
-        read.fields = basegeo.load_fields(fields, read.spec)
-        read.deriv_mode = fields.get("deriv_mode", "analytic")  # fields is an object by now
+        read.fields = basegeo.load_fields(problem.get("fields", {}), read.spec)
     if "paths" in sections:
         read.paths = bundle.load_paths(problem.get("paths"), read.rep)
     read.config = {**{name: problem.get(name) for name in sections}, "options": read.options}
@@ -381,12 +380,12 @@ def _sweep(problem, block_columns):
 
     from . import basegeo
 
-    _, coframe, gauge, points = vars(problem).pop("fields")
+    coframe, gauge, points, deriv_mode = vars(problem).pop("fields")
     blocks = []
     for start in range(0, len(points), _BLOCK):
         block = points[start:start + _BLOCK]
         geom = basegeo.geometry_at_point(coframe, gauge, problem.spec, block,
-                                         deriv_mode=problem.deriv_mode,
+                                         deriv_mode=deriv_mode,
                                          fd_step=problem.options["fd_step"])
         blocks.append({"point": block, **block_columns(geom)})
     names = blocks[0] if blocks else ()
@@ -457,6 +456,7 @@ def _curvature_columns(geom):
 
 
 def cmd_curvature(args, problem):
+    fd = problem.fields.deriv_mode == "fd"  # read before _sweep takes the fields
     columns = _sweep(problem, _curvature_columns)
     rows = _Rows(columns)
     summary = {
@@ -466,7 +466,6 @@ def cmd_curvature(args, problem):
         "max_cross_check": _max(columns, "cross_check_max"),
     }
     _emit(_report("curvature", problem.config, {"per_point": rows, "summary": summary}), args)
-    fd = problem.deriv_mode == "fd"
     limits = (("cross_check_max", _TOL_FD if fd else _TOL_ANALYTIC),
               ("connection_torsion", _TOL_EXACT), ("connection_antisymmetry", _TOL_EXACT))
     return _exit_code(_worst_violation(columns, limits))

@@ -162,7 +162,7 @@ def verify_gauge_covariance(geom, g: GroupElement):
     check_finite(geom.point, {"Omega": Omega}, "curvature")
     E = geom.E
     Ac, _, dAc = _coordinate_gauge_data(geom)
-    V, exp_ad_u, ad_V = _fiber_chart(g.rep.spec)  # [k], [k], [k, delta]
+    V, exp_ad_u, ad_V = _fiber_chart(spec)  # [k], [k], [k, delta]
 
     # the fiber block of S = diag(1, fiber) at every stencil point (phi is
     # differenced there) and its exact fiber derivative; dS has no base block

@@ -442,34 +442,36 @@ def load_spec(data: dict) -> LieAlgebraSpec:
     ``{"n":…, "r":…, "c":[[A,B,C,value],…], "h_b":[[…]], "h_k":[[…]]}``
     with zero-based sparse triplet indices; of two entries at one index
     triple the last wins.  A value of the wrong type, the
-    whole ``data`` among them, raises :class:`StructuralError`.
+    whole ``data`` among them, raises :class:`StructuralError` naming an
+    entry of ``c``, ``h_b`` or ``h_k`` by its JSON path (``algebra.c[0][3]``).
     """
     if not isinstance(data, dict):
         raise StructuralError(f"problem JSON needs an 'algebra' object, got {data!r}")
     if "builtin" in data:
         r = data.get("r")
-        return builtin_algebra(data["builtin"], _number(data.get("n", 0), "algebra n", True),
-                               r if r is None else _number(r, "algebra r", True),
-                               data.get("h_b"), data.get("h_k"))
-    try:
-        n, r = _number(data["n"], "algebra n", True), _number(data["r"], "algebra r", True)
-    except KeyError as exc:
-        raise StructuralError(f"algebra JSON is missing field {exc}") from None
-    N = n + r
-    c = {}
-    if not isinstance(data.get("c", []), list):
-        raise StructuralError(f"algebra c must be a list of entries, got {data['c']!r}")
-    for entry in data.get("c", []):
-        if not isinstance(entry, (list, tuple)) or len(entry) != 4:
-            raise StructuralError(f"structure-constant entry {entry} is not [A, B, C, value]")
-        A, B, C = (_number(i, f"structure-constant entry {entry}", True) for i in entry[:3])
-        if not (0 <= A < N and 0 <= B < N and 0 <= C < N):
-            raise StructuralError(
-                f"structure-constant index ({A + 1},{B + 1},{C + 1}) outside 1..{N}"
-            )
-        c[A, B, C] = _number(entry[3], f"structure-constant entry {entry}")
-    b = _default_block(n, data.get("h_b"))
-    k = _default_block(r, data.get("h_k"))
+        spec = builtin_algebra(data["builtin"], _number(data.get("n", 0), "algebra n", True),
+                               r if r is None else _number(r, "algebra r", True))
+        n, r, c = spec.n, spec.r, spec.c_entries
+    else:
+        try:
+            n, r = _number(data["n"], "algebra n", True), _number(data["r"], "algebra r", True)
+        except KeyError as exc:
+            raise StructuralError(f"algebra JSON is missing field {exc}") from None
+        c = {}
+        if not isinstance(data.get("c", []), list):
+            raise StructuralError(f"algebra c must be a list of entries, got {data['c']!r}")
+        for i, entry in enumerate(data.get("c", [])):
+            if not isinstance(entry, (list, tuple)) or len(entry) != 4:
+                raise StructuralError(f"algebra.c[{i}] must be [A, B, C, value], got {entry!r}")
+            A, B, C, value = (_number(x, f"algebra.c[{i}][{j}]", j < 3)
+                              for j, x in enumerate(entry))
+            if max(A, B, C) >= n + r:
+                raise StructuralError(
+                    f"structure-constant index ({A + 1},{B + 1},{C + 1}) outside 1..{n + r}"
+                )
+            c[A, B, C] = value
+    b, k = (_rows(f"algebra.{key}", _default_block(m, data.get(key)), m)
+            for key, m in (("h_b", n), ("h_k", r)))
     return LieAlgebraSpec(n, r, c, b, k)
 
 

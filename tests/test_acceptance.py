@@ -12,7 +12,7 @@ import pytest
 from scipy.linalg import expm
 
 from grammar_corpus import CASES, INVALID, PARAM_VALUES, VALID
-from kkgeom.basegeo import (ChartSpec, CoframeField, GaugeField,
+from kkgeom.basegeo import (CoframeField, GaugeField,
                             base_curvature_from_geometry, geometry_at_point)
 from kkgeom.bundle import PathSpec, adjoint_of, builtin_rep, lift_path
 from kkgeom.cli import main as cli_main
@@ -52,11 +52,10 @@ def random_coframe(rng, n):
             coef = 0.2 * float(rng.uniform(-1, 1))
             row.append(f"{'1' if a == mu else '0'} + {coef}*{f}")
         entries.append(row)
-    return CoframeField(ChartSpec(n), entries)
+    return CoframeField(n, entries)
 
 
 def random_configuration(rng, spec, n):
-    chart = ChartSpec(n)
     funcs = ["sin(x{})", "cos(x{})", "x{}^2", "x{}*x{}"]
 
     def entry(base):
@@ -64,17 +63,16 @@ def random_configuration(rng, spec, n):
         args = [int(rng.integers(n)) + 1 for _ in range(f.count("{}"))]
         return f"{base} + {0.2 * float(rng.uniform(-1, 1)):.6f}*{f.format(*args)}"
 
-    cof = CoframeField(chart, [[entry("1" if a == mu else "0")
-                                for mu in range(n)] for a in range(n)])
-    gauge = GaugeField(chart, [[entry("0") for _ in range(n)] for _ in range(spec.r)])
+    cof = CoframeField(n, [[entry("1" if a == mu else "0")
+                            for mu in range(n)] for a in range(n)])
+    gauge = GaugeField(n, [[entry("0") for _ in range(n)] for _ in range(spec.r)])
     return cof, gauge
 
 
 def flat_geometry(spec, n=2):
-    chart = ChartSpec(n)
     rows = [["1" if a == mu else "0" for mu in range(n)] for a in range(n)]
-    cof = CoframeField(chart, rows)
-    return geometry_at_point(cof, GaugeField.zero(chart, spec.r), spec, np.zeros(n))
+    cof = CoframeField(n, rows)
+    return geometry_at_point(cof, GaugeField.zero(n, spec.r), spec, np.zeros(n))
 
 
 def worst_cross_check(geom):
@@ -144,7 +142,7 @@ def test_04_levi_civita_contract():
     count = 0
     for n in (2, 3, 4):
         spec = abelian_algebra(n, 0)
-        no_gauge = GaugeField.zero(ChartSpec(n), 0)
+        no_gauge = GaugeField.zero(n, 0)
         for _ in range(17 if n < 4 else 16):
             cof = random_coframe(rng, n)
             point = rng.uniform(-0.5, 0.5, size=n)
@@ -153,8 +151,8 @@ def test_04_levi_civita_contract():
             count += 1
     assert count == 50
     assert worst <= 1e-10
-    sphere = CoframeField(ChartSpec(2), [["1", "0"], ["0", "sin(x1)"]])
-    no_gauge = GaugeField.zero(sphere.chart, 0)
+    sphere = CoframeField(2, [["1", "0"], ["0", "sin(x1)"]])
+    no_gauge = GaugeField.zero(sphere.n, 0)
     sph_err = 0.0
     for x1 in np.linspace(0.3, np.pi - 0.3, 20):
         curv = base_curvature_from_geometry(
@@ -215,10 +213,9 @@ def test_07_gauge_covariance():
     done = timed(30)
     rep = builtin_rep("su2_as_so3")
     spec = rep.spec
-    chart = ChartSpec(2)
-    cof = CoframeField(chart, [["1 + 0.1*x2^2", "0.1*x1"],
-                               ["0", "1 + 0.2*sin(x1)"]])
-    gauge = GaugeField(chart,
+    cof = CoframeField(2, [["1 + 0.1*x2^2", "0.1*x1"],
+                           ["0", "1 + 0.2*sin(x1)"]])
+    gauge = GaugeField(2,
                        [["0.3*x2", "0.1*x1"],
                         ["0.1*x1*x2", "0.2*sin(x2)"],
                         ["0.1*x2^2", "0"]])

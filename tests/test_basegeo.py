@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kkgeom import fieldexpr
-from kkgeom.basegeo import (ChartSpec, CoframeField, GaugeField, _d_frame_2form,
+from kkgeom.basegeo import (CoframeField, GaugeField, _d_frame_2form,
                             _fd_gradient, _fd_stencil, _frame_2form, _gamma_from_C,
                             _ProviderMatrix, _quadratic, base_curvature_from_geometry,
                             geometry_at_point, load_fields)
@@ -17,8 +17,7 @@ from kkgeom.liealg import LieAlgebraSpec, abelian_algebra, su2_algebra, u1_su2_a
 
 
 def sphere_coframe(radius="1"):
-    chart = ChartSpec(2)
-    return CoframeField(chart, [[radius, "0"], ["0", f"{radius}*sin(x1)"]])
+    return CoframeField(2, [[radius, "0"], ["0", f"{radius}*sin(x1)"]])
 
 
 def random_coframe(rng, n):
@@ -33,21 +32,20 @@ def random_coframe(rng, n):
             base = "1" if a == mu else "0"
             row.append(f"{base} + {coef}*{f}")
         entries.append(row)
-    return CoframeField(ChartSpec(n), entries)
+    return CoframeField(n, entries)
 
 
 def base_geometry(cof, point):
     """The frame geometry of ``cof`` with the Euclidean base metric, no gauge."""
     spec = abelian_algebra(cof.n, 0)
-    return geometry_at_point(cof, GaugeField.zero(cof.chart, 0), spec, point)
+    return geometry_at_point(cof, GaugeField.zero(cof.n, 0), spec, point)
 
 
 # ---------------------------------------------------------------------------
 
 
 def test_frame_matrix_identity_coframe():
-    chart = ChartSpec(2)
-    cof = CoframeField(chart, [["1", "0"], ["0", "1"]])
+    cof = CoframeField(2, [["1", "0"], ["0", "1"]])
     geom = base_geometry(cof, np.array([0.3, 0.7]))
     assert np.allclose(geom.E, np.eye(2))
     assert np.allclose(geom.E_inv, np.eye(2))
@@ -65,12 +63,12 @@ def test_degeneracy_check_is_scale_free_and_does_not_overflow():
     # |det e| against max|e|^n would overflow here; the test compares the
     # determinant of e / max|e| instead (pytest turns any warning into an error)
     point = np.array([0.1, 0.2])
-    sheared = CoframeField(ChartSpec(2), [["1", "1e160*x1^2"], ["0", "1"]])
+    sheared = CoframeField(2, [["1", "1e160*x1^2"], ["0", "1"]])
     with pytest.raises(DegenerateCoframeError) as info:
         base_geometry(sheared, point)  # det e = 1, but e is ill-conditioned
     assert info.value.det < 1e-300
     assert "det(e / max|e|) = 1.000e-316" in str(info.value)
-    huge = CoframeField(ChartSpec(2), [["1e200", "0"], ["0", "1e200"]])
+    huge = CoframeField(2, [["1e200", "0"], ["0", "1e200"]])
     geom = base_geometry(huge, point)
     assert np.array_equal(geom.E_inv, 1e-200 * np.eye(2))
 
@@ -81,9 +79,8 @@ def test_overflowing_geometry_names_the_first_point(deriv_mode):
     # 2-forms E^-T X E^-1 overflow; the error names that point and the
     # arrays, and no numpy warning escapes (pytest turns one into an error)
     spec = su2_algebra(2)
-    chart = ChartSpec(2)
-    cof = CoframeField(chart, [["x1", "0"], ["0", "x1"]])
-    gauge = GaugeField(chart, [["x2", "0"], ["0", "x1*x2"], ["1", "x2"]])
+    cof = CoframeField(2, [["x1", "0"], ["0", "x1"]])
+    gauge = GaugeField(2, [["x2", "0"], ["0", "x1*x2"], ["1", "x2"]])
     points = np.array([[0.5, 0.2], [1e-200, 0.3], [1e-200, 0.4]])
     with pytest.raises(NonFiniteGeometryError) as info:
         geometry_at_point(cof, gauge, spec, points, deriv_mode=deriv_mode)
@@ -130,14 +127,14 @@ def test_geometry_takes_the_base_dimension_from_the_algebra():
     # the base metric comes from the spec alone, so its size must fit the chart
     cof = sphere_coframe()
     with pytest.raises(StructuralError, match="base dimension 3"):
-        geometry_at_point(cof, GaugeField.zero(cof.chart, 0), abelian_algebra(3, 0),
+        geometry_at_point(cof, GaugeField.zero(cof.n, 0), abelian_algebra(3, 0),
                           np.array([1.0, 0.2]))
 
 
 def test_gauge_rows_must_match_the_algebra():
     # a potential written for su(2) has 3 rows; u(1)+su(2) needs one per fiber direction
-    cof = CoframeField(ChartSpec(2), [["1", "0"], ["0", "1"]])
-    gauge = GaugeField(cof.chart, [["0.3*x2", "0"], ["0", "x1"], ["0", "0"]])
+    cof = CoframeField(2, [["1", "0"], ["0", "1"]])
+    gauge = GaugeField(cof.n, [["0.3*x2", "0"], ["0", "x1"], ["0", "0"]])
     for deriv_mode in ("analytic", "fd"):
         with pytest.raises(StructuralError, match="3 rows, the algebra's fiber dimension is 4"):
             geometry_at_point(cof, gauge, u1_su2_algebra(2), np.array([0.1, 0.2]),
@@ -149,7 +146,7 @@ def test_levi_civita_unique():
     rng = np.random.default_rng(1)
     cof = random_coframe(rng, 3)
     spec = abelian_algebra(3, 0)
-    geom = geometry_at_point(cof, GaugeField.zero(cof.chart, 0), spec, np.array([0.2, 0.4, -0.1]))
+    geom = geometry_at_point(cof, GaugeField.zero(cof.n, 0), spec, np.array([0.2, 0.4, -0.1]))
     assert geom.torsion_residual() < 1e-12
     assert geom.metricity_residual() < 1e-12
     bent = geom._replace(gamma=geom.gamma + 1e-3 * rng.normal(size=geom.gamma.shape))
@@ -163,7 +160,7 @@ def test_residuals_on_random_coframes():
             cof = random_coframe(rng, n)
             point = rng.uniform(-0.5, 0.5, size=n)
             spec = abelian_algebra(n, 0)
-            geom = geometry_at_point(cof, GaugeField.zero(cof.chart, 0), spec, point)
+            geom = geometry_at_point(cof, GaugeField.zero(cof.n, 0), spec, point)
             assert geom.torsion_residual() <= 1e-10
             assert geom.metricity_residual() <= 1e-10
 
@@ -184,12 +181,11 @@ def test_sphere_radius_scaling():
 
 
 def test_product_flat_times_sphere():
-    chart = ChartSpec(4)
     entries = [["1", "0", "0", "0"],
                ["0", "1", "0", "0"],
                ["0", "0", "1", "0"],
                ["0", "0", "0", "sin(x3)"]]
-    cof = CoframeField(chart, entries)
+    cof = CoframeField(4, entries)
     curv = base_curvature_from_geometry(base_geometry(cof, np.array([0.1, 0.2, 1.0, 0.4])))
     assert abs(curv.scalar - 2.0) < 1e-10
     assert np.allclose(np.diag(curv.ricci), [0, 0, 1, 1], atol=1e-10)
@@ -224,7 +220,7 @@ def test_base_curvature_matches_the_riemann_oracle(n, deriv_mode):
     cof = random_coframe(rng, n)
     spec = abelian_algebra(n, 0, b=np.array(NON_DIAGONAL_B[n]))
     points = rng.uniform(-0.4, 0.4, size=(3, n))
-    geom = geometry_at_point(cof, GaugeField.zero(cof.chart, 0), spec, points,
+    geom = geometry_at_point(cof, GaugeField.zero(cof.n, 0), spec, points,
                              deriv_mode=deriv_mode)
     curv = base_curvature_from_geometry(geom)
     ric = np.einsum("...acde,ce->...ad", riemann_oracle(geom), spec.b_inv())
@@ -239,7 +235,7 @@ def test_analytic_and_fd_modes_agree():
     rng = np.random.default_rng(3)
     cof = random_coframe(rng, 3)
     spec = su2_algebra(3)
-    gauge = GaugeField(cof.chart,
+    gauge = GaugeField(cof.n,
                        [["0.3*x2", "0.1*x1^2", "0"],
                         ["0.1*x3", "0.2*sin(x2)", "0.1*x1"],
                         ["0", "0.05*x1*x2", "0.1*x2"]])
@@ -258,7 +254,7 @@ def test_fd_mode_without_fiber(points):
     # r = 0: A and F are empty arrays, and the stencil must still difference them
     cof = random_coframe(np.random.default_rng(4), 3)
     spec = abelian_algebra(3, 0)
-    no_gauge = GaugeField.zero(cof.chart, 0)
+    no_gauge = GaugeField.zero(cof.n, 0)
     ga = geometry_at_point(cof, no_gauge, spec, points)
     gf = geometry_at_point(cof, no_gauge, spec, points, deriv_mode="fd")
     for name in ("A", "dA", "F", "dF"):
@@ -272,7 +268,7 @@ def fd_problem():
     rng = np.random.default_rng(5)
     cof = random_coframe(rng, 3)
     spec = su2_algebra(3)
-    gauge = GaugeField(cof.chart,
+    gauge = GaugeField(cof.n,
                        [["0.3*x2", "0.1*x1^2", "0"],
                         ["0.1*x3", "0.2*sin(x2)", "0.1*x1"],
                         ["0", "0.05*x1*x2", "0.1*x2"]])
@@ -336,7 +332,7 @@ def test_fd_stencil_differentiates_a_quartic_exactly(dim):
 def coordinate_field_strength(spec, gauge, point):
     """Independent oracle: F^alpha_{mu nu} straight from the definition,
     using the providers' own exact partials."""
-    r, n = spec.r, gauge.chart.n
+    r, n = spec.r, gauge.n
     A = gauge.matrix(point)
     dA = gauge.d_matrix(point)  # dA[alpha, mu, nu] = d_nu A^alpha_mu
     cf = spec.fiber_c()
@@ -354,13 +350,12 @@ def coordinate_field_strength(spec, gauge, point):
 def test_field_strength_against_coordinate_oracle():
     rng = np.random.default_rng(4)
     for spec in (su2_algebra(2), u1_su2_algebra(2)):
-        chart = ChartSpec(2)
-        cof = CoframeField(chart, [["1+0.1*x2^2", "0.1*x1"],
-                                   ["0", "1+0.2*sin(x1)"]])
+        cof = CoframeField(2, [["1+0.1*x2^2", "0.1*x1"],
+                               ["0", "1+0.2*sin(x1)"]])
         entries = [[f"{0.3 * float(rng.uniform(-1, 1)):.3f}*x1*x2",
                     f"{0.3 * float(rng.uniform(-1, 1)):.3f}*sin(x{1 + al % 2})"]
                    for al in range(spec.r)]
-        gauge = GaugeField(chart, entries)
+        gauge = GaugeField(2, entries)
         point = np.array([0.6, -0.4])
         geom = geometry_at_point(cof, gauge, spec, point)
         Fc = np.einsum("abc,bm,cn->amn", geom.F, geom.E, geom.E)
@@ -372,9 +367,8 @@ def test_field_strength_against_coordinate_oracle():
 def test_abelian_field_strength_example():
     # A^1 = x1 dx2 gives F^1_{12} = 1
     spec = abelian_algebra(2, 1)
-    chart = ChartSpec(2)
-    cof = CoframeField(chart, [["1", "0"], ["0", "1"]])
-    gauge = GaugeField(chart, [["0", "x1"]])
+    cof = CoframeField(2, [["1", "0"], ["0", "1"]])
+    gauge = GaugeField(2, [["0", "x1"]])
     geom = geometry_at_point(cof, gauge, spec, np.array([0.7, 0.1]))
     assert abs(geom.F[0, 0, 1] - 1.0) < 1e-14
     # constant F has vanishing derivatives: the connection's field-strength
@@ -386,8 +380,7 @@ def test_bianchi_identity_fd():
     # cyclic sum of D_lambda F_{mu nu} vanishes; derivatives by FD of the
     # coordinate-oracle field strength
     spec = su2_algebra(3)
-    chart = ChartSpec(3)
-    gauge = GaugeField(chart,
+    gauge = GaugeField(3,
                        [["0.3*x2", "0.1*x1^2", "0.2*x3"],
                         ["0.1*x3", "0.2*sin(x2)", "0"],
                         ["0.05*x1*x2", "0", "0.1*x2"]])
@@ -412,9 +405,8 @@ def test_bianchi_identity_fd():
 
 def test_geometry_f_raising_consistency():
     spec = su2_algebra(2, b=2.0 * np.eye(2))
-    chart = ChartSpec(2)
-    cof = CoframeField(chart, [["1", "0"], ["0", "1"]])
-    gauge = GaugeField(chart, [["0", "x1"], ["0", "0"], ["0", "0"]])
+    cof = CoframeField(2, [["1", "0"], ["0", "1"]])
+    gauge = GaugeField(2, [["0", "x1"], ["0", "0"], ["0", "0"]])
     geom = geometry_at_point(cof, gauge, spec, np.array([0.2, 0.3]))
     # the connection's e^gamma coefficients omega^a_c = -(1/2) F_gamma^a_c, with
     # c raised by h as well, are -(1/2) F_gamma^{ac}: both-up components carry
@@ -424,8 +416,11 @@ def test_geometry_f_raising_consistency():
 
 
 def test_chart_validation():
-    with pytest.raises(StructuralError):
-        ChartSpec(1)
+    # a chart needs at least two dimensions, whichever field is built on it
+    with pytest.raises(StructuralError, match="chart dimension must be at least 2"):
+        CoframeField(1, [["1"]])
+    with pytest.raises(StructuralError, match="chart dimension must be at least 2"):
+        GaugeField(0, [])
 
 
 def test_load_fields_lattice_sorted():
@@ -435,7 +430,7 @@ def test_load_fields_lattice_sorted():
         "gauge": [["0", "x1"], ["0", "0"], ["0", "0"]],
         "lattice": {"min": [0, 0], "max": [1, 1], "steps": [3, 2]},
     }
-    chart, coframe, gauge, points = load_fields(data, spec)
+    coframe, gauge, points, _ = load_fields(data, spec)
     assert len(points) == 6
     assert [tuple(p) for p in points] == sorted(tuple(p) for p in points)
     # default coframe is the identity
@@ -451,7 +446,7 @@ def test_load_fields_params():
         "params": {"q": 2.5},
         "points": [[0.3, 0.4]],
     }
-    _, coframe, gauge, points = load_fields(data, spec)
+    coframe, gauge, points, _ = load_fields(data, spec)
     assert gauge.matrix(points[0])[0, 1] == 2.5 * 0.3
 
 
@@ -575,13 +570,12 @@ def test_quadratic_matches_einsum_under_broadcasting(r):
         assert np.abs(got - want).max(initial=0.0) < 1e-13
 
 
-def random_gauge(rng, spec, chart):
+def random_gauge(rng, spec, n):
     funcs = ["sin(x{})", "x{}*x{}", "cos(x{})", "x{}"]
-    n = chart.n
     entries = [[f"{0.3 * float(rng.uniform(-1, 1)):.4f}*"
                 + funcs[int(rng.integers(len(funcs)))].format(*rng.integers(1, n + 1, size=2))
                 if rng.uniform() < 0.7 else "0" for _ in range(n)] for _ in range(spec.r)]
-    return GaugeField(chart, entries)
+    return GaugeField(n, entries)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -590,7 +584,7 @@ def test_geometry_matches_einsum_formulas(n, r):
     rng = np.random.default_rng(100 + 10 * n + r)
     cof = random_coframe(rng, n)
     spec = random_inline_spec(rng, n, r)
-    gauge = random_gauge(rng, spec, cof.chart)
+    gauge = random_gauge(rng, spec, cof.n)
     for batch in BATCHES:
         point = rng.uniform(-0.5, 0.5, size=batch + (n,))
         geom = geometry_at_point(cof, gauge, spec, point)
@@ -611,9 +605,8 @@ def fill_problem():
     rows = [["1 + q*x1", "0", "2.5"],
             ["w", "sin(x2)*x3^2", "exp(w*x1)"],
             ["x2", "q*x1*x2*x3 - x3", "1"]]
-    chart = ChartSpec(3)
-    return CoframeField(chart, [[FieldProvider(e, n=3, params=params) for e in row]
-                                for row in rows])
+    return CoframeField(3, [[FieldProvider(e, n=3, params=params) for e in row]
+                            for row in rows])
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])
@@ -662,8 +655,8 @@ SQRT_X2 = [["1", "0"], ["0", "1 + sqrt(x2)"]]
 ], ids=["analytic", "fd", "analytic-value", "fd-value", "analytic-second-entry",
         "fd-second-entry"])
 def test_domain_error_message_in_both_modes(deriv_mode, coframe, points, message):
-    cof = CoframeField(ChartSpec(2), coframe)
-    gauge = GaugeField.zero(cof.chart, 3)
+    cof = CoframeField(2, coframe)
+    gauge = GaugeField.zero(cof.n, 3)
     with pytest.raises(EvalDomainError) as info:
         geometry_at_point(cof, gauge, su2_algebra(2), np.array(points), deriv_mode=deriv_mode)
     assert str(info.value) == message
@@ -693,9 +686,9 @@ def test_fill_calls_each_closure_once_per_block(monkeypatch, deriv_mode):
     monkeypatch.setattr(fieldexpr, "_run", per_entry)
     cof = fill_problem()
     spec = su2_algebra(3)
-    gauge = GaugeField(cof.chart, [["0.3*x2", "0", "0.1*x1^2"],
-                                   ["0", "0.2*sin(x3)", "0"],
-                                   ["0.05*x1*x2", "0", "0.1"]])
+    gauge = GaugeField(cof.n, [["0.3*x2", "0", "0.1*x1^2"],
+                               ["0", "0.2*sin(x3)", "0"],
+                               ["0.05*x1*x2", "0", "0.1"]])
     points = np.random.default_rng(7).uniform(0.1, 0.5, size=(6, 3))
     for block in (points[:3], points[3:]):
         geometry_at_point(cof, gauge, spec, block, deriv_mode=deriv_mode)

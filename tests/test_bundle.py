@@ -7,7 +7,7 @@ import scipy.linalg
 from scipy.linalg import expm
 
 from kkgeom import bundle, gauge
-from kkgeom.basegeo import (ChartSpec, CoframeField, GaugeField, _fd_gradient, _fd_stencil,
+from kkgeom.basegeo import (CoframeField, GaugeField, _fd_gradient, _fd_stencil,
                             geometry_at_point)
 from kkgeom.bundle import (GroupElement, MatrixRep, PathSpec, adjoint_of, algebra_rep,
                            builtin_rep, lift_path)
@@ -22,10 +22,9 @@ from test_properties import EPSILON3
 def su2_setup(seed=0):
     rep = builtin_rep("su2_as_so3")
     spec = rep.spec
-    chart = ChartSpec(2)
-    cof = CoframeField(chart, [["1+0.1*x2^2", "0.1*x1"],
-                               ["0", "1+0.2*sin(x1)"]])
-    gauge = GaugeField(chart,
+    cof = CoframeField(2, [["1+0.1*x2^2", "0.1*x1"],
+                           ["0", "1+0.2*sin(x1)"]])
+    gauge = GaugeField(2,
                        [["0.3*x2", "0.1*x1"],
                         ["0.1*x1*x2", "0.2*sin(x2)"],
                         ["0.1*x2^2", "0"]])
@@ -525,18 +524,16 @@ def test_sampled_path_may_extend_beyond_the_unit_interval():
 def test_deextra_abelian_zero_gauge():
     rep = builtin_rep("u1_as_so2")
     spec = rep.spec
-    chart = ChartSpec(2)
-    cof = CoframeField(chart, [["1", "0"], ["0", "1"]])
-    geom = geometry_at_point(cof, GaugeField.zero(chart, spec.r), spec,
+    cof = CoframeField(2, [["1", "0"], ["0", "1"]])
+    geom = geometry_at_point(cof, GaugeField.zero(2, spec.r), spec,
                              np.array([0.1, 0.2]))
     assert verify_deextra(geom) < 1e-14
 
 
 def test_deextra_su2_zero_gauge_along_fiber():
     rep, spec, _ = su2_setup()
-    chart = ChartSpec(2)
-    cof = CoframeField(chart, [["1", "0"], ["0", "1"]])
-    geom = geometry_at_point(cof, GaugeField.zero(chart, spec.r), spec,
+    cof = CoframeField(2, [["1", "0"], ["0", "1"]])
+    geom = geometry_at_point(cof, GaugeField.zero(2, spec.r), spec,
                              np.array([0.1, 0.2]))
     res = verify_deextra(geom, s=np.array([0.4, -0.3, 0.2]))
     assert res < 1e-8
@@ -575,9 +572,8 @@ def test_gauge_covariance_varying_along_fiber():
 def test_gauge_covariance_product_rep():
     rep = builtin_rep("product")
     spec = rep.spec
-    chart = ChartSpec(2)
-    cof = CoframeField(chart, [["1", "0.2*x2"], ["0", "1+0.1*x1^2"]])
-    gauge = GaugeField(chart,
+    cof = CoframeField(2, [["1", "0.2*x2"], ["0", "1+0.1*x1^2"]])
+    gauge = GaugeField(2,
                        [["0.2*x2", "0"], ["0.1*x1", "0.1*x2"],
                         ["0", "0.3*x1"], ["0.05*x1*x2", "0.1*sin(x1)"]])
     geom = geometry_at_point(cof, gauge, spec, np.array([0.3, 0.6]))

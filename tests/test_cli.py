@@ -18,6 +18,7 @@ from kkgeom import basegeo, bundle, cli, errors, gauge, kkcurv, liealg
 from kkgeom.bundle import builtin_rep
 from kkgeom.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 from kkgeom.liealg import load_spec, su2_algebra
+from test_demos import readme_blocks
 from test_properties import EPSILON3, inline_algebra, su3_constants
 
 
@@ -436,11 +437,13 @@ def with_algebra(algebra):
      "gauge potential has 2 rows, the algebra's fiber dimension is 3"),
     ({**with_fields(lattice=None, points=[]), "algebra": {"builtin": "su2"}}, [],
      "chart dimension 2 does not match the algebra's base dimension 0"),
+    (with_fields(chart={"n": 3}), [],
+     "chart dimension 3 does not match the algebra's base dimension 2"),
 ], ids=["syntax", "no-points", "log-domain", "overflow", "short-point",
         "short-point-unread", "short-lattice", "short-triplet", "jobs-option",
         "negative-steps", "negative-algebra-n", "negative-algebra-r", "negative-builtin-n",
         "negative-chart-n", "bad-deriv-mode-no-points", "gauge-rows-no-points",
-        "chart-n-no-points"])
+        "chart-n-no-points", "chart-n-mismatch"])
 def test_curvature_input_errors_exit_64(tmp_path, capsys, problem, argv, message):
     path = write_problem(tmp_path, problem)
     code, out = run(capsys, ["curvature", "--input", path] + argv)
@@ -523,7 +526,45 @@ def test_non_finite_metric_entry_exits_64(tmp_path, capsys, builtin, block, valu
         assert code == EXIT_USAGE
         assert out.out == ""
         (line,) = out.err.strip().splitlines()
-        assert line == f"error: {block[-1]}[1][1] must be a finite number, got {value!r}"
+        assert line == f"error: algebra.{block}[1][1] must be a finite number, got {value!r}"
+
+
+@pytest.mark.parametrize("algebra, line", [
+    ({**INLINE_SU2, "h_k": [[1, 0, 0], [0, True, 0], [0, 0, 1]]},
+     "error: algebra.h_k[1][1] must be a finite number, got True"),
+    ({"builtin": "su2", "n": 2, "h_b": [[True, 0], [0, 1]]},
+     "error: algebra.h_b[0][0] must be a finite number, got True"),
+    ({**INLINE_SU2, "c": [[2, 3, 4, 1.0], [2, 4, 3, "1"]]},
+     "error: algebra.c[1][3] must be a finite number, got '1'"),
+    ({**INLINE_SU2, "c": [[2, 3.5, 4, 1.0]]},
+     "error: algebra.c[0][1] must be a non-negative integer, got 3.5"),
+], ids=["h_k-true", "builtin-h_b-true", "c-value-numeric-string", "c-index-fraction"])
+def test_algebra_entries_are_named_by_their_json_path(tmp_path, capsys, algebra, line):
+    # the node as the problem file holds it, not the spec field it becomes
+    for command in ("validate", "curvature"):
+        code, out = run(capsys, [command, "--input",
+                                 write_problem(tmp_path, with_algebra(algebra))])
+        assert (code, out.out) == (EXIT_USAGE, "")
+        assert out.err.splitlines() == [line]
+
+
+@pytest.mark.parametrize("deriv_mode", ["analytic", "fd"])
+def test_the_chart_dimension_is_the_algebras(tmp_path, capsys, deriv_mode):
+    # fields.chart is optional: without it the sweep runs on the algebra's n,
+    # and gives what the README problem's written chart gives
+    problem = json.loads(readme_blocks("json")[0])
+    assert problem["fields"]["chart"] == {"n": problem["algebra"]["n"]}
+    problem["fields"]["deriv_mode"] = deriv_mode
+    no_chart = {**problem, "fields": {k: v for k, v in problem["fields"].items() if k != "chart"}}
+    reports = []
+    for name, variant in (("written.json", problem), ("derived.json", no_chart)):
+        code, out = run(capsys, ["curvature", "--input", write_problem(tmp_path, variant, name)])
+        assert code == EXIT_OK
+        reports.append(json.loads(out.out))
+    written, derived = reports
+    assert written["summary"]["points"] == 9
+    assert derived["per_point"] == written["per_point"]
+    assert derived["summary"] == written["summary"]
 
 
 @pytest.mark.parametrize("algebra, quantity", [

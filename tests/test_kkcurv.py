@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from kkgeom.basegeo import (ChartSpec, CoframeField, GaugeField,
+from kkgeom.basegeo import (CoframeField, GaugeField,
                             base_curvature_from_geometry, geometry_at_point)
 from kkgeom.cli import EXIT_OK, main
 from kkgeom.kkcurv import (assemble_omega, cross_check, curvature_direct,
@@ -13,26 +13,24 @@ from kkgeom.liealg import (abelian_algebra, cosmological_constant,
 
 
 def flat_geometry(spec, n=2, point=None):
-    chart = ChartSpec(n)
     rows = [["1" if a == mu else "0" for mu in range(n)] for a in range(n)]
-    cof = CoframeField(chart, rows)
-    gauge = GaugeField.zero(chart, spec.r)
+    cof = CoframeField(n, rows)
+    gauge = GaugeField.zero(n, spec.r)
     point = np.zeros(n) if point is None else point
     return geometry_at_point(cof, gauge, spec, point)
 
 
 def random_configuration(rng, spec, n):
     """Analytic coframe + gauge with small coefficients (stays nondegenerate)."""
-    chart = ChartSpec(n)
     funcs = ["sin(x{})", "cos(x{})", "x{}^2", "x{}*x{}"]
     def entry(base):
         f = funcs[int(rng.integers(len(funcs)))]
         args = [int(rng.integers(n)) + 1 for _ in range(f.count("{}"))]
         return f"{base} + {0.2 * float(rng.uniform(-1, 1)):.6f}*{f.format(*args)}"
-    cof = CoframeField(chart, [[entry("1" if a == mu else "0")
-                                for mu in range(n)] for a in range(n)])
-    gauge = GaugeField(chart, [[entry("0") for _ in range(n)]
-                               for _ in range(spec.r)])
+    cof = CoframeField(n, [[entry("1" if a == mu else "0")
+                            for mu in range(n)] for a in range(n)])
+    gauge = GaugeField(n, [[entry("0") for _ in range(n)]
+                           for _ in range(spec.r)])
     return cof, gauge
 
 
@@ -157,9 +155,8 @@ def test_lambda_scaling_in_einstein_block():
 def test_base_block_embeds_base_curvature():
     # A = 0: the base-base Ricci block reduces to the base Ricci tensor
     spec = su2_algebra(2)
-    chart = ChartSpec(2)
-    cof = CoframeField(chart, [["1", "0"], ["0", "sin(x1)"]])
-    gauge = GaugeField.zero(chart, spec.r)
+    cof = CoframeField(2, [["1", "0"], ["0", "sin(x1)"]])
+    gauge = GaugeField.zero(2, spec.r)
     geom = geometry_at_point(cof, gauge, spec, np.array([1.1, 0.3]))
     direct = curvature_direct(assemble_omega(geom))
     base = base_curvature_from_geometry(geom)
@@ -208,12 +205,11 @@ def test_ym_block_tracks_gauge_divergence():
     # a single-component abelian gauge field with nonconstant F has a
     # nonzero current block; a constant-F configuration does not
     spec = abelian_algebra(2, 1)
-    chart = ChartSpec(2)
-    cof = CoframeField(chart, [["1", "0"], ["0", "1"]])
-    const = GaugeField(chart, [["0", "x1"]])  # F = dx1 /\ dx2
+    cof = CoframeField(2, [["1", "0"], ["0", "1"]])
+    const = GaugeField(2, [["0", "x1"]])  # F = dx1 /\ dx2
     geom = geometry_at_point(cof, const, spec, np.array([0.3, 0.1]))
     assert eym_residuals(ricci_closed_form(geom)).ym_norm < 1e-12
-    quad = GaugeField(chart, [["0", "x1^2"]])  # F = 2 x1 dx1 /\ dx2
+    quad = GaugeField(2, [["0", "x1^2"]])  # F = 2 x1 dx1 /\ dx2
     geom = geometry_at_point(cof, quad, spec, np.array([0.3, 0.1]))
     res = eym_residuals(ricci_closed_form(geom))
     assert abs(res.ym_norm - 2.0) < 1e-12  # div F = F^{12}_{,1} = 2

@@ -223,6 +223,18 @@ def test_a_dense_c_entry_that_is_not_a_number_raises(value):
         LieAlgebraSpec(2, 3, c, np.eye(2), np.eye(3))
 
 
+def test_a_metric_entry_is_named_by_the_key_that_holds_it():
+    # a spec built directly names its own field; a problem file's algebra
+    # names the entry by its JSON path
+    b = [[1.0, 0.0], [0.0, float("nan")]]
+    with pytest.raises(StructuralError, match=r"^b\[1\]\[1\] must be a finite number"):
+        LieAlgebraSpec(2, 3, su2_algebra(2).c_entries, b, np.eye(3))
+    for algebra in ({"builtin": "su2", "n": 2}, {"n": 2, "r": 3}):
+        with pytest.raises(StructuralError,
+                           match=r"^algebra\.h_b\[1\]\[1\] must be a finite number"):
+            load_spec({**algebra, "h_b": b})
+
+
 def test_a_bool_in_an_index_triple_raises():
     # numpy would read c[True, 2, 0] as a new axis and fill c[2, 0, :]
     with pytest.raises(StructuralError, match="index triple"):

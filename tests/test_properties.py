@@ -170,7 +170,7 @@ def batch_of_one(coframe, gauge, spec, point, deriv_mode):
 def test_block_sweep_matches_batch_of_one(problem):
     rows = report("curvature", problem)["per_point"]
     spec = liealg.load_spec(problem["algebra"])
-    _, coframe, gauge, points = load_fields(problem["fields"], spec)
+    coframe, gauge, points, _ = load_fields(problem["fields"], spec)
     deriv_mode = problem["fields"]["deriv_mode"]
     assert [row["point"] for row in rows] == points.tolist()
     for row, point in zip(rows, points):
@@ -185,7 +185,7 @@ def test_block_gauge_check_matches_batch_of_one(problem):
     rows = report("gauge-check", problem)["per_point"]
     spec = liealg.load_spec(problem["algebra"])
     rep = algebra_rep(spec)
-    _, coframe, gauge, points = load_fields(problem["fields"], spec)
+    coframe, gauge, points, _ = load_fields(problem["fields"], spec)
     # per sorted point, in order: r normals for the group element, r for s
     rng = random.Random(problem["options"]["seed"])
     draws = np.array([[[rng.gauss(0.0, 1.0) for _ in range(spec.r)] for _ in range(2)]
@@ -237,7 +237,7 @@ def test_closed_form_lambda_terms_are_the_cosmological_constant(fiber, data):
     # terms alone: scalar 2 Lambda and Einstein block -Lambda I
     n = data.draw(st.integers(2, 5))
     spec = liealg.load_spec(data.draw(compact_algebras(n, fiber)))
-    _, coframe, gauge, points = load_fields({"chart": {"n": n}, "points": [[0.1] * n]}, spec)
+    coframe, gauge, points, _ = load_fields({"chart": {"n": n}, "points": [[0.1] * n]}, spec)
     closed = kkcurv.ricci_closed_form(geometry_at_point(coframe, gauge, spec, points))
     lam = liealg.cosmological_constant(spec)
     assert closed.scalar.tolist() == [2 * lam]
