@@ -65,37 +65,33 @@ class _ProviderMatrix:
     """Values and exact partials of a matrix of providers at a batch of points
     of an n-dimensional chart, n >= 2, with coordinates x1..xn.
 
-    ``matrix`` is indexed ``[..., row, mu]``; ``d_matrix`` appends the
-    derivative direction nu and ``d2_matrix`` the directions nu, rho.
+    ``fill(point, order)`` is the one way in: indexed ``[..., row, mu]``,
+    with one derivative direction nu, rho, ... appended per order.
 
     Each derivative order is filled in one pass.  On first use the order
-    gets a plan, built from the providers' cached derivative trees: a
+    gets a plan, built from the providers' compiled derivative trees: a
     constant template holding every entry or distinct partial whose tree is
     a literal number, and one compiled closure for each of the others.  A
-    block copies the template once and runs the closures under one numpy
-    error state; each distinct mixed partial is computed once and then
-    written to every ordering of its indices.  A closure that leaves its
-    expression's domain is located from its slot in the fill: the error
-    names the entry, the partial and the first failing point.
+    block copies the template once and runs the closures through one
+    :func:`~kkgeom.fieldexpr.run_into` call, under one numpy error state;
+    each distinct mixed partial is computed once and then written to every
+    ordering of its indices.  A closure that leaves its expression's domain
+    is located from its slot in the fill: the error names the entry, the
+    partial and the first failing point.
     """
+
+    square = False  # whether the rows must number n, as the coframe's do
 
     def __init__(self, n, entries):
         if n < 2:
             raise StructuralError("chart dimension must be at least 2")
+        if self.square and len(entries) != n:
+            raise StructuralError(f"{self.block} must be {n}x{n}")
         if any(len(row) != n for row in entries):
             raise StructuralError(f"{self.block} rows must have {n} entries")
         self.n = n
         self.entries = [[_as_provider(p, n) for p in row] for row in entries]
         self._plans = {}
-
-    def matrix(self, point) -> np.ndarray:
-        return self._fill(point, 0)
-
-    def d_matrix(self, point) -> np.ndarray:
-        return self._fill(point, 1)
-
-    def d2_matrix(self, point) -> np.ndarray:
-        return self._fill(point, 2)
 
     def _plan(self, order):
         """(template, calls, spread) of ``order``.  The fill is laid out as
@@ -123,7 +119,7 @@ class _ProviderMatrix:
             plan = self._plans[order] = (template, calls, spread)
         return plan
 
-    def _fill(self, point, order, fd_step=None):
+    def fill(self, point, order, fd_step=None):
         """out[..., row, mu, *nus] = d_{nus} entries[row][mu], ``order`` derivatives.
 
         With ``fd_step`` the last batch axis of ``point`` holds the fd stencil
@@ -147,13 +143,13 @@ class _ProviderMatrix:
         multis = _partials(self.n, order)
         a, mu, j = np.unravel_index(k, (len(self.entries), self.n, len(multis)))
         p = self.entries[a][mu]
+        node, fn = p.compiled(multis[j])
         bad = next((i for i in np.ndindex(point.shape[:-1])
-                    if _fails(p, multis[j], point[i])), None)
+                    if run_into([(fn, 0)], point[i], np.empty(1)) is not None), None)
         where = ""
         if bad is not None:
             at, row = _fd_where(point, bad, fd_step)
             where = f" at point {at.tolist()}{row}"
-        node = p.compiled(multis[j])[0]
         return EvalDomainError(f"{self.block}[{a}][{mu}] = {pretty(p.expr)}{where}: "
                                f"{pretty(node)}: {exc}")
 
@@ -164,18 +160,10 @@ def _partials(n, order):
     return list(itertools.combinations_with_replacement(range(n), order))
 
 
-def _fails(p, multi, point):
-    try:
-        p._at(multi, point)
-    except EvalDomainError:
-        return True
-    return False
-
-
 def _fd_where(point, index, fd_step):
     """Where batch index ``index`` of ``point`` lies: the input point, and
     a suffix naming the fd stencil row when ``fd_step`` is given and the
-    row is not row 0 (the layout of :meth:`_ProviderMatrix._fill`), else
+    row is not row 0 (the layout of :meth:`_ProviderMatrix.fill`), else
     an empty one."""
     if fd_step is None or index[-1] == 0:
         return point[index], ""
@@ -187,11 +175,7 @@ class CoframeField(_ProviderMatrix):
     """An n x n matrix of providers: entry (a, mu) is the dx^mu component of e^a."""
 
     block = "coframe"  # the field-file key, named in evaluation errors
-
-    def __init__(self, n, entries):
-        if len(entries) != n:
-            raise StructuralError(f"coframe must be {n}x{n}")
-        super().__init__(n, entries)
+    square = True
 
 
 class GaugeField(_ProviderMatrix):
@@ -297,17 +281,17 @@ def _frame_values(coframe, gauge, spec, point, fd_step=None):
     value and first-partial fills, as keyword arguments of GeometryAtPoint,
     and the coordinate arrays (d_nu e^a_mu, A_mu, d_nu A_mu) that
     :func:`_frame_derivatives` reuses.  ``fd_step`` marks ``point`` as fd
-    stencil rows (see :meth:`_ProviderMatrix._fill`)."""
-    E = coframe._fill(point, 0, fd_step)
+    stencil rows (see :meth:`_ProviderMatrix.fill`)."""
+    E = coframe.fill(point, 0, fd_step)
     Einv = _frame_matrix(E, point, fd_step)
     # dE[a, mu, nu] = d_nu e^a_mu
-    dE = coframe._fill(point, 1, fd_step)
+    dE = coframe.fill(point, 1, fd_step)
     # T[a, mu, nu] = d_mu e^a_nu - d_nu e^a_mu (coordinate components of de^a)
     T = np.swapaxes(dE, -2, -1) - dE
     C = _frame_2form(T, Einv)
 
-    Am = gauge._fill(point, 0, fd_step)  # A^al_mu
-    dAm = gauge._fill(point, 1, fd_step)  # d_nu A^al_mu
+    Am = gauge.fill(point, 0, fd_step)  # A^al_mu
+    dAm = gauge.fill(point, 1, fd_step)  # d_nu A^al_mu
     # F^al_{mu nu} = d_mu A^al_nu - d_nu A^al_mu + c^al_bg A^b_mu A^g_nu
     # (the quadratic term is antisymmetric in mu, nu when c is in its lower pair)
     Fc = np.swapaxes(dAm, -2, -1) - dAm + _quadratic(spec.fiber_c(), Am, Am)
@@ -325,9 +309,9 @@ def _frame_derivatives(coframe, gauge, spec, values, coord):
     dE, Am, dAm = coord
     point, Einv = values["point"], values["E_inv"]
     n, cf = Am.shape[-1], spec.fiber_c()
-    D2E = _to_frame(coframe.d2_matrix(point), Einv)  # [a, mu, nu, d] = D_d d_nu e^a_mu
+    D2E = _to_frame(coframe.fill(point, 2), Einv)  # [a, mu, nu, d] = D_d d_nu e^a_mu
     DAm = _to_frame(dAm, Einv)  # [al, mu, d] = D_d A^al_mu
-    D2Am = _to_frame(gauge.d2_matrix(point), Einv)
+    D2Am = _to_frame(gauge.fill(point, 2), Einv)
     G = _frame_second(_to_frame(dE, Einv), Einv)  # G[a, b, d] = (D_d E E^-1)[a, b]
     # D_d T[a, mu, nu] = D_d (d_mu e^a_nu - d_nu e^a_mu)
     dC = _d_frame_2form(values["C"], np.swapaxes(D2E, -3, -2) - D2E, Einv, G)

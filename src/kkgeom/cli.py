@@ -317,25 +317,9 @@ def cmd_validate(args, problem):
     from . import liealg
 
     report_obj = liealg.validate_spec(problem.spec, tol=problem.options["tol"])
-    checks = [
-        {
-            "name": c.name,
-            "passed": bool(c.passed),
-            "max_violation": c.max_violation,
-            "worst_indices": list(c.worst_indices) if c.worst_indices else None,
-        }
-        for c in report_obj.checks
-    ]
-    body = {
-        "passed": bool(report_obj.passed),
-        "checks": checks,
-        "unimodular": bool(report_obj.unimodular),
-        "unimodular_violation": report_obj.unimodular_violation,
-        "b_signature": list(report_obj.b_signature),
-        "k_signature": list(report_obj.k_signature),
-        "det_h": report_obj.det_h,
-        "cosmological_constant": liealg.cosmological_constant(problem.spec),
-    }
+    body = {**report_obj._asdict(), "checks": [c._asdict() for c in report_obj.checks],
+            "passed": report_obj.passed,
+            "cosmological_constant": liealg.cosmological_constant(problem.spec)}
     _emit(_report("validate", problem.config, body), args)
     return EXIT_OK if report_obj.passed else EXIT_VIOLATION
 

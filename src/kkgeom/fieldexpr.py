@@ -2,7 +2,10 @@
 
 Evaluation is vectorised: a point is an array whose last axis holds the
 chart coordinates, and any leading axes form a batch of points evaluated
-together.
+together.  A tree is compiled once into nested closures, and every closure
+runs through :func:`run_into`, the one place that sets the numpy error
+state: :func:`evaluate` and :class:`FieldProvider` with one closure, the
+provider matrices of ``basegeo`` with all the closures of a fill.
 
 Grammar (whitespace insensitive)::
 
@@ -226,26 +229,26 @@ def evaluate(node: Expr, point, params=None):
     return _run(node, _compile(node, params or {}), point)
 
 
-# errstate as a decorator costs far less than as a with-statement per call
-@np.errstate(divide="raise", invalid="raise", over="raise", under="ignore")
 def _run(node, fn, point):
-    """Apply the compiled form ``fn`` of ``node`` under one numpy error state."""
+    """Apply the compiled form ``fn`` of ``node`` through :func:`run_into`,
+    into a one-slot ``out``."""
     point = np.asarray(point, dtype=float)
-    try:
-        value = fn(point)
-    except (FloatingPointError, ZeroDivisionError) as exc:
-        raise EvalDomainError(f"{pretty(node)}: {exc}") from None
-    return np.broadcast_to(value, point.shape[:-1]) if point.ndim > 1 else value
+    out = np.empty(point.shape[:-1] + (1,))
+    failed = run_into([(fn, 0)], point, out)
+    if failed is not None:
+        raise EvalDomainError(f"{pretty(node)}: {failed[1]}")
+    return out[..., 0][()]  # [()] makes the value of a single point a scalar
 
 
+# errstate as a decorator costs far less than as a with-statement per call
 @np.errstate(divide="raise", invalid="raise", over="raise", under="ignore")
 def run_into(calls, point, out):
     """``out[..., k] = fn(point)`` for each ``(fn, k)`` of ``calls``, under
-    the error state of :func:`_run`: one error-state switch for all the
-    closures, and numpy broadcasts each value as it is written.  Returns
-    None, or ``(k, exc)`` for the first closure that leaves its domain, with
-    the ``FloatingPointError`` or ``ZeroDivisionError`` numpy raised, for
-    the caller to locate."""
+    the one evaluation error state (underflow alone rounds quietly), switched
+    once for all the closures; numpy broadcasts each value as it is written.
+    Returns None, or ``(k, exc)`` for the first closure that leaves its
+    domain, with the ``FloatingPointError`` or ``ZeroDivisionError`` numpy
+    raised, for the caller to locate."""
     for fn, k in calls:
         try:
             out[..., k] = fn(point)
@@ -432,28 +435,15 @@ def _pretty(node, parent_prec):
     raise TypeError(f"not an Expr node: {node!r}")
 
 
-def _free_params(node, out):
-    if isinstance(node, Param):
-        out.add(node.name)
-    elif isinstance(node, Neg):
-        _free_params(node.arg, out)
-    elif isinstance(node, Call):
-        _free_params(node.arg, out)
+def _leaves(node):
+    """The ``Var`` and ``Param`` leaves of the tree, in one walk."""
+    if isinstance(node, (Var, Param)):
+        yield node
+    elif isinstance(node, (Neg, Call)):
+        yield from _leaves(node.arg)
     elif isinstance(node, BinOp):
-        _free_params(node.left, out)
-        _free_params(node.right, out)
-
-
-def _max_var(node):
-    if isinstance(node, Var):
-        return node.index
-    if isinstance(node, Neg):
-        return _max_var(node.arg)
-    if isinstance(node, Call):
-        return _max_var(node.arg)
-    if isinstance(node, BinOp):
-        return max(_max_var(node.left), _max_var(node.right))
-    return -1
+        yield from _leaves(node.left)
+        yield from _leaves(node.right)
 
 
 class FieldProvider:
@@ -461,8 +451,8 @@ class FieldProvider:
 
     Parameters are bound at construction; an unresolved parameter raises
     :class:`UnknownIdentifierError` immediately rather than at evaluation.
-    Instances are immutable apart from their caches of derivative trees and
-    their compiled forms.
+    Instances are immutable apart from their one cache, of the compiled
+    derivative trees.
     """
 
     def __init__(self, expr, n=None, params=None):
@@ -470,55 +460,41 @@ class FieldProvider:
             expr = parse(expr)
         self.expr = expr
         self.params = dict(params or {})
-        free = set()
-        _free_params(expr, free)
-        missing = free - set(self.params)
+        leaves = list(_leaves(expr))
+        missing = {leaf.name for leaf in leaves if isinstance(leaf, Param)} - set(self.params)
         if missing:
-            raise UnknownIdentifierError(sorted(missing)[0])
-        self.n = _max_var(expr) + 1 if n is None else n
-        if _max_var(expr) + 1 > self.n:
-            raise UnknownIdentifierError(f"x{_max_var(expr) + 1}")
-        self._deriv_cache = {}
+            raise UnknownIdentifierError(min(missing))
+        top = max((leaf.index + 1 for leaf in leaves if isinstance(leaf, Var)), default=0)
+        self.n = top if n is None else n
+        if top > self.n:
+            raise UnknownIdentifierError(f"x{top}")
         self._compiled = {}
 
     @classmethod
     def constant(cls, value, n=0):
         return cls(Num(float(value)), n=n)
 
-    def _derivative(self, multi):
-        """AST of the mixed partial given by a sorted tuple of variable indices."""
-        if multi in self._deriv_cache:
-            return self._deriv_cache[multi]
-        if not multi:
-            return self.expr
-        node = diff(self._derivative(multi[:-1]), multi[-1])
-        self._deriv_cache[multi] = node
-        return node
-
     def compiled(self, multi):
         """``(tree, fn)`` of the mixed partial given by a sorted tuple of
-        variable indices, compiled on first use; ``fn(point)`` is the bare
-        closure, without the error state and broadcasting of :meth:`evaluate`."""
+        variable indices, compiled on first use: the tree is ``diff`` of the
+        tree of ``multi[:-1]``, and ``fn(point)`` the bare closure, to be run
+        through :func:`run_into`."""
         entry = self._compiled.get(multi)
         if entry is None:
-            node = self._derivative(multi)
+            node = diff(self.compiled(multi[:-1])[0], multi[-1]) if multi else self.expr
             entry = self._compiled[multi] = (node, _compile(node, self.params))
         return entry
 
-    def _at(self, multi, point):
-        """The mixed partial ``multi`` evaluated at ``point``."""
-        return _run(*self.compiled(multi), point)
-
     def evaluate(self, point):
-        return self._at((), point)
+        return _run(*self.compiled(()), point)
 
     __call__ = evaluate
 
     def partial(self, i, point):
-        return self._at((i,), point)
+        return _run(*self.compiled((i,)), point)
 
     def partial2(self, i, j, point):
-        return self._at(tuple(sorted((i, j))), point)
+        return _run(*self.compiled(tuple(sorted((i, j)))), point)
 
     def __repr__(self):
         return f"FieldProvider({pretty(self.expr)!r})"

@@ -40,16 +40,25 @@ _FD_STEP = 1e-4
 
 
 def _dexp_right(ad_u: np.ndarray) -> np.ndarray:
-    """Right-trivialized derivative of exp: V = sum_k ad_u^k / (k+1)!, for a
-    stack ``(..., r, r)`` of ad matrices."""
+    """Right-trivialized derivative of exp, V(X) = sum_k X^k / (k+1)!, at
+    X = ad_u for a stack ``(..., r, r)`` of ad matrices: summed at ad_u / 2^j,
+    the least j that brings the stack's largest 1-norm to at most 2, then
+    doubled back j times by V(2X) = V(X) (1 + e^X) / 2 with e^X = 1 + X V(X).
+    Unscaled, the terms of a large ad_u cancel and the sum is cut short."""
     r = ad_u.shape[-1]
+    norm = np.abs(ad_u).sum(axis=-2).max(initial=0.0)
+    j = int(np.ceil(np.log2(norm / 2))) if 2 < norm < np.inf else 0
+    X = ad_u / 2.0 ** j
     out = np.eye(r)
     term = np.eye(r)
     for k in range(1, 40):
-        term = term @ ad_u / (k + 1.0)
+        term = term @ X / (k + 1.0)
         out = out + term
         if np.abs(term).max() < 1e-18:
             break
+    for _ in range(j):
+        out = out @ (2 * np.eye(r) + X @ out) / 2
+        X = 2 * X
     return out
 
 

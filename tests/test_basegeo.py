@@ -97,14 +97,14 @@ def test_anholonomy_fd_oracle():
     point = np.array([0.4, -0.2, 0.7])
     C = base_geometry(cof, point).C
     h = 1e-6
-    E = cof.matrix(point)
+    E = cof.fill(point, 0)
     Einv = np.linalg.inv(E)
     dE = np.zeros((3, 3, 3))
     for nu in range(3):
         up, dn = point.copy(), point.copy()
         up[nu] += h
         dn[nu] -= h
-        dE[:, :, nu] = (cof.matrix(up) - cof.matrix(dn)) / (2 * h)
+        dE[:, :, nu] = (cof.fill(up, 0) - cof.fill(dn, 0)) / (2 * h)
     T = np.zeros((3, 3, 3))
     for mu in range(3):
         for nu in range(3):
@@ -280,13 +280,13 @@ def test_fd_mode_evaluates_no_second_partials(monkeypatch):
     # asks for it, the analytic route asks once per provider matrix
     cof, gauge, spec, points = fd_problem()
     orders = []
-    fill = _ProviderMatrix._fill
+    fill = _ProviderMatrix.fill
 
     def recording(self, point, order, fd_step=None):
         orders.append(order)
         return fill(self, point, order, fd_step)
 
-    monkeypatch.setattr(_ProviderMatrix, "_fill", recording)
+    monkeypatch.setattr(_ProviderMatrix, "fill", recording)
     geom = geometry_at_point(cof, gauge, spec, points, deriv_mode="fd")
     assert geom.dF.shape == (5, 3, 3, 3, 3)
     assert sorted(orders) == [0, 0, 1, 1]
@@ -333,8 +333,8 @@ def coordinate_field_strength(spec, gauge, point):
     """Independent oracle: F^alpha_{mu nu} straight from the definition,
     using the providers' own exact partials."""
     r, n = spec.r, gauge.n
-    A = gauge.matrix(point)
-    dA = gauge.d_matrix(point)  # dA[alpha, mu, nu] = d_nu A^alpha_mu
+    A = gauge.fill(point, 0)
+    dA = gauge.fill(point, 1)  # dA[alpha, mu, nu] = d_nu A^alpha_mu
     cf = spec.fiber_c()
     F = np.zeros((r, n, n))
     for al in range(r):
@@ -394,7 +394,7 @@ def test_bianchi_identity_fd():
         dn[lam] -= h
         dF[:, :, :, lam] = (coordinate_field_strength(spec, gauge, up)
                             - coordinate_field_strength(spec, gauge, dn)) / (2 * h)
-    A = gauge.matrix(point)
+    A = gauge.fill(point, 0)
     F = coordinate_field_strength(spec, gauge, point)
     covar = dF + np.einsum("abg,bl,gmn->amnl", cf, A, F)
     cyc = (covar
@@ -434,7 +434,7 @@ def test_load_fields_lattice_sorted():
     assert len(points) == 6
     assert [tuple(p) for p in points] == sorted(tuple(p) for p in points)
     # default coframe is the identity
-    assert np.allclose(coframe.matrix(points[0]), np.eye(2))
+    assert np.allclose(coframe.fill(points[0], 0), np.eye(2))
 
 
 def test_load_fields_params():
@@ -447,7 +447,7 @@ def test_load_fields_params():
         "points": [[0.3, 0.4]],
     }
     coframe, gauge, points, _ = load_fields(data, spec)
-    assert gauge.matrix(points[0])[0, 1] == 2.5 * 0.3
+    assert gauge.fill(points[0], 0)[0, 1] == 2.5 * 0.3
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +476,8 @@ def einsum_gamma_from_C(C, b, binv):
 
 def einsum_geometry(cof, gauge, spec, point):
     """The analytic frame geometry, every contraction an einsum."""
-    E, dE, d2E = cof.matrix(point), cof.d_matrix(point), cof.d2_matrix(point)
-    Am, dAm, d2Am = gauge.matrix(point), gauge.d_matrix(point), gauge.d2_matrix(point)
+    E, dE, d2E = cof.fill(point, 0), cof.fill(point, 1), cof.fill(point, 2)
+    Am, dAm, d2Am = gauge.fill(point, 0), gauge.fill(point, 1), gauge.fill(point, 2)
     cf, b = spec.fiber_c(), spec.b
     binv, Einv = np.linalg.inv(b), np.linalg.inv(E)
     T = np.swapaxes(dE, -2, -1) - dE
@@ -620,7 +620,7 @@ def test_fused_fill_equals_per_entry_provider_calls(order, batch):
             for nus in itertools.product(range(3), repeat=order):
                 method = (p.evaluate, p.partial, p.partial2)[order]
                 want[(..., a, mu) + nus] = method(*nus, point)
-    got = cof._fill(point, order)
+    got = cof.fill(point, order)
     assert got.shape == want.shape
     assert np.array_equal(got, want)
 

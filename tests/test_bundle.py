@@ -545,6 +545,28 @@ def test_deextra_generic_gauge():
     assert verify_deextra(geom, s=np.array([0.3, 0.1, -0.2])) < 1e-6
 
 
+@pytest.mark.parametrize("s1", [20.0, 60.0])
+def test_deextra_holds_at_large_fiber_coordinates(s1):
+    # unscaled, the dexp series of a large ad_u cancels and is cut short
+    # (residuals of about 1e5 at s1 = 20 and 1e43 at s1 = 60)
+    spec = su2_algebra(2)
+    cof = CoframeField(2, [["1", "0"], ["0", "1 + 0.2*sin(x1)"]])
+    gauge_field = GaugeField(2, [["0.3*x2", "0"], ["0", "0.2*sin(x2)"], ["0.1*x2^2", "0"]])
+    geom = geometry_at_point(cof, gauge_field, spec, np.array([0.4, -0.3]))
+    assert verify_deextra(geom, s=[s1, 0.3, 0.0]) <= 1e-9
+
+
+def test_dexp_right_is_the_corner_of_a_block_exponential():
+    # expm([[X, 1], [0, 0]]) has sum_k X^k / (k+1)! in its top-right block
+    cf = su2_algebra(0).fiber_c()
+    ad = np.stack([np.einsum("abc,b->ac", cf, s) for s in ([60.0, 0.3, 0.0], [-7.0, 25.0, 3.0])])
+    r = ad.shape[-1]
+    for X, V in zip(ad, gauge._dexp_right(ad)):
+        block = np.zeros((2 * r, 2 * r))
+        block[:r, :r], block[:r, r:] = X, np.eye(r)
+        assert np.allclose(V, expm(block)[:r, r:], rtol=1e-10, atol=1e-12)
+
+
 def test_deextra_rejects_a_wrong_length_fiber_point():
     _, _, geom = su2_setup()
     with pytest.raises(StructuralError, match="3 coordinates"):

@@ -439,11 +439,19 @@ def with_algebra(algebra):
      "chart dimension 2 does not match the algebra's base dimension 0"),
     (with_fields(chart={"n": 3}), [],
      "chart dimension 3 does not match the algebra's base dimension 2"),
+    ({**with_fields(chart=None, coframe=[["1", "0"], ["0", "1 + 0.2*sin(x1)"]]),
+      "algebra": {"builtin": "su2", "n": 1}}, [],
+     "error: chart dimension must be at least 2"),
+    (with_fields(coframe=[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]), [],
+     "error: coframe must be 2x2"),
+    (with_fields(coframe=[["1", "0"], ["0", "1"], ["0", "0"]]), [],
+     "error: coframe must be 2x2"),
 ], ids=["syntax", "no-points", "log-domain", "overflow", "short-point",
         "short-point-unread", "short-lattice", "short-triplet", "jobs-option",
         "negative-steps", "negative-algebra-n", "negative-algebra-r", "negative-builtin-n",
         "negative-chart-n", "bad-deriv-mode-no-points", "gauge-rows-no-points",
-        "chart-n-no-points", "chart-n-mismatch"])
+        "chart-n-no-points", "chart-n-mismatch", "algebra-n-1", "coframe-3x3",
+        "coframe-3-rows-of-2"])
 def test_curvature_input_errors_exit_64(tmp_path, capsys, problem, argv, message):
     path = write_problem(tmp_path, problem)
     code, out = run(capsys, ["curvature", "--input", path] + argv)

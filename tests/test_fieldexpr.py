@@ -1,3 +1,4 @@
+import itertools
 import math
 import zlib
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from kkgeom.basegeo import GaugeField
 from kkgeom.errors import EvalDomainError, ExprSyntaxError, UnknownIdentifierError
 from kkgeom.fieldexpr import (FUNCTIONS, BinOp, Call, FieldProvider, Neg, Num, Param,
                               Var, diff, evaluate, parse, pretty)
@@ -58,6 +60,36 @@ def test_symbolic_derivative_matches_fd(text, expected):
 def test_pretty_round_trip(text, expected):
     node = parse(text)
     assert parse(pretty(node)) == node
+
+
+@pytest.mark.parametrize("text", [t for t, _ in VALID])
+def test_fill_and_provider_calls_give_the_same_bits(text):
+    # a fill runs its closures all at once, a provider call one at a time:
+    # both must give the same bits, or fail on the same subtree
+    n = max(4, FieldProvider(text, params=PARAM_VALUES).n)  # x10 needs ten variables
+    p = FieldProvider(text, n=n, params=PARAM_VALUES)
+    field = GaugeField(n, [[p] + [0.0] * (n - 1)])
+    points = np.random.default_rng(zlib.crc32(text.encode())).uniform(-1.5, 1.5, size=(6, n))
+    for k, call in enumerate((p.evaluate, p.partial, p.partial2)):
+        wants = []
+        for point in points:
+            want, error = np.empty((n,) * k), None
+            for nus in itertools.product(range(n), repeat=k):
+                try:
+                    want[nus] = call(*nus, point)
+                except EvalDomainError as exc:
+                    error = str(exc)
+                    break
+            if error is None:
+                assert field.fill(point, k)[0, 0].tobytes() == want.tobytes()
+                wants.append(want)
+            else:
+                with pytest.raises(EvalDomainError) as info:
+                    field.fill(point, k)
+                assert str(info.value).endswith(": " + error)
+        if len(wants) == len(points):
+            got = np.ascontiguousarray(field.fill(points, k)[:, 0, 0])
+            assert got.tobytes() == np.stack(wants).tobytes()
 
 
 def test_round_trip_on_derivatives():
