@@ -9,17 +9,17 @@ Subcommands::
     kkgeom gauge-check --input problem.json            gauge covariance checks
 
 All commands but ``identities`` read a problem JSON (``{"algebra": …,
-"fields": …, "rep": …, "paths": …, "options": …}``; ``lift`` and
-``gauge-check`` derive the fiber rep from the algebra unless ``rep`` names a
-built-in one), write a JSON or CSV report to --out (default stdout), and
-exit with 0 on success, 2 on an invariant violation, 64 on a usage or input
-error (including malformed algebras, fields and points, and field
-expressions that leave their real domain), and 70 on an internal numeric
-failure, a failed allocation among them.  One reader, ``_read``, loads the
-file, checks the options and hands each section the command reads (listed
-in ``_COMMANDS``) to its owner's loader, in this order: ``liealg.load_spec``,
-``bundle.load_rep``, ``basegeo.load_fields`` (the fields' record, with their
-derivative mode), ``bundle.load_paths``; it reads no key of a section itself.
+"fields": …, "rep": …, "paths": …, "options": …}``; only ``lift`` reads the
+rep, which ``bundle.load_rep`` derives from the algebra unless named), write a
+JSON or CSV report to --out (default stdout), and exit with 0 on success, 2 on
+an invariant violation, 64 on a usage or input error (including malformed
+algebras, fields and points, and field expressions that leave their real
+domain), and 70 on an internal numeric failure, a failed allocation among
+them.  One reader, ``_read``, loads the file, checks the options and hands
+each section the command reads (listed in ``_COMMANDS``) to its owner's
+loader, in this order: ``liealg.load_spec``, ``bundle.load_rep``,
+``basegeo.load_fields`` (the fields' record, with their derivative mode),
+``bundle.load_paths``; it reads no key of a section itself.
 Each number goes through ``liealg._number`` (arrays through ``_numbers``),
 which names a bool, a string, a null or a non-finite entry by its JSON path.
 The report's ``config`` holds the same sections, and each command reads the
@@ -30,10 +30,9 @@ each block one geometry pass and one vectorised pass of the command's columns,
 so a report depends only on the problem file.  The driver returns one array
 per column, point axis first, joined over the blocks: the summary maxima and
 the worst violation are taken from those arrays, and the report rows are built
-from them once.  ``gauge-check`` draws its random group
-element and fiber point for each sorted point, in point order, from
-Python's ``random.Random`` seeded with the ``seed`` option: r normals for
-the group element, then r for the fiber point.  Both commands exit 2 with
+from them once.  Per sorted point, in point order, ``gauge-check`` draws r
+normals for u of its group element exp(u), then r for its fiber point, from
+``random.Random`` seeded with the ``seed`` option.  Both commands exit 2 with
 one stderr line naming the worst point and residual when a residual exceeds
 its rung of the tolerance ladder or is NaN, and 70 with one line naming the
 first point where the frame geometry or the curvature overflows.  JSON
@@ -491,12 +490,11 @@ def cmd_gauge_check(args, problem):
     tol = problem.options.get("gauge_tol", 1e-5)
 
     def gauge_columns(geom):
-        # the stream order of a per-point loop: g's normals, then s's, point by point
-        shape = (len(geom.point), 2, problem.rep.spec.r)
+        # the stream order of a per-point loop: u's normals, then s's, point by point
+        shape = (len(geom.point), 2, problem.spec.r)
         draws = np.reshape([rng.gauss(0.0, 1.0) for _ in range(math.prod(shape))], shape)
-        s, g = 0.25 * draws[:, 1], problem.rep.exp(draws[:, 0])
-        return {"deextra_residual": gauge.verify_deextra(geom, s=s),
-                "gauge_covariance_residual": gauge.verify_gauge_covariance(geom, g)}
+        return {"deextra_residual": gauge.verify_deextra(geom, s=0.25 * draws[:, 1]),
+                "gauge_covariance_residual": gauge.verify_gauge_covariance(geom, draws[:, 0])}
 
     columns = _sweep(problem, gauge_columns)
     limits = (("deextra_residual", tol), ("gauge_covariance_residual", tol))
@@ -543,15 +541,14 @@ def _build_parser():
 
 # each command, and the problem sections it reads, in the order they are
 # loaded and checked; the report's config holds each as written, and the
-# options.  A command that reads the rep reads the algebra too where the
-# problem gives one, and its config holds the algebra where the rep is
-# derived from it.
+# options.  Only ``lift`` reads the rep, and the algebra too where the
+# problem gives one; its config holds the algebra where the rep is derived.
 _COMMANDS = {
     "validate": (cmd_validate, ("algebra",)),
     "identities": (cmd_identities, ()),
     "curvature": (cmd_curvature, ("algebra", "fields")),
     "lift": (cmd_lift, ("rep", "paths")),
-    "gauge-check": (cmd_gauge_check, ("algebra", "rep", "fields")),
+    "gauge-check": (cmd_gauge_check, ("algebra", "fields")),
 }
 
 

@@ -6,16 +6,16 @@ exterior-derivative identity
     de^alpha - (1/2)[e /\ e]^alpha + [A /\ e]^alpha = F^alpha
 
 and the gauge covariance Omega = S Phi S^{-1} of the total-space curvature
-under the frame change S = Ad_g.  They need the fiber group (``bundle``),
-the base geometry (``basegeo``) and the curvature (``kkcurv``) alike.
+under the frame change S = Ad_g, fiber block exp(ad_u) at g = exp(u) (no rep;
+any algebra with r >= 1).  They need expm, the base geometry and curvature.
 
 Both verifications work on a local chart (x, s): x is the base chart point
 (frozen inside a GeometryAtPoint) and s are exponential fiber coordinates,
-g(s) = exp(sum_delta s^delta T_delta) * g0.  In these coordinates the extra
+g(s) = exp(s) * g0, s in the algebra's basis.  In these coordinates the extra
 coframe components are e^alpha = A^alpha_mu dx^mu + V^alpha_delta ds^delta
 with V the right-trivialized derivative of the exponential.  Like
 ``basegeo`` and ``kkcurv``, they take one point or a batch alike: the
-geometry, the group elements and the fiber points carry the same leading
+geometry, the coordinates u of g0 and the fiber points carry the same leading
 batch axes, the fiber stencils of every point are extra rows of one array,
 and the residuals hold one value per point.  Two quantities are differenced
 along the fiber, V in ``verify_deextra`` and the gauge-transformed
@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .basegeo import _fd_gradient, _fd_stencil, _frame_2form, _quadratic, check_finite
-from .bundle import GroupElement, _fiber_ad, _fiber_adjoint, _identity_padded, expm
+from .bundle import _fiber_ad, _identity_padded, expm
 from .errors import StructuralError
 from .kkcurv import assemble_omega, riemann_direct
 
@@ -49,8 +49,7 @@ def _dexp_right(ad_u: np.ndarray) -> np.ndarray:
     norm = np.abs(ad_u).sum(axis=-2).max(initial=0.0)
     j = int(np.ceil(np.log2(norm / 2))) if 2 < norm < np.inf else 0
     X = ad_u / 2.0 ** j
-    out = np.eye(r)
-    term = np.eye(r)
+    out = term = np.eye(r)
     for k in range(1, 40):
         term = term @ X / (k + 1.0)
         out = out + term
@@ -62,14 +61,19 @@ def _dexp_right(ad_u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fiber_chart(spec):
-    """What :func:`verify_gauge_covariance` needs at the 1 + 4r points u
-    of the fiber stencil around s = 0, whatever the base point: V =
-    dexp_u (columns V_delta), the fiber block exp(ad_u) of Ad_exp(u), and
-    ad(V_delta), each ``(1 + 4r, ...)``."""
-    ad_u = _fiber_ad(spec, _fd_stencil(spec.r, _FD_STEP))
-    V = _dexp_right(ad_u)
-    return V, expm(ad_u), _fiber_ad(spec, np.swapaxes(V, -2, -1))
+def _fiber_coordinates(spec, x, what):
+    """``x`` as algebra coordinates ``(..., r)``, on an algebra with a fiber."""
+    if not spec.r:
+        raise StructuralError("the gauge checks need a fiber: the algebra has r = 0")
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (spec.r,):
+        raise StructuralError(f"{what} need {spec.r} coordinates, got shape {x.shape}")
+    return x
+
+
+def _adjoint(spec, u):
+    """The fiber block of Ad_exp(u) = exp(ad_u), ``(..., r, r)``: no rep needed."""
+    return expm(_fiber_ad(spec, u))
 
 
 def _coordinate_gauge_data(geom):
@@ -99,11 +103,9 @@ def verify_deextra(geom, s=None):
     """
     spec = geom.spec
     n, r = spec.n, spec.r
+    s = _fiber_coordinates(spec, np.zeros(r) if s is None else s, "fiber points")
     cf = spec.fiber_c()
     batch = geom.point.shape[:-1]
-    s = np.zeros(r) if s is None else np.asarray(s, dtype=float)
-    if s.shape[-1:] != (r,):
-        raise StructuralError(f"fiber points need {r} coordinates, got shape {s.shape}")
 
     Ac, Fc, dAc = _coordinate_gauge_data(geom)
     # V at s and at its 4r stencil neighbours, one series for all of them
@@ -131,19 +133,19 @@ def verify_deextra(geom, s=None):
     return np.abs(de - half_ee + a_wedge_e - f_full).max(axis=(-3, -2, -1))
 
 
-def verify_gauge_covariance(geom, g: GroupElement):
+def verify_gauge_covariance(geom, u):
     """Max residual of Omega = S Phi S^{-1} over all coordinate 2-planes,
-    one value per point of ``geom`` (``g`` carries the same batch axes, or
-    none for one element at every point).
+    one value per point of ``geom``, at g0 = exp(u) for algebra coordinates
+    ``u`` with the same batch axes (or one r-vector for every point).
 
     The connection is pushed to the (x, s) chart, gauge-transformed by
-    S(s) = Ad_{exp(u(s)) g0}, its curvature Phi = d phi + (1/2)[phi /\\ phi]
-    is assembled with exact base derivatives and 4th-order fiber differences
-    of phi, and the result is conjugated back and compared against the
-    structure-equation curvature.  S is needed at the 1 + 4r points of the
-    fiber stencil only: its fiber derivative is exact, d_delta S =
-    ad(V_delta) S, from the right Maurer-Cartan form dg g^-1 = V ds of
-    g(s) = exp(u(s)) g0, with V the fiber block of the chart coframe.
+    S(s) = Ad_{exp(s) g0} (fiber block exp(ad_s) exp(ad_u)), its curvature
+    Phi = d phi + (1/2)[phi /\\ phi] is assembled with exact base derivatives
+    and 4th-order fiber differences of phi, and the result is conjugated back
+    and compared against the structure-equation curvature.  S is needed at
+    the 1 + 4r fiber stencil points only: its fiber derivative is exact,
+    d_delta S = ad(V_delta) S, from the right Maurer-Cartan form
+    dg g^-1 = V ds, with V the fiber block of the chart coframe.
 
     Every contraction is a batched matmul, and the forms on the chart are
     laid out planes first, ``[..., k, I, a, b]``: phi[k, I] is the N x N
@@ -157,8 +159,7 @@ def verify_gauge_covariance(geom, g: GroupElement):
     Raises NonFiniteGeometryError at the first point where Omega overflows.
     """
     spec = geom.spec
-    if not np.array_equal(g.rep.spec.fiber_c(), spec.fiber_c()):
-        raise StructuralError("rep and algebra have different fiber structure constants")
+    u = _fiber_coordinates(spec, u, "algebra coordinates u")
     n, r, N = spec.n, spec.r, spec.N
     m, P = n + r, N * N  # chart dimension; entries of one N x N matrix
     batch = geom.point.shape[:-1]
@@ -171,14 +172,15 @@ def verify_gauge_covariance(geom, g: GroupElement):
     check_finite(geom.point, {"Omega": Omega}, "curvature")
     E = geom.E
     Ac, _, dAc = _coordinate_gauge_data(geom)
-    V, exp_ad_u, ad_V = _fiber_chart(spec)  # [k], [k], [k, delta]
+    stencil = _fd_stencil(r, _FD_STEP)  # the 1 + 4r fiber points s around 0
+    V = _dexp_right(_fiber_ad(spec, stencil))  # dexp_s, columns V_delta
+    ad_V = _fiber_ad(spec, np.swapaxes(V, -2, -1))  # [k, delta]
 
     # the fiber block of S = diag(1, fiber) at every stencil point (phi is
     # differenced there) and its exact fiber derivative; dS has no base block
-    fiber = exp_ad_u @ _fiber_adjoint(g)[..., None, :, :]
+    fiber = _adjoint(spec, stencil) @ _adjoint(spec, u)[..., None, :, :]
     dfiber = ad_V @ fiber[..., :, None, :, :]  # [k, delta]
-    fiber_inv = np.linalg.inv(fiber)
-    S, Sinv = _identity_padded(fiber, n), _identity_padded(fiber_inv, n)
+    S, Sinv = _identity_padded(fiber, n), _identity_padded(np.linalg.inv(fiber), n)
 
     # M[C, I]: e^C = M[C, I] dy^I on the (x, s) chart, at each stencil point
     M = np.zeros(batch + (len(V), N, m))
@@ -190,7 +192,7 @@ def verify_gauge_covariance(geom, g: GroupElement):
     SW = Sinv @ W.reshape(batch + (1, N, P))
     om = np.swapaxes(M, -2, -1) @ np.swapaxes(SW.reshape(SW.shape[:-2] + (P, N)), -2, -1)
     phi = (om.reshape(om.shape[:-2] + (m * N, N)) @ S).reshape(om.shape[:-1] + (N, N))
-    phi[..., n:, n:, n:] += fiber_inv[..., None, :, :] @ dfiber
+    phi[..., n:, n:, n:] += Sinv[..., None, n:, n:] @ dfiber
     phi0 = phi[..., 0, :, :, :]
     dphi = np.moveaxis(_fd_gradient(phi, -4, _FD_STEP), -1, -4)
 

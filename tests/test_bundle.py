@@ -574,44 +574,55 @@ def test_deextra_rejects_a_wrong_length_fiber_point():
 
 
 def test_gauge_covariance_identity_element():
-    rep, spec, geom = su2_setup()
-    # the gauge curve exp(u(s)) through the identity
-    assert verify_gauge_covariance(geom, rep.identity_element()) < 1e-10
+    _, spec, geom = su2_setup()
+    # the gauge curve exp(s) through the identity, g0 = exp(0)
+    assert verify_gauge_covariance(geom, np.zeros(spec.r)) < 1e-10
 
 
 def test_gauge_covariance_constant_conjugation():
-    rep, spec, geom = su2_setup()
-    g = rep.exp(np.array([0.8, -0.5, 0.3]))
-    assert verify_gauge_covariance(geom, g) < 1e-10
+    _, _, geom = su2_setup()
+    assert verify_gauge_covariance(geom, np.array([0.8, -0.5, 0.3])) < 1e-10
 
 
 def test_gauge_covariance_varying_along_fiber():
-    rep, spec, geom = su2_setup()
-    g = rep.exp(np.array([0.2, 0.5, -0.1]))
-    assert verify_gauge_covariance(geom, g) < 1e-5
+    _, _, geom = su2_setup()
+    assert verify_gauge_covariance(geom, np.array([0.2, 0.5, -0.1])) < 1e-5
 
 
 def test_gauge_covariance_product_rep():
-    rep = builtin_rep("product")
-    spec = rep.spec
+    # the algebra of the product rep, u(1) + su(2), at g0 = exp(u)
+    spec = builtin_rep("product").spec
     cof = CoframeField(2, [["1", "0.2*x2"], ["0", "1+0.1*x1^2"]])
     gauge = GaugeField(2,
                        [["0.2*x2", "0"], ["0.1*x1", "0.1*x2"],
                         ["0", "0.3*x1"], ["0.05*x1*x2", "0.1*sin(x1)"]])
     geom = geometry_at_point(cof, gauge, spec, np.array([0.3, 0.6]))
-    g = rep.exp(np.array([0.4, 0.1, -0.3, 0.2]))
-    assert verify_gauge_covariance(geom, g) < 1e-5
+    assert verify_gauge_covariance(geom, np.array([0.4, 0.1, -0.3, 0.2])) < 1e-5
 
 
 def test_gauge_covariance_needs_a_rep_of_the_geometry_algebra():
-    # the fiber stencil arrays are computed from the rep's algebra, so the
-    # rep must close on the geometry's fiber constants
-    rep, _, geom = su2_setup()
-    for other in (algebra_rep(abelian_algebra(2, 3)), builtin_rep("u1_as_so2")):
-        with pytest.raises(StructuralError, match="different fiber structure constants"):
-            verify_gauge_covariance(geom, other.identity_element())
-    first = verify_gauge_covariance(geom, rep.identity_element())
-    assert verify_gauge_covariance(geom, rep.identity_element()) == first
+    # g0 is given by coordinates in the geometry's own algebra: the
+    # coordinates of u(1) (r = 1) or u(1) + su(2) (r = 4) do not fit su(2)
+    _, _, geom = su2_setup()
+    for u in (np.zeros(1), np.zeros((1, 4))):
+        with pytest.raises(StructuralError, match="algebra coordinates u need 3 coordinates"):
+            verify_gauge_covariance(geom, u)
+    first = verify_gauge_covariance(geom, np.zeros(3))
+    assert verify_gauge_covariance(geom, np.zeros(3)) == first
+
+
+@pytest.mark.parametrize("deriv_mode", ["analytic", "fd"])
+def test_gauge_checks_need_a_fiber(deriv_mode):
+    # with r = 0 there is no fiber to check: one StructuralError naming r,
+    # not numpy's error on an empty reduction
+    spec = abelian_algebra(2, 0)
+    geom = geometry_at_point(CoframeField(2, [["1", "0"], ["0", "1 + 0.2*sin(x1)"]]),
+                             GaugeField.zero(2, 0), spec, np.array([[0.4, -0.3]]),
+                             deriv_mode=deriv_mode)
+    with pytest.raises(StructuralError, match="r = 0"):
+        verify_deextra(geom)
+    with pytest.raises(StructuralError, match="r = 0"):
+        verify_gauge_covariance(geom, np.zeros((1, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -629,12 +640,13 @@ def coordinate_gauge_oracle(geom):
     return Ac, Fc, dAc
 
 
-def gauge_covariance_oracle(geom, g):
+def gauge_covariance_oracle(geom, u):
     """verify_gauge_covariance as einsums: every 2-plane, forms laid out
     [..., k, a, b, I] with the plane index last, S padded to N x N
-    everywhere and its fiber derivative a finite difference: exp(ad u(s))
-    is differenced over the inner stencil around each outer point, then
-    multiplied by the constant Ad_g0."""
+    everywhere and its fiber derivative a finite difference: exp(ad s) is
+    differenced over the inner stencil around each outer point, then
+    multiplied by the constant Ad_g0, taken through the orthogonal rep
+    of the algebra, g0 = exp(u) as a matrix."""
     spec = geom.spec
     n, r, N = spec.n, spec.r, spec.N
     m = n + r
@@ -645,7 +657,7 @@ def gauge_covariance_oracle(geom, g):
     Omega = riemann_direct(conn)
     E = geom.E
     Ac, _, dAc = coordinate_gauge_oracle(geom)
-    adj0 = bundle._fiber_adjoint(g)
+    adj0 = bundle._fiber_adjoint(algebra_rep(spec).exp(u))
     stencil = _fd_stencil(r, gauge._FD_STEP)
     s_all = stencil[:, None, :] + stencil[None, :, :]  # [outer, inner]
     X_all = bundle._identity_padded(bundle.expm(np.einsum("abc,...b->...ac", cf, s_all)), n)
@@ -693,41 +705,41 @@ RESIDUAL_ORACLE_TOL = 1e-11
 # at most about 2.3e-12 on the oracle cases (measured)
 GAUGE_FLOOR = 1e-10
 
-GAUGE_ORACLE_CASES = pytest.mark.parametrize("rep_name,builder,n,b,k", [
-    ("su2_as_so3", su2_algebra, 2, None, None),
-    ("su2_as_so3", su2_algebra, 3, None, None),
-    ("su2_as_so3", su2_algebra, 4, None, None),
-    ("product", u1_su2_algebra, 3, [[2.0, 0.3, 0.1], [0.3, 1.0, 0.0], [0.1, 0.0, 0.8]],
+# each case seeds its draws of u (oracle_coordinates) with ``seed``
+GAUGE_ORACLE_CASES = pytest.mark.parametrize("seed,builder,n,b,k", [
+    (5, su2_algebra, 2, None, None),
+    (6, su2_algebra, 3, None, None),
+    (7, su2_algebra, 4, None, None),
+    (8, u1_su2_algebra, 3, [[2.0, 0.3, 0.1], [0.3, 1.0, 0.0], [0.1, 0.0, 0.8]],
      np.diag([1.5, 0.4, 0.4, 0.4])),
 ], ids=["su2-n2", "su2-n3", "su2-n4", "product-n3-metric"])
 
 
 @pytest.mark.parametrize("deriv_mode", ["analytic", "fd"])
 @GAUGE_ORACLE_CASES
-def test_coordinate_gauge_data_matches_the_einsum_oracle(rep_name, builder, n, b, k,
-                                                         deriv_mode):
+def test_coordinate_gauge_data_matches_the_einsum_oracle(seed, builder, n, b, k, deriv_mode):
     geom = oracle_geometry(builder, n, b, k, deriv_mode)
     for got, want in zip(gauge._coordinate_gauge_data(geom), coordinate_gauge_oracle(geom)):
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= COORD_ORACLE_TOL
 
 
-def oracle_elements(rep, seed, per_point):
-    """One element per point of an oracle geometry, or one for every point."""
-    xi = np.random.default_rng(seed).normal(size=(6, rep.spec.r))
-    return rep.exp(xi[:5] if per_point else xi[5])
+def oracle_coordinates(r, seed, per_point):
+    """Algebra coordinates u of g0 = exp(u), one r-vector per point of an
+    oracle geometry, or one for every point."""
+    xi = np.random.default_rng(seed).normal(size=(6, r))
+    return xi[:5] if per_point else xi[5]
 
 
 @pytest.mark.parametrize("per_point", [True, False])
 @pytest.mark.parametrize("deriv_mode", ["analytic", "fd"])
 @GAUGE_ORACLE_CASES
-def test_gauge_covariance_matches_the_einsum_oracle(rep_name, builder, n, b, k, deriv_mode,
+def test_gauge_covariance_matches_the_einsum_oracle(seed, builder, n, b, k, deriv_mode,
                                                     per_point):
     geom = oracle_geometry(builder, n, b, k, deriv_mode)
-    rep = builtin_rep(rep_name)
-    g = oracle_elements(rep, n + rep.dim, per_point)
-    got = verify_gauge_covariance(geom, g)
-    want = gauge_covariance_oracle(geom, g)
+    u = oracle_coordinates(geom.spec.r, seed, per_point)
+    got = verify_gauge_covariance(geom, u)
+    want = gauge_covariance_oracle(geom, u)
     assert got.shape == want.shape == (5,)
     assert np.abs(got - want).max() <= RESIDUAL_ORACLE_TOL
     assert want.max() <= 1e-5
@@ -735,12 +747,11 @@ def test_gauge_covariance_matches_the_einsum_oracle(rep_name, builder, n, b, k, 
 
 @pytest.mark.parametrize("deriv_mode", ["analytic", "fd"])
 @GAUGE_ORACLE_CASES
-def test_gauge_covariance_sits_at_its_rounding_floor(rep_name, builder, n, b, k, deriv_mode):
+def test_gauge_covariance_sits_at_its_rounding_floor(seed, builder, n, b, k, deriv_mode):
     geom = oracle_geometry(builder, n, b, k, deriv_mode)
-    rep = builtin_rep(rep_name)
     for per_point in (True, False):
-        g = oracle_elements(rep, n + rep.dim, per_point)
-        assert verify_gauge_covariance(geom, g).max() <= GAUGE_FLOOR
+        u = oracle_coordinates(geom.spec.r, seed, per_point)
+        assert verify_gauge_covariance(geom, u).max() <= GAUGE_FLOOR
 
 
 @pytest.mark.parametrize("per_point", [True, False])
@@ -758,8 +769,7 @@ def test_gauge_covariance_sees_a_perturbed_curvature(monkeypatch, n, per_point):
         return Omega
 
     geom = oracle_geometry(su2_algebra, n, None, None, "analytic")
-    rep = builtin_rep("su2_as_so3")
-    g = oracle_elements(rep, n, per_point)
-    assert verify_gauge_covariance(geom, g).max() <= 1e-5
+    u = oracle_coordinates(3, n, per_point)
+    assert verify_gauge_covariance(geom, u).max() <= 1e-5
     monkeypatch.setattr(gauge, "riemann_direct", perturbed)
-    assert (verify_gauge_covariance(geom, g) > eps / 10).all()
+    assert (verify_gauge_covariance(geom, u) > eps / 10).all()

@@ -19,7 +19,8 @@ from kkgeom.bundle import builtin_rep
 from kkgeom.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 from kkgeom.liealg import load_spec, su2_algebra
 from test_demos import readme_blocks
-from test_properties import EPSILON3, inline_algebra, su3_constants
+from test_properties import (EPSILON3, SO21, inline_algebra, su2_so21_algebra,
+                             su3_constants)
 
 
 SU2_PROBLEM = {
@@ -829,14 +830,6 @@ def test_gauge_check_honours_fd_deriv_mode(tmp_path, capsys):
     assert rows["analytic"] != rows["fd"]
 
 
-def test_gauge_check_mismatched_rep(tmp_path, capsys):
-    problem = dict(SU2_PROBLEM)
-    problem["rep"] = "u1_as_so2"
-    path = write_problem(tmp_path, problem)
-    code, _ = run(capsys, ["gauge-check", "--input", path])
-    assert code == EXIT_USAGE
-
-
 def scaled_su2_algebra(scale):
     """su(2) over a 2-D chart, inline, with its structure constants scaled."""
     c = su2_algebra(2).c
@@ -844,27 +837,21 @@ def scaled_su2_algebra(scale):
                                   for A, B, C in zip(*np.nonzero(c))]}
 
 
-@pytest.mark.parametrize("algebra", [{"builtin": "abelian", "n": 2, "r": 3},
-                                     scaled_su2_algebra(2.0)],
-                         ids=["abelian-r3", "su2-scaled"])
-def test_gauge_check_rejects_rep_of_another_algebra(tmp_path, capsys, algebra):
-    # su2_as_so3 has the right fiber dimension, but its generators do not
-    # close on these fiber constants
-    problem = json.loads(json.dumps(SU2_PROBLEM))
-    problem["algebra"] = algebra
-    code, out = run(capsys, ["gauge-check", "--input", write_problem(tmp_path, problem)])
-    assert code == EXIT_USAGE
-    assert out.out == ""
-    assert "does not represent the algebra" in out.err
-    assert "do not close" in out.err
-
-
-def test_gauge_check_accepts_rep_of_an_equal_inline_algebra(tmp_path, capsys):
-    problem = json.loads(json.dumps(SU2_PROBLEM))
-    problem["algebra"] = scaled_su2_algebra(1.0)
-    code, out = run(capsys, ["gauge-check", "--input", write_problem(tmp_path, problem)])
-    assert code == EXIT_OK
-    assert json.loads(out.out)["passed"] is True
+def test_gauge_check_mismatched_rep(tmp_path, capsys):
+    # gauge-check reads no rep: with none, with su2_as_so3 and with u1_as_so2
+    # (whose generators do not close on any of these algebras, or have
+    # another r) it writes one report, byte for byte but the wall time
+    for algebra in ({"builtin": "su2", "n": 2}, scaled_su2_algebra(1.0),
+                    scaled_su2_algebra(2.0), {"builtin": "abelian", "n": 2, "r": 3}):
+        reports = []
+        for rep in (None, "su2_as_so3", "u1_as_so2"):
+            problem = {key: v for key, v in SU2_PROBLEM.items() if key != "rep"}
+            problem = dict(problem, algebra=algebra, **({} if rep is None else {"rep": rep}))
+            code, out = run(capsys, ["gauge-check", "--input", write_problem(tmp_path, problem)])
+            assert code == EXIT_OK, (algebra, rep, out.err)
+            reports.append(normalized(out.out))
+        assert reports[0]["passed"] is True and "rep" not in reports[0]["config"]
+        assert reports[0] == reports[1] == reports[2]
 
 
 SU2_K123 = dict(scaled_su2_algebra(1.0), h_k=np.diag([1.0, 2.0, 3.0]).tolist())
@@ -910,7 +897,7 @@ def test_every_command_derives_the_rep_from_the_algebra(tmp_path, capsys, algebr
         code, out = run(capsys, [command, "--input", path])
         assert code == EXIT_OK, (command, out.err)
     gauge = json.loads(out.out)
-    assert gauge["config"]["rep"] is None
+    assert "rep" not in gauge["config"]
     assert gauge["passed"] is True
     assert gauge["max_residual"] <= 1e-10
 
@@ -924,10 +911,12 @@ def test_a_named_rep_and_the_derived_rep_give_one_report(tmp_path, capsys, comma
         assert code == EXIT_OK
         reports.append(json.loads(out.out))
     named, derived = reports
-    assert named["config"]["rep"] == "su2_as_so3" and derived["config"]["rep"] is None
     if command == "lift":  # the config holds the algebra when the rep comes from it
+        assert named["config"]["rep"] == "su2_as_so3" and derived["config"]["rep"] is None
         assert "algebra" not in named["config"]
         assert derived["config"]["algebra"] == SU2_PROBLEM["algebra"]
+    else:  # gauge-check reads no rep: its config holds none
+        assert named["config"] == derived["config"] and "rep" not in named["config"]
     for report in reports:
         for key in ("config", "config_digest", "wall_time_s"):
             del report[key]
@@ -939,11 +928,12 @@ def test_a_named_rep_and_the_derived_rep_give_one_report(tmp_path, capsys, comma
     ("lift", dict(SU2_PROBLEM, algebra=scaled_su2_algebra(2.0)),
      "'su2_as_so3' does not represent the algebra: generators do not close"),
     ("lift", dict(SU2_PROBLEM, rep="u1_as_so2"), "'u1_as_so2' does not represent the algebra"),
-    ("gauge-check", {k: v for k, v in dict(SU2_PROBLEM, algebra=SU2_K123).items() if k != "rep"},
+    ("lift", {k: v for k, v in dict(SU2_PROBLEM, algebra=SU2_K123).items() if k != "rep"},
      "k is not Ad-invariant"),
-    ("gauge-check", problem_without_rep(noncompact_algebra(2)), "k is not Ad-invariant"),
-    ("gauge-check", problem_without_rep({"builtin": "abelian", "n": 2, "r": 0}), "r = 0"),
-    ("gauge-check", dict(SU2_PROBLEM, rep={"generators": [[[0.0]]]}), "unknown builtin rep"),
+    ("lift", problem_without_rep(noncompact_algebra(2)), "k is not Ad-invariant"),
+    ("gauge-check", problem_without_rep({"builtin": "abelian", "n": 2, "r": 0}),
+     "the gauge checks need a fiber: the algebra has r = 0"),
+    ("lift", dict(SU2_PROBLEM, rep={"generators": [[[0.0]]]}), "unknown builtin rep"),
     ("lift", dict(SU2_PROBLEM, rep="so5"), "unknown builtin rep 'so5'"),
 ], ids=["lift-neither", "lift-rep-does-not-close", "lift-rep-of-other-r", "k-not-ad-invariant",
         "non-compact", "no-fiber", "inline-generators", "unknown-name"])
@@ -957,13 +947,51 @@ def test_rep_input_errors_exit_64(tmp_path, capsys, command, problem, message):
 
 
 def test_a_named_rep_needs_no_ad_invariant_k(tmp_path, capsys):
-    # the named generators close on su(2) whatever k is, so gauge-check runs
-    problem = dict(SU2_PROBLEM, algebra=SU2_K123)
+    # gauge-check needs no rep, so no Ad-invariant k either: su(2) with
+    # h_k = diag(1, 2, 3), which has no orthogonal rep, runs without one
+    problem = {k: v for k, v in dict(SU2_PROBLEM, algebra=SU2_K123).items() if k != "rep"}
     code, out = run(capsys, ["gauge-check", "--input", write_problem(tmp_path, problem)])
     assert code == EXIT_OK
     report = json.loads(out.out)
     assert report["passed"] is True
     assert report["max_residual"] <= 1e-10
+
+
+@pytest.mark.parametrize("deriv_mode", ["analytic", "fd"])
+@pytest.mark.parametrize("algebra", [
+    lambda n: inline_algebra(SO21, n, np.diag([1.0, 1.0, -1.0])),
+    su2_so21_algebra,
+    noncompact_algebra,
+    lambda n: dict(SU2_K123, n=n),
+], ids=["so21", "su2+so21", "non-compact", "su2-k123"])
+def test_gauge_check_runs_on_algebras_without_an_orthogonal_rep(tmp_path, capsys, algebra,
+                                                                deriv_mode):
+    # Ad_exp(u) = exp(ad_u) in every Lie algebra: gauge-check needs no rep
+    problem = problem_without_rep(algebra(2))
+    problem["fields"]["deriv_mode"] = deriv_mode
+    code, out = run(capsys, ["gauge-check", "--input", write_problem(tmp_path, problem)])
+    assert code == EXIT_OK, out.err
+    report = json.loads(out.out)
+    assert report["passed"] is True
+    assert len(report["per_point"]) == 2
+    assert report["max_residual"] <= report["tolerance"]
+
+
+def test_gauge_check_builds_no_rep(tmp_path, capsys, monkeypatch):
+    # SU2_PROBLEM names a rep, and gauge-check builds none: neither the
+    # derived rep nor a named one, nor any MatrixRep
+    def refuse(*args, **kwargs):
+        raise AssertionError("gauge-check built a rep")
+
+    monkeypatch.setattr(bundle, "algebra_rep", refuse)
+    monkeypatch.setattr(bundle, "builtin_rep", refuse)
+    monkeypatch.setattr(bundle.MatrixRep, "__new__", refuse)
+    path = write_problem(tmp_path, SU2_PROBLEM)
+    code, out = run(capsys, ["gauge-check", "--input", path])
+    assert code == EXIT_OK, out.err
+    assert json.loads(out.out)["passed"] is True
+    with pytest.raises(AssertionError, match="built a rep"):  # the patches hold
+        main(["lift", "--input", path])
 
 
 @pytest.mark.parametrize("tol", [0, -1e-5, "1e-5"])
@@ -1043,10 +1071,11 @@ def test_gauge_check_sweeps_in_blocks_of_32_points(tmp_path, capsys, monkeypatch
     assert code == EXIT_OK
     assert len(json.loads(out.out)["per_point"]) == 33
     assert geometry == {"geometry_at_point": 2}
-    # one exp per block for the drawn group elements, and one per block for
-    # all fiber stencil points, which do not depend on the base point
-    assert calls == {"assemble_omega": 2, "riemann_direct": 2, "expm": 2}
-    assert group == {"expm": 2}
+    # per block, one exp(ad_u) for the drawn group elements and one for all
+    # fiber stencil points, which do not depend on the base point; no rep
+    # exponentiates anything
+    assert calls == {"assemble_omega": 2, "riemann_direct": 2, "expm": 4}
+    assert group == {}
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -1,10 +1,14 @@
 """Property tests: a multi-block sweep agrees, row by row, with the same
 pipeline run on each point alone (a batch of one), for random fields and
 chart dimensions 2..5.  ``curvature`` is drawn over the built-in algebras in
-both derivative modes.  ``gauge-check`` and ``lift`` are drawn over
-generated compact algebras with no ``rep`` entry, so they act through the
-rep that ``algebra_rep`` derives: direct sums of su(2) blocks (scaled
-constants, scaled k) and u(1)s, in a drawn basis order, and su(3).
+both derivative modes.  ``lift`` is drawn over generated compact algebras
+with no ``rep`` entry, so it acts through the rep that ``algebra_rep``
+derives: direct sums of su(2) blocks (scaled constants, scaled k) and
+u(1)s, in a drawn basis order, and su(3).  ``gauge-check`` needs no rep:
+it is drawn over those and over so(2,1) (scaled constants), su(2) with a
+drawn diagonal k and su(2) + so(2,1).  Over the compact algebras, the Ad
+that ``gauge-check`` forms as exp(ad_u) is checked against Ad through the
+derived rep.
 """
 
 import itertools
@@ -19,15 +23,17 @@ import scipy.linalg
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kkgeom import kkcurv, liealg
+from kkgeom import gauge, kkcurv, liealg
 from kkgeom.basegeo import geometry_at_point, load_fields
-from kkgeom.bundle import algebra_rep
+from kkgeom.bundle import _identity_padded, adjoint_of, algebra_rep
 from kkgeom.cli import EXIT_OK, main
 from kkgeom.gauge import verify_deextra, verify_gauge_covariance
 
 ALGEBRAS = [{"builtin": "abelian", "r": 1}, {"builtin": "abelian", "r": 2},
             {"builtin": "su2"}, {"builtin": "u1_su2"}]
 EPSILON3 = liealg.su2_algebra(0).c  # the su(2) constants epsilon_ijk, (3, 3, 3)
+# so(2,1): [e0, e1] = -e2, [e1, e2] = e0, [e2, e0] = e1, Ad-invariant k = diag(1, 1, -1)
+SO21 = EPSILON3 * np.array([1.0, 1.0, -1.0])[:, None, None]
 # totally antisymmetric su(3) constants f_abc of the Gell-Mann basis (1-based)
 SU3_F = {(1, 2, 3): 1.0, (1, 4, 7): 0.5, (1, 5, 6): -0.5, (2, 4, 6): 0.5, (2, 5, 7): 0.5,
          (3, 4, 5): 0.5, (3, 6, 7): -0.5, (4, 5, 8): 3 ** 0.5 / 2, (6, 7, 8): 3 ** 0.5 / 2}
@@ -42,6 +48,9 @@ TOL_GAUGE = 1e-5
 # over 40 examples of the built-in reps), and block and batch-of-one values
 # agreed bit for bit, so any rounding-level move stays well below 1e-10.
 GAUGE_ROUNDING = 1e-10
+# Ad of |u| ~ 1 through the derived rep (a pseudo-inverse of the generators)
+# and through exp(ad_u) agree to 1.4e-15 at most on the generated algebras (measured)
+AD_ROUTES = 1e-12
 SETTINGS = settings(max_examples=12, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
@@ -128,10 +137,27 @@ def inline_algebra(c, n, k=None):
             **({} if k is None else {"h_k": np.asarray(k).tolist()})}
 
 
+def su2_so21_algebra(n):
+    """su(2) + so(2,1) over an n-dimensional chart, k = diag(1, 1, 1, 1, 1, -1)."""
+    c = np.zeros((6, 6, 6))
+    c[:3, :3, :3], c[3:, 3:, 3:] = EPSILON3, SO21
+    return inline_algebra(c, n, np.diag([1.0] * 5 + [-1.0]))
+
+
 @st.composite
 def gauge_checks(draw):
     n = draw(st.integers(2, 5))
-    algebra = draw(compact_algebras(n))
+    family = draw(st.sampled_from(["compact", "so21", "su2-diagonal-k", "su2+so21"]))
+    if family == "compact":
+        algebra = draw(compact_algebras(n))
+    elif family == "so21":
+        # u ~ N(0, 1) in a basis scaled by c is a boost of c |u|: the residual's
+        # rounding grows like eps |Ad_g0|^4 and passes 1e-5 near c = 2 (README)
+        algebra = inline_algebra(draw(st.floats(0.3, 1.0)) * SO21, n, np.diag([1.0, 1.0, -1.0]))
+    elif family == "su2-diagonal-k":
+        algebra = inline_algebra(EPSILON3, n, np.diag([draw(st.floats(0.3, 3.0)) for _ in "abc"]))
+    else:
+        algebra = su2_so21_algebra(n)
     return {"algebra": algebra, "fields": draw_fields(draw, algebra),
             "options": {"seed": draw(st.integers(0, 2**16 - 1))}}
 
@@ -184,21 +210,34 @@ def test_block_sweep_matches_batch_of_one(problem):
 def test_block_gauge_check_matches_batch_of_one(problem):
     rows = report("gauge-check", problem)["per_point"]
     spec = liealg.load_spec(problem["algebra"])
-    rep = algebra_rep(spec)
-    coframe, gauge, points, _ = load_fields(problem["fields"], spec)
-    # per sorted point, in order: r normals for the group element, r for s
+    coframe, gauge_field, points, _ = load_fields(problem["fields"], spec)
+    # per sorted point, in order: r normals for u of g0 = exp(u), r for s
     rng = random.Random(problem["options"]["seed"])
     draws = np.array([[[rng.gauss(0.0, 1.0) for _ in range(spec.r)] for _ in range(2)]
                       for _ in points])
     assert [row["point"] for row in rows] == points.tolist()
-    for row, point, (xi, s) in zip(rows, points, draws):
+    for row, point, (u, s) in zip(rows, points, draws):
         assert row["deextra_residual"] <= TOL_GAUGE
         assert row["gauge_covariance_residual"] <= TOL_GAUGE
-        geom = geometry_at_point(coframe, gauge, spec, point)
-        g = rep.exp(xi)
+        geom = geometry_at_point(coframe, gauge_field, spec, point)
         assert abs(row["deextra_residual"] - verify_deextra(geom, s=0.25 * s)) <= 1e-12
-        assert (abs(row["gauge_covariance_residual"] - verify_gauge_covariance(geom, g))
+        assert (abs(row["gauge_covariance_residual"] - verify_gauge_covariance(geom, u))
                 <= GAUGE_ROUNDING)
+
+
+@pytest.mark.parametrize("fiber", FIBERS, ids=FIBER_IDS)
+@settings(SETTINGS, max_examples=6)
+@given(data=st.data())
+def test_ad_through_the_rep_is_exp_of_ad(fiber, data):
+    # two routes to Ad_exp(u): conjugation g T g^-1 in the rep that
+    # algebra_rep derives, and exp(ad_u) as gauge-check forms it
+    n = data.draw(st.integers(2, 5))
+    spec = liealg.load_spec(data.draw(compact_algebras(n, fiber)))
+    u = np.random.default_rng(spec.r + n).normal(size=(4, spec.r))
+    want = adjoint_of(algebra_rep(spec).exp(u), n)
+    got = _identity_padded(gauge._adjoint(spec, u), n)
+    assert got.shape == want.shape == (4, spec.N, spec.N)
+    assert np.abs(got - want).max() <= AD_ROUTES
 
 
 @pytest.mark.parametrize("fiber", FIBERS, ids=FIBER_IDS)
