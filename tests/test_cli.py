@@ -854,6 +854,39 @@ def test_gauge_check_mismatched_rep(tmp_path, capsys):
         assert reports[0] == reports[1] == reports[2]
 
 
+@pytest.mark.parametrize("algebra", [{"builtin": "abelian", "n": 2, "r": 3},
+                                     scaled_su2_algebra(2.0)],
+                         ids=["abelian-r3", "su2-scaled"])
+def test_gauge_check_rejects_rep_of_another_algebra(tmp_path, capsys, algebra):
+    # su2_as_so3 has the right fiber dimension, but its generators do not
+    # close on these fiber constants: lift, which reads the rep, rejects it;
+    # gauge-check ignores it and reports as without a rep
+    problem = dict(SU2_PROBLEM, algebra=algebra)
+    path = write_problem(tmp_path, problem)
+    code, out = run(capsys, ["lift", "--input", path])
+    assert code == EXIT_USAGE
+    assert out.out == ""
+    assert "does not represent the algebra" in out.err
+    assert "do not close" in out.err
+    reports = []
+    for name, p in (("named.json", problem),
+                    ("bare.json", {k: v for k, v in problem.items() if k != "rep"})):
+        code, out = run(capsys, ["gauge-check", "--input", write_problem(tmp_path, p, name)])
+        assert code == EXIT_OK, out.err
+        reports.append(normalized(out.out))
+    assert reports[0] == reports[1]
+
+
+def test_gauge_check_accepts_rep_of_an_equal_inline_algebra(tmp_path, capsys):
+    problem = dict(SU2_PROBLEM, algebra=scaled_su2_algebra(1.0))
+    path = write_problem(tmp_path, problem)
+    for command in ("gauge-check", "lift"):
+        code, out = run(capsys, [command, "--input", path])
+        assert code == EXIT_OK, (command, out.err)
+    code, out = run(capsys, ["gauge-check", "--input", path])
+    assert json.loads(out.out)["passed"] is True
+
+
 SU2_K123 = dict(scaled_su2_algebra(1.0), h_k=np.diag([1.0, 2.0, 3.0]).tolist())
 
 
