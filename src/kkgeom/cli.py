@@ -25,18 +25,22 @@ which names a bool, a string, a null or a non-finite entry by its JSON path.
 The report's ``config`` holds the same sections, and each command reads the
 record ``_read`` returns: every input error exits 64 before any compute, even
 on no points.  ``curvature`` and ``gauge-check`` run one sweep driver,
-``_sweep``: it cuts the loaded fields' sorted points into fixed-size blocks,
-each block one geometry pass and one vectorised pass of the command's columns,
-so a report depends only on the problem file.  The driver returns one array
-per column, point axis first, joined over the blocks: the summary maxima and
-the worst violation are taken from those arrays, and the report rows are built
-from them once.  Per sorted point, in point order, ``gauge-check`` draws r
-normals for u of its group element exp(u), then r for its fiber point, from
-``random.Random`` seeded with the ``seed`` option.  Both commands exit 2 with
-one stderr line naming the worst point and residual when a residual exceeds
-its rung of the tolerance ladder or is NaN, and 70 with one line naming the
-first point where the frame geometry or the curvature overflows.  JSON
-reports are compact: one line, keys sorted, separators without spaces.  The
+``_sweep``: it cuts the loaded fields' sorted points into blocks sized by
+memory per point (a 1.625 MiB budget over the command's estimate of one
+point's arrays, and at least one point, so a block's arrays stay within a
+few times the budget, or one point's, on any lattice and fiber), each block
+one geometry pass and one vectorised pass of the command's columns, so a
+report depends only on the problem file, not on the block size.  The driver
+returns one array per column, point axis first, joined over the blocks: the
+summary maxima and the worst violation are taken from those arrays, and the
+report rows are built from them once.  Per sorted point, in point order,
+``gauge-check`` draws r normals for u of its group element exp(u), then r for
+its fiber point, from ``random.Random`` seeded with the ``seed`` option.  Both
+commands exit 2 with one stderr line naming the worst point and residual when
+a residual exceeds its rung of the tolerance ladder or is NaN, and 70 with one
+line naming the first point where the frame geometry or the curvature
+overflows.  JSON reports are compact: one line, keys sorted, separators
+without spaces.  The
 ``curvature`` report, whose rows carry N^2 + 6 numbers per point, is written
 by orjson, which spells some numbers differently from ``json.dumps`` (``1e-5``
 for ``1e-05``) but writes the same values bit for bit; a report orjson cannot
@@ -345,28 +349,34 @@ def cmd_identities(args, problem):
 # ---------------------------------------------------------------------------
 # the sweep driver, and curvature
 
-# Points per vectorised block of curvature and gauge-check: enough to amortise
-# each stage's numpy call overhead, few enough that the block's arrays (4n fd
-# stencil rows per point, and in gauge-check N^4 curvature numbers and 1 + 4r
-# fiber stencil gauge maps) stay a few MB and peak memory stays flat.
-_BLOCK = 32
+# Bytes a sweep block may hold at the command's estimate of one point's arrays
+# (a block takes at least one point): 1.625 MiB, calibrated on the benchmark's
+# sweeps, where it gives 104 points a block on u(1)+su(2) over n = 4 (N = 8),
+# past which a warm sweep gets no faster, and 26 on a gauge-check of su(2)
+# over n = 2 (N = 5).  At 2 MiB (128 and 32 points) the curvature sweep's
+# peak RSS rose 2.6 MB; at this budget both its and the gauge-check's fall.
+_BLOCK_BYTES = 13 << 17
 
 
-def _sweep(problem, block_columns):
+def _sweep(problem, block_columns, point_doubles):
     """Per-point columns of the problem's fields on its ``spec``, each an array
-    with the point axis first: the sorted points in blocks of ``_BLOCK``, one
-    geometry pass per block in the fields' ``deriv_mode`` at ``fd_step``, and
-    per block the columns "point" and ``block_columns(geom)`` (a dict of
-    per-point arrays), joined over the blocks; no columns over no points.
-    The fields leave the record, so they are freed before the report is written."""
+    with the point axis first: the sorted points in blocks of as many points
+    as ``_BLOCK_BYTES`` holds at the command's estimate of ``point_doubles``
+    doubles a point, and at least one, so a block's arrays stay within a few
+    times the budget, or one point's; one geometry pass per block in the
+    fields' ``deriv_mode`` at ``fd_step``, and per block the columns "point"
+    and ``block_columns(geom)`` (a dict of per-point arrays), joined over the
+    blocks; no columns over no points.  The fields leave the record, so they
+    are freed before the report is written."""
     import numpy as np
 
     from . import basegeo
 
     coframe, gauge, points, deriv_mode = vars(problem).pop("fields")
+    size = max(1, _BLOCK_BYTES // (8 * point_doubles))
     blocks = []
-    for start in range(0, len(points), _BLOCK):
-        block = points[start:start + _BLOCK]
+    for start in range(0, len(points), size):
+        block = points[start:start + size]
         geom = basegeo.geometry_at_point(coframe, gauge, problem.spec, block,
                                          deriv_mode=deriv_mode,
                                          fd_step=problem.options["fd_step"])
@@ -440,7 +450,9 @@ def _curvature_columns(geom):
 
 def cmd_curvature(args, problem):
     fd = problem.fields.deriv_mode == "fd"  # read before _sweep takes the fields
-    columns = _sweep(problem, _curvature_columns)
+    n, N = problem.spec.n, problem.spec.N
+    # a point's connection and Ricci terms, and C and F on each fd stencil row
+    columns = _sweep(problem, _curvature_columns, 4 * N**3 + fd * (1 + 4 * n) * n * n * N)
     rows = _Rows(columns)
     summary = {
         "points": len(rows),
@@ -496,7 +508,8 @@ def cmd_gauge_check(args, problem):
         return {"deextra_residual": gauge.verify_deextra(geom, s=0.25 * draws[:, 1]),
                 "gauge_covariance_residual": gauge.verify_gauge_covariance(geom, draws[:, 0])}
 
-    columns = _sweep(problem, gauge_columns)
+    # a point's curvature and the connection on its 1 + 4r fiber stencil points
+    columns = _sweep(problem, gauge_columns, (1 + 4 * problem.spec.r) * problem.spec.N**4)
     limits = (("deextra_residual", tol), ("gauge_covariance_residual", tol))
     worst = _worst_violation(columns, limits)
     body = {"passed": worst is None, "tolerance": tol,

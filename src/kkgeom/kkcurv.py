@@ -62,11 +62,13 @@ class KKConnection(namedtuple("KKConnection", "geom W K dW")):
         """Max violation of omega^{AB} + omega^{BA} = 0 after raising with h."""
         # U[A, C, B] = W[A, X, C] h^{XB}; the pair (A, B) is the outer pair of U
         U = np.swapaxes(self.W, -2, -1) @ self.geom.spec.h_inv()
-        return _max_abs(U + np.swapaxes(U, -3, -1), 3)
+        U += np.swapaxes(U, -3, -1)
+        return _max_abs(U, 3, scratch=True)
 
     def torsion_residual(self):
         """Max violation of de^A + omega^A_C /\\ e^C = 0 against K."""
-        return _max_abs(self.K - (self.W - np.swapaxes(self.W, -2, -1)), 3)
+        X = self.W - np.swapaxes(self.W, -2, -1)
+        return _max_abs(np.subtract(self.K, X, out=X), 3, scratch=True)
 
 
 class KKCurvature(namedtuple("KKCurvature", "ricci scalar einstein")):
@@ -99,9 +101,11 @@ class EYMResidual(namedtuple("EYMResidual", "einstein_block ym_block")):
         return _max_abs(self.ym_block)
 
 
-def _max_abs(block, rank=2):
-    """Per-point max |component| over the trailing ``rank`` axes (0 if r = 0)."""
-    return np.abs(block).max(axis=tuple(range(-rank, 0)), initial=0.0)
+def _max_abs(block, rank=2, scratch=False):
+    """Per-point max |component| over the trailing ``rank`` axes (0 if r = 0);
+    a ``scratch`` block is a temporary, overwritten by its absolute values."""
+    return np.abs(block, out=block if scratch else None).max(axis=tuple(range(-rank, 0)),
+                                                             initial=0.0)
 
 
 def assemble_omega(geom: GeometryAtPoint) -> KKConnection:
@@ -127,16 +131,18 @@ def assemble_omega(geom: GeometryAtPoint) -> KKConnection:
     kdF = (spec.k @ geom.dF.reshape(batch + (r, n**3))).reshape(batch + (r, n, n * n))
     dFm = (binvT @ kdF).reshape(geom.dF.shape)
     W[..., :n, :n, :n] = geom.gamma
-    W[..., :n, :n, n:] = -0.5 * np.moveaxis(Fm, -3, -1)  # e^gamma coefficient
+    half_F = -0.5 * np.moveaxis(Fm, -3, -1)
+    W[..., :n, :n, n:] = half_F  # e^gamma coefficient
     # omega^a_gamma = (1/2) F_{gamma b}^a e^b: the same numbers, since F is antisymmetric
-    W[..., :n, n:, :n] = np.swapaxes(W[..., :n, :n, n:], -2, -1)
+    W[..., :n, n:, :n] = np.swapaxes(half_F, -2, -1)
     W[..., n:, :n, :n] = -0.5 * np.swapaxes(geom.F, -2, -1)  # omega^al_c = -(1/2) F^al_{bc} e^b
     W[..., n:, n:, n:] = -0.5 * np.swapaxes(cf, -2, -1)  # -(1/2) c^al_{beta gamma} e^beta
     W[..., n:, n:, :n] = cA  # + c^al_{beta gamma} A^beta_c e^c
 
     dW[..., :n, :n, :n, :] = geom.dgamma
-    dW[..., :n, :n, n:, :] = -0.5 * np.moveaxis(dFm, -4, -2)
-    dW[..., :n, n:, :n, :] = np.swapaxes(dW[..., :n, :n, n:, :], -3, -2)
+    half_dF = -0.5 * np.moveaxis(dFm, -4, -2)
+    dW[..., :n, :n, n:, :] = half_dF
+    dW[..., :n, n:, :n, :] = np.swapaxes(half_dF, -3, -2)
     dW[..., n:, :n, :n, :] = -0.5 * np.swapaxes(geom.dF, -3, -2)
     dW[..., n:, n:, :n, :] = (c_ag @ geom.dA.reshape(batch + (r, n * n))).reshape(
         batch + (r, r, n, n))

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -231,16 +232,6 @@ def test_curvature_computes_each_tensor_once_per_point(tmp_path, capsys, monkeyp
     assert code == EXIT_OK
     # the 4 points form one block: one call per tensor for all of them
     assert calls == {"assemble_omega": 1, "curvature_direct": 1, "ricci_closed_form": 1}
-
-
-def test_curvature_sweeps_in_blocks_of_32_points(tmp_path, capsys, monkeypatch):
-    calls = count_calls(monkeypatch, kkcurv)
-    problem = json.loads(json.dumps(SU2_PROBLEM))
-    problem["fields"]["lattice"]["steps"] = [3, 11]
-    code, out = run(capsys, ["curvature", "--input", write_problem(tmp_path, problem)])
-    assert code == EXIT_OK
-    assert json.loads(out.out)["summary"]["points"] == 33
-    assert calls == {"assemble_omega": 2, "curvature_direct": 2, "ricci_closed_form": 2}
 
 
 def test_curvature_never_builds_the_riemann_tensor(tmp_path, capsys, monkeypatch):
@@ -1094,7 +1085,8 @@ def test_identities_accepts_an_exact_tolerance(capsys):
     assert json.loads(out.out)["config"]["tol"] == 0.0
 
 
-def test_gauge_check_sweeps_in_blocks_of_32_points(tmp_path, capsys, monkeypatch):
+def test_gauge_check_sweeps_in_blocks(tmp_path, capsys, monkeypatch):
+    # su(2) over n = 2 (N = 5): the memory rule gives 26 points a block
     geometry = count_calls(monkeypatch, basegeo, ["geometry_at_point"])
     calls = count_calls(monkeypatch, gauge, ["assemble_omega", "riemann_direct", "expm"])
     group = count_calls(monkeypatch, bundle, ["expm"])
@@ -1109,6 +1101,108 @@ def test_gauge_check_sweeps_in_blocks_of_32_points(tmp_path, capsys, monkeypatch
     # exponentiates anything
     assert calls == {"assemble_omega": 2, "riemann_direct": 2, "expm": 4}
     assert group == {}
+
+
+def block_sizes(monkeypatch):
+    """The number of points of each geometry pass, in call order."""
+    sizes = []
+    geometry_at_point = basegeo.geometry_at_point
+
+    def recorded(coframe, gauge_field, spec, point, **kwargs):
+        sizes.append(len(point))
+        return geometry_at_point(coframe, gauge_field, spec, point, **kwargs)
+
+    monkeypatch.setattr(basegeo, "geometry_at_point", recorded)
+    return sizes
+
+
+def point_doubles(command, algebra, deriv_mode):
+    """The sizing rule's estimate of the doubles one point holds in a block."""
+    spec = load_spec(algebra)
+    n, r, N = spec.n, spec.r, spec.N
+    if command == "gauge-check":
+        return (1 + 4 * r) * N**4
+    return 4 * N**3 + (deriv_mode == "fd") * (1 + 4 * n) * n * n * N
+
+
+def lattice_problem(algebra, steps, deriv_mode="analytic"):
+    """A problem on ``algebra`` over a lattice with ``steps`` per axis."""
+    problem = problem_without_rep(algebra)
+    del problem["paths"]
+    n = algebra["n"]
+    problem["fields"]["lattice"] = {"min": [-0.5] * n, "max": [0.5] * n, "steps": steps}
+    problem["fields"]["deriv_mode"] = deriv_mode
+    del problem["fields"]["points"]
+    return problem
+
+
+# (command, algebra, deriv_mode, lattice steps, points per block): 1.625 MiB
+# over 8 bytes times 4 N^3 (+ (1 + 4n) n^2 N in fd mode) for curvature, and
+# over 8 bytes times (1 + 4r) N^4 for gauge-check, at least 1
+SIZED_SWEEPS = [
+    ("curvature", {"builtin": "su2", "n": 2}, "analytic", [3, 11], 425),
+    ("curvature", {"builtin": "u1_su2", "n": 4}, "analytic", [5, 3, 3, 3], 104),
+    ("curvature", {"builtin": "su2", "n": 3}, "fd", [6, 6, 5], 136),
+    ("curvature", {"builtin": "abelian", "n": 2, "r": 16}, "analytic", [5, 5], 9),
+    ("gauge-check", {"builtin": "su2", "n": 2}, "analytic", [3, 11], 26),
+    ("gauge-check", {"builtin": "su2", "n": 3}, "fd", [3, 3, 3], 12),
+    ("gauge-check", {"builtin": "abelian", "n": 2, "r": 16}, "analytic", [1, 3], 1),
+]
+
+
+@pytest.mark.parametrize("command,algebra,deriv_mode,steps,block", SIZED_SWEEPS,
+                         ids=[f"{c}-{a.get('builtin')}{a['n']}-{m}" for c, a, m, *_ in
+                              SIZED_SWEEPS])
+def test_sweep_blocks_are_sized_by_memory_per_point(tmp_path, capsys, monkeypatch, command,
+                                                    algebra, deriv_mode, steps, block):
+    assert block == max(1, (13 << 17) // (8 * point_doubles(command, algebra, deriv_mode)))
+    sizes = block_sizes(monkeypatch)
+    problem = lattice_problem(algebra, steps, deriv_mode)
+    code, out = run(capsys, [command, "--input", write_problem(tmp_path, problem)])
+    assert code == EXIT_OK, out.err
+    points = math.prod(steps)
+    assert len(json.loads(out.out)["per_point"]) == points
+    # full blocks in point order, the rest in the last
+    assert sizes == [block] * (points // block) + [points % block] * (points % block > 0)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command,deriv_mode", [("curvature", "analytic"),
+                                                ("curvature", "fd"),
+                                                ("gauge-check", "analytic")])
+def test_sweep_reports_do_not_depend_on_the_block_size(tmp_path, capsys, monkeypatch,
+                                                       command, deriv_mode, fmt):
+    problem = with_fields(deriv_mode=deriv_mode,
+                          lattice={"min": [-0.5, -0.5], "max": [0.5, 0.5], "steps": [2, 4]})
+    path = write_problem(tmp_path, problem)
+    point = 8 * point_doubles(command, problem["algebra"], deriv_mode)
+    reports = []
+    # 1-point blocks, blocks of 3 with a partial last block, and one block
+    for budget, blocks in ((1, [1] * 8), (3 * point, [3, 3, 2]), (1 << 40, [8])):
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", budget)
+        sizes = block_sizes(monkeypatch)
+        code, out = run(capsys, [command, "--input", path, "--format", fmt])
+        assert code == EXIT_OK, out.err
+        assert sizes == blocks
+        monkeypatch.undo()
+        wall = "wall_time_s,[^\n]*" if fmt == "csv" else '"wall_time_s":[^,}]*'
+        reports.append(re.sub(wall, "wall_time_s", out.out))
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_gauge_check_on_a_large_fiber_takes_few_points_a_block(tmp_path, capsys, monkeypatch):
+    # u(1)^16 over n = 2 (N = 18): one point holds about 17 MB of arrays, so a
+    # block of 32 would hold over 500 MB; the rule takes one point a block
+    algebra = inline_algebra(np.zeros((16, 16, 16)), 2)
+    problem = lattice_problem(algebra, [2, 3])
+    problem["fields"]["gauge"] = [[f"0.{al % 9 + 1}*sin(x{al % 2 + 1})", f"0.1*x{al % 2 + 1}"]
+                                  for al in range(16)]  # every row written
+    sizes = block_sizes(monkeypatch)
+    code, out = run(capsys, ["gauge-check", "--input", write_problem(tmp_path, problem)])
+    assert code == EXIT_OK, out.err
+    report = json.loads(out.out)
+    assert report["passed"] is True and len(report["per_point"]) == 6
+    assert sizes == [1] * 6
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
