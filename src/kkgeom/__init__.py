@@ -38,7 +38,8 @@ _EXPORTS = {
                "builtin_rep", "lift_path"),
     "errors": ("DegenerateCoframeError", "DegenerateMetricError", "DegreeError",
                "EvalDomainError", "ExprSyntaxError", "KKGeomError", "NonFiniteAlgebraError",
-               "NonFiniteGeometryError", "StructuralError", "UnknownIdentifierError"),
+               "NonFiniteGeometryError", "NonFiniteLiftError", "StructuralError",
+               "UnknownIdentifierError"),
     "exterior": ("AlternatingForm", "basis_one_form", "check_identities", "d_substitute",
                  "epsilon_form", "interior", "top_form", "wedge"),
     "fieldexpr": ("FieldProvider", "diff", "evaluate", "parse", "pretty"),

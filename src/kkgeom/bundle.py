@@ -19,7 +19,13 @@ step.  The lift returns one batched ``GroupElement`` of shape
 
 The matrix exponential (scaling and squaring with a Pade approximant) and
 the polar projection are implemented here on numpy alone, for stacks of
-matrices.
+matrices.  The polar projection takes Newton-Schulz steps on each matrix
+near the group (||m^T m - 1||_F < 1/2), none on one already orthogonal to
+within a few ulps, and an SVD only on the others, so the RK4 step operators
+of a lift, orthogonal to rounding at moderate step sizes, need no SVD.  Its
+result is the polar factor to rounding either way.  Step operators that
+overflow are built quietly and stop the lift with ``NonFiniteLiftError``,
+naming the first step whose operator is not finite.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import StructuralError
+from .errors import NonFiniteLiftError, StructuralError
 from .liealg import LieAlgebraSpec, _numbers, builtin_algebra
 
 __all__ = ["MatrixRep", "GroupElement", "PathSpec", "algebra_rep", "builtin_rep", "load_rep",
@@ -46,6 +52,9 @@ _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
            670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
            960960.0, 16380.0, 182.0, 1.0)
 _THETA13 = 5.371920351148152
+
+# largest |x^T x - 1| entry at which polar takes no further Newton-Schulz step
+_POLAR_TOL = 4 * np.finfo(float).eps
 
 
 def expm(a) -> np.ndarray:
@@ -75,11 +84,42 @@ def expm(a) -> np.ndarray:
 
 
 def polar(m) -> np.ndarray:
-    """Orthogonal factor ``u @ vh`` of the polar decomposition of ``m``
-    (``m = u s vh`` its singular value decomposition): the nearest
-    orthogonal matrix in the Frobenius norm."""
-    u, _, vh = np.linalg.svd(m)
-    return u @ vh
+    """Orthogonal factor ``u @ vh`` of the polar decomposition of a square
+    matrix or of a stack ``(..., d, d)`` (``m = u s vh`` its singular value
+    decomposition): the nearest orthogonal matrix in the Frobenius norm.
+
+    A matrix with ||m^T m - 1||_F < 1/2 takes Newton-Schulz steps
+    x <- x (3 - x^T x) / 2, which converge quadratically to the polar factor
+    there (Higham, Functions of Matrices, SIAM 2008, ch. 8).  They stop once
+    max|x^T x - 1| is within ``_POLAR_TOL`` or no longer halves at the
+    rounding floor, so an orthogonal matrix takes none and the result is the
+    polar factor to rounding.  Only the other matrices (far from orthogonal,
+    singular or not finite) go through ``np.linalg.svd``, which raises
+    ``LinAlgError`` on one that is not finite.  ``m`` is not modified.
+    """
+    m = np.asarray(m, dtype=float)
+    d = m.shape[-1]
+    x = m.reshape(-1, d, d).copy()
+    ident = np.eye(d)
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN and inf go to the SVD
+        e = np.swapaxes(x, -2, -1) @ x - ident
+        near = np.einsum("kij,kij->k", e, e) < 0.25
+    if not near.all():
+        far = np.flatnonzero(~near)
+        u, _, vh = np.linalg.svd(x[far])
+        x[far] = u @ vh
+    idx = np.flatnonzero(near)
+    e = e[idx]
+    res, prev = np.abs(e).max(axis=(-2, -1)), np.inf
+    while True:
+        go = (res > _POLAR_TOL) & (res <= 0.5 * prev)
+        if not go.any():
+            return x.reshape(m.shape)
+        idx, e, prev = idx[go], e[go], res[go]
+        xi = x[idx] - 0.5 * (x[idx] @ e)  # x (3 - x^T x) / 2 = x (1 - e / 2)
+        x[idx] = xi
+        e = np.swapaxes(xi, -2, -1) @ xi - ident
+        res = np.abs(e).max(axis=(-2, -1))
 
 
 class MatrixRep(namedtuple("MatrixRep", "spec T")):
@@ -340,7 +380,8 @@ def lift_path(path: PathSpec, steps: int) -> GroupElement:
     multiplies them all.  One Newton-Schulz step g <- g (3 - g^T g) / 2 over
     the chunk keeps every product orthogonal to rounding.  Returns the
     steps + 1 group elements as one batched element, shape
-    ``(steps + 1, d, d)``.
+    ``(steps + 1, d, d)``; raises ``NonFiniteLiftError`` at the first step
+    whose operator overflows.
     """
     return _lift(path, steps, _sample(path, steps))
 
@@ -384,7 +425,12 @@ def _lift(path, steps, xi):
         # the chunk's polar factors Q[k], turned in place into their prefix
         # products Q[0] ... Q[k] by doubling: after the pass with shift s,
         # P[k] holds the product of the last 2 s factors up to Q[k]
-        P = polar(_step_operators(rep.algebra_element(xi[2 * start:2 * stop + 1]), h))
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            P = _step_operators(rep.algebra_element(xi[2 * start:2 * stop + 1]), h)
+        finite = np.isfinite(P).all(axis=(-2, -1))
+        if not finite.all():
+            raise NonFiniteLiftError((start + np.argmin(finite)) / steps, steps)
+        P = polar(P)
         s = 1
         while s < len(P):
             P[s:] = P[:-s] @ P[s:]

@@ -66,7 +66,9 @@ imported the same way, by the commands that compute on arrays:
 data) run on the standard library alone, so neither loads numpy; no
 command loads ``numpy.random``; and only ``curvature`` loads orjson.
 ``validate`` exits 70 with one line naming det h, the residual or the
-cosmological constant that overflows to an infinity or a NaN.
+cosmological constant that overflows to an infinity or a NaN, and ``lift``
+with one line naming the path and the first step time whose RK4 step
+operator overflows.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ import types
 from .errors import (DegenerateCoframeError, DegenerateMetricError,
                      DegreeError, EvalDomainError, ExprSyntaxError,
                      NonFiniteAlgebraError, NonFiniteGeometryError,
-                     StructuralError, UnknownIdentifierError)
+                     NonFiniteLiftError, StructuralError, UnknownIdentifierError)
 
 __all__ = ["main"]
 
@@ -476,8 +478,11 @@ def cmd_lift(args, problem):
     from . import bundle
 
     results = []
-    for path, steps in problem.paths:
-        coarse, fine = bundle.lift_and_halve(path, steps)
+    for i, (path, steps) in enumerate(problem.paths):
+        try:
+            coarse, fine = bundle.lift_and_halve(path, steps)
+        except NonFiniteLiftError as exc:
+            raise NonFiniteLiftError(exc.time, exc.steps, f"paths[{i}]") from exc
         err = float(np.abs(coarse[-1].matrix - fine[-1].matrix).max())
         results.append({
             "steps": steps,
@@ -581,7 +586,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DegenerateCoframeError, DegenerateMetricError, NonFiniteAlgebraError,
-            NonFiniteGeometryError) as exc:
+            NonFiniteGeometryError, NonFiniteLiftError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:  # numpy's LinAlgError among them

@@ -37,6 +37,17 @@ class NonFiniteGeometryError(KKGeomError):
                          f"({', '.join(self.fields)})")
 
 
+class NonFiniteLiftError(KKGeomError):
+    """A path lift overflowed: ``time`` is the start time of the first step,
+    of the lift at ``steps`` steps, whose step operator is not finite;
+    ``where`` names the path (``paths[0]``) when it is known."""
+
+    def __init__(self, time, steps, where=""):
+        self.time, self.steps, self.where = float(time), int(steps), where
+        super().__init__(f"{where + ': ' if where else ''}step operator is not finite at "
+                         f"t = {self.time!r} (lift at {self.steps} steps)")
+
+
 class NonFiniteAlgebraError(KKGeomError):
     """A quantity computed from the algebra alone (det h, a hypothesis
     residual, the cosmological constant) overflowed to an infinity or a NaN."""

@@ -11,7 +11,7 @@ from kkgeom.basegeo import (CoframeField, GaugeField, _fd_gradient, _fd_stencil,
                             geometry_at_point)
 from kkgeom.bundle import (GroupElement, MatrixRep, PathSpec, adjoint_of, algebra_rep,
                            builtin_rep, lift_path)
-from kkgeom.errors import StructuralError
+from kkgeom.errors import NonFiniteLiftError, StructuralError
 from kkgeom.gauge import verify_deextra, verify_gauge_covariance
 from kkgeom.kkcurv import assemble_omega, riemann_direct
 from kkgeom.liealg import LieAlgebraSpec, abelian_algebra, su2_algebra, u1_su2_algebra
@@ -295,6 +295,83 @@ def test_polar_matches_scipy(near_orthogonal):
             assert np.abs(gi - u).max() < 1e-12
 
 
+def polar_kinds(rng, d, count=4):
+    """``count`` each of near-orthogonal matrices, matrices far from
+    orthogonal (singular values in [0.05, 10]) and orthogonal ones, in a
+    shuffled batch, with a label for each."""
+    q = np.linalg.qr(rng.normal(size=(3, count, d, d)))[0]
+    near = q[0] + 1e-3 * rng.normal(size=(count, d, d))
+    far = (q[1] * rng.uniform(0.05, 10.0, size=(count, 1, d))) @ q[2]
+    exact = np.linalg.qr(rng.normal(size=(count, d, d)))[0]
+    labels = np.repeat(["near", "far", "exact"], count)
+    order = rng.permutation(3 * count)
+    return np.concatenate([near, far, exact])[order], labels[order]
+
+
+def counting_svd(monkeypatch):
+    """Patch ``np.linalg.svd`` to record the shape of each call's input."""
+    calls, svd = [], np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_polar_branches_match_scipy(d, monkeypatch):
+    # Newton-Schulz for the near and orthogonal matrices, the SVD for the far
+    # ones, in one batch; each matrix alone takes the same branch
+    m, labels = polar_kinds(np.random.default_rng(d), d)
+    calls = counting_svd(monkeypatch)
+    got = bundle.polar(m)
+    assert calls == [(4, d, d)]  # the far matrices alone, in one call
+    for mi, gi, label in zip(m, got, labels):
+        u, _ = scipy.linalg.polar(mi)
+        assert np.abs(gi - u).max() < 1e-12, label
+        del calls[:]
+        single = bundle.polar(mi)
+        assert single.shape == (d, d)
+        assert np.abs(single - u).max() < 1e-12, label
+        assert len(calls) == (label == "far"), label
+
+
+def test_polar_leaves_its_input_and_keeps_orthogonal_matrices():
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(8)
+    for d in (2, 3, 5):
+        m, _ = polar_kinds(rng, d)
+        before = m.copy()
+        bundle.polar(m)
+        assert np.array_equal(m, before)
+        q = np.linalg.qr(rng.normal(size=(50, d, d)))[0]
+        assert np.abs(bundle.polar(q) - q).max() <= 4 * eps
+        out = bundle.polar(q[0])
+        assert out is not q[0] and np.abs(out - q[0]).max() <= 4 * eps
+    g = builtin_rep("product").exp(rng.normal(size=(50, 4)))
+    assert np.abs(bundle.polar(g.matrix) - g.matrix).max() <= 4 * eps  # read-only input
+
+
+def test_lift_of_near_orthogonal_steps_makes_no_svd_call(monkeypatch):
+    # the bench lift's shape: su(2), 1000 steps, |v| about 2; each step
+    # operator is orthogonal to rounding, and polar keeps it without an SVD
+    rep = builtin_rep("su2_as_so3")
+    a, b, c = np.random.default_rng(7).uniform(-2.0, 2.0, size=(3, 3))
+    path = PathSpec(rep, lambda t: a + b * np.sin(3.0 * np.asarray(t)[:, None] + c),
+                    rep.identity_element())
+    calls = counting_svd(monkeypatch)
+    coarse, fine = bundle.lift_and_halve(path, 1000)
+    assert calls == []
+    assert fine.manifold_residual() <= 1e-14
+    # one step at |v| = 50 is far from orthogonal: its polar factor takes the SVD
+    fast = PathSpec(rep, constant([30.0, -40.0, 0.0]), rep.identity_element())
+    out = lift_path(fast, 1)
+    assert calls == [(1, 3, 3)]
+    assert np.abs(out.matrix - lift_oracle(fast, 1)).max() <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # path lifting
 
@@ -474,6 +551,19 @@ def test_lift_rejects_non_finite_velocity(bad):
 
     with pytest.raises(StructuralError, match="not finite"):
         lift_path(PathSpec(rep, v, rep.identity_element()), 4)
+
+
+def test_lift_names_the_first_step_whose_operator_overflows():
+    # v is 0 up to t = 0.5 and 1e150 from t = 0.6: the step from t = 0.5 is the
+    # first whose operator overflows, quietly, and no polar factor is taken
+    rep = builtin_rep("su2_as_so3")
+    path = PathSpec.sampled(rep, [0.0, 0.5, 0.6, 1.0],
+                            [[0.0] * 3, [0.0] * 3, [1e150, 0.0, 0.0], [1e150, 0.0, 0.0]],
+                            rep.identity_element())
+    with np.errstate(all="raise"), pytest.raises(NonFiniteLiftError) as info:
+        lift_path(path, 10)
+    assert (info.value.time, info.value.steps) == (0.5, 10)
+    assert str(info.value) == "step operator is not finite at t = 0.5 (lift at 10 steps)"
 
 
 def test_lift_rejects_zero_steps():

@@ -362,6 +362,7 @@ def test_out_of_memory_exits_70_in_one_line(tmp_path, capsys, monkeypatch, comma
 ERROR_ARGS = {
     errors.DegenerateCoframeError: ((0.1, 0.2), 0.0),
     errors.NonFiniteGeometryError: ((0.1, 0.2), ("E",)),
+    errors.NonFiniteLiftError: (0.5, 10),
     errors.ExprSyntaxError: ("unexpected token", 3),
     errors.UnknownIdentifierError: ("x9",),
 }
@@ -688,6 +689,35 @@ def test_lift_wrong_velocity_count(tmp_path, capsys):
     path = write_problem(tmp_path, problem)
     code, _ = run(capsys, ["lift", "--input", path])
     assert code == EXIT_USAGE
+
+
+OVERFLOW_LIFT = {"rep": "su2_as_so3", "paths": [{"v": ["1e150*x1", "0", "0"], "steps": 10}]}
+
+
+def test_lift_overflow_exits_70_in_one_line(tmp_path):
+    # a child process, so that any numpy warning would reach its stderr
+    path = write_problem(tmp_path, OVERFLOW_LIFT)
+    proc = run_python(["-m", "kkgeom.cli", "lift", "--input", path])
+    assert proc.returncode == EXIT_NUMERIC
+    assert proc.stdout == ""
+    assert proc.stderr == ("numeric failure: paths[0]: step operator is not finite "
+                           "at t = 0.0 (lift at 10 steps)\n")
+
+
+def test_lift_overflow_names_the_path_and_its_first_bad_step(tmp_path, capsys):
+    # the second path is 0 up to t = 0.5, then overflows the step from t = 0.5
+    late = [[0.0, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0], [0.6, 1e150, 0.0, 0.0],
+            [1.0, 1e150, 0.0, 0.0]]
+    problem = {"rep": "su2_as_so3",
+               "paths": [SU2_PROBLEM["paths"][0], {"v": late, "steps": 10}]}
+    path = write_problem(tmp_path, problem)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(capsys, ["lift", "--input", path])
+    assert code == EXIT_NUMERIC
+    assert out.out == ""
+    assert out.err == ("numeric failure: paths[1]: step operator is not finite "
+                       "at t = 0.5 (lift at 10 steps)\n")
 
 
 CONSTANT_V = [[0.0, 0.3, -0.2, 0.5], [1.0, 0.3, -0.2, 0.5]]
